@@ -130,7 +130,7 @@ def refine_batch(features: Tensor, f_ins: Tensor, mode: str, k: int = 0) -> Tens
         order = np.argsort(-beliefs.data[:, 0, :], axis=-1, kind="stable")[:, :k]
         return T.take_along_last(features, order[:, None, :])
     rank = _strict_rank(beliefs.data[:, 0, :])  # (B, m+1)
-    boost = Tensor((1.0 / np.sqrt(rank.astype(np.float64)))[:, None, :])
+    boost = Tensor((1.0 / np.sqrt(rank.astype(beliefs.dtype)))[:, None, :])
     weights = beliefs + boost
     scaled = features * weights
     if mode == "soft-sequence":

@@ -11,15 +11,15 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
+from .belief import MODES as BELIEF_MODES
+from .encoders import INSTRUCTION_SOURCES
 from .errors import ConfigError
 from .losses import LossConfig
 
 SCHEMA_VERSION = 1
 
 STAGES = ("closed-domain", "stage1-pretrain", "stage2-finetune")
-BELIEF_MODES = ("hard", "soft-sequence", "soft-aggregate")
 PRECISIONS = ("float64", "float32")
-INSTRUCTION_SOURCES = ("frozen-scene-table", "learned-scene-table", "toy-conv-encoder")
 
 # Full-scale reference configuration of the original training recipe. Far
 # beyond desk scale; documented here and in the README, never used by tests.

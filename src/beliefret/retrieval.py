@@ -16,6 +16,9 @@ from .errors import ConfigError, DegenerateInputError, InputError
 
 DIRECTIONS = ("i2t", "t2i")
 REPORT_KEYS = ("i2t_r1", "i2t_r5", "i2t_r10", "t2i_r1", "t2i_r5", "t2i_r10", "mr")
+REPORT_KS = (1, 5, 10)
+# Image rows per comparison pass: 16 x 5000 captions keeps each mask at 80 KB.
+_RANK_BLOCK = 16
 
 
 @dataclass
@@ -60,13 +63,7 @@ def similarity_matrix(v_rows: np.ndarray, t_rows: np.ndarray) -> np.ndarray:
     return (v / vn) @ (t / tn).T
 
 
-def _ranking(scores: np.ndarray) -> np.ndarray:
-    # descending similarity, ties broken toward the lower candidate index
-    return np.argsort(-scores, kind="stable")
-
-
-def recall_at_k(table: RetrievalTable, k: int, direction: str) -> float:
-    """Percentage of queries whose ground truth appears in the top-k candidates."""
+def _check_k(table: RetrievalTable, k: int, direction: str) -> None:
     if direction not in DIRECTIONS:
         raise ConfigError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     if k < 1:
@@ -75,19 +72,49 @@ def recall_at_k(table: RetrievalTable, k: int, direction: str) -> float:
     candidates = n_txt if direction == "i2t" else n_img
     if k > candidates:
         raise ConfigError(f"K={k} exceeds the {candidates} available candidates")
+
+
+def _ground_truth_ranks(table: RetrievalTable, direction: str) -> np.ndarray:
+    """0-based rank of each query's ground truth: #(s > s_gt) + #(s == s_gt, index < gt).
+
+    An image's ground truth is its best own caption (highest similarity, then
+    lowest index), whose rank is the least over all of its captions. Each
+    direction makes one comparison pass over ``sim``, _RANK_BLOCK image rows
+    at a time so that the temporaries stay small.
+    """
+    sim = table.sim
+    n_img, n_txt = sim.shape
+    owner = np.fromiter((table.txt2img[j] for j in range(n_txt)), dtype=np.intp, count=n_txt)
+    captions = np.arange(n_txt)
+    s_own = sim[owner, captions]
     if direction == "i2t":
-        hits = sum(
-            1
-            for i in range(n_img)
-            if table.img2txt[i] & set(_ranking(table.sim[i])[:k].tolist())
-        )
-        return 100.0 * hits / n_img
-    hits = sum(
-        1
-        for j in range(n_txt)
-        if table.txt2img[j] in _ranking(table.sim[:, j])[:k].tolist()
-    )
-    return 100.0 * hits / n_txt
+        order = np.lexsort((-s_own, owner))  # stable: equal similarities keep index order
+        sorted_owner = owner[order]
+        gt = order[np.concatenate(([True], sorted_owner[1:] != sorted_owner[:-1]))]
+        s_gt = s_own[gt]
+        ranks = np.empty(n_img, dtype=np.intp)
+        for r0 in range(0, n_img, _RANK_BLOCK):
+            rows = slice(r0, r0 + _RANK_BLOCK)
+            block, s, g = sim[rows], s_gt[rows, None], gt[rows, None]
+            ranks[rows] = np.count_nonzero((block > s) | ((block == s) & (captions < g)), axis=1)
+        return ranks
+    images = np.arange(n_img)[:, None]
+    ranks = np.zeros(n_txt, dtype=np.intp)
+    for r0 in range(0, n_img, _RANK_BLOCK):
+        rows = slice(r0, r0 + _RANK_BLOCK)
+        block = sim[rows]
+        ranks += np.count_nonzero((block > s_own) | ((block == s_own) & (images[rows] < owner)), axis=0)
+    return ranks
+
+
+def _recall(ranks: np.ndarray, k: int) -> float:
+    return 100.0 * int(np.count_nonzero(ranks < k)) / ranks.size
+
+
+def recall_at_k(table: RetrievalTable, k: int, direction: str) -> float:
+    """Percentage of queries whose ground truth appears in the top-k candidates."""
+    _check_k(table, k, direction)
+    return _recall(_ground_truth_ranks(table, direction), k)
 
 
 def mean_recall(recalls) -> float:
@@ -120,7 +147,12 @@ class RecallReport:
 
     @classmethod
     def from_table(cls, table: RetrievalTable) -> "RecallReport":
-        values = [recall_at_k(table, k, d) for d in DIRECTIONS for k in (1, 5, 10)]
+        values = []
+        for direction in DIRECTIONS:
+            for k in REPORT_KS:
+                _check_k(table, k, direction)
+            ranks = _ground_truth_ranks(table, direction)
+            values += [_recall(ranks, k) for k in REPORT_KS]
         return cls(*values, mr=mean_recall(values))
 
     def to_dict(self) -> dict:

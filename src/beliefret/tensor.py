@@ -2,9 +2,9 @@
 
 Values are numpy arrays (float64 by default, float32 opt-in for training) and
 every operation records a backward closure, so calling ``backward()`` on a
-scalar accumulates exact partial derivatives into ``.grad`` of every tensor
-that requires them. ``grad_check`` verifies any scalar-valued function against
-central differences.
+scalar accumulates exact partial derivatives into ``.grad`` of every leaf
+tensor that requires them (op outputs keep no gradient). ``grad_check``
+verifies any scalar-valued function against central differences.
 
 Sequence features throughout the package use column layout: a stack of L
 tokens of width d is a (d, L) matrix, optionally with leading batch axes.
@@ -99,9 +99,12 @@ class Tensor:
     # -- autodiff ------------------------------------------------------------
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into every reachable requires_grad tensor.
+        """Accumulate d(self)/d(leaf) into ``.grad`` of every reachable leaf
+        (a requires_grad tensor that no op produced).
 
-        ``self`` must be a scalar; repeated calls keep accumulating.
+        ``self`` must be a scalar; repeated calls keep accumulating. Op outputs
+        keep ``.grad`` as None: their gradients are dropped once passed to
+        their parents.
         """
         if self.data.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -125,9 +128,9 @@ class Tensor:
             g = flowing.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad:
-                node.grad = g if node.grad is None else node.grad + g
             if node._backward_fn is None:
+                if node.requires_grad:
+                    node.grad = g if node.grad is None else node.grad + g
                 continue
             for parent, pg in zip(node._parents, node._backward_fn(g)):
                 if pg is None or not parent.requires_grad:
@@ -205,6 +208,14 @@ def _as_tensor(x, dtype=None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype if dtype is not None else DEFAULT_DTYPE))
 
 
+def _operands(a, b) -> tuple:
+    """Both operands as tensors; a non-tensor one takes the other's dtype."""
+    if isinstance(b, Tensor) and not isinstance(a, Tensor):
+        return _as_tensor(a, dtype=b.dtype), b
+    a = _as_tensor(a)
+    return a, _as_tensor(b, dtype=a.dtype)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to the originating shape."""
     if grad.shape == shape:
@@ -222,8 +233,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b, dtype=a.dtype)
+    a, b = _operands(a, b)
     with np.errstate(over="ignore"):
         data = a.data + b.data
     return _op(
@@ -234,8 +244,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b, dtype=a.dtype)
+    a, b = _operands(a, b)
     with np.errstate(over="ignore"):
         data = a.data - b.data
     return _op(
@@ -246,8 +255,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b, dtype=a.dtype)
+    a, b = _operands(a, b)
     with np.errstate(over="ignore", invalid="ignore"):
         data = a.data * b.data
     return _op(
@@ -261,8 +269,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b, dtype=a.dtype)
+    a, b = _operands(a, b)
     with np.errstate(divide="ignore", invalid="ignore"):
         data = a.data / b.data
     return _op(
@@ -428,8 +435,7 @@ def matmul(a, b) -> Tensor:
 
     Gradients: dA = dC @ Bᵀ, dB = Aᵀ @ dC (summed over broadcast axes).
     """
-    a = _as_tensor(a)
-    b = _as_tensor(b, dtype=a.dtype)
+    a, b = _operands(a, b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise DimensionError("matmul operands must have at least 2 dimensions")
     if a.data.shape[-1] != b.data.shape[-2]:

@@ -331,6 +331,29 @@ def test_float32_precision_mode():
     assert all(np.isfinite(row["loss"]) for row in out.history)
 
 
+def test_float32_every_op_output_is_float32(monkeypatch):
+    from beliefret import tensor as T
+    from beliefret.data import epoch_batches
+
+    cfg = make_config(precision="float32", **{"optim.batch_size": "16"})
+    trainer = Trainer(cfg, dataset=TINY)
+    batch = next(epoch_batches(trainer.train_records, 16, cfg.seed, 0))
+    dtypes = []
+    op = T._op
+
+    def recording_op(data, parents, backward_fn):
+        dtypes.append(data.dtype)
+        return op(data, parents, backward_fn)
+
+    monkeypatch.setattr(T, "_op", recording_op)
+    loss = trainer.model.batch_losses(batch)[0]
+    loss.backward()
+    assert len(dtypes) > 1000
+    assert set(dtypes) == {np.dtype(np.float32)}
+    grads = [p.grad for _, p in trainer.model.named_parameters() if p.grad is not None]
+    assert grads and all(g.dtype == np.float32 for g in grads)
+
+
 def test_full_model_gradient_end_to_end():
     # one composed check across encoder, belief filter, both attention stacks
     # and both losses; unsaturated temperature keeps the probe well-posed

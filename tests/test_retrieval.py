@@ -24,21 +24,34 @@ def random_table(rng, max_images=10, captions_per_image=None, min_images=2):
     return RetrievalTable(sim, img2txt, txt2img)
 
 
-def oracle_recall(table, k, direction):
-    """Exhaustive reference: full sort of each row/column plus set intersection."""
+def ragged_table(rng, max_images=12):
+    """Unequal, interleaved caption sets per image and heavily tied similarities."""
+    n_img = int(rng.integers(2, max_images + 1))
+    owner = np.concatenate([np.arange(n_img), rng.integers(0, n_img, size=int(rng.integers(0, 4 * n_img)))])
+    owner = rng.permutation(owner)
+    sim = np.round(rng.normal(size=(n_img, owner.size)), int(rng.integers(0, 2)))
+    img2txt = {i: set(np.flatnonzero(owner == i).tolist()) for i in range(n_img)}
+    txt2img = {j: int(i) for j, i in enumerate(owner)}
+    return RetrievalTable(sim, img2txt, txt2img)
+
+
+def oracle_recalls(table, direction):
+    """Exhaustive reference for every K: full sort of each row/column plus set intersection."""
     n_img, n_txt = table.sim.shape
-    hits = 0
+    hits = []
     if direction == "i2t":
         for i in range(n_img):
             order = sorted(range(n_txt), key=lambda j: (-table.sim[i, j], j))
-            if set(order[:k]) & table.img2txt[i]:
-                hits += 1
-        return 100.0 * hits / n_img
-    for j in range(n_txt):
-        order = sorted(range(n_img), key=lambda i: (-table.sim[i, j], i))
-        if table.txt2img[j] in order[:k]:
-            hits += 1
-    return 100.0 * hits / n_txt
+            hits.append([bool(set(order[:k]) & table.img2txt[i]) for k in range(1, n_txt + 1)])
+    else:
+        for j in range(n_txt):
+            order = sorted(range(n_img), key=lambda i: (-table.sim[i, j], i))
+            hits.append([table.txt2img[j] in order[:k] for k in range(1, n_img + 1)])
+    return [100.0 * sum(column) / len(hits) for column in zip(*hits)]
+
+
+def oracle_recall(table, k, direction):
+    return oracle_recalls(table, direction)[k - 1]
 
 
 # -- similarity matrix ------------------------------------------------------------
@@ -118,6 +131,18 @@ def test_recall_matches_exhaustive_oracle():
             got = recall_at_k(table, k, direction)
             want = oracle_recall(table, k, direction)
             assert got == want, f"seed {seed} {direction} K={k}: {got} vs {want}"
+
+
+def test_recall_ragged_ownership_every_k_matches_oracle():
+    for seed in range(400):
+        table = ragged_table(child(seed, "recall-ragged"))
+        want = {d: oracle_recalls(table, d) for d in ("i2t", "t2i")}
+        for direction, values in want.items():
+            got = [recall_at_k(table, k, direction) for k in range(1, len(values) + 1)]
+            assert got == values, f"seed {seed} {direction}: {got} vs {values}"
+        if min(table.sim.shape) >= 10:
+            report = list(RecallReport.from_table(table).to_dict().values())
+            assert report[:6] == [want[d][k - 1] for d in want for k in (1, 5, 10)], f"seed {seed}"
 
 
 def test_recall_monotone_in_k():

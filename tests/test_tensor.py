@@ -179,6 +179,16 @@ def test_backward_through_shared_subexpression():
     npt.assert_allclose(x.grad, [24.0])
 
 
+def test_backward_keeps_gradients_only_on_leaves():
+    x = Tensor([3.0], requires_grad=True)
+    y = x * 2.0
+    loss = (y * y).sum()
+    loss.backward()
+    loss.backward()  # the same graph twice: the leaf accumulates
+    npt.assert_allclose(x.grad, [48.0])
+    assert y.grad is None and loss.grad is None
+
+
 def test_no_grad_blocks_graph():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with T.no_grad():
