@@ -6,7 +6,9 @@ random-stream positions, so a restored trainer continues bit-identically.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 
 import numpy as np
 
@@ -18,6 +20,20 @@ _HEADER_KEY = "__header__"
 _PARAM_PREFIX = "param::"
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Write a file beside ``path`` that replaces it only once fully written,
+    so an interrupted write leaves the previous file intact."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_checkpoint(path, named_arrays: dict, header: dict) -> None:
     header = dict(header)
     header["schema_version"] = SCHEMA_VERSION
@@ -25,7 +41,7 @@ def save_checkpoint(path, named_arrays: dict, header: dict) -> None:
     payload = {_HEADER_KEY: blob}
     for name, arr in named_arrays.items():
         payload[_PARAM_PREFIX + name] = np.asarray(arr)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         np.savez(fh, **payload)
 
 
@@ -47,6 +63,11 @@ def load_checkpoint(path):
         raise ParseError(f"{path}: corrupt checkpoint: {exc}") from exc
     if header.get("schema_version") != SCHEMA_VERSION:
         raise ParseError(f"{path}: unsupported checkpoint schema {header.get('schema_version')}")
+    # parameters bypass the leaf scan of Tensor(...), and a trapped training
+    # step does not raise on a NaN that is already there
+    for name, arr in params.items():
+        if not np.isfinite(arr).all():
+            raise ParseError(f"{path}: parameter {name} has non-finite values")
     return header, params
 
 

@@ -231,6 +231,25 @@ def write_dataset(dataset: Dataset, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _record_problem(rec: DatasetRecord, meta: DatasetMeta) -> str | None:
+    """Why a parsed record cannot be trained on, or None if it can."""
+    if not 0 <= rec.scene_label < meta.num_classes:
+        return f"scene_label {rec.scene_label} outside [0, {meta.num_classes})"
+    # NaN fails both comparisons, so this also rejects non-finite pixels
+    outside = ~((rec.pixels >= 0.0) & (rec.pixels <= 1.0))
+    if outside.any():
+        return f"pixel value {float(rec.pixels[outside][0])!r} outside [0, 1]"
+    if not rec.captions:
+        return "no captions"
+    for i, cap in enumerate(rec.captions):
+        if not cap:
+            return f"caption {i} is empty"
+        bad = [t for t in cap if not 0 <= t < meta.vocab_size]
+        if bad:
+            return f"caption {i} has token id {bad[0]} outside [0, {meta.vocab_size})"
+    return None
+
+
 def load_dataset(path) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -250,17 +269,18 @@ def load_dataset(path) -> Dataset:
             continue
         try:
             raw = json.loads(line)
-            pixels = np.array(raw["pixels"], dtype=np.float64).reshape(3, size, size)
-            records.append(
-                DatasetRecord(
-                    id=int(raw["id"]),
-                    scene_label=int(raw["scene_label"]),
-                    pixels=pixels,
-                    captions=[[int(t) for t in cap] for cap in raw["captions"]],
-                )
+            rec = DatasetRecord(
+                id=int(raw["id"]),
+                scene_label=int(raw["scene_label"]),
+                pixels=np.array(raw["pixels"], dtype=np.float64).reshape(3, size, size),
+                captions=[[int(t) for t in cap] for cap in raw["captions"]],
             )
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}:{lineno}: bad dataset record: {exc}") from exc
+        problem = _record_problem(rec, meta)
+        if problem:
+            raise ParseError(f"{path}:{lineno}: bad dataset record: {problem}")
+        records.append(rec)
     if len(records) != meta.num_records:
         raise ParseError(f"{path}: header promises {meta.num_records} records, found {len(records)}")
     return Dataset(meta, records)

@@ -343,12 +343,13 @@ def pretrain_instruction_conv(
         ("head.b", head.b),
     ]
     n = pixels.shape[0]
-    for _ in range(steps):
-        pick = rng.integers(0, n, size=min(batch_size, n))
-        emb = _conv_embed(pixels[pick], params)  # (b, d)
-        logits = linear(emb.reshape((*emb.shape, 1)), head).reshape((len(pick), num_classes))
-        onehot = Tensor(np.eye(num_classes, dtype=logits.dtype)[labels[pick]])
-        loss = -(T.log_softmax(logits, axis=-1) * onehot).sum() * (1.0 / len(pick))
-        loss.backward()
-        T.sgd_step(trainable, lr)
+    with T.trap_nonfinite():
+        for _ in range(steps):
+            pick = rng.integers(0, n, size=min(batch_size, n))
+            emb = _conv_embed(pixels[pick], params)  # (b, d)
+            logits = linear(emb.reshape((*emb.shape, 1)), head).reshape((len(pick), num_classes))
+            onehot = Tensor(np.eye(num_classes, dtype=logits.dtype)[labels[pick]])
+            loss = -(T.log_softmax(logits, axis=-1) * onehot).sum() * (1.0 / len(pick))
+            loss.backward()
+            T.sgd_step(trainable, lr)
     freeze_instruction(params)

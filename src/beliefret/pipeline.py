@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import Dropout
-from .checkpoint import load_checkpoint, restore_parameters, save_checkpoint
+from .checkpoint import atomic_open, load_checkpoint, restore_parameters, save_checkpoint
 from .config import TrainConfig, config_from_dict, config_to_dict
 from .data import Dataset, epoch_batches, load_dataset
 from .encoders import freeze_instruction, pretrain_instruction_conv
@@ -90,7 +90,7 @@ def evaluate_model(model: RetrievalModel, records, chunk_size: int = 64) -> Reca
     """Recall report over a record list: images against every caption."""
     if not records:
         raise InputError("cannot evaluate on an empty record list")
-    with T.no_grad():
+    with T.no_grad(), T.trap_nonfinite():
         v_chunks = []
         for start in range(0, len(records), chunk_size):
             chunk = records[start : start + chunk_size]
@@ -212,11 +212,12 @@ class Trainer:
 
     def _train_step(self, batch) -> dict:
         try:
-            loss, l_c, l_a = self.model.batch_losses(batch, self._dropout_for_step())
-            loss.backward()
+            with T.trap_nonfinite():
+                loss, l_c, l_a = self.model.batch_losses(batch, self._dropout_for_step())
+                loss.backward()
+                sgd_step(self.model.named_parameters(trainable_only=True), self.cfg.optim.learning_rate)
         except NumericError as exc:
             raise NumericError(f"training diverged at step {self.global_step}: {exc}") from exc
-        sgd_step(self.model.named_parameters(trainable_only=True), self.cfg.optim.learning_rate)
         self.global_step += 1
         return {
             "step": self.global_step,
@@ -325,11 +326,11 @@ def write_outputs(out_dir, trainer: Trainer, outcome: TrainOutcome) -> None:
     os.makedirs(out_dir, exist_ok=True)
     trainer.save(os.path.join(out_dir, "checkpoint.npz"))
     trainer.save_best(os.path.join(out_dir, "best.npz"))
-    with open(os.path.join(out_dir, "history.csv"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "history.csv")) as fh:
         fh.write(history_to_csv(outcome.history))
     report = outcome.best_report or outcome.final_report
     if report is not None:
-        with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
+        with atomic_open(os.path.join(out_dir, "metrics.json")) as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -394,7 +395,7 @@ def sweep(cfg: TrainConfig, axis: str, values, out_dir=None, dataset: Dataset | 
     if out_dir is not None:
         report_keys = ("i2t_r1", "i2t_r5", "i2t_r10", "t2i_r1", "t2i_r5", "t2i_r10", "mr")
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "sweep.csv"), "w", encoding="utf-8") as fh:
+        with atomic_open(os.path.join(out_dir, "sweep.csv")) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow([axis, *report_keys])
             for row in rows:

@@ -6,6 +6,13 @@ scalar accumulates exact partial derivatives into ``.grad`` of every leaf
 tensor that requires them (op outputs keep no gradient). ``grad_check``
 verifies any scalar-valued function against central differences.
 
+Non-finite values are an error state, caught in one of two ways. Data entering
+as a leaf (``Tensor(...)``) is always scanned. Outside a ``trap_nonfinite()``
+scope every op output is scanned too. Inside one, numpy raises at the first
+overflow, division by zero or invalid operation instead, which the scope
+turns into a ``NumericError`` naming the numpy op; from finite leaves no op
+can make a non-finite value without raising, so the per-op scan is skipped.
+
 Sequence features throughout the package use column layout: a stack of L
 tokens of width d is a (d, L) matrix, optionally with leading batch axes.
 """
@@ -26,10 +33,8 @@ from .errors import (
 
 DEFAULT_DTYPE = np.float64
 
-# Every op output is checked for NaN/Inf; a violation is an error state.
-CHECK_FINITE = True
-
 _GRAD_ENABLED = True
+_TRAPPING = False
 
 
 @contextlib.contextmanager
@@ -44,8 +49,27 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+@contextlib.contextmanager
+def trap_nonfinite():
+    """Raise ``NumericError`` at the first numpy op inside the block that
+    overflows, divides by zero or makes a NaN; op outputs skip their scan.
+
+    Underflow stays ignored: it rounds towards zero and stays finite.
+    """
+    global _TRAPPING
+    prev = _TRAPPING
+    _TRAPPING = True
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericError(f"non-finite value: {exc}") from exc
+    finally:
+        _TRAPPING = prev
+
+
 def _check_finite(arr: np.ndarray) -> None:
-    if CHECK_FINITE and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise NumericError("non-finite value encountered in tensor data")
 
 
@@ -121,7 +145,7 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in seen:
+                if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
         flowing: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for node in reversed(topo):
@@ -187,7 +211,8 @@ class Tensor:
 
 
 def _op(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
-    _check_finite(data)
+    if not _TRAPPING:
+        _check_finite(data)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -234,72 +259,66 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _operands(a, b)
-    with np.errstate(over="ignore"):
-        data = a.data + b.data
     return _op(
-        data,
+        a.data + b.data,
         (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
+        lambda g: (
+            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        ),
     )
 
 
 def sub(a, b) -> Tensor:
     a, b = _operands(a, b)
-    with np.errstate(over="ignore"):
-        data = a.data - b.data
     return _op(
-        data,
+        a.data - b.data,
         (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)),
+        lambda g: (
+            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(-g, b.data.shape) if b.requires_grad else None,
+        ),
     )
 
 
 def mul(a, b) -> Tensor:
     a, b = _operands(a, b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        data = a.data * b.data
     return _op(
-        data,
+        a.data * b.data,
         (a, b),
         lambda g: (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
+            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
         ),
     )
 
 
 def div(a, b) -> Tensor:
     a, b = _operands(a, b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = a.data / b.data
     return _op(
-        data,
+        a.data / b.data,
         (a, b),
         lambda g: (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
+            _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape) if b.requires_grad else None,
         ),
     )
 
 
 def texp(x) -> Tensor:
     x = _as_tensor(x)
-    with np.errstate(over="ignore"):
-        y = np.exp(x.data)
+    y = np.exp(x.data)
     return _op(y, (x,), lambda g: (g * y,))
 
 
 def tlog(x) -> Tensor:
     x = _as_tensor(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = np.log(x.data)
-    return _op(y, (x,), lambda g: (g / x.data,))
+    return _op(np.log(x.data), (x,), lambda g: (g / x.data,))
 
 
 def tsqrt(x) -> Tensor:
     x = _as_tensor(x)
-    with np.errstate(invalid="ignore"):
-        y = np.sqrt(x.data)
+    y = np.sqrt(x.data)
     return _op(y, (x,), lambda g: (g * 0.5 / y,))
 
 
@@ -448,8 +467,8 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(f"matmul batch axes incompatible: {a.data.shape} vs {b.data.shape}") from exc
 
     def bw(g):
-        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape)
-        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)
+        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape) if a.requires_grad else None
+        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape) if b.requires_grad else None
         return ga, gb
 
     return _op(data, (a, b), bw)
@@ -497,15 +516,36 @@ def log_softmax(x, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5, axis: int = -1) -> Tensor:
-    """Normalise to zero mean / unit variance along ``axis``, then apply affine."""
+    """Normalise to zero mean / unit variance along ``axis``, then apply affine.
+
+    One graph node. With x̂ = (x − μ) / s and s = sqrt(var + eps), the backward
+    pass is dβ = Σ g, dγ = Σ g·x̂ (over broadcast axes) and
+    dx = (ĝ − mean(ĝ) − x̂·mean(ĝ·x̂)) / s with ĝ = g·γ, means along ``axis``.
+    """
     x = _as_tensor(x)
-    _check_axis(x, axis, "layer_norm")
+    ax = _check_axis(x, axis, "layer_norm") - x.data.ndim  # negative: γ/β may add leading axes
     gamma = _as_tensor(gamma, dtype=x.dtype)
     beta = _as_tensor(beta, dtype=x.dtype)
-    mu = tmean(x, axis=axis, keepdims=True)
-    centered = x - mu
-    var = tmean(centered * centered, axis=axis, keepdims=True)
-    return gamma * (centered / tsqrt(var + eps)) + beta
+    # the same numpy expressions, in the same order, as the composed
+    # mean / centre / variance / sqrt / affine graph, so values match it bit for bit
+    inv_n = np.asarray(1.0 / x.data.shape[ax], dtype=x.dtype)
+    centered = x.data - x.data.sum(axis=ax, keepdims=True) * inv_n
+    std = np.sqrt((centered * centered).sum(axis=ax, keepdims=True) * inv_n + np.asarray(eps, dtype=x.dtype))
+    normed = centered / std
+    out = gamma.data * normed + beta.data
+
+    def bw(g):
+        gx = None
+        if x.requires_grad:
+            gn = g * gamma.data
+            mean_gn = gn.sum(axis=ax, keepdims=True) * inv_n
+            mean_gn_normed = (gn * normed).sum(axis=ax, keepdims=True) * inv_n
+            gx = _unbroadcast((gn - mean_gn - normed * mean_gn_normed) / std, x.data.shape)
+        ggamma = _unbroadcast(g * normed, gamma.data.shape) if gamma.requires_grad else None
+        gbeta = _unbroadcast(g, beta.data.shape) if beta.requires_grad else None
+        return gx, ggamma, gbeta
+
+    return _op(out, (x, gamma, beta), bw)
 
 
 def l2_normalize(x, axis: int = -1) -> Tensor:

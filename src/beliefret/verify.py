@@ -132,7 +132,28 @@ def _grad_soft_reweight(seed: int) -> float:
     return max(grad_check(through_features, feats), grad_check(through_instruction, ins))
 
 
+def _grad_layer_norm(seed: int) -> float:
+    # production layout: (B, d, L) normalised along d with (d, 1) gamma and beta
+    rng = child(seed, "gs-layer-norm")
+    b, d, length = 2, 4, 3
+    x = Tensor(rng.normal(size=(b, d, length)), requires_grad=True)
+    gamma = Tensor(rng.normal(size=(d, 1)), requires_grad=True)
+    beta = Tensor(rng.normal(size=(d, 1)), requires_grad=True)
+    coef = Tensor(rng.normal(size=(b, d, length)))
+
+    def readout(x_, gamma_, beta_):
+        # tanh makes the readout nonlinear in beta too
+        return (T.ttanh(T.layer_norm(x_, gamma_, beta_, axis=-2)) * coef).sum()
+
+    return max(
+        grad_check(lambda v: readout(v, gamma, beta), x),
+        grad_check(lambda v: readout(x, v, beta), gamma),
+        grad_check(lambda v: readout(x, gamma, v), beta),
+    )
+
+
 GRADIENT_CHECKS = (
+    ("layer_norm", _grad_layer_norm),
     ("contrastive_loss", _grad_contrastive),
     ("affiliation_loss", _grad_affiliation),
     ("pael", _grad_pael),

@@ -147,6 +147,19 @@ def test_error_exit_codes(tmp_path, dataset_dir):
     assert main(["train", "--config", str(bad_data_cfg), "--out", str(tmp_path / "z")]) == 3
 
 
+def test_malformed_record_exit_code(tmp_path, dataset_dir, capsys):
+    lines = (dataset_dir / "dataset.jsonl").read_text().splitlines()
+    record = json.loads(lines[5])
+    record["pixels"][0] = 5.0
+    lines[5] = json.dumps(record)
+    bad = tmp_path / "bad_pixel.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    cfg = fast_config(tmp_path, dataset_dir, **{"data.train_path": str(bad)})
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 3
+    assert "bad_pixel.jsonl:6: bad dataset record: pixel value 5.0" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_out_env_var(tmp_path, dataset_dir, monkeypatch):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(CORPUS_SPEC))

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -179,6 +180,34 @@ def test_load_reports_bad_line_number(tmp_path):
         load_dataset(path)
     path.write_text("not json\n")
     with pytest.raises(ParseError, match=":1:"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("captions", [[1, 2], [3, 99]], "caption 1 has token id 99 outside \\[0, 40\\)"),
+        ("captions", [[1, 2], []], "caption 1 is empty"),
+        ("pixels", 5.0, "pixel value 5.0 outside \\[0, 1\\]"),
+        ("pixels", float("nan"), "pixel value nan outside \\[0, 1\\]"),
+        ("scene_label", 3, "scene_label 3 outside \\[0, 3\\)"),
+        ("scene_label", -1, "scene_label -1 outside \\[0, 3\\)"),
+    ],
+    ids=["token-id", "empty-caption", "pixel-range", "pixel-nan", "label-high", "label-negative"],
+)
+def test_load_rejects_malformed_record_with_line_number(tmp_path, field, value, message):
+    ds = generate_corpus(small_spec(images_per_class=2))
+    path = tmp_path / "corpus.jsonl"
+    write_dataset(ds, path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[3])
+    if field == "pixels":
+        record["pixels"][7] = value
+    else:
+        record[field] = value
+    lines[3] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"corpus.jsonl:4: bad dataset record: {message}"):
         load_dataset(path)
 
 

@@ -7,7 +7,7 @@ import pytest
 from beliefret.checkpoint import load_checkpoint
 from beliefret.config import TrainConfig, apply_overrides, config_from_dict, config_to_dict
 from beliefret.data import CorpusSpec, generate_corpus
-from beliefret.errors import ConfigError
+from beliefret.errors import ConfigError, ParseError
 from beliefret.pipeline import (
     Trainer,
     effective_config,
@@ -17,6 +17,7 @@ from beliefret.pipeline import (
     sweep,
     train_closed_domain,
     train_open_domain,
+    write_outputs,
 )
 
 
@@ -192,6 +193,14 @@ def test_checkpoint_header_contents(tmp_path):
     assert set(params) == names
 
 
+def test_checkpoint_with_non_finite_parameter_rejected(tmp_path):
+    trainer = Trainer(make_config(**{"optim.batch_size": "16"}), dataset=TINY)
+    trainer.model.image.patch.w.data[0, 0] = np.nan
+    trainer.save(tmp_path / "ck.npz")
+    with pytest.raises(ParseError, match="image.patch.w has non-finite values"):
+        load_checkpoint(tmp_path / "ck.npz")
+
+
 # -- output files ------------------------------------------------------------------------
 
 
@@ -207,6 +216,77 @@ def test_output_files_written_and_deterministic(tmp_path):
     assert (tmp_path / "a" / "best.npz").exists()
     header = (tmp_path / "a" / "history.csv").read_text().splitlines()[0]
     assert header == "step,loss,l_c,l_a,i2t_r1,i2t_r5,i2t_r10,t2i_r1,t2i_r5,t2i_r10,mr"
+
+
+class HalfWrittenFile:
+    """A file whose first write stores half of the data, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+@pytest.mark.parametrize("target", ["checkpoint.npz", "best.npz", "history.csv", "metrics.json"])
+def test_failed_write_keeps_previous_output(tmp_path, monkeypatch, target):
+    import builtins
+    import os
+
+    from beliefret import checkpoint
+
+    trainer = Trainer(make_config(**FAST), dataset=TINY)
+    outcome = trainer.train()
+    write_outputs(tmp_path, trainer, outcome)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert set(before) == {"checkpoint.npz", "best.npz", "history.csv", "metrics.json"}
+
+    def failing_open(path, *args, **kwargs):
+        fh = builtins.open(path, *args, **kwargs)
+        return HalfWrittenFile(fh) if os.path.basename(path).startswith(target) else fh
+
+    monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write_outputs(tmp_path, trainer, outcome)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+def test_trapped_step_matches_untrapped_bit_for_bit(precision):
+    from beliefret import tensor as T
+    from beliefret.data import epoch_batches
+
+    cfg = make_config(precision=precision, **{"optim.batch_size": "16"})
+    trainer = Trainer(cfg, dataset=TINY)
+    batch = next(epoch_batches(trainer.train_records, 16, cfg.seed, 0))
+    params = list(trainer.model.named_parameters(trainable_only=True))
+
+    def loss_and_grads():
+        loss = trainer.model.batch_losses(batch)[0]
+        loss.backward()
+        grads = {name: p.grad for name, p in params if p.grad is not None}
+        for _, p in params:
+            p.zero_grad()
+        return loss.data, grads
+
+    plain_loss, plain_grads = loss_and_grads()
+    with T.trap_nonfinite():
+        trapped_loss, trapped_grads = loss_and_grads()
+    assert plain_loss.dtype == np.dtype(precision)
+    assert plain_loss.tobytes() == trapped_loss.tobytes()
+    assert len(plain_grads) > 10 and plain_grads.keys() == trapped_grads.keys()
+    for name, grad in plain_grads.items():
+        assert grad.tobytes() == trapped_grads[name].tobytes(), name
 
 
 # -- open domain ---------------------------------------------------------------------------

@@ -128,6 +128,27 @@ def test_layer_norm_standardises_along_axis():
     npt.assert_allclose(out.data.var(axis=-2), 1.0, atol=1e-4)
 
 
+def composed_layer_norm(x, gamma, beta, eps=1e-5, axis=-1):
+    """The layer norm as a graph of primitive ops: the reference the fused op matches."""
+    mu = T.tmean(x, axis=axis, keepdims=True)
+    centered = x - mu
+    var = T.tmean(centered * centered, axis=axis, keepdims=True)
+    return gamma * (centered / T.tsqrt(var + eps)) + beta
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_layer_norm_fused_forward_matches_composed_bit_for_bit(dtype):
+    for seed in range(20):
+        rng = child(seed, "ln-fused", np.dtype(dtype).name)
+        x = Tensor(rng.normal(size=(3, 6, 5)) * 4.0 + 2.0, dtype=dtype)
+        gamma = Tensor(rng.normal(size=(6, 1)), dtype=dtype)
+        beta = Tensor(rng.normal(size=(6, 1)), dtype=dtype)
+        for args, axis in (((gamma, beta), -2), ((1.3, -0.2), -1)):
+            fused = T.layer_norm(x, *args, axis=axis).data
+            assert fused.dtype == np.dtype(dtype)
+            npt.assert_array_equal(fused, composed_layer_norm(x, *args, axis=axis).data)
+
+
 # -- l2 normalize -------------------------------------------------------------
 
 
@@ -203,6 +224,26 @@ def test_non_finite_op_output_rejected():
         Tensor([np.inf])
 
 
+@pytest.mark.parametrize(
+    "op,f",
+    [
+        ("multiply", lambda: Tensor([1e200]) * Tensor([1e200])),
+        ("exp", lambda: T.texp(Tensor([1000.0]))),
+        ("matmul", lambda: T.matmul(Tensor(np.full((2, 2), 1e200)), Tensor(np.full((2, 2), 1e200)))),
+        ("log", lambda: T.tlog(Tensor([0.0]))),
+        ("divide", lambda: Tensor([0.0]) / Tensor([0.0])),
+        ("sqrt", lambda: T.tsqrt(Tensor([-1.0]))),
+    ],
+)
+def test_trap_names_the_numpy_op(op, f):
+    with pytest.raises(NumericError, match=f"non-finite value: .* encountered in {op}$"):
+        with T.trap_nonfinite():
+            f()
+    # leaving the scope, even by an error, brings back the per-op scan
+    with pytest.warns(RuntimeWarning), pytest.raises(NumericError, match="tensor data"):
+        f()
+
+
 # -- grad_check oracle --------------------------------------------------------
 
 
@@ -233,6 +274,18 @@ def test_grad_check_constant_function():
     assert grad_check(lambda t: c.sum(), x) == 0.0
 
 
+# layer_norm cases use the production layout: a (B, d, L) input normalised
+# along d (axis -2) with (d, 1) gamma and beta; the probed tensor is x, gamma or
+# beta, and the coefficient tensor has the input's shape.
+LN_GAMMA = Tensor(child(10, "gc-ln-gamma").normal(size=(4, 1)))
+LN_BETA = Tensor(child(10, "gc-ln-beta").normal(size=(4, 1)))
+RANDOMISED_SHAPES = {
+    "layer_norm_x": ((2, 4, 3), (2, 4, 3)),
+    "layer_norm_gamma": ((4, 1), (2, 4, 3)),
+    "layer_norm_beta": ((4, 1), (2, 4, 3)),
+}
+
+
 # Readouts are weighted by a random coefficient tensor so the gradient never
 # collapses to an identical zero (softmax/layer_norm sums are constants).
 @pytest.mark.parametrize(
@@ -259,14 +312,18 @@ def test_grad_check_constant_function():
         ("transpose", lambda t, c: (T.transpose(t, (1, 0)) * T.transpose(c, (1, 0))).sum()),
         ("take_along_last", lambda t, c: (T.take_along_last(t, np.array([[0, 2, 2], [3, 1, 0]])) * 0.5).sum()),
         ("dropout_fixed_mask", lambda t, c: (T.dropout(t, 0.4, child(9, "gc-drop"), training=True) * c).sum()),
+        ("layer_norm_x", lambda t, c: (T.layer_norm(t, LN_GAMMA, LN_BETA, axis=-2) * c).sum()),
+        ("layer_norm_gamma", lambda t, c: (T.layer_norm(c * 2.0 + 0.5, t, LN_BETA, axis=-2) * c).sum()),
+        ("layer_norm_beta", lambda t, c: (T.layer_norm(c, LN_GAMMA, t, axis=-2) * T.ttanh(c)).sum()),
     ],
 )
 def test_grad_check_ops_randomised(name, f):
+    x_shape, coef_shape = RANDOMISED_SHAPES.get(name, ((2, 4), (2, 4)))
     worst = 0.0
     for seed in range(100):
         rng = child(seed, "op-grad", name)
-        x = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-        coef = Tensor(rng.normal(size=(2, 4)))
+        x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+        coef = Tensor(rng.normal(size=coef_shape))
         worst = max(worst, grad_check(lambda t: f(t, coef), x))
     assert worst < 1e-4, f"{name}: worst rel err {worst}"
 
