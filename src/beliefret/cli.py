@@ -18,7 +18,7 @@ from collections import Counter
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import load_checkpoint, restore_parameters
+from .checkpoint import atomic_open, load_checkpoint, restore_parameters
 from .config import TrainConfig, apply_overrides, config_from_dict, load_config
 from .data import CorpusSpec, generate_corpus, load_dataset, write_dataset
 from .errors import (
@@ -101,7 +101,7 @@ def cmd_gen_data(args) -> int:
         "seed": dataset.meta.seed,
         "sha256": _sha256(data_path),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "manifest.json")) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {data_path} ({manifest['records']} records, sha256 {manifest['sha256'][:12]}…)")
@@ -138,7 +138,7 @@ def cmd_eval(args) -> int:
     report = evaluate_model(model, dataset.records)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "metrics.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {path}: mR {report.mr:.2f}")
@@ -163,7 +163,7 @@ def cmd_dump_embeddings(args) -> int:
     model, _ = _model_from_checkpoint(args.checkpoint, dataset)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "embeddings.csv")
-    with T.no_grad(), open(path, "w", encoding="utf-8", newline="") as fh:
+    with T.no_grad(), atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         d = model.cfg.model.embed_dim
         writer.writerow(["id", "modality", "label", *[f"e{i}" for i in range(d)]])

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .belief import MODES as BELIEF_MODES
+from .checkpoint import atomic_open
 from .encoders import INSTRUCTION_SOURCES
 from .errors import ConfigError
 from .losses import LossConfig
@@ -180,7 +181,7 @@ def load_config(path) -> TrainConfig:
 
 
 def save_config(cfg: TrainConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import atomic_open
 from .errors import ConfigError, InputError, ParseError
 from .rng import child
 
@@ -227,8 +228,15 @@ def write_dataset(dataset: Dataset, path) -> None:
                 sort_keys=True,
             )
         )
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _integer(value, name: str) -> int:
+    number = int(value)
+    if number != value or isinstance(value, bool):  # int() truncates 1.9 to 1 and reads true as 1
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return number
 
 
 def _record_problem(rec: DatasetRecord, meta: DatasetMeta) -> str | None:
@@ -270,12 +278,14 @@ def load_dataset(path) -> Dataset:
         try:
             raw = json.loads(line)
             rec = DatasetRecord(
-                id=int(raw["id"]),
-                scene_label=int(raw["scene_label"]),
+                id=_integer(raw["id"], "id"),
+                scene_label=_integer(raw["scene_label"], "scene_label"),
                 pixels=np.array(raw["pixels"], dtype=np.float64).reshape(3, size, size),
-                captions=[[int(t) for t in cap] for cap in raw["captions"]],
+                # a plain int token needs no conversion, which keeps large files fast
+                captions=[[t if type(t) is int else _integer(t, "token id") for t in cap]
+                          for cap in raw["captions"]],
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{path}:{lineno}: bad dataset record: {exc}") from exc
         problem = _record_problem(rec, meta)
         if problem:
@@ -327,8 +337,3 @@ def epoch_batches(records, batch_size: int, seed: int, epoch: int, shuffle: bool
             step_in_epoch=step,
         )
 
-
-def batch_iterator(records, batch_size: int, seed: int, shuffle: bool = True, epochs: int = 1):
-    """Stream of PairBatch over ``epochs`` seeded epochs."""
-    for epoch in range(epochs):
-        yield from epoch_batches(records, batch_size, seed, epoch, shuffle)

@@ -30,37 +30,6 @@ from .tensor import Tensor
 INSTRUCTION_SOURCES = ("frozen-scene-table", "learned-scene-table", "toy-conv-encoder")
 
 
-@dataclass
-class SyntheticImage:
-    pixels: np.ndarray  # (3, H, W), values in [0, 1]
-    scene_label: int
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float64)
-        if self.pixels.ndim != 3 or self.pixels.shape[0] != 3:
-            raise InputError(f"image pixels must be (3, H, W), got {self.pixels.shape}")
-        if self.pixels.min() < 0.0 or self.pixels.max() > 1.0:
-            raise InputError("image pixel values must lie in [0, 1]")
-
-
-@dataclass
-class ImageEncoderOutput:
-    f_cls: Tensor  # (d,)
-    f_v: Tensor  # (d, m)
-
-
-@dataclass
-class TextEncoderOutput:
-    t_cls: Tensor  # (d,)
-    f_t: Tensor  # (d, n), global token excluded
-
-
-@dataclass
-class InstructionEmbedding:
-    f_ins: Tensor  # (d,)
-    source: str
-
-
 # -- image encoder -------------------------------------------------------------
 
 
@@ -119,34 +88,38 @@ def patch_columns(pixels: np.ndarray, patch_size: int) -> np.ndarray:
     return patches.transpose(0, 2, 1)
 
 
+def _tower(x: Tensor, params: ImageEncoderParams | TextEncoderParams, drop: Dropout | None):
+    """Shared transformer tower of both encoders.
+
+    Prepends the global token to (B, d_enc, n) inputs, adds the positions of
+    the first n + 1 columns, runs the blocks and projects to the embedding
+    dimension; returns (head token (B, d), the other columns (B, d, n)).
+    """
+    b, _, n = x.shape
+    cls = T.broadcast_to(params.cls_token, (b, *params.cls_token.shape))
+    x = T.concat([cls, x], axis=-1)
+    if params.use_position_encoding:
+        pos = params.pos
+        if pos.shape[-1] != n + 1:
+            pos = T.gather(pos, np.arange(n + 1), axis=-1)
+        x = x + pos
+    for blk in params.blocks:
+        x = encoder_block(x, blk, drop)
+    y = linear(x, params.proj)  # (B, d, n + 1)
+    head = T.gather(y, np.array([0]), axis=-1).reshape((b, y.shape[-2]))
+    return head, T.gather(y, np.arange(1, n + 1), axis=-1)
+
+
 def encode_image_batch(pixels: np.ndarray, params: ImageEncoderParams, drop: Dropout | None = None):
     """(B, 3, H, W) pixels -> (f_cls (B, d), f_v (B, d, m))."""
     pixels = np.asarray(pixels, dtype=params.patch.w.dtype)
-    b = pixels.shape[0]
     if pixels.shape[1:] != (3, params.image_size, params.image_size):
         raise ConfigError(
             f"image shape {pixels.shape[1:]} does not match configured "
             f"(3, {params.image_size}, {params.image_size})"
         )
-    m = params.tokens
     x = linear(Tensor(patch_columns(pixels, params.patch_size)), params.patch)  # (B, d_enc, m)
-    cls = T.broadcast_to(params.cls_token, (b, *params.cls_token.shape))
-    x = T.concat([cls, x], axis=-1)
-    if params.use_position_encoding:
-        x = x + params.pos
-    for blk in params.blocks:
-        x = encoder_block(x, blk, drop)
-    y = linear(x, params.proj)  # (B, d, m + 1)
-    d = y.shape[-2]
-    f_cls = T.gather(y, np.array([0]), axis=-1).reshape((b, d))
-    f_v = T.gather(y, np.arange(1, m + 1), axis=-1)
-    return f_cls, f_v
-
-
-def encode_image(img: SyntheticImage, params: ImageEncoderParams, drop: Dropout | None = None) -> ImageEncoderOutput:
-    f_cls, f_v = encode_image_batch(img.pixels[None], params, drop)
-    d, m = f_v.shape[-2], f_v.shape[-1]
-    return ImageEncoderOutput(f_cls.reshape((d,)), f_v.reshape((d, m)))
+    return _tower(x, params, drop)
 
 
 # -- text encoder ---------------------------------------------------------------
@@ -197,32 +170,13 @@ def encode_text_batch(ids: np.ndarray, params: TextEncoderParams, drop: Dropout 
     ids = np.asarray(ids, dtype=np.intp)
     if ids.ndim != 2:
         raise InputError(f"token batch must be 2-d, got shape {ids.shape}")
-    b, n = ids.shape
+    n = ids.shape[1]
     if not 1 <= n <= params.max_len:
         raise InputError(f"sequence length {n} outside [1, {params.max_len}]")
     if ids.min() < 0 or ids.max() >= params.vocab_size:
         raise InputError(f"token id outside vocabulary of size {params.vocab_size}")
     x = T.transpose(T.gather(params.embed, ids, axis=1), (1, 0, 2))  # (B, d_enc, n)
-    cls = T.broadcast_to(params.cls_token, (b, *params.cls_token.shape))
-    x = T.concat([cls, x], axis=-1)
-    if params.use_position_encoding:
-        x = x + T.gather(params.pos, np.arange(n + 1), axis=-1)
-    for blk in params.blocks:
-        x = encoder_block(x, blk, drop)
-    y = linear(x, params.proj)
-    d = y.shape[-2]
-    t_cls = T.gather(y, np.array([0]), axis=-1).reshape((b, d))
-    f_t = T.gather(y, np.arange(1, n + 1), axis=-1)
-    return t_cls, f_t
-
-
-def encode_text(tokens, params: TextEncoderParams, drop: Dropout | None = None) -> TextEncoderOutput:
-    ids = np.asarray(list(tokens), dtype=np.intp)
-    if ids.ndim != 1:
-        raise InputError("encode_text expects a flat list of token ids")
-    t_cls, f_t = encode_text_batch(ids[None], params, drop)
-    d, n = f_t.shape[-2], f_t.shape[-1]
-    return TextEncoderOutput(t_cls.reshape((d,)), f_t.reshape((d, n)))
+    return _tower(x, params, drop)
 
 
 # -- instruction encoder -----------------------------------------------------------
@@ -295,18 +249,6 @@ def instruction_batch(labels: np.ndarray, pixels: np.ndarray | None, params: Ins
     if labels.size and (labels.min() < 0 or labels.max() >= params.num_classes):
         raise InputError(f"scene label outside [0, {params.num_classes})")
     return T.transpose(T.gather(params.table, labels.astype(np.intp), axis=1), (1, 0))
-
-
-def encode_instruction(x, params: InstructionParams) -> InstructionEmbedding:
-    """x is a scene label for table sources, or a SyntheticImage for the conv source."""
-    if params.source == "toy-conv-encoder":
-        if not isinstance(x, SyntheticImage):
-            raise InputError("toy-conv instruction source encodes SyntheticImage inputs")
-        f = _conv_embed(x.pixels[None], params).reshape((-1,))
-        return InstructionEmbedding(f, params.source)
-    label = int(x)
-    f = instruction_batch(np.array([label]), None, params).reshape((-1,))
-    return InstructionEmbedding(f, params.source)
 
 
 def freeze_instruction(params: InstructionParams) -> None:

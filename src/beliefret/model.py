@@ -26,14 +26,7 @@ from .encoders import (
 )
 from .errors import ConfigError
 from .losses import affiliation_loss, contrastive_loss, total_loss, LabeledBatch
-from .pae import (
-    compose_text_embedding,
-    compose_vision_embedding,
-    init_spatial_stack,
-    init_temporal_stack,
-    spatial_pae,
-    temporal_pae,
-)
+from .pae import init_pae_stack, spatial_pae, temporal_pae
 from .rng import child
 from .tensor import Tensor
 
@@ -85,7 +78,7 @@ class RetrievalModel:
                 patch_size=m.patch_size,
                 dtype=dtype,
             )
-            self.spatial = init_spatial_stack(
+            self.spatial = init_pae_stack(
                 child(cfg.seed, "spatial_pae"), m.embed_dim, m.heads, m.spatial_units,
                 dropout=cfg.dropout_rate, dtype=dtype,
             )
@@ -94,7 +87,7 @@ class RetrievalModel:
                     f"belief.filter_k={cfg.belief.filter_k} exceeds the {self.image.tokens + 1} visual tokens"
                 )
         if cfg.use_temporal_pae:
-            self.temporal = init_temporal_stack(
+            self.temporal = init_pae_stack(
                 child(cfg.seed, "temporal_pae"), m.embed_dim, m.heads, m.temporal_units,
                 dropout=cfg.dropout_rate, dtype=dtype,
             )
@@ -145,15 +138,13 @@ class RetrievalModel:
         features = T.concat([f_cls.reshape((b, d, 1)), f_v], axis=-1)
         f_ins = instruction_batch(labels, pixels, self.instruction)
         refined = refine_batch(features, f_ins, self.cfg.belief.mode, self.cfg.belief.filter_k)
-        f_loc = spatial_pae(refined, f_ins, self.spatial, drop)
-        return compose_vision_embedding(f_cls, f_loc)
+        return f_cls + spatial_pae(refined, f_ins, self.spatial, drop)
 
     def _embed_text_group(self, ids: np.ndarray, drop: Dropout | None) -> Tensor:
         t_cls, f_t = encode_text_batch(ids, self.text, drop)
         if self.temporal is None:
             return t_cls
-        t_loc = temporal_pae(t_cls, f_t, self.temporal, drop)
-        return compose_text_embedding(t_cls, t_loc)
+        return t_cls + temporal_pae(t_cls, f_t, self.temporal, drop)
 
     def embed_texts(self, captions, drop: Dropout | None = None) -> Tensor:
         """Embed variable-length captions by grouping equal lengths."""

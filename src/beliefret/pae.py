@@ -3,16 +3,18 @@
 One layer (``pael``) self-refines a source sequence and then injects it into a
 companion sequence through cross-attention: queries come from the companion,
 keys and values from the freshly refined source, so the two updates are serial
-rather than parallel. Two stack styles are built on top of it:
+rather than parallel. One stack type, ``PaeStack``, runs a sequence of such
+layers; each layer queries the carried sequence with a projected guide and
+carries the query branch forward. The two stacks differ only in the guide:
 
-* the spatial stack guides filtered visual tokens with replicated instruction
-  embeddings, carrying the instruction-query branch from layer to layer;
-* the temporal stack runs over text tokens, each layer re-querying itself with
-  a projection of the previous layer's output.
+* ``spatial_pae`` guides filtered visual tokens with replicated instruction
+  embeddings;
+* ``temporal_pae`` runs over text tokens, and each layer's guide is a
+  projection of the previous layer's output.
 
 Both read the head token (column 0) of the final carried sequence through one
-linear map, and the resulting local embedding is added to the encoder's global
-token to form the final vision/text embedding.
+linear map; the model adds the resulting local embedding to the encoder's
+global token to form the final vision/text embedding.
 """
 
 from __future__ import annotations
@@ -78,83 +80,48 @@ def pael(h_s: Tensor, h_c: Tensor, params: PaelParams, drop: Dropout | None = No
 
 
 @dataclass
-class SpatialPaeStack:
+class PaeStack:
     layers: list
-    guide_w: list  # per-layer (d, d) projections of the instruction sequence
+    guide_w: list  # per-layer (d, d) projections of the guide source
     head: LinearParams
 
 
-@dataclass
-class TemporalPaeStack:
-    layers: list
-    step_w: list  # per-layer (d, d) projections of the previous output
-    head: LinearParams
-
-
-def init_spatial_stack(
+def init_pae_stack(
     rng: np.random.Generator, d: int, heads: int, n_units: int, dropout: float = 0.0, dtype=np.float64
-) -> SpatialPaeStack:
+) -> PaeStack:
     if n_units < 1:
-        raise ConfigError("spatial stack needs at least one unit")
+        raise ConfigError("attention stack needs at least one unit")
     layers = [init_pael(rng, d, heads, dropout=dropout, dtype=dtype) for _ in range(n_units)]
     guides = [
         Tensor(rng.normal(0.0, d**-0.5, size=(d, d)).astype(dtype), requires_grad=True)
         for _ in range(n_units)
     ]
-    return SpatialPaeStack(layers=layers, guide_w=guides, head=init_linear(rng, d, d, dtype))
+    return PaeStack(layers=layers, guide_w=guides, head=init_linear(rng, d, d, dtype))
 
 
-def init_temporal_stack(
-    rng: np.random.Generator, d: int, heads: int, n_units: int, dropout: float = 0.0, dtype=np.float64
-) -> TemporalPaeStack:
-    if n_units < 1:
-        raise ConfigError("temporal stack needs at least one unit")
-    layers = [init_pael(rng, d, heads, dropout=dropout, dtype=dtype) for _ in range(n_units)]
-    steps = [
-        Tensor(rng.normal(0.0, d**-0.5, size=(d, d)).astype(dtype), requires_grad=True)
-        for _ in range(n_units)
-    ]
-    return TemporalPaeStack(layers=layers, step_w=steps, head=init_linear(rng, d, d, dtype))
-
-
-def _head_token(seq: Tensor, head: LinearParams) -> Tensor:
-    out = linear(T.gather(seq, np.array([0]), axis=-1), head)  # (..., d, 1)
+def _run_stack(cur: Tensor, stack: PaeStack, guide, drop: Dropout | None) -> Tensor:
+    """Run the units, each guided by guide(w, cur), and read out the head token."""
+    for w, layer in zip(stack.guide_w, stack.layers):
+        _, cur = pael(cur, guide(w, cur), layer, drop)
+    out = linear(T.gather(cur, np.array([0]), axis=-1), stack.head)  # (..., d, 1)
     return out.reshape(out.shape[:-1])
 
 
-def spatial_pae(tokens: Tensor, f_ins: Tensor, stack: SpatialPaeStack, drop: Dropout | None = None) -> Tensor:
+def spatial_pae(tokens: Tensor, f_ins: Tensor, stack: PaeStack, drop: Dropout | None = None) -> Tensor:
     """Instruction-guided local embedding from refined tokens (..., d, k).
 
-    Each unit self-refines the carried sequence and re-queries it with a fresh
-    projection of the instruction embedding replicated k times; the query
-    branch output is carried forward. f_ins is (..., d) or (d,).
+    The guide is a fresh projection of the instruction embedding replicated
+    k times. f_ins is (..., d) or (d,).
     """
-    k = tokens.shape[-1]
     ins_col = f_ins.reshape((*f_ins.shape, 1))
-    cur = tokens
-    for w, layer in zip(stack.guide_w, stack.layers):
-        guide = T.broadcast_to(T.matmul(w, ins_col), (*cur.shape[:-1], k))
-        _, cur = pael(cur, guide, layer, drop)
-    return _head_token(cur, stack.head)
+    return _run_stack(tokens, stack, lambda w, cur: T.broadcast_to(T.matmul(w, ins_col), cur.shape), drop)
 
 
-def temporal_pae(t_cls: Tensor, f_t: Tensor, stack: TemporalPaeStack, drop: Dropout | None = None) -> Tensor:
+def temporal_pae(t_cls: Tensor, f_t: Tensor, stack: PaeStack, drop: Dropout | None = None) -> Tensor:
     """Local text embedding from the global token (..., d) and tokens (..., d, n).
 
-    The carried sequence starts as [t_cls, F_t]; each unit re-queries it with a
-    projection of itself, so the previous step's output activates the next.
+    The carried sequence starts as [t_cls, F_t], and the guide is a projection
+    of the carried sequence itself, so the previous step's output activates
+    the next.
     """
-    cur = T.concat([t_cls.reshape((*t_cls.shape, 1)), f_t], axis=-1)
-    for w, layer in zip(stack.step_w, stack.layers):
-        _, cur = pael(cur, T.matmul(w, cur), layer, drop)
-    return _head_token(cur, stack.head)
-
-
-def compose_vision_embedding(f_cls: Tensor, f_loc: Tensor) -> Tensor:
-    """Global + local, elementwise."""
-    return f_cls + f_loc
-
-
-def compose_text_embedding(t_cls: Tensor, t_loc: Tensor) -> Tensor:
-    """Global + local, elementwise."""
-    return t_cls + t_loc
+    return _run_stack(T.concat([t_cls.reshape((*t_cls.shape, 1)), f_t], axis=-1), stack, T.matmul, drop)

@@ -10,8 +10,6 @@ on every platform and run.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-
 import numpy as np
 
 ALGORITHM = "pcg64"
@@ -27,13 +25,3 @@ def child(seed: int, *scope) -> np.random.Generator:
     ss = np.random.SeedSequence([int(seed) & _MASK64, *words])
     return np.random.Generator(np.random.PCG64(ss))
 
-
-@dataclass(frozen=True)
-class Rng:
-    """A seed plus the (documented) generator algorithm behind it."""
-
-    seed: int
-    algorithm: str = ALGORITHM
-
-    def stream(self, *scope) -> np.random.Generator:
-        return child(self.seed, *scope)

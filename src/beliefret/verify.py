@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .belief import BeliefMatrix, belief_matrix, hard_filter, ranks, soft_reweight
+from .belief import _strict_rank, refine_batch
 from .errors import BeliefretError
 from .losses import LabeledBatch, affiliation_loss, contrastive_loss
-from .pae import init_pael, init_spatial_stack, init_temporal_stack, pael, spatial_pae, temporal_pae
+from .pae import init_pae_stack, init_pael, pael, spatial_pae, temporal_pae
 from .retrieval import RetrievalTable, mean_recall, recall_at_k
 from .rng import child
 from .tensor import Tensor, grad_check
@@ -90,7 +90,7 @@ def _grad_pael(seed: int) -> float:
 def _grad_spatial(seed: int) -> float:
     rng = child(seed, "gs-spatial")
     d = 4
-    stack = init_spatial_stack(child(seed, "gs-spatial-params"), d, heads=2, n_units=1)
+    stack = init_pae_stack(child(seed, "gs-spatial-params"), d, heads=2, n_units=1)
     tokens = Tensor(rng.normal(size=(d, 3)), requires_grad=True)
     ins = Tensor(rng.normal(size=d), requires_grad=True)
     coef = Tensor(rng.normal(size=d))
@@ -103,7 +103,7 @@ def _grad_spatial(seed: int) -> float:
 def _grad_temporal(seed: int) -> float:
     rng = child(seed, "gs-temporal")
     d = 4
-    stack = init_temporal_stack(child(seed, "gs-temporal-params"), d, heads=2, n_units=1)
+    stack = init_pae_stack(child(seed, "gs-temporal-params"), d, heads=2, n_units=1)
     t_cls = Tensor(rng.normal(size=d), requires_grad=True)
     f_t = Tensor(rng.normal(size=(d, 2)), requires_grad=True)
     coef = Tensor(rng.normal(size=d))
@@ -113,23 +113,21 @@ def _grad_temporal(seed: int) -> float:
     )
 
 
-def _grad_soft_reweight(seed: int) -> float:
-    rng = child(seed, "gs-soft")
-    d, length = 3, 5
-    feats = Tensor(rng.normal(size=(d, length)), requires_grad=True)
-    ins = Tensor(rng.normal(size=d), requires_grad=True)
-    coef = Tensor(rng.normal(size=(d, length)))
-    frozen = ranks(belief_matrix(ins, feats))
-
-    def through_features(x):
-        m = belief_matrix(ins, x)
-        return (soft_reweight(x, m, "soft-sequence", rank_override=frozen).tokens * coef).sum()
-
-    def through_instruction(x):
-        m = belief_matrix(x, feats)
-        return (soft_reweight(feats, m, "soft-sequence", rank_override=frozen).tokens * coef).sum()
-
-    return max(grad_check(through_features, feats), grad_check(through_instruction, ins))
+def _grad_refine_batch(seed: int) -> float:
+    # ranks are piecewise constant, so central differences see them frozen
+    rng = child(seed, "gs-refine")
+    b, d, length = 2, 3, 5
+    feats = Tensor(rng.normal(size=(b, d, length)), requires_grad=True)
+    ins = Tensor(rng.normal(size=(b, d)), requires_grad=True)
+    worst = 0.0
+    for mode, width in (("soft-sequence", length), ("soft-aggregate", 1)):
+        coef = Tensor(rng.normal(size=(b, d, width)))
+        worst = max(
+            worst,
+            grad_check(lambda x: (refine_batch(x, ins, mode) * coef).sum(), feats),
+            grad_check(lambda x: (refine_batch(feats, x, mode) * coef).sum(), ins),
+        )
+    return worst
 
 
 def _grad_layer_norm(seed: int) -> float:
@@ -159,7 +157,7 @@ GRADIENT_CHECKS = (
     ("pael", _grad_pael),
     ("spatial_pae", _grad_spatial),
     ("temporal_pae", _grad_temporal),
-    ("soft_reweight", _grad_soft_reweight),
+    ("refine_batch", _grad_refine_batch),
 )
 
 
@@ -194,7 +192,7 @@ def rank_oracle_check(cases: int = 1000) -> CheckResult:
         if seed % 2:
             values = np.round(values * 4) / 4.0
         weights = values / values.sum() if values.sum() > 0 else np.full(length, 1.0 / length)
-        got = ranks(BeliefMatrix(Tensor(weights))).ranks
+        got = _strict_rank(weights)
         want = np.array([1 + sum(1 for vk in weights if vk < vj) for vj in weights])
         if not np.array_equal(got, want):
             return CheckResult("oracles", "rank_vs_brute_force", False, f"mismatch at case {seed}")
@@ -210,12 +208,15 @@ def hard_filter_oracle_check(cases: int = 1000) -> CheckResult:
             values = np.round(values * 3) / 3.0 + 0.05
         weights = values / values.sum()
         k = int(rng.integers(1, length + 1))
-        out = hard_filter(Tensor(rng.normal(size=(2, length))), BeliefMatrix(Tensor(weights)), k)
+        # identity features and f_ins = log(weights) make the beliefs the weights,
+        # and each output column the one-hot of its source index
+        out = refine_batch(Tensor(np.eye(length)[None]), Tensor(np.log(weights)[None]), "hard", k)
+        kept = np.argmax(out.data[0], axis=0)
         expected_order = sorted(range(length), key=lambda j: (-weights[j], j))[:k]
         top_multiset = np.sort(np.sort(weights)[::-1][:k])
-        if not np.array_equal(out.kept_indices, expected_order):
+        if not np.array_equal(kept, expected_order):
             return CheckResult("oracles", "hard_filter_top_k", False, f"tie rule broken at case {seed}")
-        if not np.allclose(np.sort(weights[out.kept_indices]), top_multiset, atol=0):
+        if not np.allclose(np.sort(weights[kept]), top_multiset, atol=0):
             return CheckResult("oracles", "hard_filter_top_k", False, f"multiset mismatch at case {seed}")
     return CheckResult("oracles", "hard_filter_top_k", True, f"{cases} cases, exact match")
 
@@ -372,9 +373,9 @@ def soft_weight_bounds_check(cases: int = 200) -> CheckResult:
         length = int(rng.integers(1, 24))
         weights = rng.random(length) + 1e-3
         weights /= weights.sum()
-        m = BeliefMatrix(Tensor(weights))
-        out = soft_reweight(Tensor(rng.normal(size=(2, length))), m, "soft-sequence")
-        w = out.weights.data
+        # beliefs = weights as in hard_filter_oracle_check; column j is e_j times w_j
+        out = refine_batch(Tensor(np.eye(length)[None]), Tensor(np.log(weights)[None]), "soft-sequence")
+        w = np.diagonal(out.data[0])
         if not ((w > weights).all() and (w <= weights + 1.0 + 1e-12).all()):
             return CheckResult("invariants", "soft_weight_bounds", False, f"case {seed}")
     return CheckResult("invariants", "soft_weight_bounds", True, f"{cases} cases, M < w <= M + 1")
@@ -406,14 +407,15 @@ def loss_nonnegative_check(cases: int = 100) -> CheckResult:
 
 
 def belief_argmax_scale_check(cases: int = 100) -> CheckResult:
+    # hard mode at k=1 keeps the argmax column, so equal outputs mean equal argmax
     for seed in range(cases):
         rng = child(seed, "vi-argmax")
         d, length = 5, 9
-        f_ins = Tensor(rng.normal(size=d))
-        feats = Tensor(rng.normal(size=(d, length)))
-        base = belief_matrix(f_ins, feats).weights.data
-        scaled = belief_matrix(f_ins * float(rng.uniform(0.1, 10.0)), feats).weights.data
-        if np.argmax(base) != np.argmax(scaled):
+        f_ins = Tensor(rng.normal(size=(1, d)))
+        feats = Tensor(rng.normal(size=(1, d, length)))
+        base = refine_batch(feats, f_ins, "hard", 1).data
+        scaled = refine_batch(feats, f_ins * float(rng.uniform(0.1, 10.0)), "hard", 1).data
+        if not np.array_equal(base, scaled):
             return CheckResult("invariants", "belief_argmax_scale_invariant", False, f"case {seed}")
     return CheckResult("invariants", "belief_argmax_scale_invariant", True, f"{cases} cases")
 

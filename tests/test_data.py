@@ -6,7 +6,6 @@ import pytest
 
 from beliefret.data import (
     CorpusSpec,
-    batch_iterator,
     epoch_batches,
     generate_corpus,
     load_dataset,
@@ -192,8 +191,14 @@ def test_load_reports_bad_line_number(tmp_path):
         ("pixels", float("nan"), "pixel value nan outside \\[0, 1\\]"),
         ("scene_label", 3, "scene_label 3 outside \\[0, 3\\)"),
         ("scene_label", -1, "scene_label -1 outside \\[0, 3\\)"),
+        ("captions", [[1, 2], [3, 3.7]], "token id 3.7 is not an integer"),
+        ("scene_label", 1.9, "scene_label 1.9 is not an integer"),
+        ("id", 2.5, "id 2.5 is not an integer"),
+        ("scene_label", "1", "scene_label '1' is not an integer"),
+        ("scene_label", True, "scene_label True is not an integer"),
     ],
-    ids=["token-id", "empty-caption", "pixel-range", "pixel-nan", "label-high", "label-negative"],
+    ids=["token-id", "empty-caption", "pixel-range", "pixel-nan", "label-high", "label-negative",
+         "token-fraction", "label-fraction", "id-fraction", "label-string", "label-bool"],
 )
 def test_load_rejects_malformed_record_with_line_number(tmp_path, field, value, message):
     ds = generate_corpus(small_spec(images_per_class=2))
@@ -236,8 +241,9 @@ def test_epochs_are_distinct_seeded_permutations():
 
 def test_batch_iterator_multiple_epochs_and_validation():
     ds = generate_corpus(small_spec(images_per_class=2))
-    batches = list(batch_iterator(ds.records, 4, seed=0, epochs=3))
+    batches = [b for epoch in range(3) for b in epoch_batches(ds.records, 4, seed=0, epoch=epoch)]
     assert sum(len(b.labels) for b in batches) == 3 * len(ds.records)
+    assert [b.epoch for b in batches] == [e for e in range(3) for _ in range(2)]
     with pytest.raises(ConfigError):
         list(epoch_batches(ds.records, 0, 0, 0))
     with pytest.raises(InputError):

@@ -3,11 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from beliefret.encoders import (
-    SyntheticImage,
-    encode_image,
     encode_image_batch,
-    encode_instruction,
-    encode_text,
     encode_text_batch,
     init_image_encoder,
     init_instruction,
@@ -42,9 +38,9 @@ def rand_image(seed=0):
 
 
 def test_image_encoder_token_count():
-    out = encode_image(SyntheticImage(rand_image(), 0), image_params())
-    assert out.f_v.shape == (D, 16)  # (16/4)^2 patches
-    assert out.f_cls.shape == (D,)
+    f_cls, f_v = encode_image_batch(rand_image()[None], image_params())
+    assert f_v.shape == (1, D, 16)  # (16/4)^2 patches
+    assert f_cls.shape == (1, D)
 
 
 def test_patch_columns_grid_order():
@@ -58,18 +54,17 @@ def test_patch_columns_grid_order():
 
 def test_zero_image_gives_equal_patch_columns():
     params = image_params(use_position_encoding=False)
-    out = encode_image(SyntheticImage(np.zeros((3, 16, 16)), 0), params)
-    first = out.f_v.data[:, :1]
-    npt.assert_allclose(out.f_v.data, np.repeat(first, 16, axis=1), atol=1e-10)
+    f_v = encode_image_batch(np.zeros((1, 3, 16, 16)), params)[1].data[0]
+    npt.assert_allclose(f_v, np.repeat(f_v[:, :1], 16, axis=1), atol=1e-10)
 
 
 def test_image_encoder_deterministic():
     params = image_params()
-    img = SyntheticImage(rand_image(3), 1)
-    a = encode_image(img, params)
-    b = encode_image(img, params)
-    npt.assert_array_equal(a.f_cls.data, b.f_cls.data)
-    npt.assert_array_equal(a.f_v.data, b.f_v.data)
+    pixels = rand_image(3)[None]
+    a = encode_image_batch(pixels, params)
+    b = encode_image_batch(pixels, params)
+    npt.assert_array_equal(a[0].data, b[0].data)
+    npt.assert_array_equal(a[1].data, b[1].data)
 
 
 def test_image_encoder_batch_matches_single():
@@ -77,9 +72,9 @@ def test_image_encoder_batch_matches_single():
     pixels = child(4, "pixb").random((3, 3, 16, 16))
     f_cls, f_v = encode_image_batch(pixels, params)
     for i in range(3):
-        single = encode_image(SyntheticImage(pixels[i], 0), params)
-        npt.assert_allclose(f_cls.data[i], single.f_cls.data, atol=1e-12)
-        npt.assert_allclose(f_v.data[i], single.f_v.data, atol=1e-12)
+        one_cls, one_v = encode_image_batch(pixels[i : i + 1], params)
+        npt.assert_allclose(f_cls.data[i], one_cls.data[0], atol=1e-12)
+        npt.assert_allclose(f_v.data[i], one_v.data[0], atol=1e-12)
 
 
 def test_image_encoder_patch_mismatch_rejected():
@@ -98,9 +93,9 @@ def test_image_encoder_requires_projection_width():
 
 
 def test_text_encoder_single_token():
-    out = encode_text([5], text_params())
-    assert out.f_t.shape == (D, 1)
-    assert out.t_cls.shape == (D,)
+    t_cls, f_t = encode_text_batch([[5]], text_params())
+    assert f_t.shape == (1, D, 1)
+    assert t_cls.shape == (1, D)
 
 
 def test_text_encoder_permutation_equivariance_without_positions():
@@ -108,39 +103,39 @@ def test_text_encoder_permutation_equivariance_without_positions():
     rng = child(5, "perm")
     ids = rng.integers(0, 30, size=7)
     perm = rng.permutation(7)
-    base = encode_text(ids, params)
-    permuted = encode_text(ids[perm], params)
-    npt.assert_allclose(permuted.f_t.data, base.f_t.data[:, perm], atol=1e-10)
-    npt.assert_allclose(permuted.t_cls.data, base.t_cls.data, atol=1e-10)
+    base_cls, base_t = encode_text_batch(ids[None], params)
+    perm_cls, perm_t = encode_text_batch(ids[perm][None], params)
+    npt.assert_allclose(perm_t.data, base_t.data[..., perm], atol=1e-10)
+    npt.assert_allclose(perm_cls.data, base_cls.data, atol=1e-10)
 
 
 def test_text_encoder_deterministic():
     params = text_params()
-    a = encode_text([1, 2, 3], params)
-    b = encode_text([1, 2, 3], params)
-    npt.assert_array_equal(a.f_t.data, b.f_t.data)
+    a = encode_text_batch([[1, 2, 3]], params)
+    b = encode_text_batch([[1, 2, 3]], params)
+    npt.assert_array_equal(a[1].data, b[1].data)
 
 
 def test_text_encoder_validation():
     params = text_params()
     with pytest.raises(InputError):
-        encode_text([], params)
+        encode_text_batch(np.zeros((1, 0), dtype=int), params)
     with pytest.raises(InputError):
-        encode_text([30], params)  # out of vocab
+        encode_text_batch([[30]], params)  # out of vocab
     with pytest.raises(InputError):
-        encode_text(list(range(13)), params)  # beyond max_len
+        encode_text_batch([list(range(13))], params)  # beyond max_len
     with pytest.raises(InputError):
         encode_text_batch(np.zeros((2, 2, 2), dtype=int), params)
 
 
 def test_text_encoder_batch_matches_single():
     params = text_params(6)
-    ids = child(6, "ids").integers(0, 30, size=(4, 5))
+    ids = child(6, "ids").integers(0, 30, size=(3, 5))
     t_cls, f_t = encode_text_batch(ids, params)
-    for i in range(4):
-        single = encode_text(ids[i], params)
-        npt.assert_allclose(t_cls.data[i], single.t_cls.data, atol=1e-12)
-        npt.assert_allclose(f_t.data[i], single.f_t.data, atol=1e-12)
+    for i in range(3):
+        one_cls, one_t = encode_text_batch(ids[i : i + 1], params)
+        npt.assert_allclose(t_cls.data[i], one_cls.data[0], atol=1e-12)
+        npt.assert_allclose(f_t.data[i], one_t.data[0], atol=1e-12)
 
 
 # -- instruction encoder --------------------------------------------------------------
@@ -148,17 +143,16 @@ def test_text_encoder_batch_matches_single():
 
 def test_frozen_table_lookup_deterministic():
     params = init_instruction(child(7, "ins"), "frozen-scene-table", D, num_classes=4)
-    a = encode_instruction(2, params)
-    b = encode_instruction(2, params)
-    npt.assert_array_equal(a.f_ins.data, b.f_ins.data)
-    assert a.source == "frozen-scene-table"
+    a = instruction_batch(np.array([2]), None, params)
+    b = instruction_batch(np.array([2]), None, params)
+    npt.assert_array_equal(a.data, b.data)
+    assert params.source == "frozen-scene-table"
     assert not params.table.requires_grad
 
 
 def test_orthogonal_table_initialisation():
     params = init_instruction(child(8, "ins"), "frozen-scene-table", D, num_classes=2)
-    f0 = encode_instruction(0, params).f_ins.data
-    f1 = encode_instruction(1, params).f_ins.data
+    f0, f1 = instruction_batch(np.array([0, 1]), None, params).data
     assert abs(float(f0 @ f1)) < 1e-10
     npt.assert_allclose(np.linalg.norm(f0), 1.0, atol=1e-10)
 
@@ -172,7 +166,7 @@ def test_learned_table_is_trainable():
 def test_instruction_label_validation():
     params = init_instruction(child(10, "ins"), "frozen-scene-table", D, num_classes=3)
     with pytest.raises(InputError):
-        encode_instruction(3, params)
+        instruction_batch(np.array([3]), None, params)
     with pytest.raises(ConfigError):
         init_instruction(child(10, "ins"), "mystery", D, num_classes=3)
 
@@ -181,7 +175,7 @@ def test_instruction_batch_matches_single():
     params = init_instruction(child(11, "ins"), "frozen-scene-table", D, num_classes=5)
     out = instruction_batch(np.array([4, 0, 2]), None, params)
     for i, label in enumerate([4, 0, 2]):
-        npt.assert_array_equal(out.data[i], encode_instruction(label, params).f_ins.data)
+        npt.assert_array_equal(out.data[i], instruction_batch(np.array([label]), None, params).data[0])
 
 
 def test_toy_conv_pre_phase_separates_classes():
@@ -214,9 +208,9 @@ def test_toy_conv_pre_phase_separates_classes():
 
 def test_toy_conv_same_image_deterministic():
     params = init_instruction(child(13, "ins"), "toy-conv-encoder", D, num_classes=2)
-    img = SyntheticImage(rand_image(13), 0)
-    a = encode_instruction(img, params)
-    b = encode_instruction(img, params)
-    npt.assert_array_equal(a.f_ins.data, b.f_ins.data)
+    pixels = rand_image(13)[None]
+    a = instruction_batch(np.array([0]), pixels, params)
+    b = instruction_batch(np.array([0]), pixels, params)
+    npt.assert_array_equal(a.data, b.data)
     with pytest.raises(InputError):
-        encode_instruction(0, params)
+        instruction_batch(np.array([0]), None, params)

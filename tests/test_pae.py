@@ -4,16 +4,7 @@ import pytest
 
 from beliefret.blocks import attention_block, ffn_block
 from beliefret.errors import DimensionError, ConfigError
-from beliefret.pae import (
-    compose_text_embedding,
-    compose_vision_embedding,
-    init_pael,
-    init_spatial_stack,
-    init_temporal_stack,
-    pael,
-    spatial_pae,
-    temporal_pae,
-)
+from beliefret.pae import PaeStack, init_pae_stack, init_pael, pael, spatial_pae, temporal_pae
 from beliefret.rng import child
 from beliefret.tensor import Tensor, grad_check
 
@@ -121,23 +112,23 @@ def test_pael_deterministic_without_dropout():
 
 
 def test_spatial_pae_minimal_stack():
-    stack = init_spatial_stack(child(7, "spa"), D, HEADS, n_units=1)
+    stack = init_pae_stack(child(7, "spa"), D, HEADS, n_units=1)
     rng = child(7, "spa-in")
     out = spatial_pae(Tensor(rng.normal(size=(D, 1))), Tensor(rng.normal(size=D)), stack)
     assert out.shape == (D,)
 
 
 def test_spatial_pae_default_unit_counts_accepted():
-    init_spatial_stack(child(8, "spa2"), D, HEADS, n_units=2)
-    init_temporal_stack(child(8, "tmp3"), D, HEADS, n_units=3)
+    init_pae_stack(child(8, "spa2"), D, HEADS, n_units=2)
+    init_pae_stack(child(8, "tmp3"), D, HEADS, n_units=3)
     with pytest.raises(ConfigError):
-        init_spatial_stack(child(8, "spa0"), D, HEADS, n_units=0)
+        init_pae_stack(child(8, "spa0"), D, HEADS, n_units=0)
 
 
 def test_spatial_pae_zero_instruction_zero_weights_is_input_independent():
     # with a zero instruction and all projection weights zeroed, the carried
     # query branch sees no image content; only bias paths reach the output
-    stack = init_spatial_stack(child(9, "spa-zero"), D, HEADS, n_units=2)
+    stack = init_pae_stack(child(9, "spa-zero"), D, HEADS, n_units=2)
     for name, t in _stack_tensors(stack):
         if name.endswith(".w") or ".guide_w" in name:
             t.data[...] = 0.0
@@ -155,7 +146,7 @@ def _stack_tensors(stack):
 
 
 def test_spatial_pae_batched_matches_per_sample():
-    stack = init_spatial_stack(child(10, "spa-b"), D, HEADS, n_units=2)
+    stack = init_pae_stack(child(10, "spa-b"), D, HEADS, n_units=2)
     rng = child(10, "spa-b-in")
     toks = rng.normal(size=(3, D, 4))
     ins = rng.normal(size=(3, D))
@@ -166,7 +157,7 @@ def test_spatial_pae_batched_matches_per_sample():
 
 
 def test_spatial_pae_gradients():
-    stack = init_spatial_stack(child(11, "spa-g"), D, HEADS, n_units=1)
+    stack = init_pae_stack(child(11, "spa-g"), D, HEADS, n_units=1)
     rng = child(11, "spa-g-in")
     toks = Tensor(rng.normal(size=(D, 3)), requires_grad=True)
     ins = Tensor(rng.normal(size=D), requires_grad=True)
@@ -179,7 +170,7 @@ def test_spatial_pae_gradients():
 
 
 def test_temporal_pae_three_units_and_cls_only():
-    stack = init_temporal_stack(child(12, "tmp"), D, HEADS, n_units=3)
+    stack = init_pae_stack(child(12, "tmp"), D, HEADS, n_units=3)
     rng = child(12, "tmp-in")
     out = temporal_pae(Tensor(rng.normal(size=D)), Tensor(rng.normal(size=(D, 5))), stack)
     assert out.shape == (D,)
@@ -191,8 +182,8 @@ def test_temporal_pae_three_units_and_cls_only():
 def test_temporal_pae_identical_tokens_symmetry():
     # identical columns and identity step projections keep every column equal,
     # so the output is a fixed function of the one distinct token
-    stack = init_temporal_stack(child(13, "tmp-sym"), D, HEADS, n_units=2)
-    for w in stack.step_w:
+    stack = init_pae_stack(child(13, "tmp-sym"), D, HEADS, n_units=2)
+    for w in stack.guide_w:
         w.data[...] = np.eye(D)
     tok = child(13, "tmp-sym-in").normal(size=D)
     f_t = Tensor(np.repeat(tok[:, None], 4, axis=1))
@@ -202,7 +193,7 @@ def test_temporal_pae_identical_tokens_symmetry():
 
 
 def test_temporal_pae_batched_matches_per_sample():
-    stack = init_temporal_stack(child(14, "tmp-b"), D, HEADS, n_units=2)
+    stack = init_pae_stack(child(14, "tmp-b"), D, HEADS, n_units=2)
     rng = child(14, "tmp-b-in")
     cls = rng.normal(size=(3, D))
     f_t = rng.normal(size=(3, D, 4))
@@ -213,7 +204,7 @@ def test_temporal_pae_batched_matches_per_sample():
 
 
 def test_temporal_pae_gradients():
-    stack = init_temporal_stack(child(15, "tmp-g"), D, HEADS, n_units=1)
+    stack = init_pae_stack(child(15, "tmp-g"), D, HEADS, n_units=1)
     rng = child(15, "tmp-g-in")
     cls = Tensor(rng.normal(size=D), requires_grad=True)
     f_t = Tensor(rng.normal(size=(D, 3)), requires_grad=True)
@@ -222,14 +213,41 @@ def test_temporal_pae_gradients():
     assert grad_check(lambda t: (temporal_pae(cls, t, stack) * coef).sum(), f_t) < 1e-4
 
 
+def test_temporal_pae_shares_the_stack_type():
+    # one stack type serves both guides; the model names the temporal guides guide_w
+    from beliefret.config import TrainConfig
+    from beliefret.model import RetrievalModel
+
+    model = RetrievalModel(TrainConfig(), vocab_size=30, num_classes=3)
+    assert isinstance(model.spatial, PaeStack) and isinstance(model.temporal, PaeStack)
+    names = {name for name, _ in model.named_parameters()}
+    assert {"spatial.guide_w.1", "temporal.guide_w.2"} <= names
+    assert not any("step_w" in name for name in names)
+
+
 # -- embedding composition -----------------------------------------------------------
 
 
 def test_compose_embeddings():
-    f_cls = Tensor([1.0, 2.0])
-    npt.assert_allclose(compose_vision_embedding(f_cls, Tensor([0.0, 0.0])).data, [1.0, 2.0])
-    npt.assert_allclose(compose_vision_embedding(Tensor([0.0, 0.0]), Tensor([0.0, 0.0])).data, [0.0, 0.0])
-    npt.assert_allclose(compose_vision_embedding(f_cls, Tensor([3.0, 4.0])).data, [4.0, 6.0])
-    npt.assert_allclose(compose_text_embedding(f_cls, Tensor([3.0, 4.0])).data, [4.0, 6.0])
-    npt.assert_allclose(compose_text_embedding(Tensor([0.0, 0.0]), Tensor([0.0, 0.0])).data, [0.0, 0.0])
-    npt.assert_allclose(compose_text_embedding(f_cls, Tensor([0.0, 0.0])).data, [1.0, 2.0])
+    # final embedding = global token + the stack's local embedding, elementwise:
+    # a zero head reads out a zero local embedding, a bias-only head reads out its bias
+    from beliefret.config import TrainConfig
+    from beliefret.encoders import encode_image_batch, encode_text_batch
+    from beliefret.model import RetrievalModel
+
+    model = RetrievalModel(TrainConfig(), vocab_size=30, num_classes=3)
+    rng = child(16, "compose")
+    pixels, labels = rng.random((2, 3, 16, 16)), np.array([0, 2])
+    captions = rng.integers(0, 30, size=(2, 5))
+    f_cls = encode_image_batch(pixels, model.image)[0].data
+    t_cls = encode_text_batch(captions, model.text)[0].data
+    for stack in (model.spatial, model.temporal):
+        stack.head.w.data[...] = 0.0
+        stack.head.b.data[...] = 0.0
+    npt.assert_array_equal(model.embed_images(pixels, labels).data, f_cls)
+    npt.assert_array_equal(model.embed_texts(captions.tolist()).data, t_cls)
+    bias = rng.normal(size=(32, 1))
+    for stack in (model.spatial, model.temporal):
+        stack.head.b.data[...] = bias
+    npt.assert_allclose(model.embed_images(pixels, labels).data, f_cls + bias[:, 0], atol=1e-12)
+    npt.assert_allclose(model.embed_texts(captions.tolist()).data, t_cls + bias[:, 0], atol=1e-12)

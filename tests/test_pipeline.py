@@ -6,7 +6,7 @@ import pytest
 
 from beliefret.checkpoint import load_checkpoint
 from beliefret.config import TrainConfig, apply_overrides, config_from_dict, config_to_dict
-from beliefret.data import CorpusSpec, generate_corpus
+from beliefret.data import CorpusSpec, generate_corpus, write_dataset
 from beliefret.errors import ConfigError, ParseError
 from beliefret.pipeline import (
     Trainer,
@@ -201,6 +201,21 @@ def test_checkpoint_with_non_finite_parameter_rejected(tmp_path):
         load_checkpoint(tmp_path / "ck.npz")
 
 
+def test_schema_1_checkpoint_rejected(tmp_path, monkeypatch):
+    # schema 1 named the temporal stack's guides step_w; a non-strict restore
+    # (init_from) would silently skip them instead of failing
+    from beliefret import checkpoint
+
+    trainer = Trainer(make_config(**{"optim.batch_size": "16"}), dataset=TINY)
+    with monkeypatch.context() as patch:
+        patch.setattr(checkpoint, "SCHEMA_VERSION", 1)
+        trainer.save(tmp_path / "old.npz")
+    with pytest.raises(ParseError, match="unsupported checkpoint schema 1"):
+        load_checkpoint(tmp_path / "old.npz")
+    with pytest.raises(ParseError, match="unsupported checkpoint schema 1"):
+        Trainer(make_config(init_from=str(tmp_path / "old.npz")), dataset=TINY)
+
+
 # -- output files ------------------------------------------------------------------------
 
 
@@ -259,6 +274,53 @@ def test_failed_write_keeps_previous_output(tmp_path, monkeypatch, target):
     with pytest.raises(OSError, match="No space left"):
         write_outputs(tmp_path, trainer, outcome)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    run_dir = tmp_path_factory.mktemp("run")
+    trainer = Trainer(make_config(**FAST), dataset=TINY)
+    write_outputs(run_dir, trainer, trainer.train())
+    write_dataset(TINY, run_dir / "dataset.jsonl")
+    return trainer.cfg, run_dir
+
+
+@pytest.mark.parametrize(
+    "target", ["dataset.jsonl", "manifest.json", "metrics.json", "embeddings.csv", "config.json"]
+)
+def test_failed_command_write_keeps_previous_output(tmp_path, monkeypatch, trained_checkpoint, target):
+    import builtins
+    import json
+    import os
+
+    from beliefret import checkpoint
+    from beliefret.cli import main
+    from beliefret.config import save_config
+
+    cfg, run_dir = trained_checkpoint
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"num_classes": 3, "images_per_class": 2, "vocab_size": 40, "seed": 5}))
+    out = tmp_path / "out"
+    model_args = ["--checkpoint", str(run_dir / "best.npz"), "--dataset", str(run_dir / "dataset.jsonl")]
+
+    def write_all():
+        assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 0  # dataset + manifest
+        assert main(["eval", *model_args, "--out", str(out)]) == 0
+        assert main(["dump-embeddings", *model_args, "--out", str(out)]) == 0
+        save_config(cfg, out / "config.json")
+
+    write_all()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(before) == {"dataset.jsonl", "manifest.json", "metrics.json", "embeddings.csv", "config.json"}
+
+    def failing_open(path, *args, **kwargs):
+        fh = builtins.open(path, *args, **kwargs)
+        return HalfWrittenFile(fh) if os.path.basename(path).startswith(target) else fh
+
+    monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write_all()
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("precision", ["float64", "float32"])

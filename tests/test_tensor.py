@@ -363,12 +363,12 @@ def test_dropout_seeded_and_disabled():
 
 
 def test_rng_type_named_streams():
-    from beliefret.rng import ALGORITHM, Rng
+    from beliefret.rng import ALGORITHM
 
-    rng = Rng(seed=5)
-    assert rng.algorithm == ALGORITHM == "pcg64"
-    a = rng.stream("weights").normal(size=4)
-    b = Rng(5).stream("weights").normal(size=4)
-    c = rng.stream("other").normal(size=4)
+    assert ALGORITHM == "pcg64"
+    assert isinstance(child(5, "weights").bit_generator, np.random.PCG64)
+    a = child(5, "weights").normal(size=4)
+    b = child(5, "weights").normal(size=4)
+    c = child(5, "other").normal(size=4)
     npt.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
