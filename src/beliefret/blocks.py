@@ -29,7 +29,7 @@ def init_linear(rng: np.random.Generator, fan_in: int, fan_out: int, dtype=np.fl
 
 
 def linear(x, p: LinearParams) -> Tensor:
-    return T.matmul(p.w, x) + p.b
+    return T.affine(p.w, x, p.b)
 
 
 @dataclass
@@ -89,11 +89,6 @@ def init_attention(
     )
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    *lead, d, length = x.shape
-    return x.reshape((*lead, heads, d // heads, length))
-
-
 def attention_block(q_in: Tensor, kv_in: Tensor, p: AttentionParams, drop: Dropout | None = None) -> Tensor:
     """Residual multi-head attention; queries from q_in, keys/values from kv_in."""
     if q_in.shape[-2] != kv_in.shape[-2]:
@@ -105,17 +100,9 @@ def attention_block(q_in: Tensor, kv_in: Tensor, p: AttentionParams, drop: Dropo
         if p.ln_kv is None:
             raise ContractError("cross-attention call on self-attention parameters")
         hkv = norm_features(kv_in, p.ln_kv)
-    q = _split_heads(linear(hq, p.q), p.heads)
-    k = _split_heads(linear(hkv, p.k), p.heads)
-    v = _split_heads(linear(hkv, p.v), p.heads)
-    dh = q.shape[-2]
-    scores = T.matmul(q.swapaxes(-1, -2), k) * (dh**-0.5)  # (..., h, Lq, Lk)
-    weights = T.softmax(scores, axis=-1)
-    if drop is not None:
-        weights = drop(weights)
-    ctx = T.matmul(v, weights.swapaxes(-1, -2))  # (..., h, dh, Lq)
-    *lead, _, _, lq = ctx.shape
-    out = linear(ctx.reshape((*lead, p.heads * dh, lq)), p.o)
+    # the weight mask is drawn inside, before the output mask, as dropout draws both
+    rate, rng = (drop.rate, drop.rng) if drop is not None and drop.training else (0.0, None)
+    out = T.attention(hq, hkv, p.q.w, p.q.b, p.k.w, p.k.b, p.v.w, p.v.b, p.o.w, p.o.b, p.heads, rate, rng)
     if drop is not None:
         out = drop(out)
     return q_in + out
@@ -137,8 +124,7 @@ def init_ffn(rng: np.random.Generator, d: int, hidden: int, dtype=np.float64) ->
 
 
 def ffn_block(x: Tensor, p: FfnParams, drop: Dropout | None = None) -> Tensor:
-    h = T.ttanh(linear(norm_features(x, p.ln), p.inner))
-    out = linear(h, p.out)
+    out = T.ffn(norm_features(x, p.ln), p.inner.w, p.inner.b, p.out.w, p.out.b)
     if drop is not None:
         out = drop(out)
     return x + out

@@ -135,6 +135,17 @@ def history_to_csv(history) -> str:
     return buf.getvalue()
 
 
+def _check_caption_lengths(records, max_len: int) -> None:
+    """Refuse, before any step, a caption the text encoder cannot take."""
+    for rec in records:
+        for i, cap in enumerate(rec.captions):
+            if len(cap) > max_len:
+                raise InputError(
+                    f"record {rec.id} caption {i} has {len(cap)} tokens, "
+                    f"more than model.max_text_len={max_len}"
+                )
+
+
 class Trainer:
     """Single-stage training with per-epoch validation and best-checkpoint tracking."""
 
@@ -157,6 +168,7 @@ class Trainer:
             )
         if not self.train_records:
             raise ConfigError("training split is empty")
+        _check_caption_lengths(self.train_records + self.val_records, self.cfg.model.max_text_len)
 
         if self.cfg.model.vocab_size and self.cfg.model.vocab_size != dataset.meta.vocab_size:
             raise ConfigError(

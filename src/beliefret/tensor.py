@@ -114,9 +114,6 @@ class Tensor:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False, dtype=self.data.dtype)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -242,7 +239,12 @@ def _operands(a, b) -> tuple:
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient back down to the originating shape."""
+    """Sum a broadcast gradient back down to the originating shape.
+
+    Leading axes are summed first, then the kept size-1 axes: for a (B, d, L)
+    gradient and a (d, 1) bias, numpy takes 4-10x longer for one sum over
+    axes (0, 2) than for a sum over axis 0 and then over axis 2.
+    """
     if grad.shape == shape:
         return grad
     extra = grad.ndim - len(shape)
@@ -474,6 +476,180 @@ def matmul(a, b) -> Tensor:
     return _op(data, (a, b), bw)
 
 
+def _weight_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Σ g xᵀ over every batch axis and the sequence axis, in one product.
+
+    g (..., out, L) and x (..., in, L) give the (out, in) gradient of a weight
+    applied as w @ x.
+    """
+    axes = tuple(range(g.ndim - 2)) + (g.ndim - 1,)
+    return np.tensordot(g, x, axes=(axes, axes))
+
+
+def _check_weights(x: Tensor, pairs, op_name: str) -> None:
+    """Each (w, b) maps width w.shape[1] to w.shape[0] with a (out, 1) bias."""
+    width = x.data.shape[-2] if x.data.ndim >= 2 else None
+    for w, b in pairs:
+        if w.data.ndim != 2 or w.data.shape[1] != width or b.data.shape != (w.data.shape[0], 1):
+            raise DimensionError(
+                f"{op_name} weight {w.data.shape} and bias {b.data.shape} do not fit input {x.data.shape}"
+            )
+        width = w.data.shape[0]
+
+
+def affine(w, x, b) -> Tensor:
+    """w @ x + b as one node: w (out, in), x (..., in, L), b (out, 1).
+
+    Backward: dx = wᵀ @ g, dw = Σ g xᵀ over batch and sequence axes (one
+    tensordot) and db = Σ g over the same axes.
+    """
+    x = _as_tensor(x)
+    w = _as_tensor(w, dtype=x.dtype)
+    b = _as_tensor(b, dtype=x.dtype)
+    _check_weights(x, ((w, b),), "affine")
+    # biases are added in place: a second output-sized temporary of a few hundred
+    # KB is handed back to the OS when freed, and faulted in afresh on each call
+    data = w.data @ x.data
+    data += b.data
+
+    def bw(g):
+        return (
+            _weight_grad(g, x.data) if w.requires_grad else None,
+            w.data.T @ g if x.requires_grad else None,
+            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        )
+
+    return _op(data, (w, x, b), bw)
+
+
+def ffn(x, w1, b1, w2, b2) -> Tensor:
+    """w2 · tanh(w1 · x + b1) + b2 as one node, over x (..., d, L).
+
+    Backward with h = tanh(w1 · x + b1) and ĝ = (w2ᵀ g)(1 − h²):
+    dx = w1ᵀ ĝ, dw1 = Σ ĝ xᵀ, db1 = Σ ĝ, dw2 = Σ g hᵀ, db2 = Σ g.
+    """
+    x = _as_tensor(x)
+    w1, b1, w2, b2 = (_as_tensor(t, dtype=x.dtype) for t in (w1, b1, w2, b2))
+    _check_weights(x, ((w1, b1), (w2, b2)), "ffn")
+    h = w1.data @ x.data
+    h += b1.data
+    if not _TRAPPING:
+        _check_finite(h)  # tanh would hide an overflow here
+    np.tanh(h, out=h)
+    data = w2.data @ h
+    data += b2.data
+
+    def bw(g):
+        gpre = None
+        if x.requires_grad or w1.requires_grad or b1.requires_grad:
+            gpre = w2.data.T @ g
+            gpre -= gpre * h * h
+        return (
+            w1.data.T @ gpre if x.requires_grad else None,
+            _weight_grad(gpre, x.data) if w1.requires_grad else None,
+            _unbroadcast(gpre, b1.data.shape) if b1.requires_grad else None,
+            _weight_grad(g, h) if w2.requires_grad else None,
+            _unbroadcast(g, b2.data.shape) if b2.requires_grad else None,
+        )
+
+    return _op(data, (x, w1, b1, w2, b2), bw)
+
+
+def attention(hq, hkv, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, rate: float = 0.0, rng=None) -> Tensor:
+    """Multi-head scaled dot-product attention as one node, before the residual add.
+
+    hq (..., d, Lq) gives the queries and hkv (..., d, Lk) the keys and
+    values; passing the same tensor twice makes it self-attention. Each w is
+    (d, d) and each b (d, 1). Per head, with Q, K, V the head's rows of
+    wq·hq + bq, wk·hkv + bk and wv·hkv + bv, P = softmax(QᵀK / √dh) along
+    keys and the context V Pᵀ; the heads' contexts, stacked back to d rows,
+    go through wo·(·) + bo. Self-attention projects Q, K and V in one stacked
+    product and cross-attention K and V. With ``rate`` > 0 the attention
+    weights P are dropped by an inverted-dropout mask of shape
+    (..., heads, Lq, Lk) drawn from ``rng``, as ``dropout`` draws it.
+
+    Backward, with Pd the dropped weights and G the context gradient per head:
+    dV = G Pd, dP = mask · (Gᵀ V), dS = (dP − Σ_k dP·P) P / √dh, dQ = K dSᵀ,
+    dK = Q dS. Each weight gradient is one tensordot over batch and sequence
+    axes, and the stacked projections share one. The key bias gradient is zero
+    in exact arithmetic: a per-query constant added to every score leaves the
+    softmax unchanged.
+    """
+    hq = _as_tensor(hq)
+    hkv = _as_tensor(hkv, dtype=hq.dtype)
+    params = [_as_tensor(t, dtype=hq.dtype) for t in (wq, bq, wk, bk, wv, bv, wo, bo)]
+    wq, bq, wk, bk, wv, bv, wo, bo = params
+    if hq.data.ndim < 2 or hkv.data.shape[:-1] != hq.data.shape[:-1]:
+        raise DimensionError(f"attention inputs do not match: {hq.data.shape} vs {hkv.data.shape}")
+    *lead, d, lq = hq.data.shape
+    lk = hkv.data.shape[-1]
+    if any(t.data.shape != ((d, d) if i % 2 == 0 else (d, 1)) for i, t in enumerate(params)):
+        raise DimensionError(f"attention weights must be ({d}, {d}) and biases ({d}, 1)")
+    if heads < 1 or d % heads != 0:
+        raise ConfigError(f"head count {heads} must divide feature dim {d}")
+    if not 0.0 <= rate < 1.0:
+        raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
+    dh = d // heads
+    # self-attention projects Q, K and V in one product, cross-attention K and V
+    self_attn = hkv is hq
+    x_in, ws, bs = (hq, (wq, wk, wv), (bq, bk, bv)) if self_attn else (hkv, (wk, wv), (bk, bv))
+    w_in = np.concatenate([w.data for w in ws])
+    proj = w_in @ x_in.data
+    proj += np.concatenate([b.data for b in bs])
+    if self_attn:
+        q, k, v = proj[..., :d, :], proj[..., d : 2 * d, :], proj[..., 2 * d :, :]
+    else:
+        q = wq.data @ hq.data
+        q += bq.data
+        k, v = proj[..., :d, :], proj[..., d:, :]
+    qh = q.reshape((*lead, heads, dh, lq))
+    kh = k.reshape((*lead, heads, dh, lk))
+    vh = v.reshape((*lead, heads, dh, lk))
+    scale = np.asarray(dh**-0.5, dtype=hq.dtype)
+    p = qh.swapaxes(-1, -2) @ kh  # scores (..., h, Lq, Lk), then their softmax in place
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    mask = _dropout_mask(p.shape, rate, rng, p.dtype) if rate > 0.0 else None
+    pd = p if mask is None else p * mask
+    ctx = (vh @ pd.swapaxes(-1, -2)).reshape((*lead, d, lq))
+    data = wo.data @ ctx
+    data += bo.data
+
+    def bw(g):
+        gctx = (wo.data.T @ g).reshape((*lead, heads, dh, lq))
+        gv = (gctx @ pd).reshape((*lead, d, lk))
+        gs = gctx.swapaxes(-1, -2) @ vh  # dP, then dS in place
+        if mask is not None:
+            gs *= mask
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= scale
+        gq = (kh @ gs.swapaxes(-1, -2)).reshape((*lead, d, lq))
+        gk = (qh @ gs).reshape((*lead, d, lk))
+        g_in = np.concatenate([gq, gk, gv] if self_attn else [gk, gv], axis=-2)
+        gx_in = w_in.T @ g_in if x_in.requires_grad else None
+        gw_in = _weight_grad(g_in, x_in.data)
+        gb_in = _unbroadcast(g_in, (g_in.shape[-2], 1))
+        gw = [gw_in[i * d : (i + 1) * d] for i in range(len(ws))]
+        gb = [gb_in[i * d : (i + 1) * d] for i in range(len(ws))]
+        if self_attn:
+            ghq, ghkv = gx_in, None
+        else:
+            ghq, ghkv = (wq.data.T @ gq if hq.requires_grad else None), gx_in
+            gw.insert(0, _weight_grad(gq, hq.data))
+            gb.insert(0, _unbroadcast(gq, bq.data.shape))
+        gw.append(_weight_grad(g, ctx))
+        gb.append(_unbroadcast(g, bo.data.shape))
+        grads = [ghq, ghkv]
+        for w, b, gw_i, gb_i in zip(params[::2], params[1::2], gw, gb):
+            grads += [gw_i if w.requires_grad else None, gb_i if b.requires_grad else None]
+        return grads
+
+    return _op(data, (hq, hkv, *params), bw)
+
+
 # -- normalisations ----------------------------------------------------------
 
 
@@ -568,8 +744,12 @@ def dropout(x, rate: float, rng: np.random.Generator, training: bool = True) -> 
         raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
-    mask = (rng.random(x.data.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
+    mask = _dropout_mask(x.data.shape, rate, rng, x.data.dtype)
     return _op(x.data * mask, (x,), lambda g: (g * mask,))
+
+
+def _dropout_mask(shape, rate: float, rng: np.random.Generator, dtype) -> np.ndarray:
+    return (rng.random(shape) >= rate).astype(dtype) / (1.0 - rate)
 
 
 # -- verification ------------------------------------------------------------

@@ -150,8 +150,98 @@ def _grad_layer_norm(seed: int) -> float:
     )
 
 
+def _probe_each(args: list, readout, skip=frozenset()) -> float:
+    """Worst grad_check error of ``readout(args)`` over each probed argument."""
+    worst = 0.0
+    for i, arg in enumerate(args):
+        if i not in skip:
+            worst = max(worst, grad_check(lambda v: readout(args[:i] + [v] + args[i + 1 :]), arg))
+    return worst
+
+
+def _grad_affine(seed: int) -> float:
+    rng = child(seed, "gs-affine")
+    b, d_in, d_out, length = 2, 4, 3, 5
+    args = [
+        Tensor(rng.normal(size=shape), requires_grad=True)
+        for shape in ((d_out, d_in), (b, d_in, length), (d_out, 1))
+    ]
+    coef = Tensor(rng.normal(size=(b, d_out, length)))
+    return _probe_each(args, lambda a: (T.ttanh(T.affine(*a)) * coef).sum())
+
+
+def _grad_ffn(seed: int) -> float:
+    rng = child(seed, "gs-ffn")
+    b, d, hidden, length = 2, 4, 6, 3
+    args = [
+        Tensor(rng.normal(size=shape), requires_grad=True)
+        for shape in ((b, d, length), (hidden, d), (hidden, 1), (d, hidden), (d, 1))
+    ]
+    coef = Tensor(rng.normal(size=(b, d, length)))
+    return _probe_each(args, lambda a: (T.ttanh(T.ffn(*a)) * coef).sum())
+
+
+def _attention_case(seed: int, cross: bool):
+    """Inputs, weights and biases, and a scalar readout of ``attention``.
+
+    Batched (B, d, L) inputs; cross-attention has Lq != Lk. The arguments are
+    [hq, hkv, wq, bq, wk, bk, wv, bv, wo, bo]; for self-attention hkv is hq.
+    """
+    rng = child(seed, "gs-attention", int(cross))
+    b, d, heads, lq, lk = 2, 4, 2, 3, 2
+    hq = Tensor(rng.normal(size=(b, d, lq)), requires_grad=True)
+    hkv = Tensor(rng.normal(size=(b, d, lk)), requires_grad=True) if cross else hq
+    # weights at the 1/sqrt(d) init scale keep softmax and tanh unsaturated, so no
+    # true gradient component falls to the central-difference noise floor
+    params = [
+        Tensor(rng.normal(size=(d, d)) * d**-0.5 if i % 2 == 0 else rng.normal(size=(d, 1)),
+               requires_grad=True)
+        for i in range(8)
+    ]
+    coef = Tensor(rng.normal(size=(b, d, lq)))
+
+    def readout(a):
+        hkv_ = a[1] if cross else a[0]
+        return (T.ttanh(T.attention(a[0], hkv_, *a[2:], heads)) * coef).sum()
+
+    return [hq, hkv, *params], readout
+
+
+# index of the key bias in _attention_case's arguments
+_KEY_BIAS = 5
+
+
+def _grad_attention(seed: int, cross: bool) -> float:
+    args, readout = _attention_case(seed, cross)
+    # the key bias gradient is exactly 0, so a relative error reads ~1 on rounding
+    # noise; attention_key_bias checks it in absolute terms instead
+    skip = {_KEY_BIAS} | (set() if cross else {1})
+    return _probe_each(args, readout, skip)
+
+
+def attention_key_bias_check(seeds: int = 100) -> CheckResult:
+    """The analytic key bias gradient is zero: softmax ignores a per-query constant."""
+    bound = 1e-12
+    worst = 0.0
+    for seed in range(seeds):
+        for cross in (False, True):
+            args, readout = _attention_case(seed, cross)
+            readout(args).backward()
+            worst = max(worst, float(np.abs(args[_KEY_BIAS].grad).max()))
+    return CheckResult(
+        "gradients",
+        "attention_key_bias",
+        worst <= bound,
+        f"max |grad| {worst:.1e} over {seeds} seeds, self and cross (bound {bound:.0e})",
+    )
+
+
 GRADIENT_CHECKS = (
     ("layer_norm", _grad_layer_norm),
+    ("affine", _grad_affine),
+    ("ffn", _grad_ffn),
+    ("attention_self", lambda seed: _grad_attention(seed, cross=False)),
+    ("attention_cross", lambda seed: _grad_attention(seed, cross=True)),
     ("contrastive_loss", _grad_contrastive),
     ("affiliation_loss", _grad_affiliation),
     ("pael", _grad_pael),
@@ -174,6 +264,7 @@ def gradient_checks(seeds: int = 100) -> list:
                 f"max rel err {worst:.3e} over {seeds} seeds (tolerance {GRAD_TOLERANCE:.0e})",
             )
         )
+    results.append(attention_key_bias_check(seeds))
     elapsed = time.perf_counter() - started
     results.append(
         CheckResult("gradients", "runtime", elapsed < 60.0, f"{elapsed:.1f}s (budget 60s)")
@@ -368,6 +459,7 @@ def softmax_invariant_check(cases: int = 200) -> CheckResult:
 
 
 def soft_weight_bounds_check(cases: int = 200) -> CheckResult:
+    tolerance = 1e-12
     for seed in range(cases):
         rng = child(seed, "vi-bounds")
         length = int(rng.integers(1, 24))
@@ -378,7 +470,15 @@ def soft_weight_bounds_check(cases: int = 200) -> CheckResult:
         w = np.diagonal(out.data[0])
         if not ((w > weights).all() and (w <= weights + 1.0 + 1e-12).all()):
             return CheckResult("invariants", "soft_weight_bounds", False, f"case {seed}")
-    return CheckResult("invariants", "soft_weight_bounds", True, f"{cases} cases, M < w <= M + 1")
+        rank = np.array([1 + sum(1 for vk in weights if vk < vj) for vj in weights])
+        if np.abs(w - (weights + 1.0 / np.sqrt(rank))).max() > tolerance:
+            return CheckResult(
+                "invariants", "soft_weight_bounds", False, f"boost is not 1/sqrt(rank), case {seed}"
+            )
+    return CheckResult(
+        "invariants", "soft_weight_bounds", True,
+        f"{cases} cases, M < w <= M + 1, w = M + 1/sqrt(rank) to {tolerance:.0e}",
+    )
 
 
 def pael_shape_check(cases: int = 25) -> CheckResult:

@@ -324,3 +324,17 @@ def test_property_soft_weights_within_one_above_belief(case):
     w = refine_batch(features, f_ins, "soft-aggregate").data[:, :length, 0]
     assert (w > beliefs).all()
     assert (w <= beliefs + 1.0).all()
+
+
+@st.composite
+def tied_score_rows(draw):
+    """(B, L) rows of scores; quarter steps force ties, the other draws are arbitrary floats."""
+    b, length = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    value = st.one_of(st.integers(0, 4).map(lambda v: v / 4.0), st.floats(0.0, 1.0))
+    return np.array(draw(st.lists(value, min_size=b * length, max_size=b * length))).reshape(b, length)
+
+
+@PROPERTY_SETTINGS
+@given(tied_score_rows())
+def test_property_strict_rank_matches_brute_force(values):
+    npt.assert_array_equal(_strict_rank(values), [brute_force_ranks(row) for row in values])

@@ -160,6 +160,26 @@ def test_malformed_record_exit_code(tmp_path, dataset_dir, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_over_long_caption_refused_before_training(tmp_path, dataset_dir, capsys, monkeypatch):
+    lines = (dataset_dir / "dataset.jsonl").read_text().splitlines()
+    record = json.loads(lines[5])
+    record["captions"][1] = record["captions"][1] * 3  # 18 to 30 tokens, max_text_len is 16
+    lines[5] = json.dumps(record)
+    long_path = tmp_path / "long_caption.jsonl"
+    long_path.write_text("\n".join(lines) + "\n")
+    cfg = fast_config(tmp_path, dataset_dir, **{"data.train_path": str(long_path)})
+
+    def no_step(*args):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr("beliefret.pipeline.Trainer._train_step", no_step)
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 3
+    length = len(record["captions"][1])
+    err = capsys.readouterr().err
+    assert f"record {record['id']} caption 1 has {length} tokens, more than model.max_text_len=16" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_out_env_var(tmp_path, dataset_dir, monkeypatch):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(CORPUS_SPEC))

@@ -2,7 +2,16 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from beliefret.blocks import attention_block, ffn_block
+from beliefret import tensor as T
+from beliefret.blocks import (
+    Dropout,
+    attention_block,
+    ffn_block,
+    init_attention,
+    init_ffn,
+    named_tensors,
+    norm_features,
+)
 from beliefret.errors import DimensionError, ConfigError
 from beliefret.pae import PaeStack, init_pae_stack, init_pael, pael, spatial_pae, temporal_pae
 from beliefret.rng import child
@@ -251,3 +260,119 @@ def test_compose_embeddings():
         stack.head.b.data[...] = bias
     npt.assert_allclose(model.embed_images(pixels, labels).data, f_cls + bias[:, 0], atol=1e-12)
     npt.assert_allclose(model.embed_texts(captions.tolist()).data, t_cls + bias[:, 0], atol=1e-12)
+
+
+# -- fused blocks against the composed reference ------------------------------------
+#
+# The blocks call one-node ops (affine, ffn, attention) with hand-derived backward
+# passes. The references below build the same blocks from primitive ops, as the
+# package did before those ops existed; they live only here.
+
+
+def composed_linear(x, p):
+    return T.matmul(p.w, x) + p.b
+
+
+def composed_attention_block(q_in, kv_in, p, drop=None):
+    hq = norm_features(q_in, p.ln_q)
+    hkv = hq if kv_in is q_in else norm_features(kv_in, p.ln_kv)
+
+    def split_heads(x):
+        *lead, d, length = x.shape
+        return x.reshape((*lead, p.heads, d // p.heads, length))
+
+    q, k, v = (split_heads(composed_linear(h, lin)) for h, lin in ((hq, p.q), (hkv, p.k), (hkv, p.v)))
+    dh = q.shape[-2]
+    weights = T.softmax(T.matmul(q.swapaxes(-1, -2), k) * (dh**-0.5), axis=-1)
+    if drop is not None:
+        weights = drop(weights)
+    ctx = T.matmul(v, weights.swapaxes(-1, -2))
+    *lead, _, _, lq = ctx.shape
+    out = composed_linear(ctx.reshape((*lead, p.heads * dh, lq)), p.o)
+    if drop is not None:
+        out = drop(out)
+    return q_in + out
+
+
+def composed_ffn_block(x, p, drop=None):
+    out = composed_linear(T.ttanh(composed_linear(norm_features(x, p.ln), p.inner)), p.out)
+    if drop is not None:
+        out = drop(out)
+    return x + out
+
+
+def _random_params(params, rng, dtype=np.float64):
+    # nonzero biases and non-unit norms, so every parameter's gradient path is live
+    for _, t in named_tensors(params):
+        t.data = (t.data + rng.normal(0.0, 0.3, size=t.shape)).astype(dtype)
+    return params
+
+
+def _fused_and_composed(kind, lead, rng, dtype=np.float64, drop_seed=None):
+    """(output, input and parameter gradients) of the fused and the composed block."""
+    lq, lk = 5, 3
+    if kind == "ffn":
+        params = _random_params(init_ffn(child(0, "eq-ffn"), D, 2 * D), rng, dtype)
+        blocks = [lambda x, kv, p, drop, f=f: f(x, p, drop) for f in (ffn_block, composed_ffn_block)]
+    else:
+        params = init_attention(child(0, "eq-attn"), D, HEADS, cross=kind == "cross")
+        params = _random_params(params, rng, dtype)
+        blocks = (attention_block, composed_attention_block)
+    x = Tensor(rng.normal(size=(*lead, D, lq)).astype(dtype), requires_grad=True)
+    kv = Tensor(rng.normal(size=(*lead, D, lk)).astype(dtype), requires_grad=True) if kind == "cross" else x
+    coef = rng.normal(size=(*lead, D, lq)).astype(dtype)
+    leaves = [x, kv, *(t for _, t in named_tensors(params))]
+    results = []
+    for block in blocks:
+        for t in leaves:
+            t.zero_grad()
+        drop = None if drop_seed is None else Dropout(0.2, child(drop_seed, "eq-drop"))
+        out = block(x, kv, params, drop)
+        (out * coef).sum().backward()
+        results.append((out.data, [t.grad for t in leaves]))
+    return results
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["unbatched", "batched"])
+@pytest.mark.parametrize("kind", ["self", "cross", "ffn"])
+@pytest.mark.parametrize("drop_seed", [None, 7], ids=["no-dropout", "dropout"])
+def test_fused_block_matches_composed(kind, lead, drop_seed):
+    for seed in range(5):
+        rng = child(seed, "eq", kind)
+        (out, grads), (ref_out, ref_grads) = _fused_and_composed(kind, lead, rng, drop_seed=drop_seed)
+        npt.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+        for g, ref in zip(grads, ref_grads):
+            assert g.shape == ref.shape
+            npt.assert_allclose(g, ref, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["self", "cross", "ffn"])
+def test_fused_block_float32_outputs_and_gradients(kind):
+    (out, grads), _ = _fused_and_composed(kind, (2,), child(0, "eq32", kind), np.float32, drop_seed=3)
+    assert out.dtype == np.float32
+    assert all(g.dtype == np.float32 for g in grads)
+
+
+def test_fused_model_with_dropout_matches_composed(monkeypatch):
+    from beliefret import blocks, encoders, pae
+    from beliefret.config import TrainConfig, apply_overrides
+    from beliefret.data import CorpusSpec, epoch_batches, generate_corpus
+    from beliefret.pipeline import Trainer
+
+    spec = CorpusSpec(num_classes=4, images_per_class=10, vocab_size=40, seed=3, granularity="fine")
+    data = generate_corpus(spec)
+    cfg = apply_overrides(TrainConfig(), ["dropout_rate=0.2", "optim.batch_size=8", "seed=11"])
+
+    def three_losses():
+        trainer = Trainer(cfg, dataset=data)
+        batches = epoch_batches(trainer.train_records, 8, cfg.seed, 0)
+        return [trainer._train_step(next(batches))["loss"] for _ in range(3)]
+
+    fused = three_losses()
+    for module in (blocks, pae):
+        monkeypatch.setattr(module, "attention_block", composed_attention_block)
+        monkeypatch.setattr(module, "ffn_block", composed_ffn_block)
+    for module in (blocks, encoders, pae):
+        monkeypatch.setattr(module, "linear", composed_linear)
+    composed = three_losses()
+    npt.assert_allclose(fused, composed, rtol=0, atol=1e-12)

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefret.errors import ConfigError, DegenerateInputError, InputError
 from beliefret.retrieval import (
@@ -214,3 +216,29 @@ def test_report_rejects_inconsistent_values():
         RecallReport(50.0, 40.0, 60.0, 10.0, 20.0, 30.0, 35.0)
     with pytest.raises(InputError):
         RecallReport(50.0, 60.0, 120.0, 10.0, 20.0, 30.0, 48.3)
+
+
+@st.composite
+def ragged_rounded_tables(draw):
+    """Unequal, interleaved caption sets per image; similarities on a half-step grid
+    (ties are common) or rounded to one decimal."""
+    n_img = draw(st.integers(2, 8))
+    extra = draw(st.lists(st.integers(0, n_img - 1), max_size=3 * n_img))
+    owner = draw(st.permutations(list(range(n_img)) + extra))
+    value = st.one_of(
+        st.integers(-4, 4).map(lambda v: v / 2.0),
+        st.floats(-3.0, 3.0).map(lambda v: round(v, 1)),
+    )
+    sim = np.array(draw(st.lists(value, min_size=n_img * len(owner), max_size=n_img * len(owner))))
+    img2txt = {i: {j for j, o in enumerate(owner) if o == i} for i in range(n_img)}
+    txt2img = dict(enumerate(owner))
+    return RetrievalTable(sim.reshape(n_img, len(owner)), img2txt, txt2img)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ragged_rounded_tables())
+def test_property_recall_every_k_matches_sort_oracle(table):
+    for direction in ("i2t", "t2i"):
+        want = oracle_recalls(table, direction)
+        got = [recall_at_k(table, k, direction) for k in range(1, len(want) + 1)]
+        assert got == want, direction
