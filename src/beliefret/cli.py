@@ -15,9 +15,6 @@ import os
 import sys
 from collections import Counter
 
-import numpy as np
-
-from . import tensor as T
 from .checkpoint import atomic_open, load_checkpoint, restore_parameters
 from .config import TrainConfig, apply_overrides, config_from_dict, load_config
 from .data import CorpusSpec, generate_corpus, load_dataset, write_dataset
@@ -29,8 +26,9 @@ from .errors import (
 )
 from .model import RetrievalModel
 from .pipeline import (
-    SWEEP_AXES,
     Trainer,
+    _check_caption_lengths,
+    embed_records,
     evaluate_model,
     sweep,
     write_outputs,
@@ -125,6 +123,7 @@ def cmd_train(args) -> int:
 def _model_from_checkpoint(path, dataset):
     header, params = load_checkpoint(path)
     cfg = config_from_dict(header["config"])
+    _check_caption_lengths(dataset.records, cfg.model.max_text_len)
     vocab = cfg.model.vocab_size or dataset.meta.vocab_size
     model = RetrievalModel(cfg, vocab, dataset.meta.num_classes)
     restore_parameters(model, params, strict=True)
@@ -148,10 +147,7 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     out_dir = _resolve_out(args.out, "sweep")
     cfg = _load_train_config(args)
-    try:
-        values = [float(v) if args.axis == "lambda_cs" else int(v) for v in args.values.split(",") if v]
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep values {args.values!r}: {exc}") from exc
+    values = [v for v in args.values.split(",") if v]
     rows = sweep(cfg, args.axis, values, out_dir=out_dir)
     print(f"wrote {os.path.join(out_dir, 'sweep.csv')} ({len(rows)} rows)")
     return EXIT_OK
@@ -161,18 +157,19 @@ def cmd_dump_embeddings(args) -> int:
     out_dir = _resolve_out(args.out, "dump-embeddings")
     dataset = load_dataset(args.dataset)
     model, _ = _model_from_checkpoint(args.checkpoint, dataset)
+    v, t = embed_records(model, dataset.records)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "embeddings.csv")
-    with T.no_grad(), atomic_open(path) as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         d = model.cfg.model.embed_dim
         writer.writerow(["id", "modality", "label", *[f"e{i}" for i in range(d)]])
-        for rec in dataset.records:
-            v = model.embed_images(rec.pixels[None].astype(model.dtype), np.array([rec.scene_label]))
-            writer.writerow([rec.id, "image", rec.scene_label, *[repr(float(x)) for x in v.data[0]]])
-            t = model.embed_texts(rec.captions)
-            for j, row in enumerate(t.data):
-                writer.writerow([f"{rec.id}:{j}", "text", rec.scene_label, *[repr(float(x)) for x in row]])
+        cursor = 0
+        for rec, v_row in zip(dataset.records, v):
+            writer.writerow([rec.id, "image", rec.scene_label, *[repr(float(x)) for x in v_row]])
+            for j, t_row in enumerate(t[cursor : cursor + len(rec.captions)]):
+                writer.writerow([f"{rec.id}:{j}", "text", rec.scene_label, *[repr(float(x)) for x in t_row]])
+            cursor += len(rec.captions)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -212,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="train once per parameter value")
     sw.add_argument("--config", required=True)
-    sw.add_argument("--axis", required=True, choices=SWEEP_AXES)
+    sw.add_argument("--axis", required=True, help="dotted config key, as for --set")
     sw.add_argument("--values", required=True, help="comma-separated values")
     sw.add_argument("--out", help="output directory")
     sw.add_argument("--set", action="append", metavar="KEY=VALUE")

@@ -21,19 +21,16 @@ import numpy as np
 from . import tensor as T
 from .blocks import Dropout
 from .checkpoint import atomic_open, load_checkpoint, restore_parameters, save_checkpoint
-from .config import TrainConfig, config_from_dict, config_to_dict
+from .config import TrainConfig, apply_overrides, config_from_dict, config_to_dict
 from .data import Dataset, epoch_batches, load_dataset
 from .encoders import freeze_instruction, pretrain_instruction_conv
 from .errors import ConfigError, InputError, NumericError
 from .model import RetrievalModel
-from .retrieval import RecallReport, RetrievalTable, similarity_matrix
+from .retrieval import REPORT_KEYS, RecallReport, RetrievalTable, similarity_matrix
 from .rng import ALGORITHM, child
 from .tensor import sgd_step
 
-HISTORY_COLUMNS = (
-    "step", "loss", "l_c", "l_a",
-    "i2t_r1", "i2t_r5", "i2t_r10", "t2i_r1", "t2i_r5", "t2i_r10", "mr",
-)
+HISTORY_COLUMNS = ("step", "loss", "l_c", "l_a", *REPORT_KEYS)
 
 
 @dataclasses.dataclass
@@ -86,10 +83,10 @@ def stratified_split(records, val_images_per_class: int):
     return train, val
 
 
-def evaluate_model(model: RetrievalModel, records, chunk_size: int = 64) -> RecallReport:
-    """Recall report over a record list: images against every caption."""
+def embed_records(model: RetrievalModel, records, chunk_size: int = 64):
+    """Image rows in record order, then caption rows in record and caption order."""
     if not records:
-        raise InputError("cannot evaluate on an empty record list")
+        raise InputError("cannot embed an empty record list")
     with T.no_grad(), T.trap_nonfinite():
         v_chunks = []
         for start in range(0, len(records), chunk_size):
@@ -97,23 +94,19 @@ def evaluate_model(model: RetrievalModel, records, chunk_size: int = 64) -> Reca
             pixels = np.stack([r.pixels for r in chunk]).astype(model.dtype)
             labels = np.array([r.scene_label for r in chunk])
             v_chunks.append(model.embed_images(pixels, labels).data)
-        v = np.concatenate(v_chunks, axis=0)
 
         captions = [cap for r in records for cap in r.captions]
         t_chunks = []
         for start in range(0, len(captions), chunk_size):
             t_chunks.append(model.embed_texts(captions[start : start + chunk_size]).data)
-        t = np.concatenate(t_chunks, axis=0)
+    return np.concatenate(v_chunks, axis=0), np.concatenate(t_chunks, axis=0)
 
-    img2txt, txt2img = {}, {}
-    cursor = 0
-    for i, rec in enumerate(records):
-        owned = set(range(cursor, cursor + len(rec.captions)))
-        img2txt[i] = owned
-        for j in owned:
-            txt2img[j] = i
-        cursor += len(rec.captions)
-    table = RetrievalTable(similarity_matrix(v, t), img2txt, txt2img)
+
+def evaluate_model(model: RetrievalModel, records, chunk_size: int = 64) -> RecallReport:
+    """Recall report over a record list: images against every caption."""
+    v, t = embed_records(model, records, chunk_size)
+    owner = np.repeat(np.arange(len(records)), [len(r.captions) for r in records])
+    table = RetrievalTable(similarity_matrix(v, t), owner)
     return RecallReport.from_table(table)
 
 
@@ -160,6 +153,8 @@ class Trainer:
 
         if self.cfg.data.val_path:
             val_ds = load_dataset(self.cfg.data.val_path)
+            if not val_ds.records:
+                raise InputError(f"{self.cfg.data.val_path}: validation set has no records")
             self.train_records = list(dataset.records)
             self.val_records = list(val_ds.records)
         else:
@@ -381,35 +376,29 @@ def train_open_domain(
     return outcome1, outcome2
 
 
-SWEEP_AXES = ("filter_size", "lambda_cs")
-
-
 def sweep(cfg: TrainConfig, axis: str, values, out_dir=None, dataset: Dataset | None = None):
-    """One full train+eval per value under a shared seed; returns table rows."""
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
+    """One full train+eval per value of the dotted config key ``axis``; returns table rows.
+
+    Every derived config is built, and so validated, before the first run.
+    """
     if not values:
         raise ConfigError("sweep needs at least one value")
+    derived = [apply_overrides(cfg, [f"{axis}={value}"]) for value in values]
+    for value, run_cfg in zip(values, derived):
+        if not run_cfg.data.val_path and run_cfg.data.val_images_per_class == 0:
+            raise ConfigError(
+                f"sweep at {axis}={value} has no validation split to report "
+                "(set data.val_path or data.val_images_per_class)"
+            )
     rows = []
-    for value in values:
-        data = config_to_dict(cfg)
-        if axis == "filter_size":
-            data["belief"]["mode"] = "hard"
-            data["belief"]["filter_k"] = int(value)
-        else:
-            data["loss"]["lambda_cs"] = float(value)
-        derived = config_from_dict(data)
-        outcome = train_closed_domain(derived, dataset=dataset)
-        report = outcome.best_report or outcome.final_report
-        row = {axis: value}
-        row.update(report.to_dict() if report is not None else {})
-        rows.append(row)
+    for value, run_cfg in zip(values, derived):
+        report = train_closed_domain(run_cfg, dataset=dataset).best_report
+        rows.append({axis: value, **report.to_dict()})
     if out_dir is not None:
-        report_keys = ("i2t_r1", "i2t_r5", "i2t_r10", "t2i_r1", "t2i_r5", "t2i_r10", "mr")
         os.makedirs(out_dir, exist_ok=True)
         with atomic_open(os.path.join(out_dir, "sweep.csv")) as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([axis, *report_keys])
+            writer.writerow([axis, *REPORT_KEYS])
             for row in rows:
-                writer.writerow([row[axis]] + [_format_value(row[k]) for k in report_keys])
+                writer.writerow([row[axis]] + [_format_value(row[k]) for k in REPORT_KEYS])
     return rows

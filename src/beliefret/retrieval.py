@@ -1,7 +1,8 @@
 """Similarity tables and the bidirectional recall@K protocol.
 
-Images retrieve captions (each image owns a set of ground-truth captions) and
-captions retrieve images (each caption has exactly one ground-truth image).
+Captions retrieve images (each caption has exactly one ground-truth image, its
+owner) and images retrieve captions (an image's ground truth is every caption
+it owns).
 Ranking is by descending similarity with ties broken toward the lower
 candidate index, and mean recall averages the six R@{1,5,10} values.
 """
@@ -24,8 +25,7 @@ _RANK_BLOCK = 16
 @dataclass
 class RetrievalTable:
     sim: np.ndarray  # (N_img, N_txt)
-    img2txt: dict  # image index -> set of caption indices
-    txt2img: dict  # caption index -> single image index
+    owner: np.ndarray  # (N_txt,) caption index -> its one ground-truth image index
 
     def __post_init__(self):
         self.sim = np.asarray(self.sim, dtype=np.float64)
@@ -34,22 +34,18 @@ class RetrievalTable:
         if not np.isfinite(self.sim).all():
             raise InputError("similarity matrix contains non-finite values")
         n_img, n_txt = self.sim.shape
-        if set(self.txt2img) != set(range(n_txt)):
-            raise InputError("every caption needs exactly one ground-truth image")
-        claimed = set()
-        for img, captions in self.img2txt.items():
-            if not 0 <= img < n_img:
-                raise InputError(f"image index {img} out of range")
-            if not captions:
-                raise InputError(f"image {img} has no ground-truth captions")
-            for cap in captions:
-                if self.txt2img[cap] != img:
-                    raise InputError(f"caption {cap} maps to a different image than {img}")
-                claimed.add(cap)
-        if set(self.img2txt) != set(range(n_img)):
-            raise InputError("every image needs at least one caption")
-        if claimed != set(range(n_txt)):
-            raise InputError("caption maps are inconsistent between directions")
+        owner = np.asarray(self.owner)
+        if owner.shape != (n_txt,):
+            raise InputError(f"owner must have shape ({n_txt},), one image per caption, got {owner.shape}")
+        if not np.issubdtype(owner.dtype, np.integer):
+            raise InputError(f"owner must hold integer image indices, got dtype {owner.dtype}")
+        bad = np.flatnonzero((owner < 0) | (owner >= n_img))
+        if bad.size:
+            raise InputError(f"caption {bad[0]} has image index {owner[bad[0]]} outside [0, {n_img})")
+        self.owner = owner.astype(np.intp, copy=False)
+        orphans = np.flatnonzero(np.bincount(self.owner, minlength=n_img) == 0)
+        if orphans.size:
+            raise InputError(f"image {orphans[0]} has no ground-truth captions")
 
 
 def similarity_matrix(v_rows: np.ndarray, t_rows: np.ndarray) -> np.ndarray:
@@ -84,7 +80,7 @@ def _ground_truth_ranks(table: RetrievalTable, direction: str) -> np.ndarray:
     """
     sim = table.sim
     n_img, n_txt = sim.shape
-    owner = np.fromiter((table.txt2img[j] for j in range(n_txt)), dtype=np.intp, count=n_txt)
+    owner = table.owner
     captions = np.arange(n_txt)
     s_own = sim[owner, captions]
     if direction == "i2t":

@@ -398,9 +398,7 @@ def recall_oracle_check(cases: int = 500) -> CheckResult:
         sim = rng.normal(size=(n_img, n_img * cpi))
         if rng.random() < 0.3:
             sim = np.round(sim, 1)
-        img2txt = {i: set(range(i * cpi, (i + 1) * cpi)) for i in range(n_img)}
-        txt2img = {j: j // cpi for j in range(n_img * cpi)}
-        table = RetrievalTable(sim, img2txt, txt2img)
+        table = RetrievalTable(sim, np.repeat(np.arange(n_img), cpi))
         k = int(rng.integers(1, n_img + 1))
         for direction in ("i2t", "t2i"):
             got = recall_at_k(table, k, direction)
@@ -416,11 +414,11 @@ def _exhaustive_recall(table, k, direction):
     if direction == "i2t":
         for i in range(n_img):
             order = sorted(range(n_txt), key=lambda j: (-table.sim[i, j], j))
-            hits += bool(set(order[:k]) & table.img2txt[i])
+            hits += i in table.owner[order[:k]]
         return 100.0 * hits / n_img
     for j in range(n_txt):
         order = sorted(range(n_img), key=lambda i: (-table.sim[i, j], i))
-        hits += table.txt2img[j] in order[:k]
+        hits += table.owner[j] in order[:k]
     return 100.0 * hits / n_txt
 
 

@@ -117,12 +117,23 @@ def test_sweep_command(tmp_path, dataset_dir):
     cfg_path = fast_config(tmp_path, dataset_dir, **{"optim.steps": "2"})
     out = tmp_path / "sweep"
     assert main([
-        "sweep", "--config", str(cfg_path), "--axis", "filter_size",
-        "--values", "3,9", "--out", str(out),
+        "sweep", "--config", str(cfg_path), "--axis", "belief.filter_k",
+        "--values", "3,9", "--set", "belief.mode=hard", "--out", str(out),
     ]) == 0
     lines = (out / "sweep.csv").read_text().splitlines()
-    assert lines[0] == "filter_size,i2t_r1,i2t_r5,i2t_r10,t2i_r1,t2i_r5,t2i_r10,mr"
-    assert len(lines) == 3
+    assert lines[0] == "belief.filter_k,i2t_r1,i2t_r5,i2t_r10,t2i_r1,t2i_r5,t2i_r10,mr"
+    assert [line.split(",")[0] for line in lines[1:]] == ["3", "9"]
+
+
+def test_sweep_without_validation_split_refused(tmp_path, dataset_dir, capsys):
+    cfg_path = fast_config(tmp_path, dataset_dir, **{"data.val_images_per_class": "0"})
+    out = tmp_path / "sweep"
+    assert main([
+        "sweep", "--config", str(cfg_path), "--axis", "loss.lambda_cs",
+        "--values", "0,1", "--out", str(out),
+    ]) == 2
+    assert "no validation split" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_command_fast(capsys):
@@ -160,13 +171,19 @@ def test_malformed_record_exit_code(tmp_path, dataset_dir, capsys):
     assert not (tmp_path / "run").exists()
 
 
-def test_over_long_caption_refused_before_training(tmp_path, dataset_dir, capsys, monkeypatch):
+def _with_long_caption(tmp_path, dataset_dir):
+    """A copy of the dataset whose record 5 has one caption tripled past max_text_len."""
     lines = (dataset_dir / "dataset.jsonl").read_text().splitlines()
     record = json.loads(lines[5])
     record["captions"][1] = record["captions"][1] * 3  # 18 to 30 tokens, max_text_len is 16
     lines[5] = json.dumps(record)
     long_path = tmp_path / "long_caption.jsonl"
     long_path.write_text("\n".join(lines) + "\n")
+    return long_path, record
+
+
+def test_over_long_caption_refused_before_training(tmp_path, dataset_dir, capsys, monkeypatch):
+    long_path, record = _with_long_caption(tmp_path, dataset_dir)
     cfg = fast_config(tmp_path, dataset_dir, **{"data.train_path": str(long_path)})
 
     def no_step(*args):
@@ -178,6 +195,28 @@ def test_over_long_caption_refused_before_training(tmp_path, dataset_dir, capsys
     err = capsys.readouterr().err
     assert f"record {record['id']} caption 1 has {length} tokens, more than model.max_text_len=16" in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "dump-embeddings"])
+def test_over_long_caption_refused_before_embedding(tmp_path, dataset_dir, capsys, monkeypatch, command):
+    run_dir = tmp_path / "run"
+    cfg_path = fast_config(tmp_path, dataset_dir, **{"optim.steps": "2"})
+    assert main(["train", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
+    long_path, record = _with_long_caption(tmp_path, dataset_dir)
+
+    def no_embedding(*args, **kwargs):
+        raise AssertionError("an embedding ran")
+
+    monkeypatch.setattr("beliefret.model.RetrievalModel.embed_images", no_embedding)
+    monkeypatch.setattr("beliefret.model.RetrievalModel.embed_texts", no_embedding)
+    out = tmp_path / "out"
+    assert main([
+        command, "--checkpoint", str(run_dir / "checkpoint.npz"), "--dataset", str(long_path), "--out", str(out),
+    ]) == 3
+    length = len(record["captions"][1])
+    err = capsys.readouterr().err
+    assert f"record {record['id']} caption 1 has {length} tokens, more than model.max_text_len=16" in err
+    assert not out.exists()
 
 
 def test_out_env_var(tmp_path, dataset_dir, monkeypatch):

@@ -4,13 +4,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from beliefret import tensor as T
 from beliefret.checkpoint import load_checkpoint
 from beliefret.config import TrainConfig, apply_overrides, config_from_dict, config_to_dict
-from beliefret.data import CorpusSpec, generate_corpus, write_dataset
-from beliefret.errors import ConfigError, ParseError
+from beliefret.data import CorpusSpec, Dataset, generate_corpus, write_dataset
+from beliefret.errors import ConfigError, InputError, ParseError
 from beliefret.pipeline import (
     Trainer,
     effective_config,
+    embed_records,
     evaluate_model,
     history_to_csv,
     stratified_split,
@@ -150,6 +152,21 @@ def test_evaluate_model_protocol():
     assert 0.0 <= report.mr <= 100.0
     again = evaluate_model(trainer.model, trainer.val_records)
     assert report == again
+
+
+def test_embed_records_matches_per_record_embeddings():
+    # 40 records and 200 captions: chunks of 64 cross record boundaries
+    trainer = Trainer(make_config(**{"optim.steps": "1", "optim.batch_size": "16"}), dataset=TINY)
+    model, records = trainer.model, TINY.records
+    v, t = embed_records(model, records)
+    with T.no_grad():
+        v_one = [model.embed_images(r.pixels[None].astype(model.dtype), np.array([r.scene_label])).data
+                 for r in records]
+        t_one = [model.embed_texts(r.captions).data for r in records]
+    npt.assert_array_equal(v, np.concatenate(v_one))
+    npt.assert_array_equal(t, np.concatenate(t_one))
+    with pytest.raises(InputError):
+        embed_records(model, [])
 
 
 # -- checkpointing -----------------------------------------------------------------------
@@ -325,7 +342,6 @@ def test_failed_command_write_keeps_previous_output(tmp_path, monkeypatch, train
 
 @pytest.mark.parametrize("precision", ["float64", "float32"])
 def test_trapped_step_matches_untrapped_bit_for_bit(precision):
-    from beliefret import tensor as T
     from beliefret.data import epoch_batches
 
     cfg = make_config(precision=precision, **{"optim.batch_size": "16"})
@@ -430,25 +446,44 @@ def test_stage1_zero_steps_equals_from_scratch():
 
 
 def test_sweep_tables(tmp_path):
-    cfg = make_config(**{"optim.steps": "4", "optim.batch_size": "16"})
-    rows = sweep(cfg, "filter_size", [3, 17], out_dir=tmp_path, dataset=TINY)
-    assert [row["filter_size"] for row in rows] == [3, 17]
+    cfg = make_config(**{"optim.steps": "4", "optim.batch_size": "16", "belief.mode": "hard"})
+    rows = sweep(cfg, "belief.filter_k", [3, 17], out_dir=tmp_path, dataset=TINY)
+    assert [row["belief.filter_k"] for row in rows] == [3, 17]
     assert all("mr" in row for row in rows)
     text = (tmp_path / "sweep.csv").read_text().splitlines()
-    assert text[0].startswith("filter_size,")
+    assert text[0] == "belief.filter_k,i2t_r1,i2t_r5,i2t_r10,t2i_r1,t2i_r5,t2i_r10,mr"
     assert len(text) == 3
 
-    rows_l = sweep(cfg, "lambda_cs", [0.0], dataset=TINY)
+    rows_l = sweep(cfg, "loss.lambda_cs", [0.0], dataset=TINY)
     assert len(rows_l) == 1
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown config key 'heads'"):
         sweep(cfg, "heads", [1], dataset=TINY)
     with pytest.raises(ConfigError):
-        sweep(cfg, "lambda_cs", [], dataset=TINY)
+        sweep(cfg, "loss.lambda_cs", [], dataset=TINY)
+
+
+def test_sweep_refuses_bad_value_before_any_run(monkeypatch):
+    cfg = make_config(**{"optim.steps": "4", "optim.batch_size": "16"})
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a sweep run started")
+
+    monkeypatch.setattr("beliefret.pipeline.train_closed_domain", no_run)
+    with pytest.raises(ConfigError, match="cannot parse override belief.filter_k='x' as int"):
+        sweep(cfg, "belief.filter_k", [3, "x"], dataset=TINY)
+
+
+def test_empty_validation_file_refused(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    write_dataset(Dataset(TINY.meta, []), path)
+    cfg = make_config(**{"optim.steps": "4", "data.val_path": str(path)})
+    with pytest.raises(InputError, match="validation set has no records"):
+        sweep(cfg, "loss.lambda_cs", [0.0], dataset=TINY)
 
 
 def test_single_value_sweep_equals_plain_run():
     cfg = make_config(**{"optim.steps": "4", "optim.batch_size": "16"})
-    rows = sweep(cfg, "lambda_cs", [1.0], dataset=TINY)
+    rows = sweep(cfg, "loss.lambda_cs", [1.0], dataset=TINY)
     plain = train_closed_domain(cfg, dataset=TINY)
     report = plain.best_report or plain.final_report
     assert rows[0]["mr"] == report.mr
@@ -474,7 +509,6 @@ def test_float32_precision_mode():
 
 
 def test_float32_every_op_output_is_float32(monkeypatch):
-    from beliefret import tensor as T
     from beliefret.data import epoch_batches
 
     cfg = make_config(precision="float32", **{"optim.batch_size": "16"})

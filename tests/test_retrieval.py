@@ -21,9 +21,7 @@ def random_table(rng, max_images=10, captions_per_image=None, min_images=2):
     sim = rng.normal(size=(n_img, n_img * cpi))
     if rng.random() < 0.3:  # tie-heavy variant
         sim = np.round(sim, 1)
-    img2txt = {i: set(range(i * cpi, (i + 1) * cpi)) for i in range(n_img)}
-    txt2img = {j: j // cpi for j in range(n_img * cpi)}
-    return RetrievalTable(sim, img2txt, txt2img)
+    return RetrievalTable(sim, np.repeat(np.arange(n_img), cpi))
 
 
 def ragged_table(rng, max_images=12):
@@ -32,23 +30,21 @@ def ragged_table(rng, max_images=12):
     owner = np.concatenate([np.arange(n_img), rng.integers(0, n_img, size=int(rng.integers(0, 4 * n_img)))])
     owner = rng.permutation(owner)
     sim = np.round(rng.normal(size=(n_img, owner.size)), int(rng.integers(0, 2)))
-    img2txt = {i: set(np.flatnonzero(owner == i).tolist()) for i in range(n_img)}
-    txt2img = {j: int(i) for j, i in enumerate(owner)}
-    return RetrievalTable(sim, img2txt, txt2img)
+    return RetrievalTable(sim, owner)
 
 
 def oracle_recalls(table, direction):
-    """Exhaustive reference for every K: full sort of each row/column plus set intersection."""
+    """Exhaustive reference for every K: full sort of each row/column, then a scan of the top K."""
     n_img, n_txt = table.sim.shape
     hits = []
     if direction == "i2t":
         for i in range(n_img):
             order = sorted(range(n_txt), key=lambda j: (-table.sim[i, j], j))
-            hits.append([bool(set(order[:k]) & table.img2txt[i]) for k in range(1, n_txt + 1)])
+            hits.append([i in table.owner[order[:k]] for k in range(1, n_txt + 1)])
     else:
         for j in range(n_txt):
             order = sorted(range(n_img), key=lambda i: (-table.sim[i, j], i))
-            hits.append([table.txt2img[j] in order[:k] for k in range(1, n_img + 1)])
+            hits.append([table.owner[j] in order[:k] for k in range(1, n_img + 1)])
     return [100.0 * sum(column) / len(hits) for column in zip(*hits)]
 
 
@@ -90,7 +86,7 @@ def test_similarity_range():
 
 def diag_table():
     sim = np.array([[0.9, 0.1], [0.2, 0.8]])
-    return RetrievalTable(sim, {0: {0}, 1: {1}}, {0: 0, 1: 1})
+    return RetrievalTable(sim, [0, 1])
 
 
 def test_recall_separable_diagonal():
@@ -101,7 +97,7 @@ def test_recall_separable_diagonal():
 
 def test_recall_anti_diagonal_truth():
     sim = np.array([[0.9, 0.1], [0.2, 0.8]])
-    table = RetrievalTable(sim, {0: {1}, 1: {0}}, {0: 1, 1: 0})
+    table = RetrievalTable(sim, [1, 0])
     assert recall_at_k(table, 1, "i2t") == 0.0
     assert recall_at_k(table, 2, "i2t") == 100.0
     assert recall_at_k(table, 1, "t2i") == 0.0
@@ -110,7 +106,7 @@ def test_recall_anti_diagonal_truth():
 
 def test_recall_single_image_all_captions_match():
     sim = child(1, "single").normal(size=(1, 5))
-    table = RetrievalTable(sim, {0: {0, 1, 2, 3, 4}}, {j: 0 for j in range(5)})
+    table = RetrievalTable(sim, [0] * 5)
     assert recall_at_k(table, 1, "i2t") == 100.0
 
 
@@ -161,21 +157,22 @@ def test_recall_invariant_under_monotone_transform():
     for seed in range(50):
         rng = child(seed, "recall-inv")
         table = random_table(rng)
-        transformed = RetrievalTable(
-            np.exp(table.sim * 2.0) + 3.0, table.img2txt, table.txt2img
-        )
+        transformed = RetrievalTable(np.exp(table.sim * 2.0) + 3.0, table.owner)
         for direction in ("i2t", "t2i"):
             assert recall_at_k(table, 2, direction) == recall_at_k(transformed, 2, direction)
 
 
 def test_table_validation():
-    sim = np.ones((2, 2))
-    with pytest.raises(InputError):
-        RetrievalTable(sim, {0: {0, 1}, 1: set()}, {0: 0, 1: 0})
-    with pytest.raises(InputError):
-        RetrievalTable(sim, {0: {0}, 1: {1}}, {0: 0, 1: 0})
-    with pytest.raises(InputError):
-        RetrievalTable(np.array([[np.nan, 1.0], [0.0, 1.0]]), {0: {0}, 1: {1}}, {0: 0, 1: 1})
+    cases = [  # (sim, owner, expected message)
+        (np.ones((2, 3)), [0, 1], r"shape \(3,\)"),  # wrong length
+        (np.ones((2, 3)), [0.0, 1.0, 1.0], "integer image indices"),  # non-integer dtype
+        (np.ones((2, 3)), [0, 2, -1], r"caption 1 has image index 2 outside \[0, 2\)"),
+        (np.ones((3, 3)), [0, 2, 2], "image 1 has no ground-truth captions"),
+        (np.array([[np.nan, 1.0], [0.0, 1.0]]), [0, 1], "non-finite"),
+    ]
+    for sim, owner, message in cases:
+        with pytest.raises(InputError, match=message):
+            RetrievalTable(sim, owner)
 
 
 # -- mean recall -----------------------------------------------------------------------
@@ -230,9 +227,7 @@ def ragged_rounded_tables(draw):
         st.floats(-3.0, 3.0).map(lambda v: round(v, 1)),
     )
     sim = np.array(draw(st.lists(value, min_size=n_img * len(owner), max_size=n_img * len(owner))))
-    img2txt = {i: {j for j, o in enumerate(owner) if o == i} for i in range(n_img)}
-    txt2img = dict(enumerate(owner))
-    return RetrievalTable(sim.reshape(n_img, len(owner)), img2txt, txt2img)
+    return RetrievalTable(sim.reshape(n_img, len(owner)), np.array(owner))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
