@@ -53,13 +53,12 @@ def norm_features(x, p: NormParams) -> Tensor:
 class Dropout:
     """Seeded dropout hook threaded through the blocks; None disables it."""
 
-    def __init__(self, rate: float, rng: np.random.Generator, training: bool = True):
+    def __init__(self, rate: float, rng: np.random.Generator):
         self.rate = rate
         self.rng = rng
-        self.training = training
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.dropout(x, self.rate, self.rng, training=self.training)
+        return T.dropout(x, self.rate, self.rng)
 
 
 @dataclass
@@ -101,7 +100,7 @@ def attention_block(q_in: Tensor, kv_in: Tensor, p: AttentionParams, drop: Dropo
             raise ContractError("cross-attention call on self-attention parameters")
         hkv = norm_features(kv_in, p.ln_kv)
     # the weight mask is drawn inside, before the output mask, as dropout draws both
-    rate, rng = (drop.rate, drop.rng) if drop is not None and drop.training else (0.0, None)
+    rate, rng = (drop.rate, drop.rng) if drop is not None else (0.0, None)
     out = T.attention(hq, hkv, p.q.w, p.q.b, p.k.w, p.k.b, p.v.w, p.v.b, p.o.w, p.o.b, p.heads, rate, rng)
     if drop is not None:
         out = drop(out)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, ParseError
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _HEADER_KEY = "__header__"
 _PARAM_PREFIX = "param::"

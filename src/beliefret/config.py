@@ -8,12 +8,13 @@ coercion against the dataclass field types.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import typing
 from dataclasses import dataclass, field
 
 from .belief import MODES as BELIEF_MODES
 from .checkpoint import atomic_open
-from .encoders import INSTRUCTION_SOURCES
 from .errors import ConfigError
 from .losses import LossConfig
 
@@ -114,7 +115,6 @@ class TrainConfig:
     data: DataSettings = field(default_factory=DataSettings)
     use_spatial_pae: bool = True
     use_temporal_pae: bool = True
-    instruction_source: str = "frozen-scene-table"
     dropout_rate: float = 0.0
     precision: str = "float64"
     init_from: str = ""  # stage-2 fine-tuning: checkpoint to start from
@@ -124,45 +124,39 @@ class TrainConfig:
             raise ConfigError(f"unsupported config schema version {self.schema_version}")
         if self.stage not in STAGES:
             raise ConfigError(f"stage must be one of {STAGES}, got {self.stage!r}")
-        if self.instruction_source not in INSTRUCTION_SOURCES:
-            raise ConfigError(f"unknown instruction source {self.instruction_source!r}")
         if self.precision not in PRECISIONS:
             raise ConfigError(f"precision must be one of {PRECISIONS}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must lie in [0, 1)")
 
 
-_NESTED_FIELDS = {
-    "model": ModelSettings,
-    "belief": BeliefSettings,
-    "loss": LossConfig,
-    "optim": OptimSettings,
-    "data": DataSettings,
-}
-
-
 def config_to_dict(cfg: TrainConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
+_field_types = functools.cache(typing.get_type_hints)
+
+
 def _build(cls, data: dict, path: str):
-    names = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(names)
+    """Build ``cls`` from a JSON object, checking each leaf against its field's
+    type (a float field also takes an int)."""
+    kinds = _field_types(cls)
+    unknown = set(data) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown config key(s) under {path or 'top level'}: {sorted(unknown)}")
     kwargs = {}
     for key, value in data.items():
-        sub = _NESTED_FIELDS.get(key) if cls is TrainConfig else None
-        if sub is not None:
+        dotted, kind = f"{path}.{key}" if path else key, kinds[key]
+        if dataclasses.is_dataclass(kind):
             if not isinstance(value, dict):
-                raise ConfigError(f"config key {key} must be an object")
-            kwargs[key] = _build(sub, value, f"{path}.{key}" if path else key)
-        else:
-            kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad config under {path or 'top level'}: {exc}") from exc
+                raise ConfigError(f"config key {dotted} must be an object")
+            value = _build(kind, value, dotted)
+        elif kind is float and type(value) is int:
+            value = float(value)
+        elif type(value) is not kind:
+            raise ConfigError(f"config key {dotted} must be of type {kind.__name__}, got {value!r}")
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> TrainConfig:
@@ -211,18 +205,13 @@ def apply_overrides(cfg: TrainConfig, overrides) -> TrainConfig:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         dotted, raw = item.split("=", 1)
-        parts = dotted.split(".")
+        *sections, leaf = dotted.split(".")
         node = data
-        cls = TrainConfig
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
+        for part in sections:
+            if not isinstance(node.get(part), dict):
                 raise ConfigError(f"unknown config section {dotted!r}")
             node = node[part]
-            cls = _NESTED_FIELDS.get(part)
-            if cls is None:
-                raise ConfigError(f"unknown config section {dotted!r}")
-        leaf = parts[-1]
-        if leaf not in {f.name for f in dataclasses.fields(cls)}:
+        if leaf not in node:
             raise ConfigError(f"unknown config key {dotted!r}")
         node[leaf] = _coerce(raw, type(node[leaf]), dotted)
     return config_from_dict(data)

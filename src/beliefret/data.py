@@ -309,7 +309,7 @@ class PairBatch:
     step_in_epoch: int
 
 
-def epoch_batches(records, batch_size: int, seed: int, epoch: int, shuffle: bool = True):
+def epoch_batches(records, batch_size: int, seed: int, epoch: int):
     """Batches covering every record exactly once; the final partial batch is kept.
 
     The permutation and per-record caption picks are functions of
@@ -320,8 +320,7 @@ def epoch_batches(records, batch_size: int, seed: int, epoch: int, shuffle: bool
     n = len(records)
     if n == 0:
         raise InputError("cannot iterate over an empty record list")
-    rng = child(seed, "epoch", epoch)
-    order = rng.permutation(n) if shuffle else np.arange(n)
+    order = child(seed, "epoch", epoch).permutation(n)
     caption_pick = child(seed, "caption-pick", epoch)
     picks = {
         rec.id: int(caption_pick.integers(0, len(rec.captions))) for rec in records

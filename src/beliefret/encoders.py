@@ -3,10 +3,11 @@
 The image encoder embeds non-overlapping patches, prepends a learned global
 token, and runs a small pre-norm transformer; the text encoder does the same
 over a token embedding table. Both work at an internal width and project down
-to the shared embedding dimension with one linear map. The instruction source
-is either a per-class embedding table (frozen by default, standing in for a
-pretrained scene recogniser) or a small trainable pixel stack that gets frozen
-after a supervised pre-phase.
+to the shared embedding dimension with one linear map. The instruction prior
+stands in for a pretrained scene recogniser: a nearest class-mean classifier
+over the image's own pixels picks a column of a frozen orthonormal class
+table. Its centroids are the training split's per-class mean images, fitted in
+closed form; no label is read when an image is embedded.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .blocks import (
 )
 from .errors import ConfigError, InputError
 from .tensor import Tensor
-
-INSTRUCTION_SOURCES = ("frozen-scene-table", "learned-scene-table", "toy-conv-encoder")
 
 
 # -- image encoder -------------------------------------------------------------
@@ -179,119 +178,53 @@ def encode_text_batch(ids: np.ndarray, params: TextEncoderParams, drop: Dropout 
     return _tower(x, params, drop)
 
 
-# -- instruction encoder -----------------------------------------------------------
+# -- instruction prior ----------------------------------------------------------------
 
 
 @dataclass
 class InstructionParams:
-    source: str
-    num_classes: int
-    table: Tensor | None = None  # (d, C)
-    conv_inner: LinearParams | None = None
-    conv_out: LinearParams | None = None
-    patch_size: int = 4
-    frozen: bool = True
+    """Frozen scene prior: the table column of each image's nearest class mean."""
+
+    table: Tensor  # (d, C) scene-word directions
+    centroids: Tensor  # (C, 3 * H * W) class mean pixels; a zero row is never predicted
 
 
 def init_instruction(
-    rng: np.random.Generator,
-    source: str,
-    d: int,
-    num_classes: int,
-    patch_size: int = 4,
-    conv_hidden: int = 32,
-    dtype=np.float64,
+    rng: np.random.Generator, d: int, num_classes: int, pixel_dim: int, dtype=np.float64
 ) -> InstructionParams:
-    if source not in INSTRUCTION_SOURCES:
-        raise ConfigError(f"unknown instruction source {source!r}")
+    """Orthonormal table columns (unit columns when C > d), then random
+    centroids that ``fit_instruction`` replaces with class means."""
     if num_classes < 1:
-        raise ConfigError("instruction encoder needs at least one class")
-    if source == "toy-conv-encoder":
-        return InstructionParams(
-            source=source,
-            num_classes=num_classes,
-            conv_inner=init_linear(rng, 3 * patch_size * patch_size, conv_hidden, dtype),
-            conv_out=init_linear(rng, conv_hidden, d, dtype),
-            patch_size=patch_size,
-            frozen=False,
-        )
+        raise ConfigError("instruction prior needs at least one class")
     if num_classes <= d:
-        # orthonormal class directions
-        q, _ = np.linalg.qr(rng.normal(size=(d, num_classes)))
-        table = q
+        table, _ = np.linalg.qr(rng.normal(size=(d, num_classes)))
     else:
         table = rng.normal(size=(d, num_classes))
         table /= np.linalg.norm(table, axis=0, keepdims=True)
-    frozen = source == "frozen-scene-table"
-    return InstructionParams(
-        source=source,
-        num_classes=num_classes,
-        table=Tensor(table.astype(dtype), requires_grad=not frozen),
-        frozen=frozen,
-    )
+    centroids = rng.random((num_classes, pixel_dim))
+    return InstructionParams(Tensor(table.astype(dtype)), Tensor(centroids.astype(dtype)))
 
 
-def _conv_embed(pixels: np.ndarray, params: InstructionParams) -> Tensor:
-    cols = Tensor(patch_columns(np.asarray(pixels, dtype=params.conv_inner.w.dtype), params.patch_size))
-    h = T.ttanh(linear(cols, params.conv_inner))  # (B, hidden, m)
-    pooled = h.mean(axis=-1, keepdims=True)  # (B, hidden, 1)
-    out = linear(pooled, params.conv_out)  # (B, d, 1)
-    return out.reshape(out.shape[:-1])
+def fit_instruction(params: InstructionParams, pixels: np.ndarray, labels: np.ndarray) -> None:
+    """Set each centroid to its class's mean training image; a class with no
+    training image gets a zero centroid."""
+    flat = pixels.reshape(len(pixels), -1)
+    onehot = np.eye(params.centroids.shape[0])[labels]  # (N, C)
+    counts = onehot.sum(axis=0)
+    means = (onehot.T @ flat) / np.maximum(counts, 1.0)[:, None]
+    params.centroids.data = means.astype(params.centroids.data.dtype)
 
 
-def instruction_batch(labels: np.ndarray, pixels: np.ndarray | None, params: InstructionParams) -> Tensor:
-    """(B,) labels and optionally (B, 3, H, W) pixels -> f_ins (B, d)."""
-    if params.source == "toy-conv-encoder":
-        if pixels is None:
-            raise InputError("toy-conv instruction source needs image pixels")
-        return _conv_embed(pixels, params)
-    labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= params.num_classes):
-        raise InputError(f"scene label outside [0, {params.num_classes})")
-    return T.transpose(T.gather(params.table, labels.astype(np.intp), axis=1), (1, 0))
+def instruction_batch(pixels: np.ndarray, params: InstructionParams) -> Tensor:
+    """(B, 3, H, W) pixels -> f_ins (B, d): the table column of the class whose
+    centroid is nearest in cosine, ties going to the lower class.
 
-
-def freeze_instruction(params: InstructionParams) -> None:
-    for t in (params.table, *(() if params.conv_inner is None else (params.conv_inner.w, params.conv_inner.b)),
-              *(() if params.conv_out is None else (params.conv_out.w, params.conv_out.b))):
-        if t is not None:
-            t.requires_grad = False
-            t.grad = None
-    params.frozen = True
-
-
-def pretrain_instruction_conv(
-    params: InstructionParams,
-    pixels: np.ndarray,
-    labels: np.ndarray,
-    num_classes: int,
-    steps: int = 100,
-    lr: float = 0.5,
-    batch_size: int = 32,
-    rng: np.random.Generator | None = None,
-) -> None:
-    """Fit the toy pixel stack with a temporary classification head, then freeze it."""
-    if params.source != "toy-conv-encoder":
-        raise ConfigError("pre-phase only applies to the toy-conv instruction source")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    d = params.conv_out.w.shape[0]
-    head = init_linear(rng, d, num_classes, dtype=params.conv_out.w.dtype)
-    trainable = [
-        ("inner.w", params.conv_inner.w),
-        ("inner.b", params.conv_inner.b),
-        ("out.w", params.conv_out.w),
-        ("out.b", params.conv_out.b),
-        ("head.w", head.w),
-        ("head.b", head.b),
-    ]
-    n = pixels.shape[0]
-    with T.trap_nonfinite():
-        for _ in range(steps):
-            pick = rng.integers(0, n, size=min(batch_size, n))
-            emb = _conv_embed(pixels[pick], params)  # (b, d)
-            logits = linear(emb.reshape((*emb.shape, 1)), head).reshape((len(pick), num_classes))
-            onehot = Tensor(np.eye(num_classes, dtype=logits.dtype)[labels[pick]])
-            loss = -(T.log_softmax(logits, axis=-1) * onehot).sum() * (1.0 / len(pick))
-            loss.backward()
-            T.sgd_step(trainable, lr)
-    freeze_instruction(params)
+    Dividing by the image's own norm would not move the argmax, so only the
+    centroids are normalised.
+    """
+    c = params.centroids.data
+    norms = np.linalg.norm(c, axis=1)
+    unit = c / np.where(norms > 0, norms, 1.0)[:, None]
+    scores = np.asarray(pixels).reshape(len(pixels), -1) @ unit.T
+    scores[:, norms == 0] = -np.inf
+    return T.transpose(T.gather(params.table, np.argmax(scores, axis=1), axis=1), (1, 0))

@@ -71,16 +71,10 @@ class RetrievalModel:
         self.temporal = None
         if cfg.use_spatial_pae:
             self.instruction = init_instruction(
-                child(cfg.seed, "instruction"),
-                cfg.instruction_source,
-                m.embed_dim,
-                num_classes,
-                patch_size=m.patch_size,
-                dtype=dtype,
+                child(cfg.seed, "instruction"), m.embed_dim, num_classes, 3 * m.image_size**2, dtype=dtype
             )
             self.spatial = init_pae_stack(
-                child(cfg.seed, "spatial_pae"), m.embed_dim, m.heads, m.spatial_units,
-                dropout=cfg.dropout_rate, dtype=dtype,
+                child(cfg.seed, "spatial_pae"), m.embed_dim, m.heads, m.spatial_units, dtype=dtype
             )
             if cfg.belief.mode == "hard" and cfg.belief.filter_k > self.image.tokens + 1:
                 raise ConfigError(
@@ -88,8 +82,7 @@ class RetrievalModel:
                 )
         if cfg.use_temporal_pae:
             self.temporal = init_pae_stack(
-                child(cfg.seed, "temporal_pae"), m.embed_dim, m.heads, m.temporal_units,
-                dropout=cfg.dropout_rate, dtype=dtype,
+                child(cfg.seed, "temporal_pae"), m.embed_dim, m.heads, m.temporal_units, dtype=dtype
             )
         if cfg.loss.t_trainable:
             self.t_logit = Tensor(np.asarray(cfg.loss.t_logit, dtype=dtype), requires_grad=True)
@@ -130,13 +123,13 @@ class RetrievalModel:
 
     # -- embedding ------------------------------------------------------------
 
-    def embed_images(self, pixels: np.ndarray, labels: np.ndarray, drop: Dropout | None = None) -> Tensor:
+    def embed_images(self, pixels: np.ndarray, drop: Dropout | None = None) -> Tensor:
         f_cls, f_v = encode_image_batch(pixels, self.image, drop)
         if self.spatial is None:
             return f_cls
         b, d = f_cls.shape
         features = T.concat([f_cls.reshape((b, d, 1)), f_v], axis=-1)
-        f_ins = instruction_batch(labels, pixels, self.instruction)
+        f_ins = instruction_batch(pixels, self.instruction)
         refined = refine_batch(features, f_ins, self.cfg.belief.mode, self.cfg.belief.filter_k)
         return f_cls + spatial_pae(refined, f_ins, self.spatial, drop)
 
@@ -166,7 +159,7 @@ class RetrievalModel:
 
     def batch_losses(self, batch, drop: Dropout | None = None):
         """(total, l_c, l_a) tensors for one PairBatch."""
-        v_emb = self.embed_images(batch.images.astype(self.dtype), batch.labels, drop)
+        v_emb = self.embed_images(batch.images.astype(self.dtype), drop)
         t_emb = self.embed_texts(batch.captions, drop)
         l_c = contrastive_loss(v_emb, t_emb, self.cfg.loss.tau)
         if self.cfg.loss.lambda_cs > 0:

@@ -46,24 +46,14 @@ class PaelParams:
     self_ffn: FfnParams
     cross_attn: AttentionParams
     cross_ffn: FfnParams
-    dropout: float = 0.0
 
 
-def init_pael(
-    rng: np.random.Generator,
-    d: int,
-    heads: int,
-    ffn_hidden: int | None = None,
-    dropout: float = 0.0,
-    dtype=np.float64,
-) -> PaelParams:
-    hidden = ffn_hidden if ffn_hidden is not None else 2 * d
+def init_pael(rng: np.random.Generator, d: int, heads: int, dtype=np.float64) -> PaelParams:
     return PaelParams(
         self_attn=init_attention(rng, d, heads, cross=False, dtype=dtype),
-        self_ffn=init_ffn(rng, d, hidden, dtype),
+        self_ffn=init_ffn(rng, d, 2 * d, dtype),
         cross_attn=init_attention(rng, d, heads, cross=True, dtype=dtype),
-        cross_ffn=init_ffn(rng, d, hidden, dtype),
-        dropout=dropout,
+        cross_ffn=init_ffn(rng, d, 2 * d, dtype),
     )
 
 
@@ -86,12 +76,10 @@ class PaeStack:
     head: LinearParams
 
 
-def init_pae_stack(
-    rng: np.random.Generator, d: int, heads: int, n_units: int, dropout: float = 0.0, dtype=np.float64
-) -> PaeStack:
+def init_pae_stack(rng: np.random.Generator, d: int, heads: int, n_units: int, dtype=np.float64) -> PaeStack:
     if n_units < 1:
         raise ConfigError("attention stack needs at least one unit")
-    layers = [init_pael(rng, d, heads, dropout=dropout, dtype=dtype) for _ in range(n_units)]
+    layers = [init_pael(rng, d, heads, dtype=dtype) for _ in range(n_units)]
     guides = [
         Tensor(rng.normal(0.0, d**-0.5, size=(d, d)).astype(dtype), requires_grad=True)
         for _ in range(n_units)

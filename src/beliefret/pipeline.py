@@ -23,7 +23,7 @@ from .blocks import Dropout
 from .checkpoint import atomic_open, load_checkpoint, restore_parameters, save_checkpoint
 from .config import TrainConfig, apply_overrides, config_from_dict, config_to_dict
 from .data import Dataset, epoch_batches, load_dataset
-from .encoders import freeze_instruction, pretrain_instruction_conv
+from .encoders import fit_instruction
 from .errors import ConfigError, InputError, NumericError
 from .model import RetrievalModel
 from .retrieval import REPORT_KEYS, RecallReport, RetrievalTable, similarity_matrix
@@ -92,8 +92,7 @@ def embed_records(model: RetrievalModel, records, chunk_size: int = 64):
         for start in range(0, len(records), chunk_size):
             chunk = records[start : start + chunk_size]
             pixels = np.stack([r.pixels for r in chunk]).astype(model.dtype)
-            labels = np.array([r.scene_label for r in chunk])
-            v_chunks.append(model.embed_images(pixels, labels).data)
+            v_chunks.append(model.embed_images(pixels).data)
 
         captions = [cap for r in records for cap in r.captions]
         t_chunks = []
@@ -184,16 +183,12 @@ class Trainer:
         if init_params is not None:
             restore_parameters(self.model, init_params, strict=False)
 
-        if self.model.instruction is not None and self.model.instruction.source == "toy-conv-encoder":
-            if not self.model.instruction.frozen:
-                pixels = np.stack([r.pixels for r in self.train_records])
-                labels = np.array([r.scene_label for r in self.train_records])
-                pretrain_instruction_conv(
-                    self.model.instruction, pixels, labels, dataset.meta.num_classes,
-                    rng=child(self.cfg.seed, "instruction-prephase"),
-                )
-        if self.cfg.stage == "stage2-finetune" and self.model.instruction is not None:
-            freeze_instruction(self.model.instruction)
+        if self.model.instruction is not None:
+            fit_instruction(
+                self.model.instruction,
+                np.stack([r.pixels for r in self.train_records]),
+                np.array([r.scene_label for r in self.train_records]),
+            )
 
         self.global_step = 0
         self.epoch = 0

@@ -737,12 +737,12 @@ def l2_normalize(x, axis: int = -1) -> Tensor:
 # -- stochastic ops ----------------------------------------------------------
 
 
-def dropout(x, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Seeded inverted-dropout mask; identity when rate is 0 or training is off."""
+def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
+    """Seeded inverted-dropout mask; identity when rate is 0."""
     x = _as_tensor(x)
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x
     mask = _dropout_mask(x.data.shape, rate, rng, x.data.dtype)
     return _op(x.data * mask, (x,), lambda g: (g * mask,))

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
 from beliefret.cli import main
-from beliefret.config import TrainConfig, apply_overrides, save_config
+from beliefret.config import TrainConfig, apply_overrides, load_config, save_config
+from beliefret.data import Dataset, load_dataset, write_dataset
+from beliefret.pipeline import Trainer, evaluate_model
 from beliefret.retrieval import REPORT_KEYS
 
 
@@ -156,6 +159,46 @@ def test_error_exit_codes(tmp_path, dataset_dir):
     truncated.write_text("\n".join(lines[:1] + [lines[1][:30]]) + "\n")
     bad_data_cfg = fast_config(tmp_path, dataset_dir, **{"data.train_path": str(truncated)})
     assert main(["train", "--config", str(bad_data_cfg), "--out", str(tmp_path / "z")]) == 3
+
+
+def test_instruction_source_config_exit_code(tmp_path, dataset_dir, capsys):
+    cfg_path = fast_config(tmp_path, dataset_dir)
+    data = json.loads(cfg_path.read_text())
+    data["instruction_source"] = "frozen-scene-table"
+    cfg_path.write_text(json.dumps(data))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+    assert "instruction_source" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_evaluation_ignores_scene_labels(tmp_path, dataset_dir):
+    # the instruction prior reads pixels only, so relabelling the evaluated
+    # records leaves every embedding and every recall unchanged
+    train_path = dataset_dir / "dataset.jsonl"
+    dataset = load_dataset(train_path)
+    val_path, relabelled_path = tmp_path / "val.jsonl", tmp_path / "relabelled.jsonl"
+    write_dataset(Dataset(dataset.meta, dataset.records[::3]), val_path)
+    relabelled = [dataclasses.replace(r, scene_label=(r.scene_label + 1) % dataset.meta.num_classes)
+                  for r in dataset.records[::3]]
+    write_dataset(Dataset(dataset.meta, relabelled), relabelled_path)
+
+    cfg_path = fast_config(tmp_path, dataset_dir, **{"data.val_path": str(val_path)})
+    trainer = Trainer(load_config(cfg_path))
+    trainer.train()
+    assert "spatial_pae" in trainer.model.active_components()
+    report = evaluate_model(trainer.model, trainer.val_records)
+    assert evaluate_model(trainer.model, relabelled) == report
+
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
+    outputs = []
+    for path in (val_path, relabelled_path):
+        out = tmp_path / f"eval-{path.stem}"
+        assert main(["eval", "--checkpoint", str(run_dir / "checkpoint.npz"), "--dataset", str(path),
+                     "--out", str(out)]) == 0
+        outputs.append((out / "metrics.json").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0]) == report.to_dict()
 
 
 def test_malformed_record_exit_code(tmp_path, dataset_dir, capsys):

@@ -84,3 +84,39 @@ def test_bad_json(tmp_path):
     path.write_text(json.dumps([1, 2]))
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+@pytest.mark.parametrize("dotted, value", [
+    ("use_spatial_pae", "false"),
+    ("seed", "x"),
+    ("seed", 1.0),
+    ("optim.batch_size", 8.5),
+    ("model.heads", True),
+    ("loss.tau", "0.07"),
+    ("dropout_rate", False),
+    ("precision", 32),
+])
+def test_leaf_types_checked_at_load(dotted, value):
+    data = config_to_dict(TrainConfig())
+    *sections, leaf = dotted.split(".")
+    node = data
+    for part in sections:
+        node = node[part]
+    node[leaf] = value
+    with pytest.raises(ConfigError, match=f"config key {dotted} must be of type "):
+        config_from_dict(data)
+
+
+def test_float_field_takes_an_int():
+    data = config_to_dict(TrainConfig())
+    data["loss"]["tau"] = 1
+    cfg = config_from_dict(data)
+    assert cfg.loss.tau == 1.0 and type(cfg.loss.tau) is float
+    assert apply_overrides(cfg, ["loss.tau=0.5"]).loss.tau == 0.5
+
+
+def test_instruction_source_key_refused():
+    data = config_to_dict(TrainConfig())
+    data["instruction_source"] = "frozen-scene-table"
+    with pytest.raises(ConfigError, match="instruction_source"):
+        config_from_dict(data)

@@ -248,11 +248,3 @@ def test_batch_iterator_multiple_epochs_and_validation():
         list(epoch_batches(ds.records, 0, 0, 0))
     with pytest.raises(InputError):
         list(epoch_batches([], 4, 0, 0))
-
-
-def test_unshuffled_iteration_preserves_order():
-    ds = generate_corpus(small_spec(images_per_class=2))
-    ids = []
-    for batch in epoch_batches(ds.records, 3, seed=0, epoch=0, shuffle=False):
-        ids.extend(batch.record_ids.tolist())
-    assert ids == [r.id for r in ds.records]

@@ -5,12 +5,12 @@ import pytest
 from beliefret.encoders import (
     encode_image_batch,
     encode_text_batch,
+    fit_instruction,
     init_image_encoder,
     init_instruction,
     init_text_encoder,
     instruction_batch,
     patch_columns,
-    pretrain_instruction_conv,
 )
 from beliefret.errors import ConfigError, InputError
 from beliefret.rng import child
@@ -138,79 +138,73 @@ def test_text_encoder_batch_matches_single():
         npt.assert_allclose(f_t.data[i], one_t.data[0], atol=1e-12)
 
 
-# -- instruction encoder --------------------------------------------------------------
+# -- instruction prior ----------------------------------------------------------------
+
+PIXEL_DIM = 3 * 16 * 16
+
+
+def instruction(seed, num_classes):
+    return init_instruction(child(seed, "ins"), D, num_classes, PIXEL_DIM)
+
+
+def motif_images(seed, classes=3, n_per=24):
+    rng = child(seed, "motifs")
+    motifs = [rng.random((3, 16, 16)) for _ in range(classes)]
+    pixels = [np.clip(motifs[c] + rng.normal(0.0, 0.05, size=(3, 16, 16)), 0.0, 1.0)
+              for c in range(classes) for _ in range(n_per)]
+    return np.stack(pixels), np.repeat(np.arange(classes), n_per)
 
 
 def test_frozen_table_lookup_deterministic():
-    params = init_instruction(child(7, "ins"), "frozen-scene-table", D, num_classes=4)
-    a = instruction_batch(np.array([2]), None, params)
-    b = instruction_batch(np.array([2]), None, params)
-    npt.assert_array_equal(a.data, b.data)
-    assert params.source == "frozen-scene-table"
+    params = instruction(7, 4)
+    pixels = rand_image(7)[None]
+    npt.assert_array_equal(instruction_batch(pixels, params).data, instruction_batch(pixels, params).data)
     assert not params.table.requires_grad
+    assert not params.centroids.requires_grad
+    # the table is the stream's first draw, so it does not depend on the centroids
+    q, _ = np.linalg.qr(child(7, "ins").normal(size=(D, 4)))
+    npt.assert_array_equal(params.table.data, q)
 
 
 def test_orthogonal_table_initialisation():
-    params = init_instruction(child(8, "ins"), "frozen-scene-table", D, num_classes=2)
-    f0, f1 = instruction_batch(np.array([0, 1]), None, params).data
+    params = instruction(8, 2)
+    pixels, labels = motif_images(8, classes=2, n_per=1)
+    fit_instruction(params, pixels, labels)
+    f0, f1 = instruction_batch(pixels, params).data
     assert abs(float(f0 @ f1)) < 1e-10
     npt.assert_allclose(np.linalg.norm(f0), 1.0, atol=1e-10)
 
 
-def test_learned_table_is_trainable():
-    params = init_instruction(child(9, "ins"), "learned-scene-table", D, num_classes=3)
-    assert params.table.requires_grad
-    assert not params.frozen
-
-
-def test_instruction_label_validation():
-    params = init_instruction(child(10, "ins"), "frozen-scene-table", D, num_classes=3)
-    with pytest.raises(InputError):
-        instruction_batch(np.array([3]), None, params)
-    with pytest.raises(ConfigError):
-        init_instruction(child(10, "ins"), "mystery", D, num_classes=3)
-
-
 def test_instruction_batch_matches_single():
-    params = init_instruction(child(11, "ins"), "frozen-scene-table", D, num_classes=5)
-    out = instruction_batch(np.array([4, 0, 2]), None, params)
-    for i, label in enumerate([4, 0, 2]):
-        npt.assert_array_equal(out.data[i], instruction_batch(np.array([label]), None, params).data[0])
+    params = instruction(11, 5)
+    pixels, labels = motif_images(11, classes=5, n_per=1)
+    fit_instruction(params, pixels, labels)
+    pixels = pixels[[4, 0, 2]]
+    out = instruction_batch(pixels, params)
+    npt.assert_array_equal(out.data, params.table.data[:, [4, 0, 2]].T)
+    for i in range(3):
+        npt.assert_array_equal(out.data[i], instruction_batch(pixels[i : i + 1], params).data[0])
 
 
-def test_toy_conv_pre_phase_separates_classes():
-    # after the pre-phase, same-class pairs should be closer (cosine) than the
-    # cross-class mean
-    rng = child(12, "conv-pre")
-    n_per, classes = 24, 3
-    motifs = [rng.random((3, 16, 16)) for _ in range(classes)]
-    pixels, labels = [], []
-    for c in range(classes):
-        for _ in range(n_per):
-            img = np.clip(motifs[c] + rng.normal(0.0, 0.05, size=(3, 16, 16)), 0.0, 1.0)
-            pixels.append(img)
-            labels.append(c)
-    pixels = np.stack(pixels)
-    labels = np.array(labels)
-
-    params = init_instruction(child(12, "ins"), "toy-conv-encoder", D, num_classes=classes)
-    pretrain_instruction_conv(params, pixels, labels, classes, steps=150, lr=0.5, rng=child(12, "pre"))
-    assert params.frozen
-    assert not params.conv_inner.w.requires_grad
-
-    emb = instruction_batch(labels, pixels, params).data
-    emb = emb / np.linalg.norm(emb, axis=1, keepdims=True)
-    sims = emb @ emb.T
-    same = np.equal.outer(labels, labels) & ~np.eye(len(labels), dtype=bool)
-    cross = ~np.equal.outer(labels, labels)
-    assert sims[same].mean() > sims[cross].mean()
+def test_centroid_fit_predicts_motif_classes():
+    pixels, labels = motif_images(12)
+    params = instruction(12, 3)
+    fit_instruction(params, pixels, labels)
+    npt.assert_allclose(params.centroids.data[1], pixels[labels == 1].reshape(-1, PIXEL_DIM).mean(axis=0))
+    want = params.table.data[:, labels].T
+    npt.assert_array_equal(instruction_batch(pixels, params).data, want)
+    # the argmax is the cosine argmax: an image's own scale does not move it
+    npt.assert_array_equal(instruction_batch(0.5 * pixels, params).data, want)
 
 
-def test_toy_conv_same_image_deterministic():
-    params = init_instruction(child(13, "ins"), "toy-conv-encoder", D, num_classes=2)
-    pixels = rand_image(13)[None]
-    a = instruction_batch(np.array([0]), pixels, params)
-    b = instruction_batch(np.array([0]), pixels, params)
-    npt.assert_array_equal(a.data, b.data)
-    with pytest.raises(InputError):
-        instruction_batch(np.array([0]), None, params)
+def test_class_without_training_image_is_never_predicted():
+    pixels, labels = motif_images(14)
+    params = instruction(14, 4)
+    fit_instruction(params, pixels, np.where(labels == 2, 3, labels))  # class 2 has no image
+    assert np.isfinite(params.centroids.data).all()
+    npt.assert_array_equal(params.centroids.data[2], 0.0)
+    probes = np.concatenate([pixels, child(14, "probe").random((50, 3, 16, 16)), np.zeros((1, 3, 16, 16))])
+    picked = instruction_batch(probes, params).data @ params.table.data  # one-hot rows
+    assert not np.isclose(picked[:, 2], 1.0).any()
+    # an all-zero image ties every fitted class and goes to the lowest
+    npt.assert_allclose(picked[-1], [1.0, 0.0, 0.0, 0.0], atol=1e-12)

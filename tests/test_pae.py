@@ -246,19 +246,19 @@ def test_compose_embeddings():
 
     model = RetrievalModel(TrainConfig(), vocab_size=30, num_classes=3)
     rng = child(16, "compose")
-    pixels, labels = rng.random((2, 3, 16, 16)), np.array([0, 2])
+    pixels = rng.random((2, 3, 16, 16))
     captions = rng.integers(0, 30, size=(2, 5))
     f_cls = encode_image_batch(pixels, model.image)[0].data
     t_cls = encode_text_batch(captions, model.text)[0].data
     for stack in (model.spatial, model.temporal):
         stack.head.w.data[...] = 0.0
         stack.head.b.data[...] = 0.0
-    npt.assert_array_equal(model.embed_images(pixels, labels).data, f_cls)
+    npt.assert_array_equal(model.embed_images(pixels).data, f_cls)
     npt.assert_array_equal(model.embed_texts(captions.tolist()).data, t_cls)
     bias = rng.normal(size=(32, 1))
     for stack in (model.spatial, model.temporal):
         stack.head.b.data[...] = bias
-    npt.assert_allclose(model.embed_images(pixels, labels).data, f_cls + bias[:, 0], atol=1e-12)
+    npt.assert_allclose(model.embed_images(pixels).data, f_cls + bias[:, 0], atol=1e-12)
     npt.assert_allclose(model.embed_texts(captions.tolist()).data, t_cls + bias[:, 0], atol=1e-12)
 
 

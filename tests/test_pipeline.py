@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from beliefret import tensor as T
+from beliefret.blocks import named_tensors
 from beliefret.checkpoint import load_checkpoint
 from beliefret.config import TrainConfig, apply_overrides, config_from_dict, config_to_dict
 from beliefret.data import CorpusSpec, Dataset, generate_corpus, write_dataset
@@ -160,8 +161,7 @@ def test_embed_records_matches_per_record_embeddings():
     model, records = trainer.model, TINY.records
     v, t = embed_records(model, records)
     with T.no_grad():
-        v_one = [model.embed_images(r.pixels[None].astype(model.dtype), np.array([r.scene_label])).data
-                 for r in records]
+        v_one = [model.embed_images(r.pixels[None].astype(model.dtype)).data for r in records]
         t_one = [model.embed_texts(r.captions).data for r in records]
     npt.assert_array_equal(v, np.concatenate(v_one))
     npt.assert_array_equal(t, np.concatenate(t_one))
@@ -230,6 +230,20 @@ def test_schema_1_checkpoint_rejected(tmp_path, monkeypatch):
     with pytest.raises(ParseError, match="unsupported checkpoint schema 1"):
         load_checkpoint(tmp_path / "old.npz")
     with pytest.raises(ParseError, match="unsupported checkpoint schema 1"):
+        Trainer(make_config(init_from=str(tmp_path / "old.npz")), dataset=TINY)
+
+
+def test_schema_2_checkpoint_rejected(tmp_path, monkeypatch):
+    # schema 2 had no instruction centroids
+    from beliefret import checkpoint
+
+    trainer = Trainer(make_config(**{"optim.batch_size": "16"}), dataset=TINY)
+    with monkeypatch.context() as patch:
+        patch.setattr(checkpoint, "SCHEMA_VERSION", 2)
+        trainer.save(tmp_path / "old.npz")
+    with pytest.raises(ParseError, match="unsupported checkpoint schema 2"):
+        load_checkpoint(tmp_path / "old.npz")
+    with pytest.raises(ParseError, match="unsupported checkpoint schema 2"):
         Trainer(make_config(init_from=str(tmp_path / "old.npz")), dataset=TINY)
 
 
@@ -396,7 +410,7 @@ def test_open_domain_two_stage(tmp_path):
     )
     assert "spatial_pae" not in out1.model.active_components()
     assert "spatial_pae" in out2.model.active_components()
-    assert out2.model.instruction.frozen
+    assert not any(t.requires_grad for _, t in named_tensors(out2.model.instruction))
     assert (tmp_path / "stage1" / "checkpoint.npz").exists()
     assert (tmp_path / "stage2" / "metrics.json").exists()
 

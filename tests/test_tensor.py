@@ -311,7 +311,7 @@ RANDOMISED_SHAPES = {
         ("reshape", lambda t, c: (t.reshape((4, 2)) * c.reshape((4, 2))).sum()),
         ("transpose", lambda t, c: (T.transpose(t, (1, 0)) * T.transpose(c, (1, 0))).sum()),
         ("take_along_last", lambda t, c: (T.take_along_last(t, np.array([[0, 2, 2], [3, 1, 0]])) * 0.5).sum()),
-        ("dropout_fixed_mask", lambda t, c: (T.dropout(t, 0.4, child(9, "gc-drop"), training=True) * c).sum()),
+        ("dropout_fixed_mask", lambda t, c: (T.dropout(t, 0.4, child(9, "gc-drop")) * c).sum()),
         ("layer_norm_x", lambda t, c: (T.layer_norm(t, LN_GAMMA, LN_BETA, axis=-2) * c).sum()),
         ("layer_norm_gamma", lambda t, c: (T.layer_norm(c * 2.0 + 0.5, t, LN_BETA, axis=-2) * c).sum()),
         ("layer_norm_beta", lambda t, c: (T.layer_norm(c, LN_GAMMA, t, axis=-2) * T.ttanh(c)).sum()),
@@ -355,11 +355,10 @@ def test_forward_determinism_same_seed():
 
 def test_dropout_seeded_and_disabled():
     x = Tensor(np.ones((4, 4)))
-    a = T.dropout(x, 0.5, child(0, "drop"), training=True)
-    b = T.dropout(x, 0.5, child(0, "drop"), training=True)
+    a = T.dropout(x, 0.5, child(0, "drop"))
+    b = T.dropout(x, 0.5, child(0, "drop"))
     npt.assert_array_equal(a.data, b.data)
-    assert T.dropout(x, 0.5, child(0, "drop"), training=False) is x
-    assert T.dropout(x, 0.0, child(0, "drop"), training=True) is x
+    assert T.dropout(x, 0.0, child(0, "drop")) is x
 
 
 def test_rng_type_named_streams():
