@@ -222,6 +222,8 @@ def instruction_batch(pixels: np.ndarray, params: InstructionParams) -> Tensor:
     Dividing by the image's own norm would not move the argmax, so only the
     centroids are normalised.
     """
+    if pixels is None:
+        raise InputError("the instruction prior classifies pixels; got none")
     c = params.centroids.data
     norms = np.linalg.norm(c, axis=1)
     unit = c / np.where(norms > 0, norms, 1.0)[:, None]

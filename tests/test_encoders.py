@@ -166,6 +166,18 @@ def test_frozen_table_lookup_deterministic():
     npt.assert_array_equal(params.table.data, q)
 
 
+def test_toy_conv_same_image_deterministic():
+    # the pixel classifier that replaced the toy conv keeps its contract:
+    # the same image gives the same instruction, and pixels are required
+    pixels, labels = motif_images(13, classes=2, n_per=4)
+    params = instruction(13, 2)
+    fit_instruction(params, pixels, labels)
+    image = rand_image(13)[None]
+    npt.assert_array_equal(instruction_batch(image, params).data, instruction_batch(image, params).data)
+    with pytest.raises(InputError):
+        instruction_batch(None, params)
+
+
 def test_orthogonal_table_initialisation():
     params = instruction(8, 2)
     pixels, labels = motif_images(8, classes=2, n_per=1)
