@@ -46,7 +46,7 @@ def refine_batch(features: Tensor, f_ins: Tensor, mode: str, k: int = 0) -> Tens
         if not 1 <= k <= length:
             raise ConfigError(f"filter size {k} outside [1, {length}]")
         order = np.argsort(-beliefs.data[:, 0, :], axis=-1, kind="stable")[:, :k]
-        return T.take_along_last(features, order[:, None, :])
+        return features[np.arange(b)[:, None, None], np.arange(d)[:, None], order[:, None, :]]
     rank = _strict_rank(beliefs.data[:, 0, :])  # (B, m+1)
     boost = Tensor((1.0 / np.sqrt(rank.astype(beliefs.dtype)))[:, None, :])
     weights = beliefs + boost

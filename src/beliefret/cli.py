@@ -27,7 +27,7 @@ from .errors import (
 from .model import RetrievalModel
 from .pipeline import (
     Trainer,
-    _check_caption_lengths,
+    _check_captions,
     embed_records,
     evaluate_model,
     sweep,
@@ -123,9 +123,11 @@ def cmd_train(args) -> int:
 def _model_from_checkpoint(path, dataset):
     header, params = load_checkpoint(path)
     cfg = config_from_dict(header["config"])
-    _check_caption_lengths(dataset.records, cfg.model.max_text_len)
     vocab = cfg.model.vocab_size or dataset.meta.vocab_size
-    model = RetrievalModel(cfg, vocab, dataset.meta.num_classes)
+    _check_captions(dataset.records, cfg.model.max_text_len, vocab)
+    # the class count is the checkpoint's own; evaluation reads no label
+    table = params.get("instruction.table")
+    model = RetrievalModel(cfg, vocab, dataset.meta.num_classes if table is None else table.shape[1])
     restore_parameters(model, params, strict=True)
     return model, header
 

@@ -2,8 +2,10 @@
 
 The image encoder embeds non-overlapping patches, prepends a learned global
 token, and runs a small pre-norm transformer; the text encoder does the same
-over a token embedding table. Both work at an internal width and project down
-to the shared embedding dimension with one linear map. The instruction prior
+over a token embedding table. Both work at an internal width and project the
+whole sequence down to the shared embedding dimension with one linear map, so
+each returns one (B, d, n + 1) token sequence with its global token in
+column 0, as a CLIP tower does. The instruction prior
 stands in for a pretrained scene recogniser: a nearest class-mean classifier
 over the image's own pixels picks a column of a frozen orthonormal class
 table. Its centroids are the training split's per-class mean images, fitted in
@@ -87,30 +89,25 @@ def patch_columns(pixels: np.ndarray, patch_size: int) -> np.ndarray:
     return patches.transpose(0, 2, 1)
 
 
-def _tower(x: Tensor, params: ImageEncoderParams | TextEncoderParams, drop: Dropout | None):
+def _tower(x: Tensor, params: ImageEncoderParams | TextEncoderParams, drop: Dropout | None) -> Tensor:
     """Shared transformer tower of both encoders.
 
     Prepends the global token to (B, d_enc, n) inputs, adds the positions of
-    the first n + 1 columns, runs the blocks and projects to the embedding
-    dimension; returns (head token (B, d), the other columns (B, d, n)).
+    the first n + 1 columns, runs the blocks and projects the whole sequence
+    to the embedding dimension: (B, d, n + 1), global token in column 0.
     """
     b, _, n = x.shape
     cls = T.broadcast_to(params.cls_token, (b, *params.cls_token.shape))
     x = T.concat([cls, x], axis=-1)
     if params.use_position_encoding:
-        pos = params.pos
-        if pos.shape[-1] != n + 1:
-            pos = T.gather(pos, np.arange(n + 1), axis=-1)
-        x = x + pos
+        x = x + params.pos[:, : n + 1]
     for blk in params.blocks:
         x = encoder_block(x, blk, drop)
-    y = linear(x, params.proj)  # (B, d, n + 1)
-    head = T.gather(y, np.array([0]), axis=-1).reshape((b, y.shape[-2]))
-    return head, T.gather(y, np.arange(1, n + 1), axis=-1)
+    return linear(x, params.proj)
 
 
-def encode_image_batch(pixels: np.ndarray, params: ImageEncoderParams, drop: Dropout | None = None):
-    """(B, 3, H, W) pixels -> (f_cls (B, d), f_v (B, d, m))."""
+def encode_image_batch(pixels: np.ndarray, params: ImageEncoderParams, drop: Dropout | None = None) -> Tensor:
+    """(B, 3, H, W) pixels -> (B, d, m + 1) tokens: f_cls in column 0, then the m patches."""
     pixels = np.asarray(pixels, dtype=params.patch.w.dtype)
     if pixels.shape[1:] != (3, params.image_size, params.image_size):
         raise ConfigError(
@@ -164,8 +161,8 @@ def init_text_encoder(
     )
 
 
-def encode_text_batch(ids: np.ndarray, params: TextEncoderParams, drop: Dropout | None = None):
-    """(B, n) equal-length token ids -> (t_cls (B, d), f_t (B, d, n))."""
+def encode_text_batch(ids: np.ndarray, params: TextEncoderParams, drop: Dropout | None = None) -> Tensor:
+    """(B, n) equal-length token ids -> (B, d, n + 1) tokens: t_cls in column 0, then F_t."""
     ids = np.asarray(ids, dtype=np.intp)
     if ids.ndim != 2:
         raise InputError(f"token batch must be 2-d, got shape {ids.shape}")
@@ -174,7 +171,7 @@ def encode_text_batch(ids: np.ndarray, params: TextEncoderParams, drop: Dropout 
         raise InputError(f"sequence length {n} outside [1, {params.max_len}]")
     if ids.min() < 0 or ids.max() >= params.vocab_size:
         raise InputError(f"token id outside vocabulary of size {params.vocab_size}")
-    x = T.transpose(T.gather(params.embed, ids, axis=1), (1, 0, 2))  # (B, d_enc, n)
+    x = T.transpose(params.embed[:, ids], (1, 0, 2))  # (B, d_enc, n)
     return _tower(x, params, drop)
 
 
@@ -229,4 +226,4 @@ def instruction_batch(pixels: np.ndarray, params: InstructionParams) -> Tensor:
     unit = c / np.where(norms > 0, norms, 1.0)[:, None]
     scores = np.asarray(pixels).reshape(len(pixels), -1) @ unit.T
     scores[:, norms == 0] = -np.inf
-    return T.transpose(T.gather(params.table, np.argmax(scores, axis=1), axis=1), (1, 0))
+    return T.transpose(params.table[:, np.argmax(scores, axis=1)], (1, 0))

@@ -1,11 +1,12 @@
 """The assembled dual-tower retrieval model.
 
-Images run through the patch encoder; when the spatial stack is enabled, the
-global and local tokens are refined by the instruction-belief filter and the
-instruction-guided attention stack, and the resulting local embedding is added
-to the global token. Texts run through the token encoder, optionally followed
-by the self-activated temporal stack. Captions of different lengths are
-grouped and encoded per length, then scattered back into batch order.
+Each encoder returns one token sequence, global token in column 0. When the
+spatial stack is enabled, the image sequence as a whole is refined by the
+instruction-belief filter and the instruction-guided attention stack, and the
+resulting local embedding is added to the global token. The text sequence
+optionally runs through the self-activated temporal stack the same way.
+Captions of different lengths are grouped and encoded per length, then put
+back into batch order.
 """
 
 from __future__ import annotations
@@ -103,13 +104,8 @@ class RetrievalModel:
             groups["t_logit"] = self.t_logit
         return groups
 
-    def named_parameters(self, trainable_only: bool = False):
-        out = []
-        for group, obj in self._groups().items():
-            for name, t in named_tensors(obj, group):
-                if not trainable_only or t.requires_grad:
-                    out.append((name, t))
-        return out
+    def named_parameters(self):
+        return [pair for group, obj in self._groups().items() for pair in named_tensors(obj, group)]
 
     def active_components(self):
         parts = ["image_encoder", "text_encoder", "contrastive_loss"]
@@ -124,20 +120,20 @@ class RetrievalModel:
     # -- embedding ------------------------------------------------------------
 
     def embed_images(self, pixels: np.ndarray, drop: Dropout | None = None) -> Tensor:
-        f_cls, f_v = encode_image_batch(pixels, self.image, drop)
+        tokens = encode_image_batch(pixels, self.image, drop)
+        f_cls = tokens[..., 0]
         if self.spatial is None:
             return f_cls
-        b, d = f_cls.shape
-        features = T.concat([f_cls.reshape((b, d, 1)), f_v], axis=-1)
         f_ins = instruction_batch(pixels, self.instruction)
-        refined = refine_batch(features, f_ins, self.cfg.belief.mode, self.cfg.belief.filter_k)
+        refined = refine_batch(tokens, f_ins, self.cfg.belief.mode, self.cfg.belief.filter_k)
         return f_cls + spatial_pae(refined, f_ins, self.spatial, drop)
 
     def _embed_text_group(self, ids: np.ndarray, drop: Dropout | None) -> Tensor:
-        t_cls, f_t = encode_text_batch(ids, self.text, drop)
+        tokens = encode_text_batch(ids, self.text, drop)
+        t_cls = tokens[..., 0]
         if self.temporal is None:
             return t_cls
-        return t_cls + temporal_pae(t_cls, f_t, self.temporal, drop)
+        return t_cls + temporal_pae(tokens, self.temporal, drop)
 
     def embed_texts(self, captions, drop: Dropout | None = None) -> Tensor:
         """Embed variable-length captions by grouping equal lengths."""
@@ -152,8 +148,7 @@ class RetrievalModel:
             chunks.append(self._embed_text_group(ids, drop))
             order.extend(rows)
         stacked = chunks[0] if len(chunks) == 1 else T.concat(chunks, axis=0)
-        inverse = np.argsort(np.array(order))
-        return T.gather(stacked, inverse, axis=0)
+        return stacked[np.argsort(np.array(order))]
 
     # -- losses ----------------------------------------------------------------
 

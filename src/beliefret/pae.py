@@ -7,10 +7,11 @@ rather than parallel. One stack type, ``PaeStack``, runs a sequence of such
 layers; each layer queries the carried sequence with a projected guide and
 carries the query branch forward. The two stacks differ only in the guide:
 
-* ``spatial_pae`` guides filtered visual tokens with replicated instruction
-  embeddings;
-* ``temporal_pae`` runs over text tokens, and each layer's guide is a
-  projection of the previous layer's output.
+* ``spatial_pae`` guides the belief-filtered visual sequence with replicated
+  instruction embeddings;
+* ``temporal_pae`` runs over the text encoder's whole sequence (global token
+  first), and each layer's guide is a projection of the previous layer's
+  output.
 
 Both read the head token (column 0) of the final carried sequence through one
 linear map; the model adds the resulting local embedding to the encoder's
@@ -91,7 +92,7 @@ def _run_stack(cur: Tensor, stack: PaeStack, guide, drop: Dropout | None) -> Ten
     """Run the units, each guided by guide(w, cur), and read out the head token."""
     for w, layer in zip(stack.guide_w, stack.layers):
         _, cur = pael(cur, guide(w, cur), layer, drop)
-    out = linear(T.gather(cur, np.array([0]), axis=-1), stack.head)  # (..., d, 1)
+    out = linear(cur[..., :1], stack.head)  # (..., d, 1)
     return out.reshape(out.shape[:-1])
 
 
@@ -105,11 +106,11 @@ def spatial_pae(tokens: Tensor, f_ins: Tensor, stack: PaeStack, drop: Dropout | 
     return _run_stack(tokens, stack, lambda w, cur: T.broadcast_to(T.matmul(w, ins_col), cur.shape), drop)
 
 
-def temporal_pae(t_cls: Tensor, f_t: Tensor, stack: PaeStack, drop: Dropout | None = None) -> Tensor:
-    """Local text embedding from the global token (..., d) and tokens (..., d, n).
+def temporal_pae(tokens: Tensor, stack: PaeStack, drop: Dropout | None = None) -> Tensor:
+    """Local text embedding from the text encoder's sequence (..., d, n + 1),
+    [t_cls, F_t] with the global token in column 0.
 
-    The carried sequence starts as [t_cls, F_t], and the guide is a projection
-    of the carried sequence itself, so the previous step's output activates
-    the next.
+    The sequence is carried as it is, and the guide is a projection of the
+    carried sequence itself, so the previous step's output activates the next.
     """
-    return _run_stack(T.concat([t_cls.reshape((*t_cls.shape, 1)), f_t], axis=-1), stack, T.matmul, drop)
+    return _run_stack(tokens, stack, T.matmul, drop)

@@ -26,7 +26,7 @@ from .data import Dataset, epoch_batches, load_dataset
 from .encoders import fit_instruction
 from .errors import ConfigError, InputError, NumericError
 from .model import RetrievalModel
-from .retrieval import REPORT_KEYS, RecallReport, RetrievalTable, similarity_matrix
+from .retrieval import REPORT_KEYS, REPORT_KS, RecallReport, RetrievalTable, similarity_matrix
 from .rng import ALGORITHM, child
 from .tensor import sgd_step
 
@@ -127,14 +127,20 @@ def history_to_csv(history) -> str:
     return buf.getvalue()
 
 
-def _check_caption_lengths(records, max_len: int) -> None:
-    """Refuse, before any step, a caption the text encoder cannot take."""
+def _check_captions(records, max_len: int, vocab_size: int) -> None:
+    """Refuse, before any step or embedding, a caption the text encoder cannot take."""
     for rec in records:
         for i, cap in enumerate(rec.captions):
             if len(cap) > max_len:
                 raise InputError(
                     f"record {rec.id} caption {i} has {len(cap)} tokens, "
                     f"more than model.max_text_len={max_len}"
+                )
+            # ids below 0 and empty captions are refused when a file is loaded
+            if cap and max(cap) >= vocab_size:
+                raise InputError(
+                    f"record {rec.id} caption {i} has token id {max(cap)} "
+                    f"outside the model's vocabulary of size {vocab_size}"
                 )
 
 
@@ -162,7 +168,9 @@ class Trainer:
             )
         if not self.train_records:
             raise ConfigError("training split is empty")
-        _check_caption_lengths(self.train_records + self.val_records, self.cfg.model.max_text_len)
+        k = max(REPORT_KS)
+        if self.val_records and len(self.val_records) < k:
+            raise ConfigError(f"validation split has {len(self.val_records)} images; R@{k} needs at least {k}")
 
         if self.cfg.model.vocab_size and self.cfg.model.vocab_size != dataset.meta.vocab_size:
             raise ConfigError(
@@ -174,6 +182,9 @@ class Trainer:
             data = config_to_dict(self.cfg)
             data["model"]["vocab_size"] = dataset.meta.vocab_size
             self.cfg = config_from_dict(data)
+        _check_captions(
+            self.train_records + self.val_records, self.cfg.model.max_text_len, self.cfg.model.vocab_size
+        )
         self.model = RetrievalModel(self.cfg, self.cfg.model.vocab_size, dataset.meta.num_classes)
 
         if self.cfg.stage == "stage2-finetune" and init_params is None and not self.cfg.init_from:
@@ -217,7 +228,7 @@ class Trainer:
             with T.trap_nonfinite():
                 loss, l_c, l_a = self.model.batch_losses(batch, self._dropout_for_step())
                 loss.backward()
-                sgd_step(self.model.named_parameters(trainable_only=True), self.cfg.optim.learning_rate)
+                sgd_step(self.model.named_parameters(), self.cfg.optim.learning_rate)
         except NumericError as exc:
             raise NumericError(f"training diverged at step {self.global_step}: {exc}") from exc
         self.global_step += 1

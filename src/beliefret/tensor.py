@@ -20,6 +20,8 @@ tokens of width d is a (d, L) matrix, optionally with leading batch axes.
 from __future__ import annotations
 
 import contextlib
+import heapq
+import itertools
 
 import numpy as np
 
@@ -74,7 +76,7 @@ def _check_finite(arr: np.ndarray) -> None:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_seq")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -123,41 +125,32 @@ class Tensor:
         """Accumulate d(self)/d(leaf) into ``.grad`` of every reachable leaf
         (a requires_grad tensor that no op produced).
 
-        ``self`` must be a scalar; repeated calls keep accumulating. Op outputs
-        keep ``.grad`` as None: their gradients are dropped once passed to
-        their parents.
+        ``self`` must be a scalar; repeated calls keep accumulating. Ops run
+        latest-created first: an op is created after its inputs, so by the time
+        it is popped every consumer has passed it its gradient. Op outputs keep
+        ``.grad`` as None: their gradients are dropped once passed on.
         """
         if self.data.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {self.shape}")
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad and id(parent) not in seen:
-                    stack.append((parent, False))
-        flowing: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
-            g = flowing.pop(id(node), None)
-            if g is None:
-                continue
+        pending: dict[Tensor, np.ndarray] = {}
+        heap: list = []
+
+        def send(node: Tensor, g: np.ndarray) -> None:
             if node._backward_fn is None:
                 if node.requires_grad:
                     node.grad = g if node.grad is None else node.grad + g
-                continue
-            for parent, pg in zip(node._parents, node._backward_fn(g)):
-                if pg is None or not parent.requires_grad:
-                    continue
-                prev = flowing.get(id(parent))
-                flowing[id(parent)] = pg if prev is None else prev + pg
+            elif node in pending:
+                pending[node] = pending[node] + g
+            else:
+                pending[node] = g
+                heapq.heappush(heap, (-node._seq, node))
+
+        send(self, np.ones_like(self.data))
+        while heap:
+            node = heapq.heappop(heap)[1]
+            for parent, pg in zip(node._parents, node._backward_fn(pending.pop(node))):
+                if pg is not None:
+                    send(parent, pg)
 
     # -- operator sugar ------------------------------------------------------
 
@@ -200,11 +193,17 @@ class Tensor:
     def reshape(self, shape):
         return reshape(self, shape)
 
+    def __getitem__(self, key):
+        return index(self, key)
+
     def swapaxes(self, a: int, b: int):
         return swapaxes(self, a, b)
 
 
 # -- graph plumbing ----------------------------------------------------------
+
+
+_CREATED = itertools.count()  # creation stamps of graph nodes; backward runs the latest first
 
 
 def _op(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
@@ -217,6 +216,7 @@ def _op(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
+        out._seq = next(_CREATED)
     else:
         out.requires_grad = False
         out._parents = ()
@@ -406,43 +406,23 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return _op(data, tuple(parts), bw)
 
 
-def gather(x, indices, axis: int) -> Tensor:
-    """Select slices along one axis by an integer index array (cross-product indexing)."""
+def index(x, key) -> Tensor:
+    """x[key] under numpy's basic and integer-array indexing.
+
+    Backward scatters the gradient into zeros of x's shape with ``np.add.at``,
+    so an element selected more than once (a repeated token id) sums its
+    gradients.
+    """
     x = _as_tensor(x)
-    idx = np.asarray(indices, dtype=np.intp)
-    ax = axis % x.data.ndim
-    data = np.take(x.data, idx, axis=ax)
+    try:
+        data = np.asarray(x.data[key])
+    except IndexError as exc:
+        raise DimensionError(f"index does not fit shape {x.data.shape}: {exc}") from exc
     src_shape = x.data.shape
 
     def bw(g):
         gx = np.zeros(src_shape, dtype=g.dtype)
-        np.add.at(gx, (slice(None),) * ax + (idx,), g)
-        return (gx,)
-
-    return _op(data, (x,), bw)
-
-
-def take_along_last(x, indices) -> Tensor:
-    """Per-row selection along the last axis: indices has x.ndim dims and broadcasts
-    against x on all axes but the last (x carries the full leading shape)."""
-    x = _as_tensor(x)
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != x.data.ndim:
-        raise DimensionError("take_along_last needs indices with the same rank as x")
-    if np.broadcast_shapes(x.data.shape[:-1], idx.shape[:-1]) != x.data.shape[:-1]:
-        raise DimensionError(
-            f"take_along_last indices {idx.shape} would broadcast x {x.data.shape}"
-        )
-    data = np.take_along_axis(x.data, idx, axis=-1)
-    src_shape = x.data.shape
-
-    def bw(g):
-        gx = np.zeros(src_shape, dtype=g.dtype)
-        idx_full = np.broadcast_to(idx, g.shape)
-        last = src_shape[-1]
-        lead = int(np.prod(src_shape[:-1], dtype=np.int64))
-        offsets = np.arange(lead, dtype=np.intp).reshape(g.shape[:-1] + (1,)) * last
-        np.add.at(gx.reshape(-1), (idx_full + offsets).reshape(-1), g.reshape(-1))
+        np.add.at(gx, key, g)
         return (gx,)
 
     return _op(data, (x,), bw)

@@ -104,13 +104,10 @@ def _grad_temporal(seed: int) -> float:
     rng = child(seed, "gs-temporal")
     d = 4
     stack = init_pae_stack(child(seed, "gs-temporal-params"), d, heads=2, n_units=1)
-    t_cls = Tensor(rng.normal(size=d), requires_grad=True)
-    f_t = Tensor(rng.normal(size=(d, 2)), requires_grad=True)
+    # the text encoder's sequence: global token in column 0, then two tokens
+    tokens = Tensor(rng.normal(size=(d, 3)), requires_grad=True)
     coef = Tensor(rng.normal(size=d))
-    return max(
-        grad_check(lambda x: (temporal_pae(x, f_t, stack) * coef).sum(), t_cls),
-        grad_check(lambda x: (temporal_pae(t_cls, x, stack) * coef).sum(), f_t),
-    )
+    return grad_check(lambda x: (temporal_pae(x, stack) * coef).sum(), tokens)
 
 
 def _grad_refine_batch(seed: int) -> float:

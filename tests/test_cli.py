@@ -3,9 +3,11 @@ import json
 
 import pytest
 
+from beliefret.checkpoint import load_checkpoint, restore_parameters
 from beliefret.cli import main
-from beliefret.config import TrainConfig, apply_overrides, load_config, save_config
-from beliefret.data import Dataset, load_dataset, write_dataset
+from beliefret.config import TrainConfig, apply_overrides, config_from_dict, load_config, save_config
+from beliefret.data import CorpusSpec, Dataset, generate_corpus, load_dataset, write_dataset
+from beliefret.model import RetrievalModel
 from beliefret.pipeline import Trainer, evaluate_model
 from beliefret.retrieval import REPORT_KEYS
 
@@ -260,6 +262,84 @@ def test_over_long_caption_refused_before_embedding(tmp_path, dataset_dir, capsy
     err = capsys.readouterr().err
     assert f"record {record['id']} caption 1 has {length} tokens, more than model.max_text_len=16" in err
     assert not out.exists()
+
+
+def _with_large_vocab(tmp_path, dataset_dir):
+    """A copy of the dataset whose header allows 60 token ids and whose record 5
+    uses id 50 in caption 1; models trained on the original know 48."""
+    lines = (dataset_dir / "dataset.jsonl").read_text().splitlines()
+    header, record = json.loads(lines[0]), json.loads(lines[6])
+    header["vocab_size"] = 60
+    record["captions"][1][2] = 50
+    lines[0], lines[6] = json.dumps(header), json.dumps(record)
+    path = tmp_path / "large_vocab.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path, f"record {record['id']} caption 1 has token id 50 outside the model's vocabulary of size 48"
+
+
+def _forbid(monkeypatch, *targets):
+    def ran(*args, **kwargs):
+        raise AssertionError("work ran before the input was checked")
+
+    for target in targets:
+        monkeypatch.setattr(target, ran)
+
+
+@pytest.mark.parametrize("command", ["eval", "dump-embeddings"])
+def test_out_of_vocabulary_id_refused_before_embedding(tmp_path, dataset_dir, capsys, monkeypatch, command):
+    run_dir = tmp_path / "run"
+    cfg_path = fast_config(tmp_path, dataset_dir, **{"optim.steps": "2"})
+    assert main(["train", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
+    path, message = _with_large_vocab(tmp_path, dataset_dir)
+    _forbid(monkeypatch, "beliefret.model.RetrievalModel.embed_images", "beliefret.model.RetrievalModel.embed_texts")
+    out = tmp_path / "out"
+    assert main([command, "--checkpoint", str(run_dir / "checkpoint.npz"), "--dataset", str(path),
+                 "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_of_vocabulary_validation_id_refused_before_training(tmp_path, dataset_dir, capsys, monkeypatch):
+    path, message = _with_large_vocab(tmp_path, dataset_dir)
+    cfg_path = fast_config(tmp_path, dataset_dir, **{"data.val_path": str(path)})
+    _forbid(monkeypatch, "beliefret.pipeline.Trainer._train_step")
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_validation_split_too_small_for_recall_refused(tmp_path, dataset_dir, capsys, monkeypatch):
+    cfg_path = fast_config(tmp_path, dataset_dir, **{"data.val_images_per_class": "1"})
+    _forbid(monkeypatch, "beliefret.pipeline.Trainer._train_step")
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+    assert "validation split has 5 images; R@10 needs at least 10" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_class_count_read_from_checkpoint(tmp_path):
+    # a 4-class spatial-stack checkpoint evaluates a 3-class file: no label is read
+    paths = {}
+    for classes in (4, 3):
+        paths[classes] = tmp_path / f"classes{classes}.jsonl"
+        write_dataset(generate_corpus(CorpusSpec(**dict(CORPUS_SPEC, num_classes=classes))), paths[classes])
+    cfg_path = fast_config(tmp_path, tmp_path, **{
+        "data.train_path": str(paths[4]), "data.val_images_per_class": "0", "optim.steps": "2",
+    })
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
+    checkpoint = run_dir / "checkpoint.npz"
+    for command in ("eval", "dump-embeddings"):
+        assert main([command, "--checkpoint", str(checkpoint), "--dataset", str(paths[3]),
+                     "--out", str(tmp_path / command)]) == 0
+
+    header, params = load_checkpoint(checkpoint)
+    cfg = config_from_dict(header["config"])
+    model = RetrievalModel(cfg, cfg.model.vocab_size, num_classes=4)
+    restore_parameters(model, params, strict=True)
+    assert "spatial_pae" in model.active_components()
+    report = evaluate_model(model, load_dataset(paths[3]).records)
+    assert json.loads((tmp_path / "eval" / "metrics.json").read_text()) == report.to_dict()
+    assert len((tmp_path / "dump-embeddings" / "embeddings.csv").read_text().splitlines()) == 1 + 18 * 6
 
 
 def test_out_env_var(tmp_path, dataset_dir, monkeypatch):

@@ -22,7 +22,7 @@ def small_spec(**kw):
 
 
 def file_digest(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 # -- spec validation -----------------------------------------------------------

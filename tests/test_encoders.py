@@ -38,9 +38,9 @@ def rand_image(seed=0):
 
 
 def test_image_encoder_token_count():
-    f_cls, f_v = encode_image_batch(rand_image()[None], image_params())
-    assert f_v.shape == (1, D, 16)  # (16/4)^2 patches
-    assert f_cls.shape == (1, D)
+    tokens = encode_image_batch(rand_image()[None], image_params())
+    assert tokens.shape == (1, D, 17)  # the global token, then (16/4)^2 patches
+    assert tokens[..., 0].shape == (1, D)
 
 
 def test_patch_columns_grid_order():
@@ -54,7 +54,7 @@ def test_patch_columns_grid_order():
 
 def test_zero_image_gives_equal_patch_columns():
     params = image_params(use_position_encoding=False)
-    f_v = encode_image_batch(np.zeros((1, 3, 16, 16)), params)[1].data[0]
+    f_v = encode_image_batch(np.zeros((1, 3, 16, 16)), params).data[0, :, 1:]
     npt.assert_allclose(f_v, np.repeat(f_v[:, :1], 16, axis=1), atol=1e-10)
 
 
@@ -63,18 +63,16 @@ def test_image_encoder_deterministic():
     pixels = rand_image(3)[None]
     a = encode_image_batch(pixels, params)
     b = encode_image_batch(pixels, params)
-    npt.assert_array_equal(a[0].data, b[0].data)
-    npt.assert_array_equal(a[1].data, b[1].data)
+    npt.assert_array_equal(a.data, b.data)
 
 
 def test_image_encoder_batch_matches_single():
     params = image_params(4)
     pixels = child(4, "pixb").random((3, 3, 16, 16))
-    f_cls, f_v = encode_image_batch(pixels, params)
+    tokens = encode_image_batch(pixels, params)
     for i in range(3):
-        one_cls, one_v = encode_image_batch(pixels[i : i + 1], params)
-        npt.assert_allclose(f_cls.data[i], one_cls.data[0], atol=1e-12)
-        npt.assert_allclose(f_v.data[i], one_v.data[0], atol=1e-12)
+        one = encode_image_batch(pixels[i : i + 1], params)
+        npt.assert_allclose(tokens.data[i], one.data[0], atol=1e-12)
 
 
 def test_image_encoder_patch_mismatch_rejected():
@@ -93,9 +91,9 @@ def test_image_encoder_requires_projection_width():
 
 
 def test_text_encoder_single_token():
-    t_cls, f_t = encode_text_batch([[5]], text_params())
-    assert f_t.shape == (1, D, 1)
-    assert t_cls.shape == (1, D)
+    tokens = encode_text_batch([[5]], text_params())
+    assert tokens.shape == (1, D, 2)  # the global token, then the one word
+    assert tokens[..., 0].shape == (1, D)
 
 
 def test_text_encoder_permutation_equivariance_without_positions():
@@ -103,17 +101,17 @@ def test_text_encoder_permutation_equivariance_without_positions():
     rng = child(5, "perm")
     ids = rng.integers(0, 30, size=7)
     perm = rng.permutation(7)
-    base_cls, base_t = encode_text_batch(ids[None], params)
-    perm_cls, perm_t = encode_text_batch(ids[perm][None], params)
-    npt.assert_allclose(perm_t.data, base_t.data[..., perm], atol=1e-10)
-    npt.assert_allclose(perm_cls.data, base_cls.data, atol=1e-10)
+    base = encode_text_batch(ids[None], params).data
+    permuted = encode_text_batch(ids[perm][None], params).data
+    npt.assert_allclose(permuted[..., 1:], base[..., 1:][..., perm], atol=1e-10)
+    npt.assert_allclose(permuted[..., 0], base[..., 0], atol=1e-10)
 
 
 def test_text_encoder_deterministic():
     params = text_params()
     a = encode_text_batch([[1, 2, 3]], params)
     b = encode_text_batch([[1, 2, 3]], params)
-    npt.assert_array_equal(a[1].data, b[1].data)
+    npt.assert_array_equal(a.data[..., 1:], b.data[..., 1:])
 
 
 def test_text_encoder_validation():
@@ -131,11 +129,10 @@ def test_text_encoder_validation():
 def test_text_encoder_batch_matches_single():
     params = text_params(6)
     ids = child(6, "ids").integers(0, 30, size=(3, 5))
-    t_cls, f_t = encode_text_batch(ids, params)
+    tokens = encode_text_batch(ids, params)
     for i in range(3):
-        one_cls, one_t = encode_text_batch(ids[i : i + 1], params)
-        npt.assert_allclose(t_cls.data[i], one_cls.data[0], atol=1e-12)
-        npt.assert_allclose(f_t.data[i], one_t.data[0], atol=1e-12)
+        one = encode_text_batch(ids[i : i + 1], params)
+        npt.assert_allclose(tokens.data[i], one.data[0], atol=1e-12)
 
 
 # -- instruction prior ----------------------------------------------------------------

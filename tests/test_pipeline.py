@@ -361,7 +361,7 @@ def test_trapped_step_matches_untrapped_bit_for_bit(precision):
     cfg = make_config(precision=precision, **{"optim.batch_size": "16"})
     trainer = Trainer(cfg, dataset=TINY)
     batch = next(epoch_batches(trainer.train_records, 16, cfg.seed, 0))
-    params = list(trainer.model.named_parameters(trainable_only=True))
+    params = list(trainer.model.named_parameters())
 
     def loss_and_grads():
         loss = trainer.model.batch_losses(batch)[0]

@@ -218,7 +218,7 @@ def test_no_grad_blocks_graph():
 
 
 def test_non_finite_op_output_rejected():
-    with pytest.raises(NumericError):
+    with pytest.warns(RuntimeWarning, match="divide by zero"), pytest.raises(NumericError):
         T.tlog(Tensor([0.0]))
     with pytest.raises(NumericError):
         Tensor([np.inf])
@@ -283,7 +283,13 @@ RANDOMISED_SHAPES = {
     "layer_norm_x": ((2, 4, 3), (2, 4, 3)),
     "layer_norm_gamma": ((4, 1), (2, 4, 3)),
     "layer_norm_beta": ((4, 1), (2, 4, 3)),
+    "index_hard_filter": ((2, 3, 5), (2, 3, 4)),
 }
+# the hard filter's key: per batch row, the kept columns of every feature row
+# (a repeated column checks that the scatter sums)
+HARD_FILTER_KEY = (
+    np.arange(2)[:, None, None], np.arange(3)[:, None], np.array([[[0, 2, 2, 4]], [[3, 1, 0, 3]]])
+)
 
 
 # Readouts are weighted by a random coefficient tensor so the gradient never
@@ -303,14 +309,16 @@ RANDOMISED_SHAPES = {
         ("mean", lambda t, c: (t.mean(axis=0, keepdims=True) * c).sum() + t.mean()),
         ("swapaxes", lambda t, c: (t.swapaxes(0, 1) * c.swapaxes(0, 1)).sum()),
         ("broadcast", lambda t, c: (T.broadcast_to(t.reshape((2, 4, 1)), (2, 4, 3)) * c.reshape((2, 4, 1))).sum()),
-        ("gather", lambda t, c: (T.gather(t, [1, 0, 1], axis=1) * 2.0).sum()),
+        ("index_slice", lambda t, c: (t[:, 1:3] * c[:, 1:3]).sum()),
+        ("index_ellipsis", lambda t, c: (t[..., 0] * c[..., 0]).sum()),
+        ("index_repeated", lambda t, c: (t[:, [1, 0, 1]] * 2.0).sum()),
         ("concat", lambda t, c: (T.concat([t, t * 2.0], axis=0) * 0.25).sum()),
         ("softmax_axis0", lambda t, c: (T.softmax(t, axis=0) * c).sum()),
         ("matmul", lambda t, c: (T.matmul(t, c.swapaxes(0, 1)) * T.matmul(c, c.swapaxes(0, 1))).sum()),
         ("arithmetic", lambda t, c: (t * c + t - (-t) / (c * c + 1.0)).sum()),
         ("reshape", lambda t, c: (t.reshape((4, 2)) * c.reshape((4, 2))).sum()),
         ("transpose", lambda t, c: (T.transpose(t, (1, 0)) * T.transpose(c, (1, 0))).sum()),
-        ("take_along_last", lambda t, c: (T.take_along_last(t, np.array([[0, 2, 2], [3, 1, 0]])) * 0.5).sum()),
+        ("index_hard_filter", lambda t, c: (t[HARD_FILTER_KEY] * c).sum()),
         ("dropout_fixed_mask", lambda t, c: (T.dropout(t, 0.4, child(9, "gc-drop")) * c).sum()),
         ("layer_norm_x", lambda t, c: (T.layer_norm(t, LN_GAMMA, LN_BETA, axis=-2) * c).sum()),
         ("layer_norm_gamma", lambda t, c: (T.layer_norm(c * 2.0 + 0.5, t, LN_BETA, axis=-2) * c).sum()),
@@ -328,15 +336,81 @@ def test_grad_check_ops_randomised(name, f):
     assert worst < 1e-4, f"{name}: worst rel err {worst}"
 
 
-def test_grad_check_take_along_last():
-    rng = child(7, "tal")
-    x = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
-    idx = rng.integers(0, 5, size=(2, 1, 4))
+# -- index op ---------------------------------------------------------------
 
-    def f(t):
-        return (T.take_along_last(t, idx) * 0.5).sum()
 
-    assert grad_check(f, x) < 1e-6
+def test_index_matches_numpy_and_sums_repeated_ids():
+    x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+    out = x[:, [2, 2, 0]]
+    npt.assert_array_equal(out.data, x.data[:, [2, 2, 0]])
+    out.sum().backward()
+    npt.assert_array_equal(x.grad, np.tile([1.0, 0.0, 2.0, 0.0], (3, 1)))
+
+
+def test_index_key_that_does_not_fit_raises():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    for key in (5, (slice(None), [0, 3]), (0, 0, 0), ([0, 1], [0, 1, 2]), 1.5):
+        with pytest.raises(DimensionError):
+            x[key]
+
+
+# -- backward engine ------------------------------------------------------------
+
+
+def _count_backward_calls(loss):
+    """Wrap the backward closure of every op behind ``loss``; returns op -> calls."""
+    calls = {}
+    todo, seen = [loss], {loss}
+    while todo:
+        node = todo.pop()
+        if node._backward_fn is not None:
+            calls[node] = 0
+
+            def counted(g, node=node, fn=node._backward_fn):
+                calls[node] += 1
+                return fn(g)
+
+            node._backward_fn = counted
+        for parent in node._parents:
+            if parent not in seen:
+                seen.add(parent)
+                todo.append(parent)
+    return calls
+
+
+def test_backward_runs_each_op_once_in_a_residual_graph():
+    rng = child(3, "residual")
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 4)) * 0.5, requires_grad=True)
+
+    def f(t, w_):
+        h = t
+        for _ in range(4):
+            h = h + T.ttanh(T.matmul(h, w_))  # h feeds the branch and the skip
+        # t was first consumed by the first branch, long before these ops
+        return (h * t).sum() + T.texp(t[:, :1] * 0.5).sum()
+
+    loss = f(x, w)
+    calls = _count_backward_calls(loss)
+    loss.backward()
+    assert len(calls) == 19 and set(calls.values()) == {1}  # 4 x 3 branch ops, then 7
+    got_x, got_w = x.grad.copy(), w.grad.copy()
+    assert grad_check(lambda t: f(t, w), x) < 1e-6
+    assert grad_check(lambda v: f(x, v), w) < 1e-6
+    x.zero_grad()
+    w.zero_grad()
+    f(x, w).backward()
+    npt.assert_array_equal(x.grad, got_x)
+    npt.assert_array_equal(w.grad, got_w)
+
+
+def test_backward_through_a_long_chain():
+    x = Tensor([1.0], requires_grad=True)
+    y = x
+    for _ in range(10_000):
+        y = y + 1.0
+    (y * 2.0).sum().backward()
+    npt.assert_array_equal(x.grad, [2.0])
 
 
 # -- determinism --------------------------------------------------------------
