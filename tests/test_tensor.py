@@ -292,6 +292,13 @@ HARD_FILTER_KEY = (
 )
 
 
+def along_last(shape, idx):
+    """The index key that picks idx along the last axis of a tensor of this
+    shape, as np.take_along_axis does (idx broadcasts over the leading axes)."""
+    lead = tuple(np.arange(n).reshape((-1,) + (1,) * (len(shape) - 1 - a)) for a, n in enumerate(shape[:-1]))
+    return lead + (idx,)
+
+
 # Readouts are weighted by a random coefficient tensor so the gradient never
 # collapses to an identical zero (softmax/layer_norm sums are constants).
 @pytest.mark.parametrize(
@@ -318,6 +325,7 @@ HARD_FILTER_KEY = (
         ("arithmetic", lambda t, c: (t * c + t - (-t) / (c * c + 1.0)).sum()),
         ("reshape", lambda t, c: (t.reshape((4, 2)) * c.reshape((4, 2))).sum()),
         ("transpose", lambda t, c: (T.transpose(t, (1, 0)) * T.transpose(c, (1, 0))).sum()),
+        ("take_along_last", lambda t, c: (t[along_last(t.shape, np.array([[0, 2, 2], [3, 1, 0]]))] * 0.5).sum()),
         ("index_hard_filter", lambda t, c: (t[HARD_FILTER_KEY] * c).sum()),
         ("dropout_fixed_mask", lambda t, c: (T.dropout(t, 0.4, child(9, "gc-drop")) * c).sum()),
         ("layer_norm_x", lambda t, c: (T.layer_norm(t, LN_GAMMA, LN_BETA, axis=-2) * c).sum()),
@@ -334,6 +342,19 @@ def test_grad_check_ops_randomised(name, f):
         coef = Tensor(rng.normal(size=coef_shape))
         worst = max(worst, grad_check(lambda t: f(t, coef), x))
     assert worst < 1e-4, f"{name}: worst rel err {worst}"
+
+
+def test_grad_check_take_along_last():
+    rng = child(7, "tal")
+    x = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+    idx = rng.integers(0, 5, size=(2, 1, 4))
+    key = along_last(x.shape, idx)
+    npt.assert_array_equal(x[key].data, np.take_along_axis(x.data, np.broadcast_to(idx, (2, 3, 4)), axis=-1))
+
+    def f(t):
+        return (t[key] * 0.5).sum()
+
+    assert grad_check(f, x) < 1e-6
 
 
 # -- index op ---------------------------------------------------------------
