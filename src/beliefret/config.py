@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 
@@ -22,24 +23,6 @@ SCHEMA_VERSION = 1
 
 STAGES = ("closed-domain", "stage1-pretrain", "stage2-finetune")
 PRECISIONS = ("float64", "float32")
-
-# Full-scale reference configuration of the original training recipe. Far
-# beyond desk scale; documented here and in the README, never used by tests.
-FULL_SCALE_REFERENCE = {
-    "embed_dim": 512,
-    "heads": 8,
-    "dropout_rate": 0.2,
-    "spatial_units": 2,
-    "temporal_units": 3,
-    "tau": 0.07,
-    "lambda_cs": 1.0,
-    "visual_tokens": 50,
-    "pretrain_batch_size": 256,
-    "pretrain_epochs": 20,
-    "finetune_batch_size": 512,
-    "finetune_epochs": 10,
-}
-
 
 @dataclass
 class ModelSettings:
@@ -139,7 +122,7 @@ _field_types = functools.cache(typing.get_type_hints)
 
 def _build(cls, data: dict, path: str):
     """Build ``cls`` from a JSON object, checking each leaf against its field's
-    type (a float field also takes an int)."""
+    type (a float field also takes an int, but not NaN or an infinity)."""
     kinds = _field_types(cls)
     unknown = set(data) - set(kinds)
     if unknown:
@@ -152,9 +135,14 @@ def _build(cls, data: dict, path: str):
                 raise ConfigError(f"config key {dotted} must be an object")
             value = _build(kind, value, dotted)
         elif kind is float and type(value) is int:
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:  # an integer beyond the float range
+                value = math.inf
         elif type(value) is not kind:
             raise ConfigError(f"config key {dotted} must be of type {kind.__name__}, got {value!r}")
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"config key {dotted} must be finite, got {value!r}")
         kwargs[key] = value
     return cls(**kwargs)
 

@@ -271,6 +271,7 @@ def load_dataset(path) -> Dataset:
     if meta.schema_version != SCHEMA_VERSION:
         raise ParseError(f"{path}:1: unsupported schema version {meta.schema_version}")
     records = []
+    id_lines = {}  # id -> line that defined it; epoch_batches keys caption picks by id
     size = meta.image_size
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -288,8 +289,11 @@ def load_dataset(path) -> Dataset:
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{path}:{lineno}: bad dataset record: {exc}") from exc
         problem = _record_problem(rec, meta)
+        if rec.id in id_lines:
+            problem = f"id {rec.id} repeats the record on line {id_lines[rec.id]}"
         if problem:
             raise ParseError(f"{path}:{lineno}: bad dataset record: {problem}")
+        id_lines[rec.id] = lineno
         records.append(rec)
     if len(records) != meta.num_records:
         raise ParseError(f"{path}: header promises {meta.num_records} records, found {len(records)}")

@@ -2,11 +2,12 @@
 
 Each encoder returns one token sequence, global token in column 0. When the
 spatial stack is enabled, the image sequence as a whole is refined by the
-instruction-belief filter and the instruction-guided attention stack, and the
+instruction-belief filter, the instruction-guided attention stack pools the
+refined tokens into one column queried by the instruction embedding, and the
 resulting local embedding is added to the global token. The text sequence
 optionally runs through the self-activated temporal stack the same way.
 Captions of different lengths are grouped and encoded per length, then put
-back into batch order.
+back into batch order; a batch of one length is already in order.
 """
 
 from __future__ import annotations
@@ -147,8 +148,9 @@ class RetrievalModel:
             ids = np.array([captions[i] for i in rows], dtype=np.intp)
             chunks.append(self._embed_text_group(ids, drop))
             order.extend(rows)
-        stacked = chunks[0] if len(chunks) == 1 else T.concat(chunks, axis=0)
-        return stacked[np.argsort(np.array(order))]
+        if len(chunks) == 1:
+            return chunks[0]
+        return T.concat(chunks, axis=0)[np.argsort(np.array(order))]
 
     # -- losses ----------------------------------------------------------------
 

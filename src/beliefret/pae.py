@@ -7,8 +7,9 @@ rather than parallel. One stack type, ``PaeStack``, runs a sequence of such
 layers; each layer queries the carried sequence with a projected guide and
 carries the query branch forward. The two stacks differ only in the guide:
 
-* ``spatial_pae`` guides the belief-filtered visual sequence with replicated
-  instruction embeddings;
+* ``spatial_pae`` guides the belief-filtered visual sequence with one
+  projected instruction column per unit, so the first unit pools the k refined
+  tokens into one carried column (attention pooling with a single query);
 * ``temporal_pae`` runs over the text encoder's whole sequence (global token
   first), and each layer's guide is a projection of the previous layer's
   output.
@@ -99,11 +100,13 @@ def _run_stack(cur: Tensor, stack: PaeStack, guide, drop: Dropout | None) -> Ten
 def spatial_pae(tokens: Tensor, f_ins: Tensor, stack: PaeStack, drop: Dropout | None = None) -> Tensor:
     """Instruction-guided local embedding from refined tokens (..., d, k).
 
-    The guide is a fresh projection of the instruction embedding replicated
-    k times. f_ins is (..., d) or (d,).
+    Each unit's guide is one column, a fresh projection of the instruction
+    embedding f_ins (..., d), with the tokens' leading axes. The first unit
+    self-refines the k tokens and lets the guide attend over them; from then
+    on the carried sequence is that one column.
     """
     ins_col = f_ins.reshape((*f_ins.shape, 1))
-    return _run_stack(tokens, stack, lambda w, cur: T.broadcast_to(T.matmul(w, ins_col), cur.shape), drop)
+    return _run_stack(tokens, stack, lambda w, cur: T.matmul(w, ins_col), drop)
 
 
 def temporal_pae(tokens: Tensor, stack: PaeStack, drop: Dropout | None = None) -> Tensor:

@@ -90,7 +90,8 @@ def _grad_pael(seed: int) -> float:
 def _grad_spatial(seed: int) -> float:
     rng = child(seed, "gs-spatial")
     d = 4
-    stack = init_pae_stack(child(seed, "gs-spatial-params"), d, heads=2, n_units=1)
+    # two units, as training runs it: the second unit carries the one pooled column
+    stack = init_pae_stack(child(seed, "gs-spatial-params"), d, heads=2, n_units=2)
     tokens = Tensor(rng.normal(size=(d, 3)), requires_grad=True)
     ins = Tensor(rng.normal(size=d), requires_grad=True)
     coef = Tensor(rng.normal(size=d))

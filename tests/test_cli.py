@@ -216,6 +216,31 @@ def test_malformed_record_exit_code(tmp_path, dataset_dir, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_repeated_record_id_exit_code(tmp_path, dataset_dir, capsys):
+    # caption picks are keyed by record id, so a repeated id used to crash
+    # training with an IndexError when the earlier record had fewer captions
+    lines = (dataset_dir / "dataset.jsonl").read_text().splitlines()
+    first, second = json.loads(lines[1]), json.loads(lines[2])
+    first["captions"] = first["captions"][:1]
+    second["id"] = first["id"]
+    lines[1], lines[2] = json.dumps(first), json.dumps(second)
+    bad = tmp_path / "repeated_id.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    cfg = fast_config(tmp_path, dataset_dir, **{"data.train_path": str(bad)})
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert f"repeated_id.jsonl:3: bad dataset record: id {first['id']} repeats the record on line 2" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("override", ["optim.learning_rate=nan", "loss.tau=nan", "loss.tau=inf"])
+def test_non_finite_override_exit_code(tmp_path, dataset_dir, capsys, override):
+    cfg = fast_config(tmp_path, dataset_dir)
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"), "--set", override]) == 2
+    assert f"config key {override.split('=')[0]} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def _with_long_caption(tmp_path, dataset_dir):
     """A copy of the dataset whose record 5 has one caption tripled past max_text_len."""
     lines = (dataset_dir / "dataset.jsonl").read_text().splitlines()

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from beliefret.config import (
-    FULL_SCALE_REFERENCE,
     TrainConfig,
     apply_overrides,
     config_from_dict,
@@ -70,10 +69,6 @@ def test_defaults_match_documented_loss_settings():
     assert cfg.loss.lambda_cs == 1.0
     assert cfg.model.spatial_units == 2
     assert cfg.model.temporal_units == 3
-    # full-scale reference values are documentation only
-    assert FULL_SCALE_REFERENCE["embed_dim"] == 512
-    assert FULL_SCALE_REFERENCE["heads"] == 8
-    assert FULL_SCALE_REFERENCE["dropout_rate"] == 0.2
 
 
 def test_bad_json(tmp_path):
@@ -113,6 +108,28 @@ def test_float_field_takes_an_int():
     cfg = config_from_dict(data)
     assert cfg.loss.tau == 1.0 and type(cfg.loss.tau) is float
     assert apply_overrides(cfg, ["loss.tau=0.5"]).loss.tau == 0.5
+    data["loss"]["tau"] = 10**400  # an int beyond the float range is infinite, not an OverflowError
+    with pytest.raises(ConfigError, match="config key loss.tau must be finite"):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize("dotted", ["optim.learning_rate", "loss.tau", "loss.t_logit", "dropout_rate"])
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_float_refused(dotted, raw, tmp_path):
+    # NaN slips past every range check (it compares false both ways), and an
+    # infinite temperature trains to a constant loss
+    with pytest.raises(ConfigError, match=f"config key {dotted} must be finite"):
+        apply_overrides(TrainConfig(), [f"{dotted}={raw}"])
+    data = config_to_dict(TrainConfig())
+    *sections, leaf = dotted.split(".")
+    node = data
+    for part in sections:
+        node = node[part]
+    node[leaf] = float(raw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))  # written as NaN, Infinity or -Infinity
+    with pytest.raises(ConfigError, match=f"config key {dotted} must be finite"):
+        load_config(path)
 
 
 def test_instruction_source_key_refused():

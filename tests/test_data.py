@@ -196,9 +196,10 @@ def test_load_reports_bad_line_number(tmp_path):
         ("id", 2.5, "id 2.5 is not an integer"),
         ("scene_label", "1", "scene_label '1' is not an integer"),
         ("scene_label", True, "scene_label True is not an integer"),
+        ("id", 0, "id 0 repeats the record on line 2"),
     ],
     ids=["token-id", "empty-caption", "pixel-range", "pixel-nan", "label-high", "label-negative",
-         "token-fraction", "label-fraction", "id-fraction", "label-string", "label-bool"],
+         "token-fraction", "label-fraction", "id-fraction", "label-string", "label-bool", "id-repeated"],
 )
 def test_load_rejects_malformed_record_with_line_number(tmp_path, field, value, message):
     ds = generate_corpus(small_spec(images_per_class=2))

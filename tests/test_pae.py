@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from beliefret import pae
 from beliefret import tensor as T
 from beliefret.blocks import (
     Dropout,
@@ -173,6 +174,57 @@ def test_spatial_pae_gradients():
     coef = Tensor(rng.normal(size=D))
     assert grad_check(lambda t: (spatial_pae(t, ins, stack) * coef).sum(), toks) < 1e-4
     assert grad_check(lambda t: (spatial_pae(toks, t, stack) * coef).sum(), ins) < 1e-4
+
+
+def replicated_guide_spatial_pae(tokens, f_ins, stack, drop=None):
+    """The replicated-guide spatial stack: the projected instruction broadcast
+    to all k carried columns. Every op on the query branch works column by
+    column, so the k columns stay identical and the head reads what one column
+    gives. It lives only here, as the reference for spatial_pae."""
+    ins_col = f_ins.reshape((*f_ins.shape, 1))
+    return pae._run_stack(tokens, stack, lambda w, cur: T.broadcast_to(T.matmul(w, ins_col), cur.shape), drop)
+
+
+@pytest.mark.parametrize("k", [1, 8, 17], ids=["soft-aggregate", "hard-k8", "soft-sequence"])
+@pytest.mark.parametrize("n_units", [1, 2])
+def test_spatial_pae_matches_replicated_guide(n_units, k):
+    rng = child(n_units, k, "spa-rep")
+    stack = _random_params(init_pae_stack(child(n_units, "spa-rep-params"), D, HEADS, n_units), rng)
+    tokens = Tensor(rng.normal(size=(3, D, k)), requires_grad=True)
+    f_ins = Tensor(rng.normal(size=(3, D)), requires_grad=True)
+    coef = rng.normal(size=(3, D))
+    leaves = [tokens, f_ins, *(t for _, t in named_tensors(stack))]
+    results = []
+    for run in (spatial_pae, replicated_guide_spatial_pae):
+        for t in leaves:
+            t.zero_grad()
+        out = run(tokens, f_ins, stack)
+        (out * coef).sum().backward()
+        results.append((out.data, [t.grad for t in leaves]))
+    (out, grads), (ref_out, ref_grads) = results
+    npt.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+    for g, ref in zip(grads, ref_grads):
+        npt.assert_allclose(g, ref, rtol=0, atol=1e-10)
+
+
+def test_spatial_pae_guides_with_one_column(monkeypatch):
+    # the default soft-sequence filter hands the stack all 17 visual tokens;
+    # the first unit pools them into one column, and every guide is one column
+    from beliefret.config import TrainConfig
+    from beliefret.model import RetrievalModel
+
+    model = RetrievalModel(TrainConfig(), vocab_size=30, num_classes=3)
+    shapes = []
+    run_pael = pae.pael
+
+    def recording_pael(h_s, h_c, params, drop=None):
+        shapes.append((h_s.shape, h_c.shape))
+        return run_pael(h_s, h_c, params, drop)
+
+    monkeypatch.setattr(pae, "pael", recording_pael)
+    model.embed_images(child(17, "spa-one").random((2, 3, 16, 16)))
+    assert [s[-1] for s, _ in shapes] == [17, 1]
+    assert [c for _, c in shapes] == [(2, 32, 1)] * 2
 
 
 # -- temporal stack ----------------------------------------------------------------

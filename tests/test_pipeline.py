@@ -169,6 +169,25 @@ def test_embed_records_matches_per_record_embeddings():
         embed_records(model, [])
 
 
+def test_one_length_batch_is_not_regrouped(monkeypatch):
+    # captions of one length form one group already in batch order, so
+    # embed_texts returns that group's tensor: no index node follows it
+    from beliefret.model import RetrievalModel
+
+    model = RetrievalModel(TrainConfig(), vocab_size=30, num_classes=3)
+    groups = []
+    embed_group = model._embed_text_group
+
+    def recording_group(ids, drop):
+        groups.append(embed_group(ids, drop))
+        return groups[-1]
+
+    monkeypatch.setattr(model, "_embed_text_group", recording_group)
+    captions = np.random.default_rng(0).integers(0, 30, size=(4, 5)).tolist()
+    assert model.embed_texts(captions) is groups[0]
+    assert len(groups) == 1
+
+
 # -- checkpointing -----------------------------------------------------------------------
 
 
