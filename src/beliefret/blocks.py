@@ -1,6 +1,7 @@
 """Transformer building blocks over column-layout sequences (..., d, L).
 
-Pre-norm residual wiring throughout: x + Sublayer(LayerNorm(x)). Feed-forward
+Pre-norm residual wiring throughout: x + Sublayer(LayerNorm(x)), each sublayer
+one node of ``tensor.attention`` or ``tensor.ffn``. Feed-forward
 stacks use tanh, which is smooth everywhere so difference-based gradient
 verification stays tight.
 """
@@ -45,20 +46,16 @@ def init_norm(d: int, dtype=np.float64) -> NormParams:
     )
 
 
-def norm_features(x, p: NormParams) -> Tensor:
-    # Feature axis is -2 in column layout.
-    return T.layer_norm(x, p.gamma, p.beta, axis=-2)
-
-
 class Dropout:
-    """Seeded dropout hook threaded through the blocks; None disables it."""
+    """Seeded dropout settings threaded through the blocks; None disables it."""
 
     def __init__(self, rate: float, rng: np.random.Generator):
         self.rate = rate
         self.rng = rng
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.dropout(x, self.rate, self.rng)
+
+def _rate_rng(drop: Dropout | None) -> tuple:
+    return (drop.rate, drop.rng) if drop is not None else (0.0, None)
 
 
 @dataclass
@@ -89,22 +86,20 @@ def init_attention(
 
 
 def attention_block(q_in: Tensor, kv_in: Tensor, p: AttentionParams, drop: Dropout | None = None) -> Tensor:
-    """Residual multi-head attention; queries from q_in, keys/values from kv_in."""
+    """Pre-norm residual multi-head attention, one node; queries from q_in,
+    keys/values from kv_in (the same tensor for self-attention)."""
     if q_in.shape[-2] != kv_in.shape[-2]:
         raise DimensionError(f"feature dims differ: {q_in.shape} vs {kv_in.shape}")
-    hq = norm_features(q_in, p.ln_q)
     if kv_in is q_in:
-        hkv = hq
+        ln_kv = (None, None)
+    elif p.ln_kv is None:
+        raise ContractError("cross-attention call on self-attention parameters")
     else:
-        if p.ln_kv is None:
-            raise ContractError("cross-attention call on self-attention parameters")
-        hkv = norm_features(kv_in, p.ln_kv)
-    # the weight mask is drawn inside, before the output mask, as dropout draws both
-    rate, rng = (drop.rate, drop.rng) if drop is not None else (0.0, None)
-    out = T.attention(hq, hkv, p.q.w, p.q.b, p.k.w, p.k.b, p.v.w, p.v.b, p.o.w, p.o.b, p.heads, rate, rng)
-    if drop is not None:
-        out = drop(out)
-    return q_in + out
+        ln_kv = (p.ln_kv.gamma, p.ln_kv.beta)
+    return T.attention(
+        q_in, kv_in, p.ln_q.gamma, p.ln_q.beta, *ln_kv,
+        p.q.w, p.q.b, p.k.w, p.k.b, p.v.w, p.v.b, p.o.w, p.o.b, p.heads, *_rate_rng(drop),
+    )
 
 
 @dataclass
@@ -123,10 +118,8 @@ def init_ffn(rng: np.random.Generator, d: int, hidden: int, dtype=np.float64) ->
 
 
 def ffn_block(x: Tensor, p: FfnParams, drop: Dropout | None = None) -> Tensor:
-    out = T.ffn(norm_features(x, p.ln), p.inner.w, p.inner.b, p.out.w, p.out.b)
-    if drop is not None:
-        out = drop(out)
-    return x + out
+    """Pre-norm residual feed-forward, one node."""
+    return T.ffn(x, p.ln.gamma, p.ln.beta, p.inner.w, p.inner.b, p.out.w, p.out.b, *_rate_rng(drop))
 
 
 @dataclass

@@ -12,7 +12,7 @@ carries the query branch forward. The two stacks differ only in the guide:
   tokens into one carried column (attention pooling with a single query);
 * ``temporal_pae`` runs over the text encoder's whole sequence (global token
   first), and each layer's guide is a projection of the previous layer's
-  output.
+  output; the last layer's guide is the projected head column alone.
 
 Both read the head token (column 0) of the final carried sequence through one
 linear map; the model adds the resulting local embedding to the encoder's
@@ -90,10 +90,17 @@ def init_pae_stack(rng: np.random.Generator, d: int, heads: int, n_units: int, d
 
 
 def _run_stack(cur: Tensor, stack: PaeStack, guide, drop: Dropout | None) -> Tensor:
-    """Run the units, each guided by guide(w, cur), and read out the head token."""
-    for w, layer in zip(stack.guide_w, stack.layers):
-        _, cur = pael(cur, guide(w, cur), layer, drop)
-    out = linear(cur[..., :1], stack.head)  # (..., d, 1)
+    """Run the units, each guided by guide(w, cur), and read out the head token.
+
+    The head reads only column 0, and every op on the query branch works
+    column by column, so the last unit's guide is built from cur[..., :1]
+    alone. Its self-refinement still runs over every column: it supplies
+    the keys and values.
+    """
+    last = len(stack.layers) - 1
+    for i, (w, layer) in enumerate(zip(stack.guide_w, stack.layers)):
+        _, cur = pael(cur, guide(w, cur[..., :1] if i == last else cur), layer, drop)
+    out = linear(cur, stack.head)  # (..., d, 1)
     return out.reshape(out.shape[:-1])
 
 
@@ -114,6 +121,7 @@ def temporal_pae(tokens: Tensor, stack: PaeStack, drop: Dropout | None = None) -
     [t_cls, F_t] with the global token in column 0.
 
     The sequence is carried as it is, and the guide is a projection of the
-    carried sequence itself, so the previous step's output activates the next.
+    carried sequence itself, so the previous step's output activates the next;
+    the last unit projects the head column alone, the one column read out.
     """
     return _run_stack(tokens, stack, T.matmul, drop)

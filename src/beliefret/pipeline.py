@@ -83,27 +83,40 @@ def stratified_split(records, val_images_per_class: int):
     return train, val
 
 
-def embed_records(model: RetrievalModel, records, chunk_size: int = 64):
-    """Image rows in record order, then caption rows in record and caption order."""
+# Records or captions per embedding call of embed_records.
+_EMBED_CHUNK = 64
+
+
+def embed_records(model: RetrievalModel, records):
+    """Image rows in record order, then caption rows in record and caption order.
+
+    Captions are embedded in length order, _EMBED_CHUNK at a time, so a chunk
+    holds one caption length, or two where it crosses a length boundary, and
+    the text tower runs once per length in it; rows are put back afterwards.
+    """
     if not records:
         raise InputError("cannot embed an empty record list")
     with T.no_grad(), T.trap_nonfinite():
         v_chunks = []
-        for start in range(0, len(records), chunk_size):
-            chunk = records[start : start + chunk_size]
+        for start in range(0, len(records), _EMBED_CHUNK):
+            chunk = records[start : start + _EMBED_CHUNK]
             pixels = np.stack([r.pixels for r in chunk]).astype(model.dtype)
             v_chunks.append(model.embed_images(pixels).data)
 
         captions = [cap for r in records for cap in r.captions]
+        order = np.argsort([len(cap) for cap in captions], kind="stable")
         t_chunks = []
-        for start in range(0, len(captions), chunk_size):
-            t_chunks.append(model.embed_texts(captions[start : start + chunk_size]).data)
-    return np.concatenate(v_chunks, axis=0), np.concatenate(t_chunks, axis=0)
+        for start in range(0, len(captions), _EMBED_CHUNK):
+            t_chunks.append(model.embed_texts([captions[i] for i in order[start : start + _EMBED_CHUNK]]).data)
+    t_sorted = np.concatenate(t_chunks, axis=0)
+    t = np.empty_like(t_sorted)
+    t[order] = t_sorted
+    return np.concatenate(v_chunks, axis=0), t
 
 
-def evaluate_model(model: RetrievalModel, records, chunk_size: int = 64) -> RecallReport:
+def evaluate_model(model: RetrievalModel, records) -> RecallReport:
     """Recall report over a record list: images against every caption."""
-    v, t = embed_records(model, records, chunk_size)
+    v, t = embed_records(model, records)
     owner = np.repeat(np.arange(len(records)), [len(r.captions) for r in records])
     table = RetrievalTable(similarity_matrix(v, t), owner)
     return RecallReport.from_table(table)

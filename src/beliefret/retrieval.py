@@ -18,7 +18,7 @@ from .errors import ConfigError, DegenerateInputError, InputError
 DIRECTIONS = ("i2t", "t2i")
 REPORT_KEYS = ("i2t_r1", "i2t_r5", "i2t_r10", "t2i_r1", "t2i_r5", "t2i_r10", "mr")
 REPORT_KS = (1, 5, 10)
-# Image rows per comparison pass: 16 x 5000 captions keeps each mask at 80 KB.
+# Image rows per comparison pass or finiteness check: 16 x 5000 captions keeps each mask at 80 KB.
 _RANK_BLOCK = 16
 
 
@@ -31,9 +31,11 @@ class RetrievalTable:
         self.sim = np.asarray(self.sim, dtype=np.float64)
         if self.sim.ndim != 2:
             raise InputError(f"similarity matrix must be 2-d, got shape {self.sim.shape}")
-        if not np.isfinite(self.sim).all():
-            raise InputError("similarity matrix contains non-finite values")
         n_img, n_txt = self.sim.shape
+        # a block of rows at a time: one N x 5N boolean mask would be the read path's peak memory
+        for r0 in range(0, n_img, _RANK_BLOCK):
+            if not np.isfinite(self.sim[r0 : r0 + _RANK_BLOCK]).all():
+                raise InputError("similarity matrix contains non-finite values")
         owner = np.asarray(self.owner)
         if owner.shape != (n_txt,):
             raise InputError(f"owner must have shape ({n_txt},), one image per caption, got {owner.shape}")

@@ -502,90 +502,177 @@ def affine(w, x, b) -> Tensor:
     return _op(data, (w, x, b), bw)
 
 
-def ffn(x, w1, b1, w2, b2) -> Tensor:
-    """w2 · tanh(w1 · x + b1) + b2 as one node, over x (..., d, L).
+# -- pre-norm residual sublayers ----------------------------------------------
+#
+# Each sublayer is one node x + drop(sublayer(LN(x))), with LN along the feature
+# axis (-2) and (d, 1) gamma and beta. The norm's output, its input to the
+# sublayer, never leaves the op.
 
-    Backward with h = tanh(w1 · x + b1) and ĝ = (w2ᵀ g)(1 − h²):
-    dx = w1ᵀ ĝ, dw1 = Σ ĝ xᵀ, db1 = Σ ĝ, dw2 = Σ g hᵀ, db2 = Σ g.
+_LN_EPS = 1e-5
+
+
+def _check_norm(x: Tensor, gamma: Tensor, beta: Tensor, op_name: str) -> None:
+    d = x.data.shape[-2] if x.data.ndim >= 2 else None
+    if gamma.data.shape != (d, 1) or beta.data.shape != (d, 1):
+        raise DimensionError(
+            f"{op_name} norm gamma {gamma.data.shape} and beta {beta.data.shape} do not fit input {x.data.shape}"
+        )
+
+
+def _check_rate(rate: float) -> None:
+    if not 0.0 <= rate < 1.0:
+        raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
+
+
+def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
+    """(γ·x̂ + β, x̂, s) along axis -2, with x̂ = (x − μ) / s and s = sqrt(var + eps)."""
+    inv_n = np.asarray(1.0 / x.shape[-2], dtype=x.dtype)
+    normed = x - x.sum(axis=-2, keepdims=True) * inv_n
+    std = np.sqrt((normed * normed).sum(axis=-2, keepdims=True) * inv_n + np.asarray(_LN_EPS, dtype=x.dtype))
+    normed /= std
+    out = gamma * normed
+    out += beta
+    return out, normed, std
+
+
+def _norm_grads(gu, normed: np.ndarray, std: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor, residual=None):
+    """(dx, dγ, dβ) of a normed input from gu, the gradient at LN(x), or Nones
+    when gu is None. dx adds ``residual``, the gradient x gets past the sublayer.
+
+    With ĝ = gu·γ: dx = (ĝ − mean(ĝ) − x̂·mean(ĝ·x̂)) / s, dγ = Σ gu·x̂ and
+    dβ = Σ gu, means along the feature axis and sums over the others.
+    """
+    if gu is None:
+        return None, None, None
+    ggamma = _unbroadcast(gu * normed, gamma.data.shape) if gamma.requires_grad else None
+    gbeta = _unbroadcast(gu, beta.data.shape) if beta.requires_grad else None
+    gx = None
+    if x.requires_grad:
+        inv_n = np.asarray(1.0 / normed.shape[-2], dtype=normed.dtype)
+        # ĝ in place: gu is the op's own temporary, unless an unbatched (d, 1) input made it gbeta
+        gx = gu if gbeta is not gu else gu.copy()
+        gx *= gamma.data
+        mean_gx_normed = (gx * normed).sum(axis=-2, keepdims=True) * inv_n
+        gx -= gx.sum(axis=-2, keepdims=True) * inv_n
+        gx -= normed * mean_gx_normed
+        gx /= std
+        if residual is not None:
+            gx += residual
+    return gx, ggamma, gbeta
+
+
+def ffn(x, gamma, beta, w1, b1, w2, b2, rate: float = 0.0, rng=None) -> Tensor:
+    """x + drop(w2 · tanh(w1 · LN(x) + b1) + b2) as one node, over x (..., d, L).
+
+    With ``rate`` > 0 the sublayer output is dropped by an inverted-dropout
+    mask drawn from ``rng``, as ``dropout`` draws it.
+
+    Backward with u = LN(x), h = tanh(w1 · u + b1), gs = mask·g and
+    ĝ = (w2ᵀ gs)(1 − h²): du = w1ᵀ ĝ, dw1 = Σ ĝ uᵀ, db1 = Σ ĝ, dw2 = Σ gs hᵀ,
+    db2 = Σ gs, and dx = g plus the norm's share of du.
     """
     x = _as_tensor(x)
-    w1, b1, w2, b2 = (_as_tensor(t, dtype=x.dtype) for t in (w1, b1, w2, b2))
+    gamma, beta, w1, b1, w2, b2 = (_as_tensor(t, dtype=x.dtype) for t in (gamma, beta, w1, b1, w2, b2))
+    _check_norm(x, gamma, beta, "ffn")
     _check_weights(x, ((w1, b1), (w2, b2)), "ffn")
-    h = w1.data @ x.data
+    _check_rate(rate)
+    u, normed, std = _layer_norm(x.data, gamma.data, beta.data)
+    h = w1.data @ u
     h += b1.data
     if not _TRAPPING:
         _check_finite(h)  # tanh would hide an overflow here
     np.tanh(h, out=h)
     data = w2.data @ h
     data += b2.data
+    mask = _dropout_mask(data.shape, rate, rng, data.dtype) if rate > 0.0 else None
+    if mask is not None:
+        data *= mask
+    data += x.data
+    need_u = x.requires_grad or gamma.requires_grad or beta.requires_grad
 
     def bw(g):
+        gs = g if mask is None else g * mask
         gpre = None
-        if x.requires_grad or w1.requires_grad or b1.requires_grad:
-            gpre = w2.data.T @ g
+        if need_u or w1.requires_grad or b1.requires_grad:
+            gpre = w2.data.T @ gs
             gpre -= gpre * h * h
+        gu = w1.data.T @ gpre if need_u else None
         return (
-            w1.data.T @ gpre if x.requires_grad else None,
-            _weight_grad(gpre, x.data) if w1.requires_grad else None,
+            *_norm_grads(gu, normed, std, x, gamma, beta, residual=g),
+            _weight_grad(gpre, u) if w1.requires_grad else None,
             _unbroadcast(gpre, b1.data.shape) if b1.requires_grad else None,
-            _weight_grad(g, h) if w2.requires_grad else None,
-            _unbroadcast(g, b2.data.shape) if b2.requires_grad else None,
+            _weight_grad(gs, h) if w2.requires_grad else None,
+            _unbroadcast(gs, b2.data.shape) if b2.requires_grad else None,
         )
 
-    return _op(data, (x, w1, b1, w2, b2), bw)
+    return _op(data, (x, gamma, beta, w1, b1, w2, b2), bw)
 
 
-def attention(hq, hkv, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, rate: float = 0.0, rng=None) -> Tensor:
-    """Multi-head scaled dot-product attention as one node, before the residual add.
+def attention(
+    xq, xkv, gamma_q, beta_q, gamma_kv, beta_kv, wq, bq, wk, bk, wv, bv, wo, bo,
+    heads: int, rate: float = 0.0, rng=None,
+) -> Tensor:
+    """xq + drop(MultiHead(LN_q(xq), LN_kv(xkv))) as one node.
 
-    hq (..., d, Lq) gives the queries and hkv (..., d, Lk) the keys and
-    values; passing the same tensor twice makes it self-attention. Each w is
+    xq (..., d, Lq) gives the queries and xkv (..., d, Lk) the keys and
+    values. Passing the same tensor twice makes it self-attention: one norm,
+    and gamma_kv and beta_kv are None. Gammas and betas are (d, 1), each w
     (d, d) and each b (d, 1). Per head, with Q, K, V the head's rows of
-    wq·hq + bq, wk·hkv + bk and wv·hkv + bv, P = softmax(QᵀK / √dh) along
-    keys and the context V Pᵀ; the heads' contexts, stacked back to d rows,
-    go through wo·(·) + bo. Self-attention projects Q, K and V in one stacked
-    product and cross-attention K and V. With ``rate`` > 0 the attention
-    weights P are dropped by an inverted-dropout mask of shape
-    (..., heads, Lq, Lk) drawn from ``rng``, as ``dropout`` draws it.
+    wq·hq + bq, wk·hkv + bk and wv·hkv + bv over the normed hq and hkv,
+    P = softmax(QᵀK / √dh) along keys and the context V Pᵀ; the heads'
+    contexts, stacked back to d rows, go through wo·(·) + bo. Self-attention
+    projects Q, K and V in one stacked product and cross-attention K and V.
+    With ``rate`` > 0 two inverted-dropout masks are drawn from ``rng``, as
+    ``dropout`` draws them: first one on the attention weights P, of shape
+    (..., heads, Lq, Lk), then one on the sublayer output.
 
-    Backward, with Pd the dropped weights and G the context gradient per head:
-    dV = G Pd, dP = mask · (Gᵀ V), dS = (dP − Σ_k dP·P) P / √dh, dQ = K dSᵀ,
-    dK = Q dS. Each weight gradient is one tensordot over batch and sequence
-    axes, and the stacked projections share one. The key bias gradient is zero
-    in exact arithmetic: a per-query constant added to every score leaves the
-    softmax unchanged.
+    Backward, with gs the output gradient through its mask, Pd the dropped
+    weights and G the context gradient per head: dV = G Pd,
+    dP = mask · (Gᵀ V), dS = (dP − Σ_k dP·P) P / √dh, dQ = K dSᵀ, dK = Q dS.
+    Each weight gradient is one tensordot over batch and sequence axes, and
+    the stacked projections share one. The key bias gradient is zero in exact
+    arithmetic: a per-query constant added to every score leaves the softmax
+    unchanged. dxq is g plus the query norm's share of dhq.
     """
-    hq = _as_tensor(hq)
-    hkv = _as_tensor(hkv, dtype=hq.dtype)
-    params = [_as_tensor(t, dtype=hq.dtype) for t in (wq, bq, wk, bk, wv, bv, wo, bo)]
+    self_attn = xkv is xq
+    xq = _as_tensor(xq)
+    xkv = xq if self_attn else _as_tensor(xkv, dtype=xq.dtype)
+    if self_attn != (gamma_kv is None and beta_kv is None):
+        raise ContractError("attention takes a key/value norm exactly when keys come from a second input")
+    norm_q = [_as_tensor(t, dtype=xq.dtype) for t in (gamma_q, beta_q)]
+    norm_kv = [] if self_attn else [_as_tensor(t, dtype=xq.dtype) for t in (gamma_kv, beta_kv)]
+    params = [_as_tensor(t, dtype=xq.dtype) for t in (wq, bq, wk, bk, wv, bv, wo, bo)]
     wq, bq, wk, bk, wv, bv, wo, bo = params
-    if hq.data.ndim < 2 or hkv.data.shape[:-1] != hq.data.shape[:-1]:
-        raise DimensionError(f"attention inputs do not match: {hq.data.shape} vs {hkv.data.shape}")
-    *lead, d, lq = hq.data.shape
-    lk = hkv.data.shape[-1]
+    if xq.data.ndim < 2 or xkv.data.shape[:-1] != xq.data.shape[:-1]:
+        raise DimensionError(f"attention inputs do not match: {xq.data.shape} vs {xkv.data.shape}")
+    *lead, d, lq = xq.data.shape
+    lk = xkv.data.shape[-1]
+    _check_norm(xq, *norm_q, "attention query")
+    if norm_kv:
+        _check_norm(xkv, *norm_kv, "attention key/value")
     if any(t.data.shape != ((d, d) if i % 2 == 0 else (d, 1)) for i, t in enumerate(params)):
         raise DimensionError(f"attention weights must be ({d}, {d}) and biases ({d}, 1)")
     if heads < 1 or d % heads != 0:
         raise ConfigError(f"head count {heads} must divide feature dim {d}")
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
+    _check_rate(rate)
     dh = d // heads
+    hq, normed_q, std_q = _layer_norm(xq.data, *(t.data for t in norm_q))
+    hkv, normed_kv, std_kv = (hq, None, None) if self_attn else _layer_norm(xkv.data, *(t.data for t in norm_kv))
     # self-attention projects Q, K and V in one product, cross-attention K and V
-    self_attn = hkv is hq
     x_in, ws, bs = (hq, (wq, wk, wv), (bq, bk, bv)) if self_attn else (hkv, (wk, wv), (bk, bv))
     w_in = np.concatenate([w.data for w in ws])
-    proj = w_in @ x_in.data
+    proj = w_in @ x_in
     proj += np.concatenate([b.data for b in bs])
     if self_attn:
         q, k, v = proj[..., :d, :], proj[..., d : 2 * d, :], proj[..., 2 * d :, :]
     else:
-        q = wq.data @ hq.data
+        q = wq.data @ hq
         q += bq.data
         k, v = proj[..., :d, :], proj[..., d:, :]
     qh = q.reshape((*lead, heads, dh, lq))
     kh = k.reshape((*lead, heads, dh, lk))
     vh = v.reshape((*lead, heads, dh, lk))
-    scale = np.asarray(dh**-0.5, dtype=hq.dtype)
+    scale = np.asarray(dh**-0.5, dtype=xq.dtype)
     p = qh.swapaxes(-1, -2) @ kh  # scores (..., h, Lq, Lk), then their softmax in place
     p *= scale
     p -= p.max(axis=-1, keepdims=True)
@@ -596,38 +683,48 @@ def attention(hq, hkv, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, rate: float =
     ctx = (vh @ pd.swapaxes(-1, -2)).reshape((*lead, d, lq))
     data = wo.data @ ctx
     data += bo.data
+    out_mask = _dropout_mask(data.shape, rate, rng, data.dtype) if rate > 0.0 else None
+    if out_mask is not None:
+        data *= out_mask
+    data += xq.data
+    need_q = any(t.requires_grad for t in (xq, *norm_q))
+    # the normed input of the stacked projection: hq in self-attention, hkv in cross
+    need_in = need_q if self_attn else any(t.requires_grad for t in (xkv, *norm_kv))
 
     def bw(g):
-        gctx = (wo.data.T @ g).reshape((*lead, heads, dh, lq))
+        gs = g if out_mask is None else g * out_mask
+        gctx = (wo.data.T @ gs).reshape((*lead, heads, dh, lq))
         gv = (gctx @ pd).reshape((*lead, d, lk))
-        gs = gctx.swapaxes(-1, -2) @ vh  # dP, then dS in place
+        gscore = gctx.swapaxes(-1, -2) @ vh  # dP, then dS in place
         if mask is not None:
-            gs *= mask
-        gs -= (gs * p).sum(axis=-1, keepdims=True)
-        gs *= p
-        gs *= scale
-        gq = (kh @ gs.swapaxes(-1, -2)).reshape((*lead, d, lq))
-        gk = (qh @ gs).reshape((*lead, d, lk))
+            gscore *= mask
+        gscore -= (gscore * p).sum(axis=-1, keepdims=True)
+        gscore *= p
+        gscore *= scale
+        gq = (kh @ gscore.swapaxes(-1, -2)).reshape((*lead, d, lq))
+        gk = (qh @ gscore).reshape((*lead, d, lk))
         g_in = np.concatenate([gq, gk, gv] if self_attn else [gk, gv], axis=-2)
-        gx_in = w_in.T @ g_in if x_in.requires_grad else None
-        gw_in = _weight_grad(g_in, x_in.data)
+        gx_in = w_in.T @ g_in if need_in else None
+        gw_in = _weight_grad(g_in, x_in)
         gb_in = _unbroadcast(g_in, (g_in.shape[-2], 1))
         gw = [gw_in[i * d : (i + 1) * d] for i in range(len(ws))]
         gb = [gb_in[i * d : (i + 1) * d] for i in range(len(ws))]
         if self_attn:
-            ghq, ghkv = gx_in, None
+            grads = list(_norm_grads(gx_in, normed_q, std_q, xq, *norm_q, residual=g))
         else:
-            ghq, ghkv = (wq.data.T @ gq if hq.requires_grad else None), gx_in
-            gw.insert(0, _weight_grad(gq, hq.data))
+            ghq = wq.data.T @ gq if need_q else None
+            grads = list(_norm_grads(ghq, normed_q, std_q, xq, *norm_q, residual=g))
+            grads += _norm_grads(gx_in, normed_kv, std_kv, xkv, *norm_kv)
+            gw.insert(0, _weight_grad(gq, hq))
             gb.insert(0, _unbroadcast(gq, bq.data.shape))
-        gw.append(_weight_grad(g, ctx))
-        gb.append(_unbroadcast(g, bo.data.shape))
-        grads = [ghq, ghkv]
+        gw.append(_weight_grad(gs, ctx))
+        gb.append(_unbroadcast(gs, bo.data.shape))
         for w, b, gw_i, gb_i in zip(params[::2], params[1::2], gw, gb):
             grads += [gw_i if w.requires_grad else None, gb_i if b.requires_grad else None]
         return grads
 
-    return _op(data, (hq, hkv, *params), bw)
+    parents = (xq, *norm_q) if self_attn else (xq, *norm_q, xkv, *norm_kv)
+    return _op(data, (*parents, *params), bw)
 
 
 # -- normalisations ----------------------------------------------------------
@@ -671,39 +768,6 @@ def log_softmax(x, axis: int = -1) -> Tensor:
     return _op(y, (x,), bw)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5, axis: int = -1) -> Tensor:
-    """Normalise to zero mean / unit variance along ``axis``, then apply affine.
-
-    One graph node. With x̂ = (x − μ) / s and s = sqrt(var + eps), the backward
-    pass is dβ = Σ g, dγ = Σ g·x̂ (over broadcast axes) and
-    dx = (ĝ − mean(ĝ) − x̂·mean(ĝ·x̂)) / s with ĝ = g·γ, means along ``axis``.
-    """
-    x = _as_tensor(x)
-    ax = _check_axis(x, axis, "layer_norm") - x.data.ndim  # negative: γ/β may add leading axes
-    gamma = _as_tensor(gamma, dtype=x.dtype)
-    beta = _as_tensor(beta, dtype=x.dtype)
-    # the same numpy expressions, in the same order, as the composed
-    # mean / centre / variance / sqrt / affine graph, so values match it bit for bit
-    inv_n = np.asarray(1.0 / x.data.shape[ax], dtype=x.dtype)
-    centered = x.data - x.data.sum(axis=ax, keepdims=True) * inv_n
-    std = np.sqrt((centered * centered).sum(axis=ax, keepdims=True) * inv_n + np.asarray(eps, dtype=x.dtype))
-    normed = centered / std
-    out = gamma.data * normed + beta.data
-
-    def bw(g):
-        gx = None
-        if x.requires_grad:
-            gn = g * gamma.data
-            mean_gn = gn.sum(axis=ax, keepdims=True) * inv_n
-            mean_gn_normed = (gn * normed).sum(axis=ax, keepdims=True) * inv_n
-            gx = _unbroadcast((gn - mean_gn - normed * mean_gn_normed) / std, x.data.shape)
-        ggamma = _unbroadcast(g * normed, gamma.data.shape) if gamma.requires_grad else None
-        gbeta = _unbroadcast(g, beta.data.shape) if beta.requires_grad else None
-        return gx, ggamma, gbeta
-
-    return _op(out, (x, gamma, beta), bw)
-
-
 def l2_normalize(x, axis: int = -1) -> Tensor:
     """Scale rows (slices along ``axis``) to unit Euclidean norm."""
     x = _as_tensor(x)
@@ -720,8 +784,7 @@ def l2_normalize(x, axis: int = -1) -> Tensor:
 def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
     """Seeded inverted-dropout mask; identity when rate is 0."""
     x = _as_tensor(x)
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
+    _check_rate(rate)
     if rate == 0.0:
         return x
     mask = _dropout_mask(x.data.shape, rate, rng, x.data.dtype)

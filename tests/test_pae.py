@@ -10,8 +10,8 @@ from beliefret.blocks import (
     ffn_block,
     init_attention,
     init_ffn,
+    linear,
     named_tensors,
-    norm_features,
 )
 from beliefret.errors import DimensionError, ConfigError
 from beliefret.pae import PaeStack, init_pae_stack, init_pael, pael, spatial_pae, temporal_pae
@@ -176,13 +176,23 @@ def test_spatial_pae_gradients():
     assert grad_check(lambda t: (spatial_pae(toks, t, stack) * coef).sum(), ins) < 1e-4
 
 
+def all_columns_stack(cur, stack, guide, drop=None):
+    """A stack run whose every unit is guided by guide(w, cur) over all carried
+    columns, reading out column 0 at the end: the reference both stacks are
+    checked against, living only here."""
+    for w, layer in zip(stack.guide_w, stack.layers):
+        _, cur = pae.pael(cur, guide(w, cur), layer, drop)
+    out = linear(cur[..., :1], stack.head)
+    return out.reshape(out.shape[:-1])
+
+
 def replicated_guide_spatial_pae(tokens, f_ins, stack, drop=None):
     """The replicated-guide spatial stack: the projected instruction broadcast
     to all k carried columns. Every op on the query branch works column by
     column, so the k columns stay identical and the head reads what one column
-    gives. It lives only here, as the reference for spatial_pae."""
+    gives."""
     ins_col = f_ins.reshape((*f_ins.shape, 1))
-    return pae._run_stack(tokens, stack, lambda w, cur: T.broadcast_to(T.matmul(w, ins_col), cur.shape), drop)
+    return all_columns_stack(tokens, stack, lambda w, cur: T.broadcast_to(T.matmul(w, ins_col), cur.shape), drop)
 
 
 @pytest.mark.parametrize("k", [1, 8, 17], ids=["soft-aggregate", "hard-k8", "soft-sequence"])
@@ -271,6 +281,56 @@ def test_temporal_pae_gradients():
     assert grad_check(lambda t: (temporal_pae(t, stack) * coef).sum(), tokens) < 1e-4
 
 
+def all_columns_temporal_pae(tokens, stack, drop=None):
+    """The temporal stack with every unit's guide built from all carried
+    columns. Every op on the query branch works column by column and the head
+    reads column 0, so temporal_pae, whose last guide is column 0 alone, must
+    read the same."""
+    return all_columns_stack(tokens, stack, T.matmul, drop)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["unbatched", "batched"])
+@pytest.mark.parametrize("n_units", [1, 3])
+def test_temporal_pae_matches_all_columns(n_units, lead):
+    rng = child(n_units, len(lead), "tmp-all")
+    stack = _random_params(init_pae_stack(child(n_units, "tmp-all-params"), D, HEADS, n_units), rng)
+    tokens = Tensor(rng.normal(size=(*lead, D, 6)), requires_grad=True)
+    coef = rng.normal(size=(*lead, D))
+    leaves = [tokens, *(t for _, t in named_tensors(stack))]
+    results = []
+    for run in (temporal_pae, all_columns_temporal_pae):
+        for t in leaves:
+            t.zero_grad()
+        out = run(tokens, stack)
+        (out * coef).sum().backward()
+        results.append((out.data, [t.grad for t in leaves]))
+    (out, grads), (ref_out, ref_grads) = results
+    npt.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+    for g, ref in zip(grads, ref_grads):
+        assert g is not None and g.shape == ref.shape
+        npt.assert_allclose(g, ref, rtol=0, atol=1e-10)
+
+
+def test_temporal_pae_last_unit_queries_one_column(monkeypatch):
+    # the default stack has three units over captions of 5 tokens plus the
+    # global token; only the last unit's guide narrows to the head column
+    from beliefret.config import TrainConfig
+    from beliefret.model import RetrievalModel
+
+    model = RetrievalModel(TrainConfig(), vocab_size=30, num_classes=3)
+    shapes = []
+    run_pael = pae.pael
+
+    def recording_pael(h_s, h_c, params, drop=None):
+        shapes.append((h_s.shape, h_c.shape))
+        return run_pael(h_s, h_c, params, drop)
+
+    monkeypatch.setattr(pae, "pael", recording_pael)
+    model.embed_texts(child(18, "tmp-one").integers(0, 30, size=(2, 5)).tolist())
+    assert [s for s, _ in shapes] == [(2, 32, 6)] * 3
+    assert [c for _, c in shapes] == [(2, 32, 6), (2, 32, 6), (2, 32, 1)]
+
+
 def test_temporal_pae_shares_the_stack_type():
     # one stack type serves both guides; the model names the temporal guides guide_w
     from beliefret.config import TrainConfig
@@ -313,18 +373,27 @@ def test_compose_embeddings():
 
 # -- fused blocks against the composed reference ------------------------------------
 #
-# The blocks call one-node ops (affine, ffn, attention) with hand-derived backward
-# passes. The references below build the same blocks from primitive ops, as the
-# package did before those ops existed; they live only here.
+# The blocks call one-node ops (affine, and ffn and attention with their norm and
+# residual inside) with hand-derived backward passes. The references below build
+# the same blocks from primitive ops, as the package did before those ops
+# existed; they live only here.
 
 
 def composed_linear(x, p):
     return T.matmul(p.w, x) + p.b
 
 
+def composed_norm(x, p):
+    """Layer norm along the feature axis (-2) as a graph of primitive ops."""
+    mu = T.tmean(x, axis=-2, keepdims=True)
+    centered = x - mu
+    var = T.tmean(centered * centered, axis=-2, keepdims=True)
+    return p.gamma * (centered / T.tsqrt(var + 1e-5)) + p.beta
+
+
 def composed_attention_block(q_in, kv_in, p, drop=None):
-    hq = norm_features(q_in, p.ln_q)
-    hkv = hq if kv_in is q_in else norm_features(kv_in, p.ln_kv)
+    hq = composed_norm(q_in, p.ln_q)
+    hkv = hq if kv_in is q_in else composed_norm(kv_in, p.ln_kv)
 
     def split_heads(x):
         *lead, d, length = x.shape
@@ -334,19 +403,19 @@ def composed_attention_block(q_in, kv_in, p, drop=None):
     dh = q.shape[-2]
     weights = T.softmax(T.matmul(q.swapaxes(-1, -2), k) * (dh**-0.5), axis=-1)
     if drop is not None:
-        weights = drop(weights)
+        weights = T.dropout(weights, drop.rate, drop.rng)
     ctx = T.matmul(v, weights.swapaxes(-1, -2))
     *lead, _, _, lq = ctx.shape
     out = composed_linear(ctx.reshape((*lead, p.heads * dh, lq)), p.o)
     if drop is not None:
-        out = drop(out)
+        out = T.dropout(out, drop.rate, drop.rng)
     return q_in + out
 
 
 def composed_ffn_block(x, p, drop=None):
-    out = composed_linear(T.ttanh(composed_linear(norm_features(x, p.ln), p.inner)), p.out)
+    out = composed_linear(T.ttanh(composed_linear(composed_norm(x, p.ln), p.inner)), p.out)
     if drop is not None:
-        out = drop(out)
+        out = T.dropout(out, drop.rate, drop.rng)
     return x + out
 
 

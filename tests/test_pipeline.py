@@ -169,6 +169,28 @@ def test_embed_records_matches_per_record_embeddings():
         embed_records(model, [])
 
 
+def test_embed_records_encodes_length_sorted_chunks(monkeypatch):
+    # captions are embedded in length order, so a chunk of 64 holds one length,
+    # or two at a boundary, and the text tower runs once per length in a chunk
+    from beliefret import model as bmodel
+
+    lengths = []
+    encode = bmodel.encode_text_batch
+
+    def counting_encode(ids, params, drop=None):
+        lengths.append(ids.shape[1])
+        return encode(ids, params, drop)
+
+    monkeypatch.setattr(bmodel, "encode_text_batch", counting_encode)
+    trainer = Trainer(make_config(**{"optim.steps": "1", "optim.batch_size": "16"}), dataset=TINY)
+    captions = [cap for r in TINY.records for cap in r.captions]
+    distinct = len({len(cap) for cap in captions})
+    assert distinct > 1
+    embed_records(trainer.model, TINY.records)
+    assert len(lengths) <= -(-len(captions) // 64) + distinct - 1
+    assert lengths == sorted(lengths)
+
+
 def test_one_length_batch_is_not_regrouped(monkeypatch):
     # captions of one length form one group already in batch order, so
     # embed_texts returns that group's tensor: no index node follows it
@@ -566,7 +588,8 @@ def test_float32_every_op_output_is_float32(monkeypatch):
                 seen.add(id(parent))
                 stack.append(parent)
     loss.backward()
-    assert len(dtypes) >= ops > 400
+    # ops counts graph nodes, and a pre-norm sublayer is one node: about 240 here
+    assert len(dtypes) >= ops > 200
     assert set(dtypes) == {np.dtype(np.float32)}
     grads = [p.grad for _, p in trainer.model.named_parameters() if p.grad is not None]
     assert grads and all(g.dtype == np.float32 for g in grads)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beliefret import retrieval
 from beliefret.errors import ConfigError, DegenerateInputError, InputError
 from beliefret.retrieval import (
     RecallReport,
@@ -163,12 +164,18 @@ def test_recall_invariant_under_monotone_transform():
 
 
 def test_table_validation():
+    # the finiteness check goes a block of rows at a time: a NaN in the last row
+    # of a table spanning several blocks must be found too
+    n_img = 3 * retrieval._RANK_BLOCK + 5
+    nan_last = np.ones((n_img, 2 * n_img))
+    nan_last[-1, -1] = np.nan
     cases = [  # (sim, owner, expected message)
         (np.ones((2, 3)), [0, 1], r"shape \(3,\)"),  # wrong length
         (np.ones((2, 3)), [0.0, 1.0, 1.0], "integer image indices"),  # non-integer dtype
         (np.ones((2, 3)), [0, 2, -1], r"caption 1 has image index 2 outside \[0, 2\)"),
         (np.ones((3, 3)), [0, 2, 2], "image 1 has no ground-truth captions"),
         (np.array([[np.nan, 1.0], [0.0, 1.0]]), [0, 1], "non-finite"),
+        (nan_last, np.repeat(np.arange(n_img), 2), "non-finite"),
     ]
     for sim, owner, message in cases:
         with pytest.raises(InputError, match=message):

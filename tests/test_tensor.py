@@ -103,32 +103,36 @@ def test_softmax_sums_to_one_and_permutation_equivariant():
 
 
 # -- layer norm ---------------------------------------------------------------
+#
+# The norm lives inside the pre-norm ops ffn and attention; these check its
+# private forward helper, which normalises the feature axis (-2).
 
 
 def test_layer_norm_constant_vector():
-    out = T.layer_norm(Tensor([2.5, 2.5, 2.5]), 1.0, 0.0)
-    npt.assert_allclose(out.data, np.zeros(3), atol=1e-6)
+    out, _, _ = T._layer_norm(np.full((3, 1), 2.5), 1.0, 0.0)
+    npt.assert_allclose(out, np.zeros((3, 1)), atol=1e-6)
 
 
 def test_layer_norm_already_standard():
-    out = T.layer_norm(Tensor([1.0, -1.0]), 1.0, 0.0)
-    npt.assert_allclose(out.data, [1.0, -1.0], atol=1e-5)
+    out, _, _ = T._layer_norm(np.array([[1.0], [-1.0]]), 1.0, 0.0)
+    npt.assert_allclose(out, [[1.0], [-1.0]], atol=1e-5)
 
 
 def test_layer_norm_zero_gamma_gives_beta():
-    x = Tensor(child(3, "ln").normal(size=6))
-    out = T.layer_norm(x, 0.0, 4.5)
-    npt.assert_allclose(out.data, np.full(6, 4.5))
+    x = child(3, "ln").normal(size=(6, 1))
+    out, _, _ = T._layer_norm(x, 0.0, 4.5)
+    npt.assert_allclose(out, np.full((6, 1), 4.5))
 
 
 def test_layer_norm_standardises_along_axis():
-    x = Tensor(child(4, "ln-axis").normal(size=(3, 5, 7)) * 3.0 + 1.0)
-    out = T.layer_norm(x, 1.0, 0.0, axis=-2)
-    npt.assert_allclose(out.data.mean(axis=-2), 0.0, atol=1e-6)
-    npt.assert_allclose(out.data.var(axis=-2), 1.0, atol=1e-4)
+    x = child(4, "ln-axis").normal(size=(3, 5, 7)) * 3.0 + 1.0
+    out, normed, _ = T._layer_norm(x, 1.0, 0.0)
+    npt.assert_array_equal(out, normed)
+    npt.assert_allclose(out.mean(axis=-2), 0.0, atol=1e-6)
+    npt.assert_allclose(out.var(axis=-2), 1.0, atol=1e-4)
 
 
-def composed_layer_norm(x, gamma, beta, eps=1e-5, axis=-1):
+def composed_layer_norm(x, gamma, beta, eps=1e-5, axis=-2):
     """The layer norm as a graph of primitive ops: the reference the fused op matches."""
     mu = T.tmean(x, axis=axis, keepdims=True)
     centered = x - mu
@@ -143,10 +147,26 @@ def test_layer_norm_fused_forward_matches_composed_bit_for_bit(dtype):
         x = Tensor(rng.normal(size=(3, 6, 5)) * 4.0 + 2.0, dtype=dtype)
         gamma = Tensor(rng.normal(size=(6, 1)), dtype=dtype)
         beta = Tensor(rng.normal(size=(6, 1)), dtype=dtype)
-        for args, axis in (((gamma, beta), -2), ((1.3, -0.2), -1)):
-            fused = T.layer_norm(x, *args, axis=axis).data
+        for g, b in ((gamma, beta), (Tensor(1.3, dtype=dtype), Tensor(-0.2, dtype=dtype))):
+            fused, _, _ = T._layer_norm(x.data, g.data, b.data)
             assert fused.dtype == np.dtype(dtype)
-            npt.assert_array_equal(fused, composed_layer_norm(x, *args, axis=axis).data)
+            npt.assert_array_equal(fused, composed_layer_norm(x, g, b).data)
+
+
+def test_pre_norm_ops_refuse_mismatched_norms():
+    rng = child(5, "ln-shapes")
+    x, kv = Tensor(rng.normal(size=(2, 4, 3))), Tensor(rng.normal(size=(2, 4, 2)))
+    ones, zeros = np.ones((4, 1)), np.zeros((4, 1))
+    w = [np.eye(4) if i % 2 == 0 else zeros for i in range(8)]
+    with pytest.raises(DimensionError, match="ffn norm"):
+        T.ffn(x, np.ones((3, 1)), zeros, np.eye(4), zeros, np.eye(4), zeros)
+    with pytest.raises(DimensionError, match="key/value norm"):
+        T.attention(x, kv, ones, zeros, ones, np.zeros(4), *w, heads=2)
+    # a key/value norm exactly when keys and values come from a second input
+    with pytest.raises(ContractError):
+        T.attention(x, x, ones, zeros, ones, zeros, *w, heads=2)
+    with pytest.raises(ContractError):
+        T.attention(x, kv, ones, zeros, None, None, *w, heads=2)
 
 
 # -- l2 normalize -------------------------------------------------------------
@@ -274,12 +294,22 @@ def test_grad_check_constant_function():
     assert grad_check(lambda t: c.sum(), x) == 0.0
 
 
-# layer_norm cases use the production layout: a (B, d, L) input normalised
-# along d (axis -2) with (d, 1) gamma and beta; the probed tensor is x, gamma or
-# beta, and the coefficient tensor has the input's shape.
+# layer_norm cases check the norm inside the pre-norm ops in the production
+# layout: a (B, d, L) input normalised along d with (d, 1) gamma and beta. The
+# layer_norm_* cases probe x, gamma or beta of a fixed ffn, and layer_norm the
+# input of a fixed self-attention; the coefficient tensor has the input's shape.
 LN_GAMMA = Tensor(child(10, "gc-ln-gamma").normal(size=(4, 1)))
 LN_BETA = Tensor(child(10, "gc-ln-beta").normal(size=(4, 1)))
+LN_FFN = [
+    Tensor(child(10, "gc-ln-ffn", i).normal(size=shape) * scale)
+    for i, (shape, scale) in enumerate((((6, 4), 0.5), ((6, 1), 1.0), ((4, 6), 6**-0.5), ((4, 1), 1.0)))
+]
+LN_ATTN = [
+    Tensor(child(10, "gc-ln-attn", i).normal(size=(4, 4) if i % 2 == 0 else (4, 1)) * (0.5 if i % 2 == 0 else 1.0))
+    for i in range(8)
+]
 RANDOMISED_SHAPES = {
+    "layer_norm": ((2, 4, 3), (2, 4, 3)),
     "layer_norm_x": ((2, 4, 3), (2, 4, 3)),
     "layer_norm_gamma": ((4, 1), (2, 4, 3)),
     "layer_norm_beta": ((4, 1), (2, 4, 3)),
@@ -306,7 +336,7 @@ def along_last(shape, idx):
     [
         ("softmax", lambda t, c: (T.softmax(t, axis=-1) * c).sum()),
         ("log_softmax", lambda t, c: (T.log_softmax(t, axis=-1) * c).sum()),
-        ("layer_norm", lambda t, c: (T.layer_norm(t, 1.3, -0.2, axis=-1) * c).sum()),
+        ("layer_norm", lambda t, c: (T.attention(t, t, LN_GAMMA, LN_BETA, None, None, *LN_ATTN, 2) * c).sum()),
         ("l2_normalize", lambda t, c: (T.l2_normalize(t, axis=-1) * c).sum()),
         ("exp", lambda t, c: (T.texp(t * 0.3) * c).sum()),
         ("log", lambda t, c: (T.tlog(t * t + 1.0) * c).sum()),
@@ -328,9 +358,9 @@ def along_last(shape, idx):
         ("take_along_last", lambda t, c: (t[along_last(t.shape, np.array([[0, 2, 2], [3, 1, 0]]))] * 0.5).sum()),
         ("index_hard_filter", lambda t, c: (t[HARD_FILTER_KEY] * c).sum()),
         ("dropout_fixed_mask", lambda t, c: (T.dropout(t, 0.4, child(9, "gc-drop")) * c).sum()),
-        ("layer_norm_x", lambda t, c: (T.layer_norm(t, LN_GAMMA, LN_BETA, axis=-2) * c).sum()),
-        ("layer_norm_gamma", lambda t, c: (T.layer_norm(c * 2.0 + 0.5, t, LN_BETA, axis=-2) * c).sum()),
-        ("layer_norm_beta", lambda t, c: (T.layer_norm(c, LN_GAMMA, t, axis=-2) * T.ttanh(c)).sum()),
+        ("layer_norm_x", lambda t, c: (T.ffn(t, LN_GAMMA, LN_BETA, *LN_FFN) * c).sum()),
+        ("layer_norm_gamma", lambda t, c: (T.ffn(c * 2.0 + 0.5, t, LN_BETA, *LN_FFN) * c).sum()),
+        ("layer_norm_beta", lambda t, c: (T.ffn(c, LN_GAMMA, t, *LN_FFN) * T.ttanh(c)).sum()),
     ],
 )
 def test_grad_check_ops_randomised(name, f):
