@@ -91,22 +91,23 @@ class RetrievalModel:
         else:
             self.t_logit = cfg.loss.t_logit
 
+        # loading a checkpoint and fitting the prior replace a parameter's data,
+        # never the Tensor, so the list is walked once
+        groups = {
+            "image": self.image,
+            "text": self.text,
+            "instruction": self.instruction,
+            "spatial": self.spatial,
+            "temporal": self.temporal,
+            "t_logit": self.t_logit,  # a Tensor only when trainable; an absent group yields nothing
+        }
+        self._named_parameters = tuple(pair for group, obj in groups.items() for pair in named_tensors(obj, group))
+
     # -- parameters ---------------------------------------------------------
 
-    def _groups(self) -> dict:
-        groups = {"image": self.image, "text": self.text}
-        if self.instruction is not None:
-            groups["instruction"] = self.instruction
-        if self.spatial is not None:
-            groups["spatial"] = self.spatial
-        if self.temporal is not None:
-            groups["temporal"] = self.temporal
-        if isinstance(self.t_logit, Tensor):
-            groups["t_logit"] = self.t_logit
-        return groups
-
-    def named_parameters(self):
-        return [pair for group, obj in self._groups().items() for pair in named_tensors(obj, group)]
+    def named_parameters(self) -> tuple:
+        """(dotted name, Tensor) of every parameter, in a fixed order."""
+        return self._named_parameters
 
     def active_components(self):
         parts = ["image_encoder", "text_encoder", "contrastive_loss"]

@@ -313,11 +313,6 @@ def texp(x) -> Tensor:
     return _op(y, (x,), lambda g: (g * y,))
 
 
-def tlog(x) -> Tensor:
-    x = _as_tensor(x)
-    return _op(np.log(x.data), (x,), lambda g: (g / x.data,))
-
-
 def tsqrt(x) -> Tensor:
     x = _as_tensor(x)
     y = np.sqrt(x.data)
@@ -504,9 +499,18 @@ def affine(w, x, b) -> Tensor:
 
 # -- pre-norm residual sublayers ----------------------------------------------
 #
-# Each sublayer is one node x + drop(sublayer(LN(x))), with LN along the feature
-# axis (-2) and (d, 1) gamma and beta. The norm's output, its input to the
-# sublayer, never leaves the op.
+# Each sublayer is one node x + drop(sublayer(LN(x))), with LN(x) = γ·x̂ + β
+# along the feature axis (-2), (d, 1) γ and β, x̂ = (x − μ) / s and
+# s = sqrt(var + eps). The norm feeds only the sublayer's first product, so γ
+# and β fold into it: w·(γ·x̂ + β) + b = (w∘γᵀ)·x̂ + (w β + b), where w∘γᵀ scales
+# column j of w by γ_j; γ·x̂ + β is never formed. μ and var = mean((x − μ)²)
+# are products with the (1, d) row of 1/d: for a (B, d, L) input BLAS takes
+# them several times faster than a numpy sum across the short sequence axis.
+#
+# Backward from g, the gradient at the first product's output, with G = Σ g x̂ᵀ
+# and S = Σ g over batch and sequence axes: dw = G∘γᵀ + S βᵀ, db = S,
+# dγ = Σ_rows (w∘G), dβ = wᵀ S, and the gradient at x̂ is (w∘γᵀ)ᵀ g. Only the
+# last is activation-sized; ``_norm_grads`` carries it back to x.
 
 _LN_EPS = 1e-5
 
@@ -524,61 +528,80 @@ def _check_rate(rate: float) -> None:
         raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
 
 
-def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
-    """(γ·x̂ + β, x̂, s) along axis -2, with x̂ = (x − μ) / s and s = sqrt(var + eps)."""
-    inv_n = np.asarray(1.0 / x.shape[-2], dtype=x.dtype)
-    normed = x - x.sum(axis=-2, keepdims=True) * inv_n
-    std = np.sqrt((normed * normed).sum(axis=-2, keepdims=True) * inv_n + np.asarray(_LN_EPS, dtype=x.dtype))
+def _dropout_mask(shape, rate: float, rng: np.random.Generator, dtype) -> np.ndarray:
+    """An inverted-dropout mask: (rng.random(shape) >= rate) / (1 − rate)."""
+    return (rng.random(shape) >= rate).astype(dtype) / (1.0 - rate)
+
+
+def _avg_row(x: np.ndarray) -> np.ndarray:
+    """The (1, d) row of 1/d, in x's dtype: avg @ x is the mean along axis -2."""
+    d = x.shape[-2]
+    return np.full((1, d), 1.0 / d, dtype=x.dtype)
+
+
+def _normalize(x: np.ndarray):
+    """(x̂, s) along axis -2, with x̂ = (x − μ) / s and s = sqrt(var + eps)."""
+    avg = _avg_row(x)
+    normed = x - avg @ x
+    std = avg @ (normed * normed)
+    std += _LN_EPS
+    np.sqrt(std, out=std)
     normed /= std
-    out = gamma * normed
-    out += beta
-    return out, normed, std
+    return normed, std
 
 
-def _norm_grads(gu, normed: np.ndarray, std: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor, residual=None):
-    """(dx, dγ, dβ) of a normed input from gu, the gradient at LN(x), or Nones
-    when gu is None. dx adds ``residual``, the gradient x gets past the sublayer.
+def _norm_grads(gn: np.ndarray, normed: np.ndarray, std: np.ndarray, residual=None) -> np.ndarray:
+    """dx of x̂ = normalize(x) from gn, the gradient at x̂, plus ``residual``, the
+    gradient x gets past the sublayer.
 
-    With ĝ = gu·γ: dx = (ĝ − mean(ĝ) − x̂·mean(ĝ·x̂)) / s, dγ = Σ gu·x̂ and
-    dβ = Σ gu, means along the feature axis and sums over the others.
+    dx = (gn − mean(gn) − x̂·mean(gn·x̂)) / s, means along the feature axis.
+    gn is the op's own temporary and becomes dx in place.
     """
-    if gu is None:
-        return None, None, None
-    ggamma = _unbroadcast(gu * normed, gamma.data.shape) if gamma.requires_grad else None
-    gbeta = _unbroadcast(gu, beta.data.shape) if beta.requires_grad else None
-    gx = None
-    if x.requires_grad:
-        inv_n = np.asarray(1.0 / normed.shape[-2], dtype=normed.dtype)
-        # ĝ in place: gu is the op's own temporary, unless an unbatched (d, 1) input made it gbeta
-        gx = gu if gbeta is not gu else gu.copy()
-        gx *= gamma.data
-        mean_gx_normed = (gx * normed).sum(axis=-2, keepdims=True) * inv_n
-        gx -= gx.sum(axis=-2, keepdims=True) * inv_n
-        gx -= normed * mean_gx_normed
-        gx /= std
-        if residual is not None:
-            gx += residual
-    return gx, ggamma, gbeta
+    avg = _avg_row(gn)
+    mean_gn_normed = avg @ (gn * normed)
+    gn -= avg @ gn
+    gn -= normed * mean_gn_normed
+    gn /= std
+    if residual is not None:
+        gn += residual
+    return gn
+
+
+def _fold(w: np.ndarray, gamma: np.ndarray, beta: np.ndarray, b: np.ndarray):
+    """(w∘γᵀ, w β + b): the product and bias that map x̂ to w·(γ·x̂ + β) + b."""
+    return w * gamma.T, w @ beta + b
+
+
+def _fold_grads(g: np.ndarray, normed: np.ndarray, w: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
+    """(dγ, dβ, dw, db) of (w∘γᵀ)·x̂ + (w β + b) from g, the gradient at its output."""
+    outer = _weight_grad(g, normed)  # G = Σ g x̂ᵀ
+    total = _unbroadcast(g, (g.shape[-2], 1))  # S = Σ g
+    gw = outer * gamma.T
+    gw += total @ beta.T
+    return (w * outer).sum(axis=0)[:, None], w.T @ total, gw, total
 
 
 def ffn(x, gamma, beta, w1, b1, w2, b2, rate: float = 0.0, rng=None) -> Tensor:
     """x + drop(w2 · tanh(w1 · LN(x) + b1) + b2) as one node, over x (..., d, L).
 
-    With ``rate`` > 0 the sublayer output is dropped by an inverted-dropout
-    mask drawn from ``rng``, as ``dropout`` draws it.
+    The first product is (w1∘γᵀ)·x̂ + (w1 β + b1), with γ and β folded in. With
+    ``rate`` > 0 the sublayer output is dropped by an inverted-dropout mask
+    drawn from ``rng``, as ``_dropout_mask`` draws it.
 
-    Backward with u = LN(x), h = tanh(w1 · u + b1), gs = mask·g and
-    ĝ = (w2ᵀ gs)(1 − h²): du = w1ᵀ ĝ, dw1 = Σ ĝ uᵀ, db1 = Σ ĝ, dw2 = Σ gs hᵀ,
-    db2 = Σ gs, and dx = g plus the norm's share of du.
+    Backward with h = tanh(w1 · LN(x) + b1), gs = mask·g and
+    ĝ = (w2ᵀ gs)(1 − h²): dw2 = Σ gs hᵀ, db2 = Σ gs; with G = Σ ĝ x̂ᵀ and
+    S = Σ ĝ, dw1 = G∘γᵀ + S βᵀ, db1 = S, dγ = Σ_rows (w1∘G), dβ = w1ᵀ S; and
+    dx = g plus the norm's share of (w1∘γᵀ)ᵀ ĝ, the gradient at x̂.
     """
     x = _as_tensor(x)
     gamma, beta, w1, b1, w2, b2 = (_as_tensor(t, dtype=x.dtype) for t in (gamma, beta, w1, b1, w2, b2))
     _check_norm(x, gamma, beta, "ffn")
     _check_weights(x, ((w1, b1), (w2, b2)), "ffn")
     _check_rate(rate)
-    u, normed, std = _layer_norm(x.data, gamma.data, beta.data)
-    h = w1.data @ u
-    h += b1.data
+    normed, std = _normalize(x.data)
+    w_fold, b_fold = _fold(w1.data, gamma.data, beta.data, b1.data)
+    h = w_fold @ normed
+    h += b_fold
     if not _TRAPPING:
         _check_finite(h)  # tanh would hide an overflow here
     np.tanh(h, out=h)
@@ -588,19 +611,14 @@ def ffn(x, gamma, beta, w1, b1, w2, b2, rate: float = 0.0, rng=None) -> Tensor:
     if mask is not None:
         data *= mask
     data += x.data
-    need_u = x.requires_grad or gamma.requires_grad or beta.requires_grad
 
     def bw(g):
         gs = g if mask is None else g * mask
-        gpre = None
-        if need_u or w1.requires_grad or b1.requires_grad:
-            gpre = w2.data.T @ gs
-            gpre -= gpre * h * h
-        gu = w1.data.T @ gpre if need_u else None
+        gpre = w2.data.T @ gs
+        gpre -= gpre * h * h
         return (
-            *_norm_grads(gu, normed, std, x, gamma, beta, residual=g),
-            _weight_grad(gpre, u) if w1.requires_grad else None,
-            _unbroadcast(gpre, b1.data.shape) if b1.requires_grad else None,
+            _norm_grads(w_fold.T @ gpre, normed, std, residual=g) if x.requires_grad else None,
+            *_fold_grads(gpre, normed, w1.data, gamma.data, beta.data),
             _weight_grad(gs, h) if w2.requires_grad else None,
             _unbroadcast(gs, b2.data.shape) if b2.requires_grad else None,
         )
@@ -618,21 +636,24 @@ def attention(
     values. Passing the same tensor twice makes it self-attention: one norm,
     and gamma_kv and beta_kv are None. Gammas and betas are (d, 1), each w
     (d, d) and each b (d, 1). Per head, with Q, K, V the head's rows of
-    wq·hq + bq, wk·hkv + bk and wv·hkv + bv over the normed hq and hkv,
+    wq·LN_q(xq) + bq, wk·LN_kv(xkv) + bk and wv·LN_kv(xkv) + bv,
     P = softmax(QᵀK / √dh) along keys and the context V Pᵀ; the heads'
     contexts, stacked back to d rows, go through wo·(·) + bo. Self-attention
-    projects Q, K and V in one stacked product and cross-attention K and V.
+    projects Q, K and V in one stacked product and cross-attention K and V;
+    each product has its norm's γ and β folded in, (w∘γᵀ)·x̂ + (w β + b).
     With ``rate`` > 0 two inverted-dropout masks are drawn from ``rng``, as
-    ``dropout`` draws them: first one on the attention weights P, of shape
-    (..., heads, Lq, Lk), then one on the sublayer output.
+    ``_dropout_mask`` draws them: first one on the attention weights P, of
+    shape (..., heads, Lq, Lk), then one on the sublayer output.
 
     Backward, with gs the output gradient through its mask, Pd the dropped
     weights and G the context gradient per head: dV = G Pd,
     dP = mask · (Gᵀ V), dS = (dP − Σ_k dP·P) P / √dh, dQ = K dSᵀ, dK = Q dS.
-    Each weight gradient is one tensordot over batch and sequence axes, and
-    the stacked projections share one. The key bias gradient is zero in exact
-    arithmetic: a per-query constant added to every score leaves the softmax
-    unchanged. dxq is g plus the query norm's share of dhq.
+    Each folded product, from the gradient g at its output, with
+    G = Σ g x̂ᵀ (one tensordot over batch and sequence axes) and S = Σ g, gives
+    dw = G∘γᵀ + S βᵀ, db = S, dγ = Σ_rows (w∘G), dβ = wᵀ S and the gradient
+    (w∘γᵀ)ᵀ g at x̂; a stacked product shares one G. The key bias gradient is
+    zero in exact arithmetic: a per-query constant added to every score leaves
+    the softmax unchanged. dxq is g plus the query norm's share.
     """
     self_attn = xkv is xq
     xq = _as_tensor(xq)
@@ -656,19 +677,26 @@ def attention(
         raise ConfigError(f"head count {heads} must divide feature dim {d}")
     _check_rate(rate)
     dh = d // heads
-    hq, normed_q, std_q = _layer_norm(xq.data, *(t.data for t in norm_q))
-    hkv, normed_kv, std_kv = (hq, None, None) if self_attn else _layer_norm(xkv.data, *(t.data for t in norm_kv))
-    # self-attention projects Q, K and V in one product, cross-attention K and V
-    x_in, ws, bs = (hq, (wq, wk, wv), (bq, bk, bv)) if self_attn else (hkv, (wk, wv), (bk, bv))
-    w_in = np.concatenate([w.data for w in ws])
-    proj = w_in @ x_in
-    proj += np.concatenate([b.data for b in bs])
+    # one folded product per normed input: Q, K and V of xq in self-attention;
+    # Q of xq, then K and V of xkv in cross-attention
+    inputs = [(xq, norm_q, (wq, wk, wv), (bq, bk, bv))] if self_attn else [
+        (xq, norm_q, (wq,), (bq,)),
+        (xkv, norm_kv, (wk, wv), (bk, bv)),
+    ]
+    products = []  # (x, normed x̂, s, stacked w, γ, β, folded w)
+    outs = []
+    for x, (gamma, beta), ws, bs in inputs:
+        normed, std = _normalize(x.data)
+        w_cat = np.concatenate([w.data for w in ws])
+        w_fold, b_fold = _fold(w_cat, gamma.data, beta.data, np.concatenate([b.data for b in bs]))
+        out = w_fold @ normed
+        out += b_fold
+        outs.append(out)
+        products.append((x, normed, std, w_cat, gamma.data, beta.data, w_fold))
     if self_attn:
-        q, k, v = proj[..., :d, :], proj[..., d : 2 * d, :], proj[..., 2 * d :, :]
+        q, k, v = outs[0][..., :d, :], outs[0][..., d : 2 * d, :], outs[0][..., 2 * d :, :]
     else:
-        q = wq.data @ hq
-        q += bq.data
-        k, v = proj[..., :d, :], proj[..., d:, :]
+        q, k, v = outs[0], outs[1][..., :d, :], outs[1][..., d:, :]
     qh = q.reshape((*lead, heads, dh, lq))
     kh = k.reshape((*lead, heads, dh, lk))
     vh = v.reshape((*lead, heads, dh, lk))
@@ -687,9 +715,6 @@ def attention(
     if out_mask is not None:
         data *= out_mask
     data += xq.data
-    need_q = any(t.requires_grad for t in (xq, *norm_q))
-    # the normed input of the stacked projection: hq in self-attention, hkv in cross
-    need_in = need_q if self_attn else any(t.requires_grad for t in (xkv, *norm_kv))
 
     def bw(g):
         gs = g if out_mask is None else g * out_mask
@@ -703,20 +728,18 @@ def attention(
         gscore *= scale
         gq = (kh @ gscore.swapaxes(-1, -2)).reshape((*lead, d, lq))
         gk = (qh @ gscore).reshape((*lead, d, lk))
-        g_in = np.concatenate([gq, gk, gv] if self_attn else [gk, gv], axis=-2)
-        gx_in = w_in.T @ g_in if need_in else None
-        gw_in = _weight_grad(g_in, x_in)
-        gb_in = _unbroadcast(g_in, (g_in.shape[-2], 1))
-        gw = [gw_in[i * d : (i + 1) * d] for i in range(len(ws))]
-        gb = [gb_in[i * d : (i + 1) * d] for i in range(len(ws))]
         if self_attn:
-            grads = list(_norm_grads(gx_in, normed_q, std_q, xq, *norm_q, residual=g))
+            g_outs = [np.concatenate([gq, gk, gv], axis=-2)]
         else:
-            ghq = wq.data.T @ gq if need_q else None
-            grads = list(_norm_grads(ghq, normed_q, std_q, xq, *norm_q, residual=g))
-            grads += _norm_grads(gx_in, normed_kv, std_kv, xkv, *norm_kv)
-            gw.insert(0, _weight_grad(gq, hq))
-            gb.insert(0, _unbroadcast(gq, bq.data.shape))
+            g_outs = [gq, np.concatenate([gk, gv], axis=-2)]
+        grads, gw, gb = [], [], []
+        for g_out, (x, normed, std, w_cat, gamma, beta, w_fold) in zip(g_outs, products):
+            residual = g if x is xq else None
+            grads.append(_norm_grads(w_fold.T @ g_out, normed, std, residual) if x.requires_grad else None)
+            ggamma, gbeta, gw_cat, gb_cat = _fold_grads(g_out, normed, w_cat, gamma, beta)
+            grads += [ggamma, gbeta]
+            gw += [gw_cat[i : i + d] for i in range(0, len(gw_cat), d)]
+            gb += [gb_cat[i : i + d] for i in range(0, len(gb_cat), d)]
         gw.append(_weight_grad(gs, ctx))
         gb.append(_unbroadcast(gs, bo.data.shape))
         for w, b, gw_i, gb_i in zip(params[::2], params[1::2], gw, gb):
@@ -776,23 +799,6 @@ def l2_normalize(x, axis: int = -1) -> Tensor:
     if not np.all(sq.data > 0.0):
         raise DegenerateInputError("l2_normalize received a zero-norm row")
     return x / tsqrt(sq)
-
-
-# -- stochastic ops ----------------------------------------------------------
-
-
-def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
-    """Seeded inverted-dropout mask; identity when rate is 0."""
-    x = _as_tensor(x)
-    _check_rate(rate)
-    if rate == 0.0:
-        return x
-    mask = _dropout_mask(x.data.shape, rate, rng, x.data.dtype)
-    return _op(x.data * mask, (x,), lambda g: (g * mask,))
-
-
-def _dropout_mask(shape, rate: float, rng: np.random.Generator, dtype) -> np.ndarray:
-    return (rng.random(shape) >= rate).astype(dtype) / (1.0 - rate)
 
 
 # -- verification ------------------------------------------------------------

@@ -383,6 +383,11 @@ def composed_linear(x, p):
     return T.matmul(p.w, x) + p.b
 
 
+def composed_dropout(x, rate, rng):
+    """Inverted dropout as one multiply, with the mask the fused ops draw."""
+    return x * Tensor(T._dropout_mask(x.shape, rate, rng, x.dtype))
+
+
 def composed_norm(x, p):
     """Layer norm along the feature axis (-2) as a graph of primitive ops."""
     mu = T.tmean(x, axis=-2, keepdims=True)
@@ -403,19 +408,19 @@ def composed_attention_block(q_in, kv_in, p, drop=None):
     dh = q.shape[-2]
     weights = T.softmax(T.matmul(q.swapaxes(-1, -2), k) * (dh**-0.5), axis=-1)
     if drop is not None:
-        weights = T.dropout(weights, drop.rate, drop.rng)
+        weights = composed_dropout(weights, drop.rate, drop.rng)
     ctx = T.matmul(v, weights.swapaxes(-1, -2))
     *lead, _, _, lq = ctx.shape
     out = composed_linear(ctx.reshape((*lead, p.heads * dh, lq)), p.o)
     if drop is not None:
-        out = T.dropout(out, drop.rate, drop.rng)
+        out = composed_dropout(out, drop.rate, drop.rng)
     return q_in + out
 
 
 def composed_ffn_block(x, p, drop=None):
     out = composed_linear(T.ttanh(composed_linear(composed_norm(x, p.ln), p.inner)), p.out)
     if drop is not None:
-        out = T.dropout(out, drop.rate, drop.rng)
+        out = composed_dropout(out, drop.rate, drop.rng)
     return x + out
 
 

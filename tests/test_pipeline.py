@@ -237,6 +237,41 @@ def test_checkpoint_resume_bit_identical(tmp_path):
     assert straight_out.history[-1]["loss"] == resumed.history[-1]["loss"]
 
 
+def test_named_parameters_built_once_and_kept_through_loading():
+    from beliefret.checkpoint import restore_parameters
+    from beliefret.encoders import fit_instruction
+
+    trainer = Trainer(make_config(**{"loss.t_trainable": "true", **FAST}), dataset=TINY)
+    model = trainer.model
+    params = model.named_parameters()
+
+    def walk():
+        groups = {
+            "image": model.image,
+            "text": model.text,
+            "instruction": model.instruction,
+            "spatial": model.spatial,
+            "temporal": model.temporal,
+            "t_logit": model.t_logit,
+        }
+        return [pair for group, obj in groups.items() for pair in named_tensors(obj, group)]
+
+    def same(a, b):
+        return [(name, id(t)) for name, t in a] == [(name, id(t)) for name, t in b]
+
+    assert {"instruction.table", "t_logit"} <= {name for name, _ in params}
+    assert same(params, walk())
+    before = {name: t.data.copy() for name, t in params}
+    restore_parameters(model, {name: a + 1.0 for name, a in before.items()}, strict=True)
+    pixels = np.stack([r.pixels for r in trainer.train_records])
+    fit_instruction(model.instruction, pixels, np.array([r.scene_label for r in trainer.train_records]))
+    assert model.named_parameters() is params and same(params, walk())
+    # the kept tensors carry the loaded values; fit_instruction refits the centroids
+    for name, t in params:
+        if name != "instruction.centroids":
+            npt.assert_array_equal(t.data, before[name] + 1.0)
+
+
 def test_checkpoint_header_contents(tmp_path):
     cfg = make_config(**{"optim.steps": "3", "optim.batch_size": "16"})
     trainer = Trainer(cfg, dataset=TINY)

@@ -15,6 +15,22 @@ from beliefret.rng import child
 from beliefret.tensor import Tensor, grad_check
 
 
+# The package has no log op and no standalone dropout op: these references are
+# built from its ops, so the gradient oracle and the trap still cover a log and
+# the dropout mask the fused sublayers draw.
+
+
+def tlog(x):
+    return T._op(np.log(x.data), (x,), lambda g: (g / x.data,))
+
+
+def dropout(x, rate, rng):
+    """Inverted dropout with the fused sublayers' mask; identity when rate is 0."""
+    if rate == 0.0:
+        return x
+    return x * Tensor(T._dropout_mask(x.shape, rate, rng, x.dtype))
+
+
 # -- matmul -------------------------------------------------------------------
 
 
@@ -105,52 +121,60 @@ def test_softmax_sums_to_one_and_permutation_equivariant():
 # -- layer norm ---------------------------------------------------------------
 #
 # The norm lives inside the pre-norm ops ffn and attention; these check its
-# private forward helper, which normalises the feature axis (-2).
+# private helper, which normalises the feature axis (-2), and, through ffn,
+# the gamma and beta that each op folds into its first product.
 
 
 def test_layer_norm_constant_vector():
-    out, _, _ = T._layer_norm(np.full((3, 1), 2.5), 1.0, 0.0)
-    npt.assert_allclose(out, np.zeros((3, 1)), atol=1e-6)
+    normed, _ = T._normalize(np.full((3, 1), 2.5))
+    npt.assert_allclose(normed, np.zeros((3, 1)), atol=1e-6)
 
 
 def test_layer_norm_already_standard():
-    out, _, _ = T._layer_norm(np.array([[1.0], [-1.0]]), 1.0, 0.0)
-    npt.assert_allclose(out, [[1.0], [-1.0]], atol=1e-5)
+    normed, _ = T._normalize(np.array([[1.0], [-1.0]]))
+    npt.assert_allclose(normed, [[1.0], [-1.0]], atol=1e-5)
 
 
 def test_layer_norm_zero_gamma_gives_beta():
-    x = child(3, "ln").normal(size=(6, 1))
-    out, _, _ = T._layer_norm(x, 0.0, 4.5)
-    npt.assert_allclose(out, np.full((6, 1), 4.5))
+    # with gamma 0 the normed input is beta: ffn(x) = x + w2 tanh(w1 beta + b1) + b2
+    rng = child(3, "ln")
+    x = rng.normal(size=(6, 1))
+    w1, b1, w2, b2 = (rng.normal(size=shape) for shape in ((4, 6), (4, 1), (6, 4), (6, 1)))
+    beta = np.full((6, 1), 4.5)
+    out = T.ffn(Tensor(x), np.zeros((6, 1)), beta, w1, b1, w2, b2)
+    npt.assert_allclose(out.data, x + w2 @ np.tanh(w1 @ beta + b1) + b2, rtol=0, atol=1e-12)
 
 
 def test_layer_norm_standardises_along_axis():
     x = child(4, "ln-axis").normal(size=(3, 5, 7)) * 3.0 + 1.0
-    out, normed, _ = T._layer_norm(x, 1.0, 0.0)
-    npt.assert_array_equal(out, normed)
-    npt.assert_allclose(out.mean(axis=-2), 0.0, atol=1e-6)
-    npt.assert_allclose(out.var(axis=-2), 1.0, atol=1e-4)
+    normed, std = T._normalize(x)
+    npt.assert_allclose(normed.mean(axis=-2), 0.0, atol=1e-6)
+    npt.assert_allclose(normed.var(axis=-2), 1.0, atol=1e-4)
+    npt.assert_allclose(std, np.sqrt(x.var(axis=-2, keepdims=True) + 1e-5), rtol=1e-12)
 
 
-def composed_layer_norm(x, gamma, beta, eps=1e-5, axis=-2):
-    """The layer norm as a graph of primitive ops: the reference the fused op matches."""
-    mu = T.tmean(x, axis=axis, keepdims=True)
-    centered = x - mu
-    var = T.tmean(centered * centered, axis=axis, keepdims=True)
-    return gamma * (centered / T.tsqrt(var + eps)) + beta
+def composed_layer_norm(x, eps=1e-5):
+    """(x̂, s) along the feature axis (-2) as a graph of primitive ops, with the
+    mean and variance taken as products with the (1, d) row of 1/d: the
+    reference the fused helper matches."""
+    d = x.shape[-2]
+    avg = Tensor(np.full((1, d), 1.0 / d), dtype=x.dtype)
+    centered = x - T.matmul(avg, x)
+    std = T.tsqrt(T.matmul(avg, centered * centered) + eps)
+    return centered / std, std
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_layer_norm_fused_forward_matches_composed_bit_for_bit(dtype):
     for seed in range(20):
         rng = child(seed, "ln-fused", np.dtype(dtype).name)
-        x = Tensor(rng.normal(size=(3, 6, 5)) * 4.0 + 2.0, dtype=dtype)
-        gamma = Tensor(rng.normal(size=(6, 1)), dtype=dtype)
-        beta = Tensor(rng.normal(size=(6, 1)), dtype=dtype)
-        for g, b in ((gamma, beta), (Tensor(1.3, dtype=dtype), Tensor(-0.2, dtype=dtype))):
-            fused, _, _ = T._layer_norm(x.data, g.data, b.data)
-            assert fused.dtype == np.dtype(dtype)
-            npt.assert_array_equal(fused, composed_layer_norm(x, g, b).data)
+        for shape in ((3, 6, 5), (6, 1)):
+            x = Tensor(rng.normal(size=shape) * 4.0 + 2.0, dtype=dtype)
+            normed, std = T._normalize(x.data)
+            assert normed.dtype == std.dtype == np.dtype(dtype)
+            ref_normed, ref_std = composed_layer_norm(x)
+            npt.assert_array_equal(normed, ref_normed.data)
+            npt.assert_array_equal(std, ref_std.data)
 
 
 def test_pre_norm_ops_refuse_mismatched_norms():
@@ -167,6 +191,113 @@ def test_pre_norm_ops_refuse_mismatched_norms():
         T.attention(x, x, ones, zeros, ones, zeros, *w, heads=2)
     with pytest.raises(ContractError):
         T.attention(x, kv, ones, zeros, None, None, *w, heads=2)
+
+
+# -- folded gamma and beta ------------------------------------------------------
+#
+# The unfolded composition normalises, scales and shifts by gamma and beta, and
+# then applies the sublayer's first product, w·(γ·x̂ + β) + b; the fused ops
+# fold gamma and beta into w and b instead.
+
+
+def unfolded_norm(x, gamma, beta):
+    return gamma * composed_layer_norm(x)[0] + beta
+
+
+def unfolded_ffn(x, gamma, beta, w1, b1, w2, b2):
+    return x + T.affine(w2, T.ttanh(T.affine(w1, unfolded_norm(x, gamma, beta), b1)), b2)
+
+
+def unfolded_attention(xq, xkv, gamma_q, beta_q, gamma_kv, beta_kv, wq, bq, wk, bk, wv, bv, wo, bo, heads):
+    hq = unfolded_norm(xq, gamma_q, beta_q)
+    hkv = hq if xkv is xq else unfolded_norm(xkv, gamma_kv, beta_kv)
+    *lead, d, lq = xq.shape
+    dh = d // heads
+
+    def heads_of(h, w, b):
+        return T.affine(w, h, b).reshape((*lead, heads, dh, h.shape[-1]))
+
+    q, k, v = heads_of(hq, wq, bq), heads_of(hkv, wk, bk), heads_of(hkv, wv, bv)
+    weights = T.softmax(T.matmul(q.swapaxes(-1, -2), k) * dh**-0.5, axis=-1)
+    ctx = T.matmul(v, weights.swapaxes(-1, -2)).reshape((*lead, d, lq))
+    return xq + T.affine(wo, ctx, bo)
+
+
+def _sublayer_case(kind, seed, dtype):
+    """(fused op, unfolded reference, arguments) of one random batched case."""
+    rng = child(seed, "fold", kind)
+    d = 4
+
+    def leaf(shape, scale=1.0):
+        return Tensor((rng.normal(size=shape) * scale).astype(dtype), requires_grad=True)
+
+    x = leaf((2, d, 5))
+    if kind == "ffn":
+        args = [x, leaf((d, 1)), leaf((d, 1)), leaf((6, d), 0.5), leaf((6, 1)), leaf((d, 6), 0.5), leaf((d, 1))]
+        return T.ffn, unfolded_ffn, args
+    kv, norm_kv = (x, [None, None]) if kind == "self" else (leaf((2, d, 3)), [leaf((d, 1)), leaf((d, 1))])
+    weights = [leaf((d, d), 0.5) if i % 2 == 0 else leaf((d, 1)) for i in range(8)]
+    args = [x, kv, leaf((d, 1)), leaf((d, 1)), *norm_kv, *weights]
+    return (
+        lambda *a, **kw: T.attention(*a, heads=2, **kw),
+        lambda *a: unfolded_attention(*a, heads=2),
+        args,
+    )
+
+
+def _leaves(args):
+    return list({id(t): t for t in args if t is not None}.values())
+
+
+@pytest.mark.parametrize("kind", ["ffn", "self", "cross"])
+def test_folded_sublayer_matches_unfolded_composition(kind):
+    for seed in range(10):
+        fused, unfolded, args = _sublayer_case(kind, seed, np.float64)
+        leaves = _leaves(args)
+        coef = child(seed, "fold-coef", kind).normal(size=args[0].shape)
+        results = []
+        for f in (fused, unfolded):
+            for t in leaves:
+                t.zero_grad()
+            out = f(*args)
+            (out * coef).sum().backward()
+            results.append((out.data, [t.grad for t in leaves]))
+        (out, grads), (ref, ref_grads) = results
+        npt.assert_allclose(out, ref, rtol=0, atol=1e-12)
+        for g, ref_g in zip(grads, ref_grads):
+            assert g.shape == ref_g.shape
+            npt.assert_allclose(g, ref_g, rtol=0, atol=1e-10)
+
+
+def _arrays_in(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, Tensor):
+        yield obj.data
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays_in(item)
+
+
+@pytest.mark.parametrize("kind", ["ffn", "self", "cross"])
+def test_folded_sublayer_stays_float32(kind, monkeypatch):
+    helpers = []  # every array the norm and fold helpers return, forward and backward
+    for name in ("_normalize", "_fold", "_fold_grads", "_norm_grads"):
+
+        def recording(*a, fn=getattr(T, name), **kw):
+            out = fn(*a, **kw)
+            helpers.extend(_arrays_in(out))
+            return out
+
+        monkeypatch.setattr(T, name, recording)
+    fused, _, args = _sublayer_case(kind, 0, np.float32)
+    out = fused(*args, rate=0.2, rng=child(0, "fold-drop", kind))
+    kept = list(_arrays_in([cell.cell_contents for cell in out._backward_fn.__closure__]))
+    (out * child(0, "fold-coef32").normal(size=out.shape).astype(np.float32)).sum().backward()
+    grads = [t.grad for t in _leaves(args)]
+    assert len(helpers) > 6 and len(kept) > 6 and all(g is not None for g in grads)
+    for arr in [out.data, *helpers, *kept, *grads]:
+        assert arr.dtype == np.float32
 
 
 # -- l2 normalize -------------------------------------------------------------
@@ -239,7 +370,7 @@ def test_no_grad_blocks_graph():
 
 def test_non_finite_op_output_rejected():
     with pytest.warns(RuntimeWarning, match="divide by zero"), pytest.raises(NumericError):
-        T.tlog(Tensor([0.0]))
+        tlog(Tensor([0.0]))
     with pytest.raises(NumericError):
         Tensor([np.inf])
 
@@ -250,7 +381,7 @@ def test_non_finite_op_output_rejected():
         ("multiply", lambda: Tensor([1e200]) * Tensor([1e200])),
         ("exp", lambda: T.texp(Tensor([1000.0]))),
         ("matmul", lambda: T.matmul(Tensor(np.full((2, 2), 1e200)), Tensor(np.full((2, 2), 1e200)))),
-        ("log", lambda: T.tlog(Tensor([0.0]))),
+        ("log", lambda: tlog(Tensor([0.0]))),
         ("divide", lambda: Tensor([0.0]) / Tensor([0.0])),
         ("sqrt", lambda: T.tsqrt(Tensor([-1.0]))),
     ],
@@ -339,7 +470,7 @@ def along_last(shape, idx):
         ("layer_norm", lambda t, c: (T.attention(t, t, LN_GAMMA, LN_BETA, None, None, *LN_ATTN, 2) * c).sum()),
         ("l2_normalize", lambda t, c: (T.l2_normalize(t, axis=-1) * c).sum()),
         ("exp", lambda t, c: (T.texp(t * 0.3) * c).sum()),
-        ("log", lambda t, c: (T.tlog(t * t + 1.0) * c).sum()),
+        ("log", lambda t, c: (tlog(t * t + 1.0) * c).sum()),
         ("sqrt", lambda t, c: (T.tsqrt(t * t + 0.5) * c).sum()),
         ("tanh", lambda t, c: (T.ttanh(t) * c).sum()),
         ("div", lambda t, c: ((t / (t * t + 2.0)) * c).sum()),
@@ -357,7 +488,7 @@ def along_last(shape, idx):
         ("transpose", lambda t, c: (T.transpose(t, (1, 0)) * T.transpose(c, (1, 0))).sum()),
         ("take_along_last", lambda t, c: (t[along_last(t.shape, np.array([[0, 2, 2], [3, 1, 0]]))] * 0.5).sum()),
         ("index_hard_filter", lambda t, c: (t[HARD_FILTER_KEY] * c).sum()),
-        ("dropout_fixed_mask", lambda t, c: (T.dropout(t, 0.4, child(9, "gc-drop")) * c).sum()),
+        ("dropout_fixed_mask", lambda t, c: (dropout(t, 0.4, child(9, "gc-drop")) * c).sum()),
         ("layer_norm_x", lambda t, c: (T.ffn(t, LN_GAMMA, LN_BETA, *LN_FFN) * c).sum()),
         ("layer_norm_gamma", lambda t, c: (T.ffn(c * 2.0 + 0.5, t, LN_BETA, *LN_FFN) * c).sum()),
         ("layer_norm_beta", lambda t, c: (T.ffn(c, LN_GAMMA, t, *LN_FFN) * T.ttanh(c)).sum()),
@@ -480,10 +611,10 @@ def test_forward_determinism_same_seed():
 
 def test_dropout_seeded_and_disabled():
     x = Tensor(np.ones((4, 4)))
-    a = T.dropout(x, 0.5, child(0, "drop"))
-    b = T.dropout(x, 0.5, child(0, "drop"))
+    a = dropout(x, 0.5, child(0, "drop"))
+    b = dropout(x, 0.5, child(0, "drop"))
     npt.assert_array_equal(a.data, b.data)
-    assert T.dropout(x, 0.0, child(0, "drop")) is x
+    assert dropout(x, 0.0, child(0, "drop")) is x
 
 
 def test_rng_type_named_streams():
