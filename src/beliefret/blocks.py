@@ -8,7 +8,7 @@ verification stays tight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -143,12 +143,10 @@ def encoder_block(x: Tensor, p: EncoderBlockParams, drop: Dropout | None = None)
 
 def named_tensors(obj, prefix: str = ""):
     """Yield (dotted_name, Tensor) pairs from nested dataclasses / lists / dicts."""
-    import dataclasses
-
     if isinstance(obj, Tensor):
         yield prefix, obj
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        for field in dataclasses.fields(obj):
+    elif is_dataclass(obj) and not isinstance(obj, type):
+        for field in fields(obj):
             value = getattr(obj, field.name)
             sub = f"{prefix}.{field.name}" if prefix else field.name
             yield from named_tensors(value, sub)

@@ -71,22 +71,21 @@ def load_checkpoint(path):
     return header, params
 
 
-def restore_parameters(model, params: dict, strict: bool = True) -> list:
-    """Copy arrays into matching model parameters; returns the loaded names.
+def restore_parameters(model, params: dict, strict: bool = True) -> None:
+    """Copy arrays into the model's parameters of the same name.
 
-    With strict=False only the intersection with matching shapes is copied
-    (stage-2 initialisation from a stage-1 checkpoint).
+    A name in both with different shapes is refused. With strict=False a name
+    the checkpoint lacks keeps its initial value (stage-2 initialisation from
+    a stage-1 checkpoint, which has no spatial stack).
     """
-    loaded = []
     for name, tensor in model.named_parameters():
-        if name in params and params[name].shape == tensor.data.shape:
+        if name not in params:
+            if strict:
+                raise ConfigError(f"checkpoint is missing parameter {name}")
+        elif params[name].shape != tensor.data.shape:
+            raise ConfigError(
+                f"checkpoint parameter {name} has shape {params[name].shape}, "
+                f"model expects {tensor.data.shape}"
+            )
+        else:
             tensor.data = params[name].astype(tensor.data.dtype).copy()
-            loaded.append(name)
-        elif strict:
-            if name in params:
-                raise ConfigError(
-                    f"checkpoint parameter {name} has shape {params[name].shape}, "
-                    f"model expects {tensor.data.shape}"
-                )
-            raise ConfigError(f"checkpoint is missing parameter {name}")
-    return loaded

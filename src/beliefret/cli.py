@@ -25,14 +25,7 @@ from .errors import (
     NumericError,
 )
 from .model import RetrievalModel
-from .pipeline import (
-    Trainer,
-    _check_captions,
-    embed_records,
-    evaluate_model,
-    sweep,
-    write_outputs,
-)
+from .pipeline import _check_captions, embed_records, evaluate_model, run_stage, sweep
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -108,10 +101,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     out_dir = _resolve_out(args.out, "train")
-    cfg = _load_train_config(args)
-    trainer = Trainer(cfg)
-    outcome = trainer.train()
-    write_outputs(out_dir, trainer, outcome)
+    outcome = run_stage(_load_train_config(args), out_dir)
     report = outcome.best_report or outcome.final_report
     if report is not None:
         print(f"finished {outcome.config.stage} at step {len(outcome.history)}: best mR {report.mr:.2f}")

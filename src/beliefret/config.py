@@ -15,7 +15,6 @@ import typing
 from dataclasses import dataclass, field
 
 from .belief import MODES as BELIEF_MODES
-from .checkpoint import atomic_open
 from .errors import ConfigError
 from .losses import LossConfig
 
@@ -160,12 +159,6 @@ def load_config(path) -> TrainConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     return config_from_dict(data)
-
-
-def save_config(cfg: TrainConfig, path) -> None:
-    with atomic_open(path) as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _coerce(raw: str, target_type, key: str):

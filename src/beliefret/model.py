@@ -109,16 +109,6 @@ class RetrievalModel:
         """(dotted name, Tensor) of every parameter, in a fixed order."""
         return self._named_parameters
 
-    def active_components(self):
-        parts = ["image_encoder", "text_encoder", "contrastive_loss"]
-        if self.spatial is not None:
-            parts += ["instruction_encoder", "belief_filter", "spatial_pae"]
-        if self.temporal is not None:
-            parts.append("temporal_pae")
-        if self.cfg.loss.lambda_cs > 0:
-            parts.append("affiliation_loss")
-        return tuple(parts)
-
     # -- embedding ------------------------------------------------------------
 
     def embed_images(self, pixels: np.ndarray, drop: Dropout | None = None) -> Tensor:

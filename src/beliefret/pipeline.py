@@ -1,10 +1,12 @@
 """Training loops and evaluation protocol.
 
-One Trainer runs a single stage. Batch order, caption picks, and dropout masks
-all derive from (seed, epoch) or (seed, step) child streams, so a checkpoint
-only needs counters to resume bit-identically. The open-domain recipe chains
-two trainers: contrastive-only pretraining on a coarse corpus, then belief- and
-attention-guided fine-tuning on a fine corpus initialised from stage one.
+One Trainer runs a single stage, and ``run_stage`` trains any stage and writes
+its outputs. Batch order, caption picks, and dropout masks all derive from
+(seed, epoch) or (seed, step) child streams, so a checkpoint only needs
+counters to resume bit-identically. The open-domain recipe is two runs:
+contrastive-only pretraining on a coarse corpus, then belief- and
+attention-guided fine-tuning on a fine corpus that starts from stage one's
+checkpoint file through ``init_from``.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ def _check_captions(records, max_len: int, vocab_size: int) -> None:
 class Trainer:
     """Single-stage training with per-epoch validation and best-checkpoint tracking."""
 
-    def __init__(self, cfg: TrainConfig, dataset: Dataset | None = None, init_params: dict | None = None):
+    def __init__(self, cfg: TrainConfig, dataset: Dataset | None = None):
         self.cfg = effective_config(cfg)
         if dataset is None:
             if not self.cfg.data.train_path:
@@ -200,12 +202,10 @@ class Trainer:
         )
         self.model = RetrievalModel(self.cfg, self.cfg.model.vocab_size, dataset.meta.num_classes)
 
-        if self.cfg.stage == "stage2-finetune" and init_params is None and not self.cfg.init_from:
+        if self.cfg.init_from:
+            restore_parameters(self.model, load_checkpoint(self.cfg.init_from)[1], strict=False)
+        elif self.cfg.stage == "stage2-finetune":
             raise ConfigError("stage2-finetune needs init_from (a stage-1 checkpoint)")
-        if init_params is None and self.cfg.init_from:
-            _, init_params = load_checkpoint(self.cfg.init_from)
-        if init_params is not None:
-            restore_parameters(self.model, init_params, strict=False)
 
         if self.model.instruction is not None:
             fit_instruction(
@@ -361,38 +361,14 @@ def write_outputs(out_dir, trainer: Trainer, outcome: TrainOutcome) -> None:
             fh.write("\n")
 
 
-def train_closed_domain(cfg: TrainConfig, out_dir=None, dataset: Dataset | None = None) -> TrainOutcome:
-    if cfg.stage != "closed-domain":
-        raise ConfigError(f"train_closed_domain got stage {cfg.stage!r}")
+def run_stage(cfg: TrainConfig, out_dir=None, dataset: Dataset | None = None) -> TrainOutcome:
+    """Train one stage of any kind; with ``out_dir``, write its checkpoints,
+    history and metrics there, as ``beliefret train`` does."""
     trainer = Trainer(cfg, dataset=dataset)
     outcome = trainer.train()
     if out_dir is not None:
         write_outputs(out_dir, trainer, outcome)
     return outcome
-
-
-def train_open_domain(
-    stage1_cfg: TrainConfig,
-    stage2_cfg: TrainConfig,
-    out_dir=None,
-    stage1_dataset: Dataset | None = None,
-    stage2_dataset: Dataset | None = None,
-):
-    """Two-stage procedure: contrastive pretrain, then guided fine-tune."""
-    if stage1_cfg.stage != "stage1-pretrain":
-        raise ConfigError(f"stage one config has stage {stage1_cfg.stage!r}")
-    if stage2_cfg.stage != "stage2-finetune":
-        raise ConfigError(f"stage two config has stage {stage2_cfg.stage!r}")
-    stage1 = Trainer(stage1_cfg, dataset=stage1_dataset)
-    outcome1 = stage1.train()
-    init_params = {name: t.data.copy() for name, t in stage1.model.named_parameters()}
-    if out_dir is not None:
-        write_outputs(os.path.join(out_dir, "stage1"), stage1, outcome1)
-    stage2 = Trainer(stage2_cfg, dataset=stage2_dataset, init_params=init_params)
-    outcome2 = stage2.train()
-    if out_dir is not None:
-        write_outputs(os.path.join(out_dir, "stage2"), stage2, outcome2)
-    return outcome1, outcome2
 
 
 def sweep(cfg: TrainConfig, axis: str, values, out_dir=None, dataset: Dataset | None = None):
@@ -411,7 +387,7 @@ def sweep(cfg: TrainConfig, axis: str, values, out_dir=None, dataset: Dataset | 
             )
     rows = []
     for value, run_cfg in zip(values, derived):
-        report = train_closed_domain(run_cfg, dataset=dataset).best_report
+        report = run_stage(run_cfg, dataset=dataset).best_report
         rows.append({axis: value, **report.to_dict()})
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

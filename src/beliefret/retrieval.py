@@ -155,11 +155,3 @@ class RecallReport:
 
     def to_dict(self) -> dict:
         return {key: float(getattr(self, key)) for key in REPORT_KEYS}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RecallReport":
-        extra = set(data) - set(REPORT_KEYS)
-        missing = set(REPORT_KEYS) - set(data)
-        if extra or missing:
-            raise InputError(f"bad recall report keys: extra {sorted(extra)}, missing {sorted(missing)}")
-        return cls(**{key: float(data[key]) for key in REPORT_KEYS})

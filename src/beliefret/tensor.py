@@ -187,9 +187,6 @@ class Tensor:
     def sum(self, axis=None, keepdims: bool = False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims: bool = False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
     def reshape(self, shape):
         return reshape(self, shape)
 
@@ -347,18 +344,6 @@ def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
     data = x.data.sum(axis=axis, keepdims=keepdims)
     data = np.asarray(data)
     return _op(data, (x,), lambda g: (_expand_reduced(g, x.data.shape, axis, keepdims),))
-
-
-def tmean(x, axis=None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
-    if axis is None:
-        count = x.data.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = 1
-        for a in axes:
-            count *= x.data.shape[a]
-    return tsum(x, axis=axis, keepdims=keepdims) * (1.0 / count)
 
 
 # -- shape manipulation ------------------------------------------------------

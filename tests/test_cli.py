@@ -5,10 +5,10 @@ import pytest
 
 from beliefret.checkpoint import load_checkpoint, restore_parameters
 from beliefret.cli import main
-from beliefret.config import TrainConfig, apply_overrides, config_from_dict, load_config, save_config
+from beliefret.config import TrainConfig, apply_overrides, config_from_dict, config_to_dict, load_config
 from beliefret.data import CorpusSpec, Dataset, generate_corpus, load_dataset, write_dataset
 from beliefret.model import RetrievalModel
-from beliefret.pipeline import Trainer, evaluate_model
+from beliefret.pipeline import Trainer, evaluate_model, run_stage
 from beliefret.retrieval import REPORT_KEYS
 
 
@@ -41,7 +41,7 @@ def fast_config(tmp_path, dataset_dir, **extra):
     overrides.update(extra)
     cfg = apply_overrides(cfg, [f"{k}={v}" for k, v in overrides.items()])
     path = tmp_path / "config.json"
-    save_config(cfg, path)
+    path.write_text(json.dumps(config_to_dict(cfg)))
     return path
 
 
@@ -187,7 +187,7 @@ def test_evaluation_ignores_scene_labels(tmp_path, dataset_dir):
     cfg_path = fast_config(tmp_path, dataset_dir, **{"data.val_path": str(val_path)})
     trainer = Trainer(load_config(cfg_path))
     trainer.train()
-    assert "spatial_pae" in trainer.model.active_components()
+    assert trainer.model.spatial is not None
     report = evaluate_model(trainer.model, trainer.val_records)
     assert evaluate_model(trainer.model, relabelled) == report
 
@@ -361,10 +361,59 @@ def test_class_count_read_from_checkpoint(tmp_path):
     cfg = config_from_dict(header["config"])
     model = RetrievalModel(cfg, cfg.model.vocab_size, num_classes=4)
     restore_parameters(model, params, strict=True)
-    assert "spatial_pae" in model.active_components()
+    assert model.spatial is not None
     report = evaluate_model(model, load_dataset(paths[3]).records)
     assert json.loads((tmp_path / "eval" / "metrics.json").read_text()) == report.to_dict()
     assert len((tmp_path / "dump-embeddings" / "embeddings.csv").read_text().splitlines()) == 1 + 18 * 6
+
+
+def two_stage_configs(tmp_path):
+    """Coarse and fine corpora from gen-data with one motif_seed, and a config
+    file per stage; stage two's init_from is left to --set."""
+    paths = []
+    for granularity, seed in (("coarse", 81), ("fine", 82)):
+        spec = tmp_path / f"{granularity}.json"
+        spec.write_text(json.dumps(dict(CORPUS_SPEC, seed=seed, motif_seed=5, granularity=granularity)))
+        assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / granularity)]) == 0
+        cfg = apply_overrides(TrainConfig(), [
+            f"stage={'stage1-pretrain' if granularity == 'coarse' else 'stage2-finetune'}",
+            f"data.train_path={tmp_path / granularity / 'dataset.jsonl'}",
+            "optim.steps=6", "optim.batch_size=16", "optim.eval_every_epochs=2",
+        ])
+        paths.append(tmp_path / f"{granularity}-config.json")
+        paths[-1].write_text(json.dumps(config_to_dict(cfg)))
+    return paths
+
+
+def test_two_stage_training(tmp_path):
+    s1_path, s2_path = two_stage_configs(tmp_path)
+    run1, run2 = tmp_path / "run1", tmp_path / "run2"
+    assert main(["train", "--config", str(s1_path), "--out", str(run1)]) == 0
+    assert main(["train", "--config", str(s2_path), "--out", str(run2),
+                 "--set", f"init_from={run1 / 'checkpoint.npz'}"]) == 0
+
+    # the same two stages through run_stage give the same files
+    api1, api2 = tmp_path / "api1", tmp_path / "api2"
+    run_stage(load_config(s1_path), out_dir=api1)
+    run_stage(apply_overrides(load_config(s2_path), [f"init_from={api1 / 'checkpoint.npz'}"]), out_dir=api2)
+    for name in ("metrics.json", "history.csv"):
+        assert (run2 / name).read_bytes() == (api2 / name).read_bytes(), name
+
+
+def test_stage_two_refuses_a_checkpoint_of_another_shape(tmp_path, capsys):
+    s1_path, s2_path = two_stage_configs(tmp_path)
+    run1 = tmp_path / "run1"
+    assert main(["train", "--config", str(s1_path), "--out", str(run1), "--set", "optim.steps=1"]) == 0
+    _, params = load_checkpoint(run1 / "checkpoint.npz")
+    capsys.readouterr()
+    assert main(["train", "--config", str(s2_path), "--out", str(tmp_path / "run2"),
+                 "--set", f"init_from={run1 / 'checkpoint.npz'}", "--set", "model.encoder_dim=64"]) == 2
+    # the first parameter in model order: the patch embedding, 48 wide in stage one
+    shape = params["image.patch.w"].shape
+    assert f"checkpoint parameter image.patch.w has shape {shape}, model expects {(64, *shape[1:])}" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "run2").exists()
 
 
 def test_out_env_var(tmp_path, dataset_dir, monkeypatch):

@@ -8,7 +8,6 @@ from beliefret.config import (
     config_from_dict,
     config_to_dict,
     load_config,
-    save_config,
 )
 from beliefret.errors import ConfigError
 
@@ -16,7 +15,7 @@ from beliefret.errors import ConfigError
 def test_round_trip(tmp_path):
     cfg = TrainConfig()
     path = tmp_path / "cfg.json"
-    save_config(cfg, path)
+    path.write_text(json.dumps(config_to_dict(cfg)))
     assert load_config(path) == cfg
 
 

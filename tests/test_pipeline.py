@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -16,10 +14,9 @@ from beliefret.pipeline import (
     embed_records,
     evaluate_model,
     history_to_csv,
+    run_stage,
     stratified_split,
     sweep,
-    train_closed_domain,
-    train_open_domain,
     write_outputs,
 )
 
@@ -78,7 +75,7 @@ def test_effective_config_normalises_stages():
 
 def test_training_runs_and_tracks_history():
     cfg = make_config(**FAST)
-    out = train_closed_domain(cfg, dataset=TINY)
+    out = run_stage(cfg, dataset=TINY)
     assert len(out.history) == 12
     steps = [row["step"] for row in out.history]
     assert steps == list(range(1, 13))
@@ -90,8 +87,8 @@ def test_training_runs_and_tracks_history():
 
 def test_training_deterministic_across_runs():
     cfg = make_config(**FAST)
-    a = train_closed_domain(cfg, dataset=tiny_dataset())
-    b = train_closed_domain(cfg, dataset=tiny_dataset())
+    a = run_stage(cfg, dataset=tiny_dataset())
+    b = run_stage(cfg, dataset=tiny_dataset())
     assert history_to_csv(a.history) == history_to_csv(b.history)
     for (name_a, pa), (name_b, pb) in zip(
         a.model.named_parameters(), b.model.named_parameters()
@@ -101,8 +98,8 @@ def test_training_deterministic_across_runs():
 
 
 def test_training_seed_changes_trajectory():
-    a = train_closed_domain(make_config(**FAST, seed="0"), dataset=TINY)
-    b = train_closed_domain(make_config(**FAST, seed="1"), dataset=TINY)
+    a = run_stage(make_config(**FAST, seed="0"), dataset=TINY)
+    b = run_stage(make_config(**FAST, seed="1"), dataset=TINY)
     assert history_to_csv(a.history) != history_to_csv(b.history)
 
 
@@ -114,11 +111,9 @@ def test_baseline_flag_reduction():
         **{"loss.lambda_cs": "0"},
     )
     trainer = Trainer(cfg, dataset=TINY)
-    active = trainer.model.active_components()
-    assert "spatial_pae" not in active
-    assert "temporal_pae" not in active
-    assert "affiliation_loss" not in active
-    assert "image_encoder" in active and "contrastive_loss" in active
+    model = trainer.model
+    assert model.spatial is None and model.instruction is None and model.temporal is None
+    assert model.cfg.loss.lambda_cs == 0
     out = trainer.train()
     assert all(row["l_a"] == 0.0 for row in out.history)
 
@@ -134,11 +129,9 @@ def test_ablation_grid_reachable_from_flags():
                     use_temporal_pae=str(tpa).lower(),
                     **{"loss.lambda_cs": str(lam)},
                 )
-                trainer = Trainer(cfg, dataset=TINY)
-                active = trainer.model.active_components()
-                assert ("spatial_pae" in active) == spa
-                assert ("temporal_pae" in active) == tpa
-                assert ("affiliation_loss" in active) == (lam > 0)
+                model = Trainer(cfg, dataset=TINY).model
+                active = (model.spatial is not None, model.temporal is not None, model.cfg.loss.lambda_cs > 0)
+                assert active == (spa, tpa, lam > 0)
                 seen.add(active)
     assert len(seen) == 8
 
@@ -329,7 +322,7 @@ def test_schema_2_checkpoint_rejected(tmp_path, monkeypatch):
 def test_output_files_written_and_deterministic(tmp_path):
     cfg = make_config(**FAST)
     for sub in ("a", "b"):
-        train_closed_domain(cfg, out_dir=tmp_path / sub, dataset=tiny_dataset())
+        run_stage(cfg, out_dir=tmp_path / sub, dataset=tiny_dataset())
     for name in ("history.csv", "metrics.json"):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
@@ -402,7 +395,6 @@ def test_failed_command_write_keeps_previous_output(tmp_path, monkeypatch, train
 
     from beliefret import checkpoint
     from beliefret.cli import main
-    from beliefret.config import save_config
 
     cfg, run_dir = trained_checkpoint
     spec = tmp_path / "spec.json"
@@ -414,7 +406,8 @@ def test_failed_command_write_keeps_previous_output(tmp_path, monkeypatch, train
         assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 0  # dataset + manifest
         assert main(["eval", *model_args, "--out", str(out)]) == 0
         assert main(["dump-embeddings", *model_args, "--out", str(out)]) == 0
-        save_config(cfg, out / "config.json")
+        with checkpoint.atomic_open(out / "config.json") as fh:  # a JSON file written as every output is
+            json.dump(config_to_dict(cfg), fh)
 
     write_all()
     before = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -472,22 +465,35 @@ def coarse_fine_pair(seed=0):
     return coarse, fine
 
 
+def stage_one(tmp_path, dataset, seed="0", steps="8"):
+    """Run stage one into tmp_path; return the init_from of a stage two after it."""
+    cfg = make_config(stage="stage1-pretrain", seed=seed, **{"optim.steps": steps, "optim.batch_size": "16"})
+    outcome = run_stage(cfg, out_dir=tmp_path, dataset=dataset)
+    return outcome, str(tmp_path / "checkpoint.npz")
+
+
 def test_open_domain_two_stage(tmp_path):
     coarse, fine = coarse_fine_pair()
-    s1 = make_config(stage="stage1-pretrain", **{"optim.steps": "8", "optim.batch_size": "16"})
+    out1, init_from = stage_one(tmp_path / "stage1", coarse)
     s2 = make_config(
         stage="stage2-finetune",
-        init_from="placeholder",
+        init_from=init_from,
         use_temporal_pae="false",
         **{"optim.steps": "6", "optim.batch_size": "16"},
     )
-    out1, out2 = train_open_domain(
-        s1, s2, out_dir=tmp_path, stage1_dataset=coarse, stage2_dataset=fine
-    )
-    assert "spatial_pae" not in out1.model.active_components()
-    assert "spatial_pae" in out2.model.active_components()
+    # stage two starts from stage one's encoders and its own new spatial stack
+    start = Trainer(s2, dataset=fine).model
+    first = dict(out1.model.named_parameters())
+    for name, t in start.named_parameters():
+        if name in first:
+            npt.assert_array_equal(t.data, first[name].data)
+    assert {name.split(".")[0] for name, _ in start.named_parameters() if name not in first} == {
+        "instruction", "spatial"
+    }
+    out2 = run_stage(s2, out_dir=tmp_path / "stage2", dataset=fine)
+    assert out1.model.spatial is None
+    assert out2.model.spatial is not None
     assert not any(t.requires_grad for _, t in named_tensors(out2.model.instruction))
-    assert (tmp_path / "stage1" / "checkpoint.npz").exists()
     assert (tmp_path / "stage2" / "metrics.json").exists()
 
 
@@ -495,36 +501,35 @@ def test_stage2_requires_checkpoint():
     _, fine = coarse_fine_pair()
     cfg = make_config(stage="stage2-finetune", **{"optim.steps": "2", "optim.batch_size": "16"})
     with pytest.raises(ConfigError, match="init_from"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            Trainer(cfg, dataset=fine)
+        Trainer(cfg, dataset=fine)
 
 
-def test_stage_granularity_warnings():
+def test_stage_granularity_warnings(tmp_path):
     coarse, fine = coarse_fine_pair()
     s1 = make_config(stage="stage1-pretrain", **{"optim.steps": "1", "optim.batch_size": "16"})
     with pytest.warns(UserWarning, match="coarse"):
         Trainer(s1, dataset=fine)
-    s2 = make_config(stage="stage2-finetune", **{"optim.steps": "1", "optim.batch_size": "16"})
+    _, init_from = stage_one(tmp_path, coarse, steps="0")
+    s2 = make_config(stage="stage2-finetune", init_from=init_from, **{"optim.steps": "1", "optim.batch_size": "16"})
     with pytest.warns(UserWarning, match="fine"):
-        Trainer(s2, dataset=coarse, init_params={})
+        Trainer(s2, dataset=coarse)
 
 
-def test_stage1_zero_steps_equals_from_scratch():
+def test_stage1_zero_steps_equals_from_scratch(tmp_path):
     coarse, fine = coarse_fine_pair()
-    s1 = make_config(stage="stage1-pretrain", seed="3", **{"optim.steps": "0", "optim.batch_size": "16"})
+    _, init_from = stage_one(tmp_path, coarse, seed="3", steps="0")
     s2 = make_config(
-        stage="stage2-finetune", seed="3", init_from="placeholder",
+        stage="stage2-finetune", seed="3", init_from=init_from,
         **{"optim.steps": "5", "optim.batch_size": "16"},
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        _, warm = train_open_domain(s1, s2, stage1_dataset=coarse, stage2_dataset=fine)
-        scratch_cfg = make_config(
-            stage="stage2-finetune", seed="3",
-            **{"optim.steps": "5", "optim.batch_size": "16"},
-        )
-        scratch = Trainer(scratch_cfg, dataset=fine, init_params={}).train()
+    warm = run_stage(s2, dataset=fine)
+    # a closed-domain run with stage two's flags: spatial stack, soft belief filter
+    scratch_cfg = make_config(
+        seed="3", use_spatial_pae="true",
+        **{"belief.mode": "soft-sequence", "optim.steps": "5", "optim.batch_size": "16"},
+    )
+    scratch = run_stage(scratch_cfg, dataset=fine)
+    assert history_to_csv(warm.history) == history_to_csv(scratch.history)
     for (name_a, pa), (name_b, pb) in zip(
         warm.model.named_parameters(), scratch.model.named_parameters()
     ):
@@ -558,7 +563,7 @@ def test_sweep_refuses_bad_value_before_any_run(monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("a sweep run started")
 
-    monkeypatch.setattr("beliefret.pipeline.train_closed_domain", no_run)
+    monkeypatch.setattr("beliefret.pipeline.run_stage", no_run)
     with pytest.raises(ConfigError, match="cannot parse override belief.filter_k='x' as int"):
         sweep(cfg, "belief.filter_k", [3, "x"], dataset=TINY)
 
@@ -574,7 +579,7 @@ def test_empty_validation_file_refused(tmp_path):
 def test_single_value_sweep_equals_plain_run():
     cfg = make_config(**{"optim.steps": "4", "optim.batch_size": "16"})
     rows = sweep(cfg, "loss.lambda_cs", [1.0], dataset=TINY)
-    plain = train_closed_domain(cfg, dataset=TINY)
+    plain = run_stage(cfg, dataset=TINY)
     report = plain.best_report or plain.final_report
     assert rows[0]["mr"] == report.mr
 

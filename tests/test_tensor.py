@@ -15,13 +15,18 @@ from beliefret.rng import child
 from beliefret.tensor import Tensor, grad_check
 
 
-# The package has no log op and no standalone dropout op: these references are
-# built from its ops, so the gradient oracle and the trap still cover a log and
-# the dropout mask the fused sublayers draw.
+# The package has no log, mean or standalone dropout op: these references are
+# built from its ops, so the gradient oracle and the trap still cover a log, a
+# scaled sum and the dropout mask the fused sublayers draw.
 
 
 def tlog(x):
     return T._op(np.log(x.data), (x,), lambda g: (g / x.data,))
+
+
+def tmean(x, axis=None, keepdims=False):
+    count = x.data.size if axis is None else x.shape[axis]
+    return x.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
 
 def dropout(x, rate, rng):
@@ -474,7 +479,7 @@ def along_last(shape, idx):
         ("sqrt", lambda t, c: (T.tsqrt(t * t + 0.5) * c).sum()),
         ("tanh", lambda t, c: (T.ttanh(t) * c).sum()),
         ("div", lambda t, c: ((t / (t * t + 2.0)) * c).sum()),
-        ("mean", lambda t, c: (t.mean(axis=0, keepdims=True) * c).sum() + t.mean()),
+        ("mean", lambda t, c: (tmean(t, axis=0, keepdims=True) * c).sum() + tmean(t)),
         ("swapaxes", lambda t, c: (t.swapaxes(0, 1) * c.swapaxes(0, 1)).sum()),
         ("broadcast", lambda t, c: (T.broadcast_to(t.reshape((2, 4, 1)), (2, 4, 3)) * c.reshape((2, 4, 1))).sum()),
         ("index_slice", lambda t, c: (t[:, 1:3] * c[:, 1:3]).sum()),
