@@ -1,7 +1,7 @@
 """Versioned checkpoints: parameter blobs plus a self-describing JSON header.
 
-The header carries the config snapshot, the step counters, and the derived
-random-stream positions, so a restored trainer continues bit-identically.
+The header carries the config snapshot, the step count and the run's history,
+so a restored trainer continues bit-identically.
 """
 
 from __future__ import annotations

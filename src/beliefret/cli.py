@@ -101,12 +101,12 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     out_dir = _resolve_out(args.out, "train")
-    outcome = run_stage(_load_train_config(args), out_dir)
-    report = outcome.best_report or outcome.final_report
+    trainer = run_stage(_load_train_config(args), out_dir)
+    report = trainer.best_report
     if report is not None:
-        print(f"finished {outcome.config.stage} at step {len(outcome.history)}: best mR {report.mr:.2f}")
+        print(f"finished {trainer.cfg.stage} at step {trainer.global_step}: best mR {report.mr:.2f}")
     else:
-        print(f"finished {outcome.config.stage} (no validation split)")
+        print(f"finished {trainer.cfg.stage} (no validation split)")
     return EXIT_OK
 
 
@@ -119,13 +119,13 @@ def _model_from_checkpoint(path, dataset):
     table = params.get("instruction.table")
     model = RetrievalModel(cfg, vocab, dataset.meta.num_classes if table is None else table.shape[1])
     restore_parameters(model, params, strict=True)
-    return model, header
+    return model
 
 
 def cmd_eval(args) -> int:
     out_dir = _resolve_out(args.out, "eval")
     dataset = load_dataset(args.dataset)
-    model, _ = _model_from_checkpoint(args.checkpoint, dataset)
+    model = _model_from_checkpoint(args.checkpoint, dataset)
     report = evaluate_model(model, dataset.records)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "metrics.json")
@@ -148,7 +148,7 @@ def cmd_sweep(args) -> int:
 def cmd_dump_embeddings(args) -> int:
     out_dir = _resolve_out(args.out, "dump-embeddings")
     dataset = load_dataset(args.dataset)
-    model, _ = _model_from_checkpoint(args.checkpoint, dataset)
+    model = _model_from_checkpoint(args.checkpoint, dataset)
     v, t = embed_records(model, dataset.records)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "embeddings.csv")

@@ -309,8 +309,6 @@ class PairBatch:
     captions: list  # B token-id lists
     labels: np.ndarray  # (B,)
     record_ids: np.ndarray  # (B,)
-    epoch: int
-    step_in_epoch: int
 
 
 def epoch_batches(records, batch_size: int, seed: int, epoch: int):
@@ -329,14 +327,12 @@ def epoch_batches(records, batch_size: int, seed: int, epoch: int):
     picks = {
         rec.id: int(caption_pick.integers(0, len(rec.captions))) for rec in records
     }
-    for step, start in enumerate(range(0, n, batch_size)):
+    for start in range(0, n, batch_size):
         chosen = [records[i] for i in order[start : start + batch_size]]
         yield PairBatch(
             images=np.stack([rec.pixels for rec in chosen]),
             captions=[rec.captions[picks[rec.id]] for rec in chosen],
             labels=np.array([rec.scene_label for rec in chosen], dtype=np.int64),
             record_ids=np.array([rec.id for rec in chosen], dtype=np.int64),
-            epoch=epoch,
-            step_in_epoch=step,
         )
 

@@ -1,12 +1,12 @@
 """Training loops and evaluation protocol.
 
 One Trainer runs a single stage, and ``run_stage`` trains any stage and writes
-its outputs. Batch order, caption picks, and dropout masks all derive from
-(seed, epoch) or (seed, step) child streams, so a checkpoint only needs
-counters to resume bit-identically. The open-domain recipe is two runs:
-contrastive-only pretraining on a coarse corpus, then belief- and
-attention-guided fine-tuning on a fine corpus that starts from stage one's
-checkpoint file through ``init_from``.
+its outputs. A run's state is its step count and its history: batch order,
+caption picks, and dropout masks all derive from (seed, epoch) or (seed, step)
+child streams, so a checkpoint holding both resumes bit-identically. The
+open-domain recipe is two runs: contrastive-only pretraining on a coarse
+corpus, then belief- and attention-guided fine-tuning on a fine corpus that
+starts from stage one's checkpoint file through ``init_from``.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import warnings
 
@@ -26,23 +27,13 @@ from .checkpoint import atomic_open, load_checkpoint, restore_parameters, save_c
 from .config import TrainConfig, apply_overrides, config_from_dict, config_to_dict
 from .data import Dataset, epoch_batches, load_dataset
 from .encoders import fit_instruction
-from .errors import ConfigError, InputError, NumericError
+from .errors import ConfigError, InputError, NumericError, ParseError
 from .model import RetrievalModel
 from .retrieval import REPORT_KEYS, REPORT_KS, RecallReport, RetrievalTable, similarity_matrix
-from .rng import ALGORITHM, child
+from .rng import child
 from .tensor import sgd_step
 
 HISTORY_COLUMNS = ("step", "loss", "l_c", "l_a", *REPORT_KEYS)
-
-
-@dataclasses.dataclass
-class TrainOutcome:
-    model: RetrievalModel
-    config: TrainConfig
-    history: list
-    best_report: RecallReport | None
-    best_step: int
-    final_report: RecallReport | None
 
 
 def effective_config(cfg: TrainConfig) -> TrainConfig:
@@ -215,13 +206,8 @@ class Trainer:
             )
 
         self.global_step = 0
-        self.epoch = 0
-        self.pos_in_epoch = 0
-        self.best_mr = float("-inf")
-        self.best_step = -1
-        self.best_report: RecallReport | None = None
-        self.best_params: dict | None = None
         self.history: list = []
+        self.best_params: dict | None = None
 
     def _check_granularity(self, dataset: Dataset) -> None:
         if self.cfg.stage == "stage1-pretrain" and dataset.meta.granularity != "coarse":
@@ -252,123 +238,105 @@ class Trainer:
             "l_a": l_a.item(),
         }
 
-    def _maybe_eval(self, row: dict | None) -> RecallReport | None:
-        if not self.val_records:
-            return None
-        report = evaluate_model(self.model, self.val_records)
-        target = row if row is not None else {"step": self.global_step, "loss": None, "l_c": None, "l_a": None}
-        target.update(report.to_dict())
-        if row is None:
-            self.history.append(target)
-        if report.mr > self.best_mr:
-            self.best_mr = report.mr
-            self.best_step = self.global_step
-            self.best_report = report
-            self.best_params = {
-                name: t.data.copy() for name, t in self.model.named_parameters()
-            }
-        return report
+    def _evaluate(self, row: dict) -> None:
+        """Add a validation report to ``row``, a history row; keep the
+        parameters if that row is now the best."""
+        row.update(evaluate_model(self.model, self.val_records).to_dict())
+        if self._best_row() is row:
+            self.best_params = {name: t.data.copy() for name, t in self.model.named_parameters()}
 
-    def train(self) -> TrainOutcome:
-        steps_left = self.cfg.optim.steps - self.global_step
-        final_report = None
-        last_eval_step = -1
-        while steps_left > 0:
-            batches = list(epoch_batches(
-                self.train_records, self.cfg.optim.batch_size, self.cfg.seed, self.epoch
-            ))
-            while self.pos_in_epoch < len(batches) and steps_left > 0:
-                row = self._train_step(batches[self.pos_in_epoch])
-                self.pos_in_epoch += 1
-                steps_left -= 1
-                epoch_done = self.pos_in_epoch == len(batches)
-                if epoch_done and (self.epoch + 1) % self.cfg.optim.eval_every_epochs == 0:
-                    final_report = self._maybe_eval(row)
-                    last_eval_step = self.global_step
-                self.history.append(row)
-            if self.pos_in_epoch == len(batches):
-                self.epoch += 1
-                self.pos_in_epoch = 0
-        if self.val_records and last_eval_step != self.global_step:
-            final_report = self._maybe_eval(self.history[-1] if self.history else None)
-        return TrainOutcome(
-            model=self.model,
-            config=self.cfg,
-            history=self.history,
-            best_report=self.best_report,
-            best_step=self.best_step,
-            final_report=final_report,
-        )
+    def train(self) -> Trainer:
+        per_epoch = math.ceil(len(self.train_records) / self.cfg.optim.batch_size)
+        batches = None
+        while self.global_step < self.cfg.optim.steps:
+            epoch, pos = divmod(self.global_step, per_epoch)
+            if pos == 0 or batches is None:
+                batches = list(epoch_batches(self.train_records, self.cfg.optim.batch_size, self.cfg.seed, epoch))
+            row = self._train_step(batches[pos])
+            self.history.append(row)
+            epoch_done = pos + 1 == per_epoch
+            if self.val_records and epoch_done and (epoch + 1) % self.cfg.optim.eval_every_epochs == 0:
+                self._evaluate(row)
+        if self.val_records and self.final_report is None:
+            if not self.history:
+                self.history.append({"step": self.global_step, "loss": None, "l_c": None, "l_a": None})
+            self._evaluate(self.history[-1])
+        return self
+
+    # -- reports, read off the history ---------------------------------------------
+
+    def _best_row(self) -> dict | None:
+        """The first row with the highest mR: a tie keeps the earlier row."""
+        rows = [row for row in self.history if row.get("mr") is not None]
+        return max(rows, key=lambda row: row["mr"], default=None)
+
+    @property
+    def best_report(self) -> RecallReport | None:
+        return _report(self._best_row())
+
+    @property
+    def final_report(self) -> RecallReport | None:
+        return _report(self.history[-1] if self.history else None)
 
     # -- persistence ----------------------------------------------------------------
 
-    def _header(self) -> dict:
+    def _header(self, step: int) -> dict:
         return {
             "config": config_to_dict(self.cfg),
-            "global_step": self.global_step,
-            "epoch": self.epoch,
-            "pos_in_epoch": self.pos_in_epoch,
-            "best_mr": self.best_mr if self.best_mr != float("-inf") else None,
-            "best_step": self.best_step,
-            "rng": {
-                "seed": self.cfg.seed,
-                "algorithm": ALGORITHM,
-                "streams": {
-                    "epoch": self.epoch,
-                    "pos_in_epoch": self.pos_in_epoch,
-                    "dropout_step": self.global_step,
-                },
-            },
+            "global_step": step,
+            "history": [row for row in self.history if row["step"] <= step],
         }
 
     def save(self, path) -> None:
         arrays = {name: t.data for name, t in self.model.named_parameters()}
-        save_checkpoint(path, arrays, self._header())
+        save_checkpoint(path, arrays, self._header(self.global_step))
 
-    def save_best(self, path) -> bool:
-        if self.best_params is None:
-            return False
-        header = self._header()
-        header["global_step"] = self.best_step
-        save_checkpoint(path, self.best_params, header)
-        return True
+    def save_best(self, path) -> None:
+        if self.best_params is not None:
+            save_checkpoint(path, self.best_params, self._header(self._best_row()["step"]))
 
     @classmethod
     def from_checkpoint(cls, path, dataset: Dataset | None = None) -> "Trainer":
         header, params = load_checkpoint(path)
+        if "history" not in header:
+            raise ParseError(f"{path}: checkpoint holds no training history, so it cannot be resumed")
         cfg = config_from_dict(header["config"])
-        trainer = cls(cfg, dataset=dataset)
+        # the file itself, not the init_from it names, which may be gone by now
+        trainer = cls(dataclasses.replace(cfg, init_from=os.fspath(path)), dataset=dataset)
+        trainer.cfg = cfg
         restore_parameters(trainer.model, params, strict=True)
         trainer.global_step = int(header["global_step"])
-        trainer.epoch = int(header["epoch"])
-        trainer.pos_in_epoch = int(header["pos_in_epoch"])
-        if header.get("best_mr") is not None:
-            trainer.best_mr = float(header["best_mr"])
-            trainer.best_step = int(header["best_step"])
+        trainer.history = header["history"]
         return trainer
 
 
-def write_outputs(out_dir, trainer: Trainer, outcome: TrainOutcome) -> None:
+def _report(row: dict | None) -> RecallReport | None:
+    """The validation report a history row carries, if any."""
+    if row is None or row.get("mr") is None:
+        return None
+    return RecallReport(**{key: row[key] for key in REPORT_KEYS})
+
+
+def write_outputs(out_dir, trainer: Trainer) -> None:
     os.makedirs(out_dir, exist_ok=True)
     trainer.save(os.path.join(out_dir, "checkpoint.npz"))
     trainer.save_best(os.path.join(out_dir, "best.npz"))
     with atomic_open(os.path.join(out_dir, "history.csv")) as fh:
-        fh.write(history_to_csv(outcome.history))
-    report = outcome.best_report or outcome.final_report
+        fh.write(history_to_csv(trainer.history))
+    report = trainer.best_report
     if report is not None:
         with atomic_open(os.path.join(out_dir, "metrics.json")) as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
-def run_stage(cfg: TrainConfig, out_dir=None, dataset: Dataset | None = None) -> TrainOutcome:
+def run_stage(cfg: TrainConfig, out_dir=None, dataset: Dataset | None = None) -> Trainer:
     """Train one stage of any kind; with ``out_dir``, write its checkpoints,
     history and metrics there, as ``beliefret train`` does."""
-    trainer = Trainer(cfg, dataset=dataset)
-    outcome = trainer.train()
+    trainer = Trainer(cfg, dataset=dataset).train()
     if out_dir is not None:
-        write_outputs(out_dir, trainer, outcome)
-    return outcome
+        write_outputs(out_dir, trainer)
+    return trainer
 
 
 def sweep(cfg: TrainConfig, axis: str, values, out_dir=None, dataset: Dataset | None = None):

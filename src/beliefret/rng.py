@@ -12,8 +12,6 @@ from __future__ import annotations
 import hashlib
 import numpy as np
 
-ALGORITHM = "pcg64"
-
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shutil
 
 import pytest
 
@@ -97,6 +98,13 @@ def test_train_eval_dump_cycle(tmp_path, dataset_dir, capsys):
     first = lines[1].split(",")
     assert first[1] == "image"
     assert len(first) == 3 + 32
+
+
+@pytest.mark.parametrize("steps", [0, 12])
+def test_train_reports_the_step_it_finished_at(tmp_path, dataset_dir, capsys, steps):
+    cfg_path = fast_config(tmp_path, dataset_dir, **{"optim.steps": str(steps)})
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+    assert f"finished closed-domain at step {steps}: best mR" in capsys.readouterr().out
 
 
 def test_train_determinism_via_cli(tmp_path, dataset_dir):
@@ -398,6 +406,23 @@ def test_two_stage_training(tmp_path):
     run_stage(apply_overrides(load_config(s2_path), [f"init_from={api1 / 'checkpoint.npz'}"]), out_dir=api2)
     for name in ("metrics.json", "history.csv"):
         assert (run2 / name).read_bytes() == (api2 / name).read_bytes(), name
+
+
+def test_stage_two_resumes_without_the_stage_one_file(tmp_path):
+    s1_path, s2_path = two_stage_configs(tmp_path)
+    run1, run2 = tmp_path / "run1", tmp_path / "run2"
+    init_from = str(run1 / "checkpoint.npz")
+    assert main(["train", "--config", str(s1_path), "--out", str(run1)]) == 0
+    assert main(["train", "--config", str(s2_path), "--out", str(run2), "--set", f"init_from={init_from}"]) == 0
+    shutil.rmtree(run1)
+
+    trainer = Trainer.from_checkpoint(run2 / "checkpoint.npz")
+    assert trainer.cfg.init_from == init_from
+    trainer.cfg.optim.steps += 2
+    trainer.train()
+    assert trainer.global_step == 8
+    trainer.save(tmp_path / "more.npz")
+    assert load_checkpoint(tmp_path / "more.npz")[0]["config"]["init_from"] == init_from
 
 
 def test_stage_two_refuses_a_checkpoint_of_another_shape(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from beliefret import tensor as T
 from beliefret.blocks import named_tensors
-from beliefret.checkpoint import load_checkpoint
+from beliefret.checkpoint import load_checkpoint, save_checkpoint
 from beliefret.config import TrainConfig, apply_overrides, config_from_dict, config_to_dict
 from beliefret.data import CorpusSpec, Dataset, generate_corpus, write_dataset
 from beliefret.errors import ConfigError, InputError, ParseError
@@ -230,6 +230,60 @@ def test_checkpoint_resume_bit_identical(tmp_path):
     assert straight_out.history[-1]["loss"] == resumed.history[-1]["loss"]
 
 
+def test_resumed_history_keeps_rows_before_the_resume(tmp_path):
+    # 30 training records in batches of 7: five steps an epoch, so step 7 is mid-epoch
+    cfg = make_config(**{"optim.steps": "13", "optim.batch_size": "7", "optim.eval_every_epochs": "1"})
+    straight = Trainer(cfg, dataset=TINY).train()
+
+    first = Trainer(cfg, dataset=TINY)
+    first.cfg.optim.steps = 7
+    first.train()
+    first.save(tmp_path / "mid.npz")
+
+    resumed = Trainer.from_checkpoint(tmp_path / "mid.npz", dataset=TINY)
+    resumed.cfg.optim.steps = 13
+    resumed.train()
+    assert [row["step"] for row in resumed.history] == list(range(1, 14))
+    assert resumed.history[:7] == first.history
+    assert [row["loss"] for row in resumed.history[7:]] == [row["loss"] for row in straight.history[7:]]
+    # the best report counts the evaluations made before the resume
+    best = max(row["mr"] for row in first.history if row.get("mr") is not None)
+    assert resumed.best_report.mr >= best
+
+
+def test_tied_best_report_keeps_the_earlier_row(tmp_path):
+    trainer = Trainer(make_config(**{"optim.batch_size": "16"}), dataset=TINY)
+
+    def row(step, r1, mr):
+        return {"step": step, "loss": 1.0, "l_c": 1.0, "l_a": 0.0, "i2t_r1": r1, "i2t_r5": 60.0,
+                "i2t_r10": 70.0, "t2i_r1": 40.0, "t2i_r5": 50.0, "t2i_r10": 60.0, "mr": mr}
+
+    trainer.history = [row(1, 30.0, 50.0), row(2, 35.0, 40.0), row(3, 50.0, 50.0), row(4, 10.0, 20.0)]
+    trainer.best_params = {name: t.data.copy() for name, t in trainer.model.named_parameters()}
+    assert trainer.best_report.i2t_r1 == 30.0
+    assert trainer.final_report.i2t_r1 == 10.0
+    trainer.save_best(tmp_path / "best.npz")
+    header, _ = load_checkpoint(tmp_path / "best.npz")
+    assert header["global_step"] == 1
+    assert header["history"] == trainer.history[:1]
+
+
+def test_checkpoint_without_history_loads_but_does_not_resume(tmp_path):
+    # a schema-3 header of the older form: step counters and the best mR, no history
+    trainer = Trainer(make_config(**{"optim.steps": "2", "optim.batch_size": "16"}), dataset=TINY)
+    trainer.train()
+    path = tmp_path / "old.npz"
+    header = {"config": config_to_dict(trainer.cfg), "global_step": 2, "epoch": 1, "pos_in_epoch": 0,
+              "best_mr": 10.0, "best_step": 2}
+    save_checkpoint(path, {name: t.data for name, t in trainer.model.named_parameters()}, header)
+    started = Trainer(make_config(init_from=str(path), **{"optim.batch_size": "16"}), dataset=TINY)
+    for (name, a), (_, b) in zip(started.model.named_parameters(), trainer.model.named_parameters()):
+        if name != "instruction.centroids":
+            npt.assert_array_equal(a.data, b.data)
+    with pytest.raises(ParseError, match=f"{path}: checkpoint holds no training history"):
+        Trainer.from_checkpoint(path, dataset=TINY)
+
+
 def test_named_parameters_built_once_and_kept_through_loading():
     from beliefret.checkpoint import restore_parameters
     from beliefret.encoders import fit_instruction
@@ -273,7 +327,6 @@ def test_checkpoint_header_contents(tmp_path):
     trainer.save(path)
     header, params = load_checkpoint(path)
     assert header["global_step"] == 3
-    assert header["rng"]["algorithm"] == "pcg64"
     assert header["config"]["seed"] == cfg.seed
     names = {name for name, _ in trainer.model.named_parameters()}
     assert set(params) == names
@@ -361,8 +414,8 @@ def test_failed_write_keeps_previous_output(tmp_path, monkeypatch, target):
     from beliefret import checkpoint
 
     trainer = Trainer(make_config(**FAST), dataset=TINY)
-    outcome = trainer.train()
-    write_outputs(tmp_path, trainer, outcome)
+    trainer.train()
+    write_outputs(tmp_path, trainer)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert set(before) == {"checkpoint.npz", "best.npz", "history.csv", "metrics.json"}
 
@@ -372,7 +425,7 @@ def test_failed_write_keeps_previous_output(tmp_path, monkeypatch, target):
 
     monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
     with pytest.raises(OSError, match="No space left"):
-        write_outputs(tmp_path, trainer, outcome)
+        write_outputs(tmp_path, trainer)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
@@ -380,7 +433,7 @@ def test_failed_write_keeps_previous_output(tmp_path, monkeypatch, target):
 def trained_checkpoint(tmp_path_factory):
     run_dir = tmp_path_factory.mktemp("run")
     trainer = Trainer(make_config(**FAST), dataset=TINY)
-    write_outputs(run_dir, trainer, trainer.train())
+    write_outputs(run_dir, trainer.train())
     write_dataset(TINY, run_dir / "dataset.jsonl")
     return trainer.cfg, run_dir
 

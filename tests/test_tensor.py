@@ -623,9 +623,6 @@ def test_dropout_seeded_and_disabled():
 
 
 def test_rng_type_named_streams():
-    from beliefret.rng import ALGORITHM
-
-    assert ALGORITHM == "pcg64"
     assert isinstance(child(5, "weights").bit_generator, np.random.PCG64)
     a = child(5, "weights").normal(size=4)
     b = child(5, "weights").normal(size=4)
