@@ -46,18 +46,6 @@ def init_norm(d: int, dtype=np.float64) -> NormParams:
     )
 
 
-class Dropout:
-    """Seeded dropout settings threaded through the blocks; None disables it."""
-
-    def __init__(self, rate: float, rng: np.random.Generator):
-        self.rate = rate
-        self.rng = rng
-
-
-def _rate_rng(drop: Dropout | None) -> tuple:
-    return (drop.rate, drop.rng) if drop is not None else (0.0, None)
-
-
 @dataclass
 class AttentionParams:
     heads: int
@@ -85,7 +73,7 @@ def init_attention(
     )
 
 
-def attention_block(q_in: Tensor, kv_in: Tensor, p: AttentionParams, drop: Dropout | None = None) -> Tensor:
+def attention_block(q_in: Tensor, kv_in: Tensor, p: AttentionParams) -> Tensor:
     """Pre-norm residual multi-head attention, one node; queries from q_in,
     keys/values from kv_in (the same tensor for self-attention)."""
     if q_in.shape[-2] != kv_in.shape[-2]:
@@ -98,8 +86,11 @@ def attention_block(q_in: Tensor, kv_in: Tensor, p: AttentionParams, drop: Dropo
         ln_kv = (p.ln_kv.gamma, p.ln_kv.beta)
     return T.attention(
         q_in, kv_in, p.ln_q.gamma, p.ln_q.beta, *ln_kv,
-        p.q.w, p.q.b, p.k.w, p.k.b, p.v.w, p.v.b, p.o.w, p.o.b, p.heads, *_rate_rng(drop),
+        p.q.w, p.q.b, p.k.w, p.k.b, p.v.w, p.v.b, p.o.w, p.o.b, p.heads,
     )
+
+
+FFN_RATIO = 2  # hidden width of every feed-forward sublayer, in multiples of d
 
 
 @dataclass
@@ -109,17 +100,17 @@ class FfnParams:
     out: LinearParams
 
 
-def init_ffn(rng: np.random.Generator, d: int, hidden: int, dtype=np.float64) -> FfnParams:
+def init_ffn(rng: np.random.Generator, d: int, dtype=np.float64) -> FfnParams:
     return FfnParams(
         ln=init_norm(d, dtype),
-        inner=init_linear(rng, d, hidden, dtype),
-        out=init_linear(rng, hidden, d, dtype),
+        inner=init_linear(rng, d, FFN_RATIO * d, dtype),
+        out=init_linear(rng, FFN_RATIO * d, d, dtype),
     )
 
 
-def ffn_block(x: Tensor, p: FfnParams, drop: Dropout | None = None) -> Tensor:
+def ffn_block(x: Tensor, p: FfnParams) -> Tensor:
     """Pre-norm residual feed-forward, one node."""
-    return T.ffn(x, p.ln.gamma, p.ln.beta, p.inner.w, p.inner.b, p.out.w, p.out.b, *_rate_rng(drop))
+    return T.ffn(x, p.ln.gamma, p.ln.beta, p.inner.w, p.inner.b, p.out.w, p.out.b)
 
 
 @dataclass
@@ -128,17 +119,15 @@ class EncoderBlockParams:
     ffn: FfnParams
 
 
-def init_encoder_block(
-    rng: np.random.Generator, d: int, heads: int, ffn_hidden: int, dtype=np.float64
-) -> EncoderBlockParams:
+def init_encoder_block(rng: np.random.Generator, d: int, heads: int, dtype=np.float64) -> EncoderBlockParams:
     return EncoderBlockParams(
         attn=init_attention(rng, d, heads, cross=False, dtype=dtype),
-        ffn=init_ffn(rng, d, ffn_hidden, dtype),
+        ffn=init_ffn(rng, d, dtype),
     )
 
 
-def encoder_block(x: Tensor, p: EncoderBlockParams, drop: Dropout | None = None) -> Tensor:
-    return ffn_block(attention_block(x, x, p.attn, drop), p.ffn, drop)
+def encoder_block(x: Tensor, p: EncoderBlockParams) -> Tensor:
+    return ffn_block(attention_block(x, x, p.attn), p.ffn)
 
 
 def named_tensors(obj, prefix: str = ""):

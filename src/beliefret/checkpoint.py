@@ -9,12 +9,13 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import zipfile
 
 import numpy as np
 
 from .errors import ConfigError, ParseError
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 _HEADER_KEY = "__header__"
 _PARAM_PREFIX = "param::"
@@ -48,7 +49,8 @@ def save_checkpoint(path, named_arrays: dict, header: dict) -> None:
 def load_checkpoint(path):
     """Return (header dict, {name: array})."""
     try:
-        with np.load(path, allow_pickle=False) as bundle:
+        # opened here, so that a file numpy cannot read is still closed
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as bundle:
             if _HEADER_KEY not in bundle:
                 raise ParseError(f"{path}: not a checkpoint (missing header)")
             header = json.loads(bytes(bundle[_HEADER_KEY].tobytes()).decode("utf-8"))
@@ -59,7 +61,7 @@ def load_checkpoint(path):
             }
     except FileNotFoundError:
         raise ConfigError(f"checkpoint not found: {path}") from None
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # EOFError: an empty file
         raise ParseError(f"{path}: corrupt checkpoint: {exc}") from exc
     if header.get("schema_version") != SCHEMA_VERSION:
         raise ParseError(f"{path}: unsupported checkpoint schema {header.get('schema_version')}")

@@ -16,7 +16,7 @@ import sys
 from collections import Counter
 
 from .checkpoint import atomic_open, load_checkpoint, restore_parameters
-from .config import TrainConfig, apply_overrides, config_from_dict, load_config
+from .config import TrainConfig, apply_overrides, config_from_dict, load_config, load_json
 from .data import CorpusSpec, generate_corpus, load_dataset, write_dataset
 from .errors import (
     BeliefretError,
@@ -66,11 +66,7 @@ def _load_train_config(args) -> TrainConfig:
 
 def cmd_gen_data(args) -> int:
     out_dir = _resolve_out(args.out, "gen-data")
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.spec}: not valid JSON: {exc}") from exc
+    raw = load_json(args.spec)
     if not isinstance(raw, dict):
         raise ConfigError("corpus spec must be a JSON object")
     if args.seed is not None:

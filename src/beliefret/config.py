@@ -35,12 +35,10 @@ class ModelSettings:
     image_size: int = 16
     max_text_len: int = 16
     vocab_size: int = 0  # 0: take from the dataset header
-    ffn_ratio: int = 2
-    use_position_encoding: bool = True
 
     def __post_init__(self):
         for name in ("embed_dim", "encoder_dim", "heads", "encoder_blocks", "spatial_units",
-                     "temporal_units", "patch_size", "image_size", "max_text_len", "ffn_ratio"):
+                     "temporal_units", "patch_size", "image_size", "max_text_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"model.{name} must be at least 1")
 
@@ -97,7 +95,6 @@ class TrainConfig:
     data: DataSettings = field(default_factory=DataSettings)
     use_spatial_pae: bool = True
     use_temporal_pae: bool = True
-    dropout_rate: float = 0.0
     precision: str = "float64"
     init_from: str = ""  # stage-2 fine-tuning: checkpoint to start from
 
@@ -108,8 +105,6 @@ class TrainConfig:
             raise ConfigError(f"stage must be one of {STAGES}, got {self.stage!r}")
         if self.precision not in PRECISIONS:
             raise ConfigError(f"precision must be one of {PRECISIONS}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError("dropout_rate must lie in [0, 1)")
 
 
 def config_to_dict(cfg: TrainConfig) -> dict:
@@ -123,9 +118,9 @@ def _build(cls, data: dict, path: str):
     """Build ``cls`` from a JSON object, checking each leaf against its field's
     type (a float field also takes an int, but not NaN or an infinity)."""
     kinds = _field_types(cls)
-    unknown = set(data) - set(kinds)
+    unknown = sorted(f"{path}.{key}" if path else key for key in set(data) - set(kinds))
     if unknown:
-        raise ConfigError(f"unknown config key(s) under {path or 'top level'}: {sorted(unknown)}")
+        raise ConfigError(f"unknown config key(s): {unknown}")
     kwargs = {}
     for key, value in data.items():
         dotted, kind = f"{path}.{key}" if path else key, kinds[key]
@@ -152,13 +147,19 @@ def config_from_dict(data: dict) -> TrainConfig:
     return _build(TrainConfig, dict(data), "")
 
 
-def load_config(path) -> TrainConfig:
+def load_json(path):
+    """The JSON document in a UTF-8 file; anything else is a ConfigError naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    return config_from_dict(data)
+
+
+def load_config(path) -> TrainConfig:
+    return config_from_dict(load_json(path))
 
 
 def _coerce(raw: str, target_type, key: str):

@@ -35,6 +35,7 @@ CORNER_LEVELS = 4
 BRIGHTNESS_LEVELS = 3
 ATTRIBUTE_TOKENS = TINT_LEVELS + CORNER_LEVELS + BRIGHTNESS_LEVELS
 MIN_FILLER_TOKENS = 4
+CELL = 4  # side of a motif, corner-marker and clutter cell, in pixels
 
 _TINT_GAIN = 0.65  # off-channel damping
 _BRIGHTNESS = (0.7, 0.85, 1.0)
@@ -69,8 +70,8 @@ class CorpusSpec:
                 f"caption length range [{self.caption_len_min}, {self.caption_len_max}] "
                 f"cannot hold the {core} core tokens"
             )
-        if self.image_size % 4 != 0:
-            raise ConfigError("image size must be a multiple of the 4-pixel motif cell")
+        if self.image_size % CELL != 0:
+            raise ConfigError(f"image size must be a multiple of the {CELL}-pixel motif cell")
         if self.vocab_size < self.num_classes + ATTRIBUTE_TOKENS + MIN_FILLER_TOKENS:
             raise ConfigError(
                 f"vocabulary of {self.vocab_size} too small for class separation: needs at least "
@@ -128,9 +129,9 @@ class Dataset:
 
 def _class_motif(motif_seed: int, label: int, size: int) -> np.ndarray:
     rng = child(motif_seed, "motif", label)
-    cells = size // 4
+    cells = size // CELL
     coarse = rng.uniform(0.15, 0.85, size=(3, cells, cells))
-    return np.kron(coarse, np.ones((4, 4)))
+    return np.kron(coarse, np.ones((CELL, CELL)))
 
 
 def _render_image(spec: CorpusSpec, label: int, index: int, motif: np.ndarray):
@@ -148,19 +149,19 @@ def _render_image(spec: CorpusSpec, label: int, index: int, motif: np.ndarray):
     half = spec.image_size // 2
     row = 0 if corner in (0, 1) else half
     col = 0 if corner in (0, 2) else half
-    checker = np.indices((4, 4)).sum(axis=0) % 2
-    img[:, row : row + 4, col : col + 4] = 0.05 + 0.9 * checker
+    checker = np.indices((CELL, CELL)).sum(axis=0) % 2
+    img[:, row : row + CELL, col : col + CELL] = 0.05 + 0.9 * checker
 
     img += rng.uniform(-0.02, 0.02, size=img.shape)
 
     if spec.noise > 0.0:
-        cells = spec.image_size // 4
+        cells = spec.image_size // CELL
         total = cells * cells
         n_clutter = int(round(spec.noise * total))
         chosen = rng.choice(total, size=n_clutter, replace=False)
         for cell in chosen:
-            r, c = (cell // cells) * 4, (cell % cells) * 4
-            img[:, r : r + 4, c : c + 4] = rng.random((3, 4, 4))
+            r, c = (cell // cells) * CELL, (cell % cells) * CELL
+            img[:, r : r + CELL, c : c + CELL] = rng.random((3, CELL, CELL))
 
     img = np.round(np.clip(img, 0.0, 1.0), 4)
     return img, (tint, corner, brightness)
@@ -259,8 +260,13 @@ def _record_problem(rec: DatasetRecord, meta: DatasetMeta) -> str | None:
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{lineno}: not UTF-8 text: {exc}") from exc
     if not lines:
         raise ParseError(f"{path}:1: empty dataset file")
     try:

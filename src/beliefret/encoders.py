@@ -20,7 +20,6 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import (
-    Dropout,
     LinearParams,
     encoder_block,
     init_encoder_block,
@@ -43,7 +42,6 @@ class ImageEncoderParams:
     pos: Tensor  # (d_enc, m + 1)
     blocks: list
     proj: LinearParams  # (d, d_enc)
-    use_position_encoding: bool = True
 
     @property
     def tokens(self) -> int:
@@ -59,8 +57,6 @@ def init_image_encoder(
     patch_size: int,
     blocks: int,
     heads: int,
-    ffn_ratio: int = 2,
-    use_position_encoding: bool = True,
     dtype=np.float64,
 ) -> ImageEncoderParams:
     if d_enc < d:
@@ -74,9 +70,8 @@ def init_image_encoder(
         patch=init_linear(rng, 3 * patch_size * patch_size, d_enc, dtype),
         cls_token=Tensor(rng.normal(0.0, 0.5, size=(d_enc, 1)).astype(dtype), requires_grad=True),
         pos=Tensor(rng.normal(0.0, 0.1, size=(d_enc, m + 1)).astype(dtype), requires_grad=True),
-        blocks=[init_encoder_block(rng, d_enc, heads, ffn_ratio * d_enc, dtype) for _ in range(blocks)],
+        blocks=[init_encoder_block(rng, d_enc, heads, dtype) for _ in range(blocks)],
         proj=init_linear(rng, d_enc, d, dtype),
-        use_position_encoding=use_position_encoding,
     )
 
 
@@ -89,7 +84,7 @@ def patch_columns(pixels: np.ndarray, patch_size: int) -> np.ndarray:
     return patches.transpose(0, 2, 1)
 
 
-def _tower(x: Tensor, params: ImageEncoderParams | TextEncoderParams, drop: Dropout | None) -> Tensor:
+def _tower(x: Tensor, params: ImageEncoderParams | TextEncoderParams) -> Tensor:
     """Shared transformer tower of both encoders.
 
     Prepends the global token to (B, d_enc, n) inputs, adds the positions of
@@ -99,14 +94,13 @@ def _tower(x: Tensor, params: ImageEncoderParams | TextEncoderParams, drop: Drop
     b, _, n = x.shape
     cls = T.broadcast_to(params.cls_token, (b, *params.cls_token.shape))
     x = T.concat([cls, x], axis=-1)
-    if params.use_position_encoding:
-        x = x + params.pos[:, : n + 1]
+    x = x + params.pos[:, : n + 1]
     for blk in params.blocks:
-        x = encoder_block(x, blk, drop)
+        x = encoder_block(x, blk)
     return linear(x, params.proj)
 
 
-def encode_image_batch(pixels: np.ndarray, params: ImageEncoderParams, drop: Dropout | None = None) -> Tensor:
+def encode_image_batch(pixels: np.ndarray, params: ImageEncoderParams) -> Tensor:
     """(B, 3, H, W) pixels -> (B, d, m + 1) tokens: f_cls in column 0, then the m patches."""
     pixels = np.asarray(pixels, dtype=params.patch.w.dtype)
     if pixels.shape[1:] != (3, params.image_size, params.image_size):
@@ -115,7 +109,7 @@ def encode_image_batch(pixels: np.ndarray, params: ImageEncoderParams, drop: Dro
             f"(3, {params.image_size}, {params.image_size})"
         )
     x = linear(Tensor(patch_columns(pixels, params.patch_size)), params.patch)  # (B, d_enc, m)
-    return _tower(x, params, drop)
+    return _tower(x, params)
 
 
 # -- text encoder ---------------------------------------------------------------
@@ -130,7 +124,6 @@ class TextEncoderParams:
     pos: Tensor  # (d_enc, max_len + 1)
     blocks: list
     proj: LinearParams
-    use_position_encoding: bool = True
 
 
 def init_text_encoder(
@@ -141,8 +134,6 @@ def init_text_encoder(
     max_len: int,
     blocks: int,
     heads: int,
-    ffn_ratio: int = 2,
-    use_position_encoding: bool = True,
     dtype=np.float64,
 ) -> TextEncoderParams:
     if d_enc < d:
@@ -155,13 +146,12 @@ def init_text_encoder(
         embed=Tensor(rng.normal(0.0, 0.5, size=(d_enc, vocab_size)).astype(dtype), requires_grad=True),
         cls_token=Tensor(rng.normal(0.0, 0.5, size=(d_enc, 1)).astype(dtype), requires_grad=True),
         pos=Tensor(rng.normal(0.0, 0.1, size=(d_enc, max_len + 1)).astype(dtype), requires_grad=True),
-        blocks=[init_encoder_block(rng, d_enc, heads, ffn_ratio * d_enc, dtype) for _ in range(blocks)],
+        blocks=[init_encoder_block(rng, d_enc, heads, dtype) for _ in range(blocks)],
         proj=init_linear(rng, d_enc, d, dtype),
-        use_position_encoding=use_position_encoding,
     )
 
 
-def encode_text_batch(ids: np.ndarray, params: TextEncoderParams, drop: Dropout | None = None) -> Tensor:
+def encode_text_batch(ids: np.ndarray, params: TextEncoderParams) -> Tensor:
     """(B, n) equal-length token ids -> (B, d, n + 1) tokens: t_cls in column 0, then F_t."""
     ids = np.asarray(ids, dtype=np.intp)
     if ids.ndim != 2:
@@ -172,7 +162,7 @@ def encode_text_batch(ids: np.ndarray, params: TextEncoderParams, drop: Dropout 
     if ids.min() < 0 or ids.max() >= params.vocab_size:
         raise InputError(f"token id outside vocabulary of size {params.vocab_size}")
     x = T.transpose(params.embed[:, ids], (1, 0, 2))  # (B, d_enc, n)
-    return _tower(x, params, drop)
+    return _tower(x, params)
 
 
 # -- instruction prior ----------------------------------------------------------------

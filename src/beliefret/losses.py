@@ -22,7 +22,7 @@ from .tensor import Tensor
 
 DEFAULT_TAU = 0.07
 DEFAULT_T_LOGIT = math.log(1.0 / DEFAULT_TAU)  # e^t = 1/tau
-DEFAULT_EPSILON = 1e-12
+EPSILON = 1e-12  # keeps an empty class's prototype scale finite
 DEFAULT_LAMBDA_CS = 1.0
 
 
@@ -32,13 +32,10 @@ class LossConfig:
     t_logit: float = DEFAULT_T_LOGIT
     t_trainable: bool = False
     lambda_cs: float = DEFAULT_LAMBDA_CS
-    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ConfigError(f"temperature must be positive, got {self.tau}")
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if self.lambda_cs < 0:
             raise ConfigError(f"lambda_cs must be nonnegative, got {self.lambda_cs}")
 
@@ -85,9 +82,7 @@ def contrastive_loss(v: Tensor, t: Tensor, tau: float = DEFAULT_TAU) -> Tensor:
     return -(row_term + col_term)
 
 
-def affiliation_loss(
-    batch: LabeledBatch, t_logit: float | Tensor = DEFAULT_T_LOGIT, epsilon: float = DEFAULT_EPSILON
-) -> Tensor:
+def affiliation_loss(batch: LabeledBatch, t_logit: float | Tensor = DEFAULT_T_LOGIT) -> Tensor:
     """Cluster-prototype symmetric loss over a labelled batch.
 
     Normalise both sides, build per-class prototypes scaled by 1/(count + eps),
@@ -95,15 +90,13 @@ def affiliation_loss(
     e^t-scaled similarities against the diagonal with cross-entropy from both
     directions, averaged with a 1/2 factor.
     """
-    if epsilon <= 0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
     b = batch.v.shape[0]
     c = batch.num_classes
     vn = T.l2_normalize(batch.v, axis=-1)
     tn = T.l2_normalize(batch.t, axis=-1)
 
     onehot = np.eye(c, dtype=vn.dtype)[batch.labels]  # (B, C)
-    counts = onehot.sum(axis=0) + epsilon  # (C,)
+    counts = onehot.sum(axis=0) + EPSILON  # (C,)
     y = Tensor(onehot)
     y_t = Tensor(onehot.T)
     inv_counts = Tensor((1.0 / counts)[:, None])

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .belief import refine_batch
-from .blocks import Dropout, named_tensors
+from .blocks import named_tensors
 from .config import TrainConfig
 from .encoders import (
     init_image_encoder,
@@ -52,8 +52,6 @@ class RetrievalModel:
             patch_size=m.patch_size,
             blocks=m.encoder_blocks,
             heads=m.heads,
-            ffn_ratio=m.ffn_ratio,
-            use_position_encoding=m.use_position_encoding,
             dtype=dtype,
         )
         self.text = init_text_encoder(
@@ -64,8 +62,6 @@ class RetrievalModel:
             max_len=m.max_text_len,
             blocks=m.encoder_blocks,
             heads=m.heads,
-            ffn_ratio=m.ffn_ratio,
-            use_position_encoding=m.use_position_encoding,
             dtype=dtype,
         )
         self.instruction = None
@@ -111,23 +107,23 @@ class RetrievalModel:
 
     # -- embedding ------------------------------------------------------------
 
-    def embed_images(self, pixels: np.ndarray, drop: Dropout | None = None) -> Tensor:
-        tokens = encode_image_batch(pixels, self.image, drop)
+    def embed_images(self, pixels: np.ndarray) -> Tensor:
+        tokens = encode_image_batch(pixels, self.image)
         f_cls = tokens[..., 0]
         if self.spatial is None:
             return f_cls
         f_ins = instruction_batch(pixels, self.instruction)
         refined = refine_batch(tokens, f_ins, self.cfg.belief.mode, self.cfg.belief.filter_k)
-        return f_cls + spatial_pae(refined, f_ins, self.spatial, drop)
+        return f_cls + spatial_pae(refined, f_ins, self.spatial)
 
-    def _embed_text_group(self, ids: np.ndarray, drop: Dropout | None) -> Tensor:
-        tokens = encode_text_batch(ids, self.text, drop)
+    def _embed_text_group(self, ids: np.ndarray) -> Tensor:
+        tokens = encode_text_batch(ids, self.text)
         t_cls = tokens[..., 0]
         if self.temporal is None:
             return t_cls
-        return t_cls + temporal_pae(tokens, self.temporal, drop)
+        return t_cls + temporal_pae(tokens, self.temporal)
 
-    def embed_texts(self, captions, drop: Dropout | None = None) -> Tensor:
+    def embed_texts(self, captions) -> Tensor:
         """Embed variable-length captions by grouping equal lengths."""
         by_length: dict[int, list[int]] = {}
         for i, cap in enumerate(captions):
@@ -137,7 +133,7 @@ class RetrievalModel:
         for length in sorted(by_length):
             rows = by_length[length]
             ids = np.array([captions[i] for i in rows], dtype=np.intp)
-            chunks.append(self._embed_text_group(ids, drop))
+            chunks.append(self._embed_text_group(ids))
             order.extend(rows)
         if len(chunks) == 1:
             return chunks[0]
@@ -145,14 +141,14 @@ class RetrievalModel:
 
     # -- losses ----------------------------------------------------------------
 
-    def batch_losses(self, batch, drop: Dropout | None = None):
+    def batch_losses(self, batch):
         """(total, l_c, l_a) tensors for one PairBatch."""
-        v_emb = self.embed_images(batch.images.astype(self.dtype), drop)
-        t_emb = self.embed_texts(batch.captions, drop)
+        v_emb = self.embed_images(batch.images.astype(self.dtype))
+        t_emb = self.embed_texts(batch.captions)
         l_c = contrastive_loss(v_emb, t_emb, self.cfg.loss.tau)
         if self.cfg.loss.lambda_cs > 0:
             labelled = LabeledBatch(v_emb, t_emb, batch.labels, num_classes=self.num_classes)
-            l_a = affiliation_loss(labelled, self.t_logit, self.cfg.loss.epsilon)
+            l_a = affiliation_loss(labelled, self.t_logit)
         else:
             l_a = Tensor(np.asarray(0.0, dtype=self.dtype))
         return total_loss(l_c, l_a, self.cfg.loss.lambda_cs), l_c, l_a

@@ -28,7 +28,6 @@ import numpy as np
 from . import tensor as T
 from .blocks import (
     AttentionParams,
-    Dropout,
     FfnParams,
     LinearParams,
     attention_block,
@@ -53,21 +52,21 @@ class PaelParams:
 def init_pael(rng: np.random.Generator, d: int, heads: int, dtype=np.float64) -> PaelParams:
     return PaelParams(
         self_attn=init_attention(rng, d, heads, cross=False, dtype=dtype),
-        self_ffn=init_ffn(rng, d, 2 * d, dtype),
+        self_ffn=init_ffn(rng, d, dtype),
         cross_attn=init_attention(rng, d, heads, cross=True, dtype=dtype),
-        cross_ffn=init_ffn(rng, d, 2 * d, dtype),
+        cross_ffn=init_ffn(rng, d, dtype),
     )
 
 
-def pael(h_s: Tensor, h_c: Tensor, params: PaelParams, drop: Dropout | None = None):
+def pael(h_s: Tensor, h_c: Tensor, params: PaelParams):
     """Return (refined_s, refined_c); shapes (d, N) and (d, N') are preserved.
 
     refined_s = FFN(SelfAttn(h_s)); refined_c = FFN(CrossAttn(h_c, refined_s)).
     """
     if h_s.shape[-2] != h_c.shape[-2]:
         raise DimensionError(f"feature dims differ: {h_s.shape} vs {h_c.shape}")
-    s_out = ffn_block(attention_block(h_s, h_s, params.self_attn, drop), params.self_ffn, drop)
-    c_out = ffn_block(attention_block(h_c, s_out, params.cross_attn, drop), params.cross_ffn, drop)
+    s_out = ffn_block(attention_block(h_s, h_s, params.self_attn), params.self_ffn)
+    c_out = ffn_block(attention_block(h_c, s_out, params.cross_attn), params.cross_ffn)
     return s_out, c_out
 
 
@@ -89,7 +88,7 @@ def init_pae_stack(rng: np.random.Generator, d: int, heads: int, n_units: int, d
     return PaeStack(layers=layers, guide_w=guides, head=init_linear(rng, d, d, dtype))
 
 
-def _run_stack(cur: Tensor, stack: PaeStack, guide, drop: Dropout | None) -> Tensor:
+def _run_stack(cur: Tensor, stack: PaeStack, guide) -> Tensor:
     """Run the units, each guided by guide(w, cur), and read out the head token.
 
     The head reads only column 0, and every op on the query branch works
@@ -99,12 +98,12 @@ def _run_stack(cur: Tensor, stack: PaeStack, guide, drop: Dropout | None) -> Ten
     """
     last = len(stack.layers) - 1
     for i, (w, layer) in enumerate(zip(stack.guide_w, stack.layers)):
-        _, cur = pael(cur, guide(w, cur[..., :1] if i == last else cur), layer, drop)
+        _, cur = pael(cur, guide(w, cur[..., :1] if i == last else cur), layer)
     out = linear(cur, stack.head)  # (..., d, 1)
     return out.reshape(out.shape[:-1])
 
 
-def spatial_pae(tokens: Tensor, f_ins: Tensor, stack: PaeStack, drop: Dropout | None = None) -> Tensor:
+def spatial_pae(tokens: Tensor, f_ins: Tensor, stack: PaeStack) -> Tensor:
     """Instruction-guided local embedding from refined tokens (..., d, k).
 
     Each unit's guide is one column, a fresh projection of the instruction
@@ -113,10 +112,10 @@ def spatial_pae(tokens: Tensor, f_ins: Tensor, stack: PaeStack, drop: Dropout | 
     on the carried sequence is that one column.
     """
     ins_col = f_ins.reshape((*f_ins.shape, 1))
-    return _run_stack(tokens, stack, lambda w, cur: T.matmul(w, ins_col), drop)
+    return _run_stack(tokens, stack, lambda w, cur: T.matmul(w, ins_col))
 
 
-def temporal_pae(tokens: Tensor, stack: PaeStack, drop: Dropout | None = None) -> Tensor:
+def temporal_pae(tokens: Tensor, stack: PaeStack) -> Tensor:
     """Local text embedding from the text encoder's sequence (..., d, n + 1),
     [t_cls, F_t] with the global token in column 0.
 
@@ -124,4 +123,4 @@ def temporal_pae(tokens: Tensor, stack: PaeStack, drop: Dropout | None = None) -
     carried sequence itself, so the previous step's output activates the next;
     the last unit projects the head column alone, the one column read out.
     """
-    return _run_stack(tokens, stack, T.matmul, drop)
+    return _run_stack(tokens, stack, T.matmul)

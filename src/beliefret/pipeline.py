@@ -1,12 +1,12 @@
 """Training loops and evaluation protocol.
 
 One Trainer runs a single stage, and ``run_stage`` trains any stage and writes
-its outputs. A run's state is its step count and its history: batch order,
-caption picks, and dropout masks all derive from (seed, epoch) or (seed, step)
-child streams, so a checkpoint holding both resumes bit-identically. The
-open-domain recipe is two runs: contrastive-only pretraining on a coarse
-corpus, then belief- and attention-guided fine-tuning on a fine corpus that
-starts from stage one's checkpoint file through ``init_from``.
+its outputs. A run's state is its step count and its history: batch order and
+caption picks derive from (seed, epoch) child streams, so a checkpoint holding
+both resumes bit-identically. The open-domain recipe is two runs:
+contrastive-only pretraining on a coarse corpus, then belief- and
+attention-guided fine-tuning on a fine corpus that starts from stage one's
+checkpoint file through ``init_from``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import warnings
 import numpy as np
 
 from . import tensor as T
-from .blocks import Dropout
 from .checkpoint import atomic_open, load_checkpoint, restore_parameters, save_checkpoint
 from .config import TrainConfig, apply_overrides, config_from_dict, config_to_dict
 from .data import Dataset, epoch_batches, load_dataset
@@ -30,7 +29,6 @@ from .encoders import fit_instruction
 from .errors import ConfigError, InputError, NumericError, ParseError
 from .model import RetrievalModel
 from .retrieval import REPORT_KEYS, REPORT_KS, RecallReport, RetrievalTable, similarity_matrix
-from .rng import child
 from .tensor import sgd_step
 
 HISTORY_COLUMNS = ("step", "loss", "l_c", "l_a", *REPORT_KEYS)
@@ -217,15 +215,10 @@ class Trainer:
 
     # -- steps ------------------------------------------------------------------
 
-    def _dropout_for_step(self) -> Dropout | None:
-        if self.cfg.dropout_rate == 0.0:
-            return None
-        return Dropout(self.cfg.dropout_rate, child(self.cfg.seed, "dropout", self.global_step))
-
     def _train_step(self, batch) -> dict:
         try:
             with T.trap_nonfinite():
-                loss, l_c, l_a = self.model.batch_losses(batch, self._dropout_for_step())
+                loss, l_c, l_a = self.model.batch_losses(batch)
                 loss.backward()
                 sgd_step(self.model.named_parameters(), self.cfg.optim.learning_rate)
         except NumericError as exc:

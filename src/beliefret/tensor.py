@@ -484,7 +484,7 @@ def affine(w, x, b) -> Tensor:
 
 # -- pre-norm residual sublayers ----------------------------------------------
 #
-# Each sublayer is one node x + drop(sublayer(LN(x))), with LN(x) = γ·x̂ + β
+# Each sublayer is one node x + sublayer(LN(x)), with LN(x) = γ·x̂ + β
 # along the feature axis (-2), (d, 1) γ and β, x̂ = (x − μ) / s and
 # s = sqrt(var + eps). The norm feeds only the sublayer's first product, so γ
 # and β fold into it: w·(γ·x̂ + β) + b = (w∘γᵀ)·x̂ + (w β + b), where w∘γᵀ scales
@@ -506,16 +506,6 @@ def _check_norm(x: Tensor, gamma: Tensor, beta: Tensor, op_name: str) -> None:
         raise DimensionError(
             f"{op_name} norm gamma {gamma.data.shape} and beta {beta.data.shape} do not fit input {x.data.shape}"
         )
-
-
-def _check_rate(rate: float) -> None:
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
-
-
-def _dropout_mask(shape, rate: float, rng: np.random.Generator, dtype) -> np.ndarray:
-    """An inverted-dropout mask: (rng.random(shape) >= rate) / (1 − rate)."""
-    return (rng.random(shape) >= rate).astype(dtype) / (1.0 - rate)
 
 
 def _avg_row(x: np.ndarray) -> np.ndarray:
@@ -566,15 +556,13 @@ def _fold_grads(g: np.ndarray, normed: np.ndarray, w: np.ndarray, gamma: np.ndar
     return (w * outer).sum(axis=0)[:, None], w.T @ total, gw, total
 
 
-def ffn(x, gamma, beta, w1, b1, w2, b2, rate: float = 0.0, rng=None) -> Tensor:
-    """x + drop(w2 · tanh(w1 · LN(x) + b1) + b2) as one node, over x (..., d, L).
+def ffn(x, gamma, beta, w1, b1, w2, b2) -> Tensor:
+    """x + w2 · tanh(w1 · LN(x) + b1) + b2 as one node, over x (..., d, L).
 
-    The first product is (w1∘γᵀ)·x̂ + (w1 β + b1), with γ and β folded in. With
-    ``rate`` > 0 the sublayer output is dropped by an inverted-dropout mask
-    drawn from ``rng``, as ``_dropout_mask`` draws it.
+    The first product is (w1∘γᵀ)·x̂ + (w1 β + b1), with γ and β folded in.
 
-    Backward with h = tanh(w1 · LN(x) + b1), gs = mask·g and
-    ĝ = (w2ᵀ gs)(1 − h²): dw2 = Σ gs hᵀ, db2 = Σ gs; with G = Σ ĝ x̂ᵀ and
+    Backward with h = tanh(w1 · LN(x) + b1) and
+    ĝ = (w2ᵀ g)(1 − h²): dw2 = Σ g hᵀ, db2 = Σ g; with G = Σ ĝ x̂ᵀ and
     S = Σ ĝ, dw1 = G∘γᵀ + S βᵀ, db1 = S, dγ = Σ_rows (w1∘G), dβ = w1ᵀ S; and
     dx = g plus the norm's share of (w1∘γᵀ)ᵀ ĝ, the gradient at x̂.
     """
@@ -582,7 +570,6 @@ def ffn(x, gamma, beta, w1, b1, w2, b2, rate: float = 0.0, rng=None) -> Tensor:
     gamma, beta, w1, b1, w2, b2 = (_as_tensor(t, dtype=x.dtype) for t in (gamma, beta, w1, b1, w2, b2))
     _check_norm(x, gamma, beta, "ffn")
     _check_weights(x, ((w1, b1), (w2, b2)), "ffn")
-    _check_rate(rate)
     normed, std = _normalize(x.data)
     w_fold, b_fold = _fold(w1.data, gamma.data, beta.data, b1.data)
     h = w_fold @ normed
@@ -592,30 +579,23 @@ def ffn(x, gamma, beta, w1, b1, w2, b2, rate: float = 0.0, rng=None) -> Tensor:
     np.tanh(h, out=h)
     data = w2.data @ h
     data += b2.data
-    mask = _dropout_mask(data.shape, rate, rng, data.dtype) if rate > 0.0 else None
-    if mask is not None:
-        data *= mask
     data += x.data
 
     def bw(g):
-        gs = g if mask is None else g * mask
-        gpre = w2.data.T @ gs
+        gpre = w2.data.T @ g
         gpre -= gpre * h * h
         return (
             _norm_grads(w_fold.T @ gpre, normed, std, residual=g) if x.requires_grad else None,
             *_fold_grads(gpre, normed, w1.data, gamma.data, beta.data),
-            _weight_grad(gs, h) if w2.requires_grad else None,
-            _unbroadcast(gs, b2.data.shape) if b2.requires_grad else None,
+            _weight_grad(g, h) if w2.requires_grad else None,
+            _unbroadcast(g, b2.data.shape) if b2.requires_grad else None,
         )
 
     return _op(data, (x, gamma, beta, w1, b1, w2, b2), bw)
 
 
-def attention(
-    xq, xkv, gamma_q, beta_q, gamma_kv, beta_kv, wq, bq, wk, bk, wv, bv, wo, bo,
-    heads: int, rate: float = 0.0, rng=None,
-) -> Tensor:
-    """xq + drop(MultiHead(LN_q(xq), LN_kv(xkv))) as one node.
+def attention(xq, xkv, gamma_q, beta_q, gamma_kv, beta_kv, wq, bq, wk, bk, wv, bv, wo, bo, heads: int) -> Tensor:
+    """xq + MultiHead(LN_q(xq), LN_kv(xkv)) as one node.
 
     xq (..., d, Lq) gives the queries and xkv (..., d, Lk) the keys and
     values. Passing the same tensor twice makes it self-attention: one norm,
@@ -626,13 +606,9 @@ def attention(
     contexts, stacked back to d rows, go through wo·(·) + bo. Self-attention
     projects Q, K and V in one stacked product and cross-attention K and V;
     each product has its norm's γ and β folded in, (w∘γᵀ)·x̂ + (w β + b).
-    With ``rate`` > 0 two inverted-dropout masks are drawn from ``rng``, as
-    ``_dropout_mask`` draws them: first one on the attention weights P, of
-    shape (..., heads, Lq, Lk), then one on the sublayer output.
 
-    Backward, with gs the output gradient through its mask, Pd the dropped
-    weights and G the context gradient per head: dV = G Pd,
-    dP = mask · (Gᵀ V), dS = (dP − Σ_k dP·P) P / √dh, dQ = K dSᵀ, dK = Q dS.
+    Backward, with G the context gradient per head: dV = G P,
+    dP = Gᵀ V, dS = (dP − Σ_k dP·P) P / √dh, dQ = K dSᵀ, dK = Q dS.
     Each folded product, from the gradient g at its output, with
     G = Σ g x̂ᵀ (one tensordot over batch and sequence axes) and S = Σ g, gives
     dw = G∘γᵀ + S βᵀ, db = S, dγ = Σ_rows (w∘G), dβ = wᵀ S and the gradient
@@ -660,7 +636,6 @@ def attention(
         raise DimensionError(f"attention weights must be ({d}, {d}) and biases ({d}, 1)")
     if heads < 1 or d % heads != 0:
         raise ConfigError(f"head count {heads} must divide feature dim {d}")
-    _check_rate(rate)
     dh = d // heads
     # one folded product per normed input: Q, K and V of xq in self-attention;
     # Q of xq, then K and V of xkv in cross-attention
@@ -691,23 +666,15 @@ def attention(
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    mask = _dropout_mask(p.shape, rate, rng, p.dtype) if rate > 0.0 else None
-    pd = p if mask is None else p * mask
-    ctx = (vh @ pd.swapaxes(-1, -2)).reshape((*lead, d, lq))
+    ctx = (vh @ p.swapaxes(-1, -2)).reshape((*lead, d, lq))
     data = wo.data @ ctx
     data += bo.data
-    out_mask = _dropout_mask(data.shape, rate, rng, data.dtype) if rate > 0.0 else None
-    if out_mask is not None:
-        data *= out_mask
     data += xq.data
 
     def bw(g):
-        gs = g if out_mask is None else g * out_mask
-        gctx = (wo.data.T @ gs).reshape((*lead, heads, dh, lq))
-        gv = (gctx @ pd).reshape((*lead, d, lk))
+        gctx = (wo.data.T @ g).reshape((*lead, heads, dh, lq))
+        gv = (gctx @ p).reshape((*lead, d, lk))
         gscore = gctx.swapaxes(-1, -2) @ vh  # dP, then dS in place
-        if mask is not None:
-            gscore *= mask
         gscore -= (gscore * p).sum(axis=-1, keepdims=True)
         gscore *= p
         gscore *= scale
@@ -725,8 +692,8 @@ def attention(
             grads += [ggamma, gbeta]
             gw += [gw_cat[i : i + d] for i in range(0, len(gw_cat), d)]
             gb += [gb_cat[i : i + d] for i in range(0, len(gb_cat), d)]
-        gw.append(_weight_grad(gs, ctx))
-        gb.append(_unbroadcast(gs, bo.data.shape))
+        gw.append(_weight_grad(g, ctx))
+        gb.append(_unbroadcast(g, bo.data.shape))
         for w, b, gw_i, gb_i in zip(params[::2], params[1::2], gw, gb):
             grads += [gw_i if w.requires_grad else None, gb_i if b.requires_grad else None]
         return grads

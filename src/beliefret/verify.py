@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .belief import _strict_rank, refine_batch
 from .errors import BeliefretError
-from .losses import LabeledBatch, affiliation_loss, contrastive_loss
+from .losses import DEFAULT_T_LOGIT, DEFAULT_TAU, EPSILON, LabeledBatch, affiliation_loss, contrastive_loss
 from .pae import init_pae_stack, init_pael, pael, spatial_pae, temporal_pae
 from .retrieval import RetrievalTable, mean_recall, recall_at_k
 from .rng import child
@@ -306,10 +306,8 @@ def affiliation_oracle_check(cases: int = 200, tolerance: float = 1e-8) -> Check
         t = rng.normal(size=(b, d))
         labels = rng.integers(0, c, size=b)
         t_logit = float(rng.normal())
-        got = affiliation_loss(
-            LabeledBatch(Tensor(v), Tensor(t), labels, c), t_logit, epsilon=1e-12
-        ).item()
-        want = _loop_affiliation(v, t, labels, c, t_logit, 1e-12)
+        got = affiliation_loss(LabeledBatch(Tensor(v), Tensor(t), labels, c), t_logit).item()
+        want = _loop_affiliation(v, t, labels, c, t_logit, EPSILON)
         worst = max(worst, abs(got - want))
     return CheckResult(
         "oracles",
@@ -351,19 +349,14 @@ def _loop_affiliation(v, t, labels, num_classes, t_logit, epsilon):
 
 def unique_label_reduction_check(cases: int = 100, tolerance: float = 1e-6) -> CheckResult:
     worst = 0.0
-    tau = 0.07
     for seed in range(cases):
         rng = child(seed, "vo-uniq")
         b = int(rng.integers(2, 9))
         d = int(rng.integers(2, 8))
         v, t = rng.normal(size=(b, d)), rng.normal(size=(b, d))
         labels = rng.permutation(b)
-        l_a = affiliation_loss(
-            LabeledBatch(Tensor(v), Tensor(t), labels, num_classes=b),
-            t_logit=math.log(1.0 / tau),
-            epsilon=1e-12,
-        ).item()
-        l_c = contrastive_loss(Tensor(v), Tensor(t), tau=tau).item()
+        l_a = affiliation_loss(LabeledBatch(Tensor(v), Tensor(t), labels, num_classes=b), DEFAULT_T_LOGIT).item()
+        l_c = contrastive_loss(Tensor(v), Tensor(t), tau=DEFAULT_TAU).item()
         worst = max(worst, abs(l_a - 0.5 * l_c))
     return CheckResult(
         "oracles",

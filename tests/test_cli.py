@@ -171,14 +171,61 @@ def test_error_exit_codes(tmp_path, dataset_dir):
     assert main(["train", "--config", str(bad_data_cfg), "--out", str(tmp_path / "z")]) == 3
 
 
-def test_instruction_source_config_exit_code(tmp_path, dataset_dir, capsys):
-    cfg_path = fast_config(tmp_path, dataset_dir)
-    data = json.loads(cfg_path.read_text())
-    data["instruction_source"] = "frozen-scene-table"
-    cfg_path.write_text(json.dumps(data))
-    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
-    assert "instruction_source" in capsys.readouterr().err
+@pytest.mark.parametrize("command, size", [("eval", 3000), ("eval", 0), ("train", 3000)],
+                         ids=["truncated-eval", "empty-eval", "truncated-init_from"])
+def test_corrupt_checkpoint_exit_code(tmp_path, dataset_dir, capsys, command, size):
+    # a cut file has lost the zip directory at its end; an empty one holds not even numpy's magic
+    cfg = fast_config(tmp_path, dataset_dir)
+    ck = tmp_path / "ck.npz"
+    Trainer(load_config(cfg)).save(ck)
+    ck.write_bytes(ck.read_bytes()[:size])
+    if command == "eval":
+        args = ["eval", "--checkpoint", str(ck), "--dataset", str(dataset_dir / "dataset.jsonl")]
+    else:
+        args = ["train", "--config", str(cfg), "--set", f"init_from={ck}"]
+    assert main([*args, "--out", str(tmp_path / "run")]) == 3
+    assert f"{ck}: corrupt checkpoint" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, code, where", [("train", 2, "config"), ("gen-data", 2, "spec"),
+                                                  ("eval", 3, "dataset:3")])
+def test_non_utf8_input_exit_code(tmp_path, dataset_dir, capsys, command, code, where):
+    # a UTF-16 byte-order mark is not UTF-8; the dataset names the line it is on
+    bad = tmp_path / where.split(":")[0]
+    if command == "eval":
+        lines = (dataset_dir / "dataset.jsonl").read_bytes().splitlines(keepends=True)
+        bad.write_bytes(b"".join(lines[:2]) + b"\xff\xfe" + b"".join(lines[2:]))
+        args = ["eval", "--checkpoint", str(tmp_path / "unread.npz"), "--dataset", str(bad)]
+    else:
+        bad.write_bytes(b"\xff\xfe{}")
+        args = [command, "--config" if command == "train" else "--spec", str(bad)]
+    assert main([*args, "--out", str(tmp_path / "run")]) == code
+    assert f"{tmp_path / where}: not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_instruction_source_config_exit_code(tmp_path, dataset_dir, capsys):
+    # a config file holding the key of a deleted setting exits 2 and names it
+    removed = {
+        "instruction_source": "frozen-scene-table",
+        "dropout_rate": 0.0,
+        "model.use_position_encoding": True,
+        "model.ffn_ratio": 2,
+        "loss.epsilon": 1e-12,
+    }
+    for dotted, value in removed.items():
+        cfg_path = fast_config(tmp_path, dataset_dir)
+        data = json.loads(cfg_path.read_text())
+        *sections, leaf = dotted.split(".")
+        node = data
+        for part in sections:
+            node = node[part]
+        node[leaf] = value
+        cfg_path.write_text(json.dumps(data))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+        assert f"'{dotted}'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 def test_evaluation_ignores_scene_labels(tmp_path, dataset_dir):

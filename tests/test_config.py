@@ -87,7 +87,6 @@ def test_bad_json(tmp_path):
     ("optim.batch_size", 8.5),
     ("model.heads", True),
     ("loss.tau", "0.07"),
-    ("dropout_rate", False),
     ("precision", 32),
 ])
 def test_leaf_types_checked_at_load(dotted, value):
@@ -112,7 +111,7 @@ def test_float_field_takes_an_int():
         config_from_dict(data)
 
 
-@pytest.mark.parametrize("dotted", ["optim.learning_rate", "loss.tau", "loss.t_logit", "dropout_rate"])
+@pytest.mark.parametrize("dotted", ["optim.learning_rate", "loss.tau", "loss.t_logit"])
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
 def test_non_finite_float_refused(dotted, raw, tmp_path):
     # NaN slips past every range check (it compares false both ways), and an
@@ -131,8 +130,23 @@ def test_non_finite_float_refused(dotted, raw, tmp_path):
         load_config(path)
 
 
+REMOVED_KEYS = {
+    "instruction_source": "frozen-scene-table",
+    "dropout_rate": 0.0,
+    "model.use_position_encoding": True,
+    "model.ffn_ratio": 2,
+    "loss.epsilon": 1e-12,
+}
+
+
 def test_instruction_source_key_refused():
-    data = config_to_dict(TrainConfig())
-    data["instruction_source"] = "frozen-scene-table"
-    with pytest.raises(ConfigError, match="instruction_source"):
-        config_from_dict(data)
+    # keys of settings that were deleted are unknown, each named by its dotted path
+    for dotted, value in REMOVED_KEYS.items():
+        data = config_to_dict(TrainConfig())
+        *sections, leaf = dotted.split(".")
+        node = data
+        for part in sections:
+            node = node[part]
+        node[leaf] = value
+        with pytest.raises(ConfigError, match=f"unknown config key.*'{dotted}'"):
+            config_from_dict(data)

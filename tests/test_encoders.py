@@ -53,7 +53,8 @@ def test_patch_columns_grid_order():
 
 
 def test_zero_image_gives_equal_patch_columns():
-    params = image_params(use_position_encoding=False)
+    params = image_params()
+    params.pos.data[:] = 0.0
     f_v = encode_image_batch(np.zeros((1, 3, 16, 16)), params).data[0, :, 1:]
     npt.assert_allclose(f_v, np.repeat(f_v[:, :1], 16, axis=1), atol=1e-10)
 
@@ -97,7 +98,8 @@ def test_text_encoder_single_token():
 
 
 def test_text_encoder_permutation_equivariance_without_positions():
-    params = text_params(5, use_position_encoding=False)
+    params = text_params(5)
+    params.pos.data[:] = 0.0
     rng = child(5, "perm")
     ids = rng.integers(0, 30, size=7)
     perm = rng.permutation(7)

@@ -7,6 +7,7 @@ import pytest
 from beliefret.errors import ConfigError, DegenerateInputError, InputError
 from beliefret.losses import (
     DEFAULT_T_LOGIT,
+    EPSILON,
     LabeledBatch,
     LossConfig,
     affiliation_loss,
@@ -103,7 +104,7 @@ def test_affiliation_unique_labels_reduces_to_half_contrastive():
     v, t = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
     tau = 0.07
     batch = LabeledBatch(Tensor(v), Tensor(t), np.array([0, 1]), num_classes=2)
-    l_a = affiliation_loss(batch, t_logit=math.log(1.0 / tau), epsilon=1e-12).item()
+    l_a = affiliation_loss(batch, t_logit=math.log(1.0 / tau)).item()
     l_c = contrastive_loss(Tensor(v), Tensor(t), tau=tau).item()
     assert abs(l_a - 0.5 * l_c) < 1e-6
 
@@ -146,10 +147,8 @@ def test_affiliation_matches_loop_oracle():
         t = rng.normal(size=(b, d))
         labels = rng.integers(0, c, size=b)
         t_logit = float(rng.normal(0.0, 1.0))
-        got = affiliation_loss(
-            LabeledBatch(Tensor(v), Tensor(t), labels, num_classes=c), t_logit=t_logit, epsilon=1e-12
-        ).item()
-        want = loop_affiliation_oracle(v, t, labels, c, t_logit, 1e-12)
+        got = affiliation_loss(LabeledBatch(Tensor(v), Tensor(t), labels, num_classes=c), t_logit=t_logit).item()
+        want = loop_affiliation_oracle(v, t, labels, c, t_logit, EPSILON)
         assert abs(got - want) < 1e-8, f"seed {seed}: {got} vs {want}"
 
 
@@ -231,8 +230,6 @@ def test_loss_config_validation():
     LossConfig()
     with pytest.raises(ConfigError):
         LossConfig(tau=0.0)
-    with pytest.raises(ConfigError):
-        LossConfig(epsilon=0.0)
     with pytest.raises(ConfigError):
         LossConfig(lambda_cs=-1.0)
 

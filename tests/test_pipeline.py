@@ -170,9 +170,9 @@ def test_embed_records_encodes_length_sorted_chunks(monkeypatch):
     lengths = []
     encode = bmodel.encode_text_batch
 
-    def counting_encode(ids, params, drop=None):
+    def counting_encode(ids, params):
         lengths.append(ids.shape[1])
-        return encode(ids, params, drop)
+        return encode(ids, params)
 
     monkeypatch.setattr(bmodel, "encode_text_batch", counting_encode)
     trainer = Trainer(make_config(**{"optim.steps": "1", "optim.batch_size": "16"}), dataset=TINY)
@@ -193,8 +193,8 @@ def test_one_length_batch_is_not_regrouped(monkeypatch):
     groups = []
     embed_group = model._embed_text_group
 
-    def recording_group(ids, drop):
-        groups.append(embed_group(ids, drop))
+    def recording_group(ids):
+        groups.append(embed_group(ids))
         return groups[-1]
 
     monkeypatch.setattr(model, "_embed_text_group", recording_group)
@@ -367,6 +367,33 @@ def test_schema_2_checkpoint_rejected(tmp_path, monkeypatch):
         load_checkpoint(tmp_path / "old.npz")
     with pytest.raises(ParseError, match="unsupported checkpoint schema 2"):
         Trainer(make_config(init_from=str(tmp_path / "old.npz")), dataset=TINY)
+
+
+def test_schema_3_checkpoint_rejected(tmp_path, monkeypatch, capsys):
+    # a schema 3 header's config still holds dropout_rate, model.ffn_ratio,
+    # model.use_position_encoding and loss.epsilon, settings that are gone
+    from beliefret import checkpoint
+    from beliefret.cli import main
+
+    trainer = Trainer(make_config(**{"optim.batch_size": "16"}), dataset=TINY)
+    header = trainer._header(0)
+    header["config"]["dropout_rate"] = 0.0
+    header["config"]["model"].update(ffn_ratio=2, use_position_encoding=True)
+    header["config"]["loss"]["epsilon"] = 1e-12
+    old = tmp_path / "old.npz"
+    with monkeypatch.context() as patch:
+        patch.setattr(checkpoint, "SCHEMA_VERSION", 3)
+        save_checkpoint(old, {name: t.data for name, t in trainer.model.named_parameters()}, header)
+    with pytest.raises(ParseError, match=f"{old}: unsupported checkpoint schema 3"):
+        load_checkpoint(old)
+    with pytest.raises(ParseError, match="unsupported checkpoint schema 3"):
+        Trainer(make_config(init_from=str(old)), dataset=TINY)
+    data = tmp_path / "dataset.jsonl"
+    write_dataset(TINY, data)
+    for command in ("eval", "dump-embeddings"):
+        args = [command, "--checkpoint", str(old), "--dataset", str(data), "--out", str(tmp_path / command)]
+        assert main(args) == 3
+        assert f"{old}: unsupported checkpoint schema 3" in capsys.readouterr().err
 
 
 # -- output files ------------------------------------------------------------------------

@@ -15,9 +15,8 @@ from beliefret.rng import child
 from beliefret.tensor import Tensor, grad_check
 
 
-# The package has no log, mean or standalone dropout op: these references are
-# built from its ops, so the gradient oracle and the trap still cover a log, a
-# scaled sum and the dropout mask the fused sublayers draw.
+# The package has no log or mean op: these references are built from its ops,
+# so the gradient oracle and the trap still cover a log and a scaled sum.
 
 
 def tlog(x):
@@ -27,13 +26,6 @@ def tlog(x):
 def tmean(x, axis=None, keepdims=False):
     count = x.data.size if axis is None else x.shape[axis]
     return x.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-
-def dropout(x, rate, rng):
-    """Inverted dropout with the fused sublayers' mask; identity when rate is 0."""
-    if rate == 0.0:
-        return x
-    return x * Tensor(T._dropout_mask(x.shape, rate, rng, x.dtype))
 
 
 # -- matmul -------------------------------------------------------------------
@@ -244,7 +236,7 @@ def _sublayer_case(kind, seed, dtype):
     weights = [leaf((d, d), 0.5) if i % 2 == 0 else leaf((d, 1)) for i in range(8)]
     args = [x, kv, leaf((d, 1)), leaf((d, 1)), *norm_kv, *weights]
     return (
-        lambda *a, **kw: T.attention(*a, heads=2, **kw),
+        lambda *a: T.attention(*a, heads=2),
         lambda *a: unfolded_attention(*a, heads=2),
         args,
     )
@@ -296,7 +288,7 @@ def test_folded_sublayer_stays_float32(kind, monkeypatch):
 
         monkeypatch.setattr(T, name, recording)
     fused, _, args = _sublayer_case(kind, 0, np.float32)
-    out = fused(*args, rate=0.2, rng=child(0, "fold-drop", kind))
+    out = fused(*args)
     kept = list(_arrays_in([cell.cell_contents for cell in out._backward_fn.__closure__]))
     (out * child(0, "fold-coef32").normal(size=out.shape).astype(np.float32)).sum().backward()
     grads = [t.grad for t in _leaves(args)]
@@ -493,7 +485,6 @@ def along_last(shape, idx):
         ("transpose", lambda t, c: (T.transpose(t, (1, 0)) * T.transpose(c, (1, 0))).sum()),
         ("take_along_last", lambda t, c: (t[along_last(t.shape, np.array([[0, 2, 2], [3, 1, 0]]))] * 0.5).sum()),
         ("index_hard_filter", lambda t, c: (t[HARD_FILTER_KEY] * c).sum()),
-        ("dropout_fixed_mask", lambda t, c: (dropout(t, 0.4, child(9, "gc-drop")) * c).sum()),
         ("layer_norm_x", lambda t, c: (T.ffn(t, LN_GAMMA, LN_BETA, *LN_FFN) * c).sum()),
         ("layer_norm_gamma", lambda t, c: (T.ffn(c * 2.0 + 0.5, t, LN_BETA, *LN_FFN) * c).sum()),
         ("layer_norm_beta", lambda t, c: (T.ffn(c, LN_GAMMA, t, *LN_FFN) * T.ttanh(c)).sum()),
@@ -612,14 +603,6 @@ def test_forward_determinism_same_seed():
 
     npt.assert_array_equal(run(42), run(42))
     assert not np.array_equal(run(42), run(43))
-
-
-def test_dropout_seeded_and_disabled():
-    x = Tensor(np.ones((4, 4)))
-    a = dropout(x, 0.5, child(0, "drop"))
-    b = dropout(x, 0.5, child(0, "drop"))
-    npt.assert_array_equal(a.data, b.data)
-    assert dropout(x, 0.0, child(0, "drop")) is x
 
 
 def test_rng_type_named_streams():
