@@ -23,9 +23,9 @@ class LinearParams:
     b: Tensor  # (out, 1)
 
 
-def init_linear(rng: np.random.Generator, fan_in: int, fan_out: int, dtype=np.float64) -> LinearParams:
-    w = rng.normal(0.0, fan_in**-0.5, size=(fan_out, fan_in)).astype(dtype)
-    b = np.zeros((fan_out, 1), dtype=dtype)
+def init_linear(rng: np.random.Generator, fan_in: int, fan_out: int) -> LinearParams:
+    w = rng.normal(0.0, fan_in**-0.5, size=(fan_out, fan_in))
+    b = np.zeros((fan_out, 1))
     return LinearParams(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
 
 
@@ -39,10 +39,10 @@ class NormParams:
     beta: Tensor  # (d, 1)
 
 
-def init_norm(d: int, dtype=np.float64) -> NormParams:
+def init_norm(d: int) -> NormParams:
     return NormParams(
-        Tensor(np.ones((d, 1), dtype=dtype), requires_grad=True),
-        Tensor(np.zeros((d, 1), dtype=dtype), requires_grad=True),
+        Tensor(np.ones((d, 1)), requires_grad=True),
+        Tensor(np.zeros((d, 1)), requires_grad=True),
     )
 
 
@@ -57,19 +57,17 @@ class AttentionParams:
     o: LinearParams
 
 
-def init_attention(
-    rng: np.random.Generator, d: int, heads: int, cross: bool = False, dtype=np.float64
-) -> AttentionParams:
+def init_attention(rng: np.random.Generator, d: int, heads: int, cross: bool = False) -> AttentionParams:
     if d % heads != 0:
         raise ConfigError(f"head count {heads} must divide feature dim {d}")
     return AttentionParams(
         heads=heads,
-        ln_q=init_norm(d, dtype),
-        ln_kv=init_norm(d, dtype) if cross else None,
-        q=init_linear(rng, d, d, dtype),
-        k=init_linear(rng, d, d, dtype),
-        v=init_linear(rng, d, d, dtype),
-        o=init_linear(rng, d, d, dtype),
+        ln_q=init_norm(d),
+        ln_kv=init_norm(d) if cross else None,
+        q=init_linear(rng, d, d),
+        k=init_linear(rng, d, d),
+        v=init_linear(rng, d, d),
+        o=init_linear(rng, d, d),
     )
 
 
@@ -100,11 +98,11 @@ class FfnParams:
     out: LinearParams
 
 
-def init_ffn(rng: np.random.Generator, d: int, dtype=np.float64) -> FfnParams:
+def init_ffn(rng: np.random.Generator, d: int) -> FfnParams:
     return FfnParams(
-        ln=init_norm(d, dtype),
-        inner=init_linear(rng, d, FFN_RATIO * d, dtype),
-        out=init_linear(rng, FFN_RATIO * d, d, dtype),
+        ln=init_norm(d),
+        inner=init_linear(rng, d, FFN_RATIO * d),
+        out=init_linear(rng, FFN_RATIO * d, d),
     )
 
 
@@ -119,10 +117,10 @@ class EncoderBlockParams:
     ffn: FfnParams
 
 
-def init_encoder_block(rng: np.random.Generator, d: int, heads: int, dtype=np.float64) -> EncoderBlockParams:
+def init_encoder_block(rng: np.random.Generator, d: int, heads: int) -> EncoderBlockParams:
     return EncoderBlockParams(
-        attn=init_attention(rng, d, heads, cross=False, dtype=dtype),
-        ffn=init_ffn(rng, d, dtype),
+        attn=init_attention(rng, d, heads, cross=False),
+        ffn=init_ffn(rng, d),
     )
 
 

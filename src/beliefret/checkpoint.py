@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, ParseError
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 _HEADER_KEY = "__header__"
 _PARAM_PREFIX = "param::"

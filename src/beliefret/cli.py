@@ -16,7 +16,7 @@ import sys
 from collections import Counter
 
 from .checkpoint import atomic_open, load_checkpoint, restore_parameters
-from .config import TrainConfig, apply_overrides, config_from_dict, load_config, load_json
+from .config import TrainConfig, apply_overrides, build_checked, config_from_dict, load_config, load_json
 from .data import CorpusSpec, generate_corpus, load_dataset, write_dataset
 from .errors import (
     BeliefretError,
@@ -71,11 +71,7 @@ def cmd_gen_data(args) -> int:
         raise ConfigError("corpus spec must be a JSON object")
     if args.seed is not None:
         raw["seed"] = args.seed
-    try:
-        spec = CorpusSpec(**raw)
-    except TypeError as exc:
-        raise ConfigError(f"bad corpus spec: {exc}") from exc
-    dataset = generate_corpus(spec)
+    dataset = generate_corpus(build_checked(CorpusSpec, raw))
     os.makedirs(out_dir, exist_ok=True)
     data_path = os.path.join(out_dir, "dataset.jsonl")
     write_dataset(dataset, data_path)
@@ -109,9 +105,11 @@ def cmd_train(args) -> int:
 def _model_from_checkpoint(path, dataset):
     header, params = load_checkpoint(path)
     cfg = config_from_dict(header["config"])
-    vocab = cfg.model.vocab_size or dataset.meta.vocab_size
+    if "text.embed" not in params:
+        raise ConfigError("checkpoint is missing parameter text.embed")
+    vocab = params["text.embed"].shape[-1]
     _check_captions(dataset.records, cfg.model.max_text_len, vocab)
-    # the class count is the checkpoint's own; evaluation reads no label
+    # the vocabulary and the class count are the checkpoint's own; evaluation reads no label
     table = params.get("instruction.table")
     model = RetrievalModel(cfg, vocab, dataset.meta.num_classes if table is None else table.shape[1])
     restore_parameters(model, params, strict=True)
@@ -232,7 +230,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError, PermissionError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BeliefretError as exc:

@@ -34,7 +34,6 @@ class ModelSettings:
     patch_size: int = 4
     image_size: int = 16
     max_text_len: int = 16
-    vocab_size: int = 0  # 0: take from the dataset header
 
     def __post_init__(self):
         for name in ("embed_dim", "encoder_dim", "heads", "encoder_blocks", "spatial_units",
@@ -114,20 +113,32 @@ def config_to_dict(cfg: TrainConfig) -> dict:
 _field_types = functools.cache(typing.get_type_hints)
 
 
-def _build(cls, data: dict, path: str):
-    """Build ``cls`` from a JSON object, checking each leaf against its field's
-    type (a float field also takes an int, but not NaN or an infinity)."""
+def build_checked(cls, data, path: str = ""):
+    """Build the dataclass ``cls`` from a JSON object, checking each leaf
+    against its field's type: a float field also takes an int, but not NaN or
+    an infinity, and an ``X | None`` field also takes null."""
+    if not isinstance(data, dict):
+        what = f"config key {path}" if path else "config document"
+        raise ConfigError(f"{what} must be a JSON object")
     kinds = _field_types(cls)
     unknown = sorted(f"{path}.{key}" if path else key for key in set(data) - set(kinds))
     if unknown:
         raise ConfigError(f"unknown config key(s): {unknown}")
+    required = {f.name for f in dataclasses.fields(cls)
+                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING}
+    missing = sorted(f"{path}.{key}" if path else key for key in required - set(data))
+    if missing:
+        raise ConfigError(f"missing config key(s): {missing}")
     kwargs = {}
     for key, value in data.items():
         dotted, kind = f"{path}.{key}" if path else key, kinds[key]
+        if typing.get_args(kind):  # X | None
+            if value is None:
+                kwargs[key] = None
+                continue
+            kind = typing.get_args(kind)[0]
         if dataclasses.is_dataclass(kind):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {dotted} must be an object")
-            value = _build(kind, value, dotted)
+            value = build_checked(kind, value, dotted)
         elif kind is float and type(value) is int:
             try:
                 value = float(value)
@@ -142,9 +153,7 @@ def _build(cls, data: dict, path: str):
 
 
 def config_from_dict(data: dict) -> TrainConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config document must be a JSON object")
-    return _build(TrainConfig, dict(data), "")
+    return build_checked(TrainConfig, data)
 
 
 def load_json(path):

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import atomic_open
+from .config import build_checked
 from .errors import ConfigError, InputError, ParseError
 from .rng import child
 
@@ -270,9 +271,8 @@ def load_dataset(path) -> Dataset:
     if not lines:
         raise ParseError(f"{path}:1: empty dataset file")
     try:
-        header = json.loads(lines[0])
-        meta = DatasetMeta(**header)
-    except (json.JSONDecodeError, TypeError) as exc:
+        meta = build_checked(DatasetMeta, json.loads(lines[0]))
+    except (json.JSONDecodeError, ConfigError) as exc:
         raise ParseError(f"{path}:1: bad dataset header: {exc}") from exc
     if meta.schema_version != SCHEMA_VERSION:
         raise ParseError(f"{path}:1: unsupported schema version {meta.schema_version}")

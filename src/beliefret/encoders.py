@@ -57,7 +57,6 @@ def init_image_encoder(
     patch_size: int,
     blocks: int,
     heads: int,
-    dtype=np.float64,
 ) -> ImageEncoderParams:
     if d_enc < d:
         raise ConfigError(f"internal width {d_enc} must be at least the embedding dim {d}")
@@ -67,11 +66,11 @@ def init_image_encoder(
     return ImageEncoderParams(
         image_size=image_size,
         patch_size=patch_size,
-        patch=init_linear(rng, 3 * patch_size * patch_size, d_enc, dtype),
-        cls_token=Tensor(rng.normal(0.0, 0.5, size=(d_enc, 1)).astype(dtype), requires_grad=True),
-        pos=Tensor(rng.normal(0.0, 0.1, size=(d_enc, m + 1)).astype(dtype), requires_grad=True),
-        blocks=[init_encoder_block(rng, d_enc, heads, dtype) for _ in range(blocks)],
-        proj=init_linear(rng, d_enc, d, dtype),
+        patch=init_linear(rng, 3 * patch_size * patch_size, d_enc),
+        cls_token=Tensor(rng.normal(0.0, 0.5, size=(d_enc, 1)), requires_grad=True),
+        pos=Tensor(rng.normal(0.0, 0.1, size=(d_enc, m + 1)), requires_grad=True),
+        blocks=[init_encoder_block(rng, d_enc, heads) for _ in range(blocks)],
+        proj=init_linear(rng, d_enc, d),
     )
 
 
@@ -134,7 +133,6 @@ def init_text_encoder(
     max_len: int,
     blocks: int,
     heads: int,
-    dtype=np.float64,
 ) -> TextEncoderParams:
     if d_enc < d:
         raise ConfigError(f"internal width {d_enc} must be at least the embedding dim {d}")
@@ -143,11 +141,11 @@ def init_text_encoder(
     return TextEncoderParams(
         vocab_size=vocab_size,
         max_len=max_len,
-        embed=Tensor(rng.normal(0.0, 0.5, size=(d_enc, vocab_size)).astype(dtype), requires_grad=True),
-        cls_token=Tensor(rng.normal(0.0, 0.5, size=(d_enc, 1)).astype(dtype), requires_grad=True),
-        pos=Tensor(rng.normal(0.0, 0.1, size=(d_enc, max_len + 1)).astype(dtype), requires_grad=True),
-        blocks=[init_encoder_block(rng, d_enc, heads, dtype) for _ in range(blocks)],
-        proj=init_linear(rng, d_enc, d, dtype),
+        embed=Tensor(rng.normal(0.0, 0.5, size=(d_enc, vocab_size)), requires_grad=True),
+        cls_token=Tensor(rng.normal(0.0, 0.5, size=(d_enc, 1)), requires_grad=True),
+        pos=Tensor(rng.normal(0.0, 0.1, size=(d_enc, max_len + 1)), requires_grad=True),
+        blocks=[init_encoder_block(rng, d_enc, heads) for _ in range(blocks)],
+        proj=init_linear(rng, d_enc, d),
     )
 
 
@@ -176,9 +174,7 @@ class InstructionParams:
     centroids: Tensor  # (C, 3 * H * W) class mean pixels; a zero row is never predicted
 
 
-def init_instruction(
-    rng: np.random.Generator, d: int, num_classes: int, pixel_dim: int, dtype=np.float64
-) -> InstructionParams:
+def init_instruction(rng: np.random.Generator, d: int, num_classes: int, pixel_dim: int) -> InstructionParams:
     """Orthonormal table columns (unit columns when C > d), then random
     centroids that ``fit_instruction`` replaces with class means."""
     if num_classes < 1:
@@ -189,7 +185,7 @@ def init_instruction(
         table = rng.normal(size=(d, num_classes))
         table /= np.linalg.norm(table, axis=0, keepdims=True)
     centroids = rng.random((num_classes, pixel_dim))
-    return InstructionParams(Tensor(table.astype(dtype)), Tensor(centroids.astype(dtype)))
+    return InstructionParams(Tensor(table), Tensor(centroids))
 
 
 def fit_instruction(params: InstructionParams, pixels: np.ndarray, labels: np.ndarray) -> None:

@@ -34,15 +34,20 @@ from .tensor import Tensor
 
 
 class RetrievalModel:
+    """The two towers, the instruction prior and the attention stacks of one config.
+
+    It is the one place that reads ``cfg.precision``: parameters are drawn in
+    float64 and cast once, here, to that precision, and the pixels it embeds
+    are cast to the same type.
+    """
+
     def __init__(self, cfg: TrainConfig, vocab_size: int, num_classes: int):
         m = cfg.model
         if vocab_size < 1:
             raise ConfigError("model needs a positive vocabulary size")
-        dtype = np.float64 if cfg.precision == "float64" else np.float32
         self.cfg = cfg
-        self.vocab_size = vocab_size
         self.num_classes = num_classes
-        self.dtype = dtype
+        self.dtype = np.float64 if cfg.precision == "float64" else np.float32
 
         self.image = init_image_encoder(
             child(cfg.seed, "image_encoder"),
@@ -52,7 +57,6 @@ class RetrievalModel:
             patch_size=m.patch_size,
             blocks=m.encoder_blocks,
             heads=m.heads,
-            dtype=dtype,
         )
         self.text = init_text_encoder(
             child(cfg.seed, "text_encoder"),
@@ -62,28 +66,23 @@ class RetrievalModel:
             max_len=m.max_text_len,
             blocks=m.encoder_blocks,
             heads=m.heads,
-            dtype=dtype,
         )
         self.instruction = None
         self.spatial = None
         self.temporal = None
         if cfg.use_spatial_pae:
             self.instruction = init_instruction(
-                child(cfg.seed, "instruction"), m.embed_dim, num_classes, 3 * m.image_size**2, dtype=dtype
+                child(cfg.seed, "instruction"), m.embed_dim, num_classes, 3 * m.image_size**2
             )
-            self.spatial = init_pae_stack(
-                child(cfg.seed, "spatial_pae"), m.embed_dim, m.heads, m.spatial_units, dtype=dtype
-            )
+            self.spatial = init_pae_stack(child(cfg.seed, "spatial_pae"), m.embed_dim, m.heads, m.spatial_units)
             if cfg.belief.mode == "hard" and cfg.belief.filter_k > self.image.tokens + 1:
                 raise ConfigError(
                     f"belief.filter_k={cfg.belief.filter_k} exceeds the {self.image.tokens + 1} visual tokens"
                 )
         if cfg.use_temporal_pae:
-            self.temporal = init_pae_stack(
-                child(cfg.seed, "temporal_pae"), m.embed_dim, m.heads, m.temporal_units, dtype=dtype
-            )
+            self.temporal = init_pae_stack(child(cfg.seed, "temporal_pae"), m.embed_dim, m.heads, m.temporal_units)
         if cfg.loss.t_trainable:
-            self.t_logit = Tensor(np.asarray(cfg.loss.t_logit, dtype=dtype), requires_grad=True)
+            self.t_logit = Tensor(cfg.loss.t_logit, requires_grad=True)
         else:
             self.t_logit = cfg.loss.t_logit
 
@@ -98,6 +97,8 @@ class RetrievalModel:
             "t_logit": self.t_logit,  # a Tensor only when trainable; an absent group yields nothing
         }
         self._named_parameters = tuple(pair for group, obj in groups.items() for pair in named_tensors(obj, group))
+        for _, tensor in self._named_parameters:
+            tensor.data = tensor.data.astype(self.dtype, copy=False)
 
     # -- parameters ---------------------------------------------------------
 

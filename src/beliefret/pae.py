@@ -49,12 +49,12 @@ class PaelParams:
     cross_ffn: FfnParams
 
 
-def init_pael(rng: np.random.Generator, d: int, heads: int, dtype=np.float64) -> PaelParams:
+def init_pael(rng: np.random.Generator, d: int, heads: int) -> PaelParams:
     return PaelParams(
-        self_attn=init_attention(rng, d, heads, cross=False, dtype=dtype),
-        self_ffn=init_ffn(rng, d, dtype),
-        cross_attn=init_attention(rng, d, heads, cross=True, dtype=dtype),
-        cross_ffn=init_ffn(rng, d, dtype),
+        self_attn=init_attention(rng, d, heads, cross=False),
+        self_ffn=init_ffn(rng, d),
+        cross_attn=init_attention(rng, d, heads, cross=True),
+        cross_ffn=init_ffn(rng, d),
     )
 
 
@@ -77,15 +77,12 @@ class PaeStack:
     head: LinearParams
 
 
-def init_pae_stack(rng: np.random.Generator, d: int, heads: int, n_units: int, dtype=np.float64) -> PaeStack:
+def init_pae_stack(rng: np.random.Generator, d: int, heads: int, n_units: int) -> PaeStack:
     if n_units < 1:
         raise ConfigError("attention stack needs at least one unit")
-    layers = [init_pael(rng, d, heads, dtype=dtype) for _ in range(n_units)]
-    guides = [
-        Tensor(rng.normal(0.0, d**-0.5, size=(d, d)).astype(dtype), requires_grad=True)
-        for _ in range(n_units)
-    ]
-    return PaeStack(layers=layers, guide_w=guides, head=init_linear(rng, d, d, dtype))
+    layers = [init_pael(rng, d, heads) for _ in range(n_units)]
+    guides = [Tensor(rng.normal(0.0, d**-0.5, size=(d, d)), requires_grad=True) for _ in range(n_units)]
+    return PaeStack(layers=layers, guide_w=guides, head=init_linear(rng, d, d))
 
 
 def _run_stack(cur: Tensor, stack: PaeStack, guide) -> Tensor:

@@ -176,20 +176,9 @@ class Trainer:
         if self.val_records and len(self.val_records) < k:
             raise ConfigError(f"validation split has {len(self.val_records)} images; R@{k} needs at least {k}")
 
-        if self.cfg.model.vocab_size and self.cfg.model.vocab_size != dataset.meta.vocab_size:
-            raise ConfigError(
-                f"config vocab size {self.cfg.model.vocab_size} differs from dataset "
-                f"vocab size {dataset.meta.vocab_size}"
-            )
-        if not self.cfg.model.vocab_size:
-            # pin the resolved vocabulary so checkpoints are self-describing
-            data = config_to_dict(self.cfg)
-            data["model"]["vocab_size"] = dataset.meta.vocab_size
-            self.cfg = config_from_dict(data)
-        _check_captions(
-            self.train_records + self.val_records, self.cfg.model.max_text_len, self.cfg.model.vocab_size
-        )
-        self.model = RetrievalModel(self.cfg, self.cfg.model.vocab_size, dataset.meta.num_classes)
+        vocab = dataset.meta.vocab_size
+        _check_captions(self.train_records + self.val_records, self.cfg.model.max_text_len, vocab)
+        self.model = RetrievalModel(self.cfg, vocab, dataset.meta.num_classes)
 
         if self.cfg.init_from:
             restore_parameters(self.model, load_checkpoint(self.cfg.init_from)[1], strict=False)

@@ -1,10 +1,12 @@
+import builtins
 import dataclasses
 import json
+import os
 import shutil
 
 import pytest
 
-from beliefret.checkpoint import load_checkpoint, restore_parameters
+from beliefret.checkpoint import load_checkpoint, restore_parameters, save_checkpoint
 from beliefret.cli import main
 from beliefret.config import TrainConfig, apply_overrides, config_from_dict, config_to_dict, load_config
 from beliefret.data import CorpusSpec, Dataset, generate_corpus, load_dataset, write_dataset
@@ -205,6 +207,74 @@ def test_non_utf8_input_exit_code(tmp_path, dataset_dir, capsys, command, code, 
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("key, value", [("num_classes", 2.5), ("image_size", 16.0), ("motif_seed", "a"),
+                                        ("images_per_class", True), ("seed", 1.5)])
+def test_mistyped_corpus_spec_exit_code(tmp_path, capsys, key, value):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(dict(CORPUS_SPEC, **{key: value})))
+    assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 2
+    assert f"config key {key} must be of type int, got {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+def test_corpus_spec_missing_key_exit_code(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({k: v for k, v in CORPUS_SPEC.items() if k != "num_classes"}))
+    assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 2
+    assert "missing config key(s): ['num_classes']" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("key, value", [("vocab_size", "48"), ("num_classes", True)])
+def test_mistyped_dataset_header_exit_code(tmp_path, dataset_dir, capsys, key, value):
+    lines = (dataset_dir / "dataset.jsonl").read_text().splitlines()
+    lines[0] = json.dumps(dict(json.loads(lines[0]), **{key: value}))
+    bad = tmp_path / "bad_header.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    args = ["eval", "--checkpoint", str(tmp_path / "unread.npz"), "--dataset", str(bad)]
+    assert main([*args, "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert f"{bad}:1: bad dataset header: config key {key} must be of type int, got {value!r}" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("case", ["spec-dir", "config-dir", "checkpoint-dir", "checkpoint-under-file", "out-file"])
+def test_path_of_the_wrong_kind_exit_code(tmp_path, dataset_dir, capsys, case):
+    # a directory where a file is read, or a file where a directory is read or made
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(CORPUS_SPEC))
+    a_file = dataset_dir / "manifest.json"
+    evaluate = ["eval", "--dataset", str(dataset_dir / "dataset.jsonl"), "--checkpoint"]
+    bad, args = {
+        "spec-dir": (tmp_path, ["gen-data", "--spec", str(tmp_path)]),
+        "config-dir": (tmp_path, ["train", "--config", str(tmp_path)]),
+        "checkpoint-dir": (tmp_path, [*evaluate, str(tmp_path)]),
+        "checkpoint-under-file": (a_file / "x.npz", [*evaluate, str(a_file / "x.npz")]),
+        "out-file": (a_file, ["gen-data", "--spec", str(spec)]),
+    }[case]
+    out = a_file if case == "out-file" else tmp_path / "run"
+    assert main([*args, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and f"'{bad}'" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_unreadable_config_exit_code(tmp_path, dataset_dir, capsys, monkeypatch):
+    # file modes do not stop root, so the refusal is raised where the file is opened
+    cfg_path = fast_config(tmp_path, dataset_dir)
+    real_open = builtins.open
+
+    def refusing_open(file, *args, **kwargs):
+        if os.fspath(file) == str(cfg_path):
+            raise PermissionError(13, "Permission denied", str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", refusing_open)
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 3
+    assert f"input error: [Errno 13] Permission denied: '{cfg_path}'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_instruction_source_config_exit_code(tmp_path, dataset_dir, capsys):
     # a config file holding the key of a deleted setting exits 2 and names it
     removed = {
@@ -212,6 +282,7 @@ def test_instruction_source_config_exit_code(tmp_path, dataset_dir, capsys):
         "dropout_rate": 0.0,
         "model.use_position_encoding": True,
         "model.ffn_ratio": 2,
+        "model.vocab_size": 48,
         "loss.epsilon": 1e-12,
     }
     for dotted, value in removed.items():
@@ -414,12 +485,24 @@ def test_class_count_read_from_checkpoint(tmp_path):
 
     header, params = load_checkpoint(checkpoint)
     cfg = config_from_dict(header["config"])
-    model = RetrievalModel(cfg, cfg.model.vocab_size, num_classes=4)
+    model = RetrievalModel(cfg, params["text.embed"].shape[1], num_classes=4)
     restore_parameters(model, params, strict=True)
     assert model.spatial is not None
     report = evaluate_model(model, load_dataset(paths[3]).records)
     assert json.loads((tmp_path / "eval" / "metrics.json").read_text()) == report.to_dict()
     assert len((tmp_path / "dump-embeddings" / "embeddings.csv").read_text().splitlines()) == 1 + 18 * 6
+
+
+def test_checkpoint_without_text_embedding_exit_code(tmp_path, dataset_dir, capsys):
+    # eval reads the vocabulary off text.embed, so a checkpoint without it is refused, not a KeyError
+    trainer = Trainer(load_config(fast_config(tmp_path, dataset_dir)))
+    ck = tmp_path / "ck.npz"
+    save_checkpoint(ck, {name: t.data for name, t in trainer.model.named_parameters() if name != "text.embed"},
+                    trainer._header(0))
+    args = ["eval", "--checkpoint", str(ck), "--dataset", str(dataset_dir / "dataset.jsonl")]
+    assert main([*args, "--out", str(tmp_path / "run")]) == 2
+    assert "checkpoint is missing parameter text.embed" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def two_stage_configs(tmp_path):

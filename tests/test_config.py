@@ -135,6 +135,7 @@ REMOVED_KEYS = {
     "dropout_rate": 0.0,
     "model.use_position_encoding": True,
     "model.ffn_ratio": 2,
+    "model.vocab_size": 48,
     "loss.epsilon": 1e-12,
 }
 

@@ -396,6 +396,30 @@ def test_schema_3_checkpoint_rejected(tmp_path, monkeypatch, capsys):
         assert f"{old}: unsupported checkpoint schema 3" in capsys.readouterr().err
 
 
+def test_schema_4_checkpoint_rejected(tmp_path, monkeypatch, capsys):
+    # a schema 4 header's config still holds model.vocab_size, which the data now fixes
+    from beliefret import checkpoint
+    from beliefret.cli import main
+
+    trainer = Trainer(make_config(**{"optim.batch_size": "16"}), dataset=TINY)
+    header = trainer._header(0)
+    header["config"]["model"]["vocab_size"] = TINY.meta.vocab_size
+    old = tmp_path / "old.npz"
+    with monkeypatch.context() as patch:
+        patch.setattr(checkpoint, "SCHEMA_VERSION", 4)
+        save_checkpoint(old, {name: t.data for name, t in trainer.model.named_parameters()}, header)
+    with pytest.raises(ParseError, match=f"{old}: unsupported checkpoint schema 4"):
+        load_checkpoint(old)
+    with pytest.raises(ParseError, match="unsupported checkpoint schema 4"):
+        Trainer(make_config(init_from=str(old)), dataset=TINY)
+    data = tmp_path / "dataset.jsonl"
+    write_dataset(TINY, data)
+    for command in ("eval", "dump-embeddings"):
+        args = [command, "--checkpoint", str(old), "--dataset", str(data), "--out", str(tmp_path / command)]
+        assert main(args) == 3
+        assert f"{old}: unsupported checkpoint schema 4" in capsys.readouterr().err
+
+
 # -- output files ------------------------------------------------------------------------
 
 
@@ -681,6 +705,19 @@ def test_float32_precision_mode():
     assert all(t.data.dtype == np.float32 for _, t in trainer.model.named_parameters())
     out = trainer.train()
     assert all(np.isfinite(row["loss"]) for row in out.history)
+
+
+def test_float32_parameters_are_the_float64_draw_cast():
+    # the seed, not the precision, decides every draw
+    from beliefret.model import RetrievalModel
+
+    base = ["loss.t_trainable=true"]
+    wide = RetrievalModel(apply_overrides(TrainConfig(), base), vocab_size=30, num_classes=3)
+    narrow = RetrievalModel(apply_overrides(TrainConfig(), [*base, "precision=float32"]), vocab_size=30, num_classes=3)
+    assert [name for name, _ in narrow.named_parameters()] == [name for name, _ in wide.named_parameters()]
+    for (_, w), (_, n) in zip(wide.named_parameters(), narrow.named_parameters()):
+        assert w.data.dtype == np.float64 and n.data.dtype == np.float32
+        assert n.data.tobytes() == w.data.astype(np.float32).tobytes()
 
 
 def test_float32_every_op_output_is_float32(monkeypatch):
