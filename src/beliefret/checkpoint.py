@@ -13,6 +13,7 @@ import zipfile
 
 import numpy as np
 
+from .config import TrainConfig, build_checked
 from .errors import ConfigError, ParseError
 
 SCHEMA_VERSION = 5
@@ -54,13 +55,13 @@ def load_checkpoint(path):
             if _HEADER_KEY not in bundle:
                 raise ParseError(f"{path}: not a checkpoint (missing header)")
             header = json.loads(bytes(bundle[_HEADER_KEY].tobytes()).decode("utf-8"))
+            if not isinstance(header, dict):
+                raise ParseError(f"{path}: not a checkpoint (header is not a JSON object)")
             params = {
                 name[len(_PARAM_PREFIX):]: bundle[name]
                 for name in bundle.files
                 if name.startswith(_PARAM_PREFIX)
             }
-    except FileNotFoundError:
-        raise ConfigError(f"checkpoint not found: {path}") from None
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # EOFError: an empty file
         raise ParseError(f"{path}: corrupt checkpoint: {exc}") from exc
     if header.get("schema_version") != SCHEMA_VERSION:
@@ -71,6 +72,23 @@ def load_checkpoint(path):
         if not np.isfinite(arr).all():
             raise ParseError(f"{path}: parameter {name} has non-finite values")
     return header, params
+
+
+def load_run(path):
+    """(config, header, {name: array}) of a checkpoint a run saved.
+
+    The header's config is built by the loader config files go through; a
+    header without one, or with a value the loader refuses, is a ParseError
+    naming the file.
+    """
+    header, params = load_checkpoint(path)
+    if "config" not in header:
+        raise ParseError(f"{path}: checkpoint header has no config")
+    try:
+        cfg = build_checked(TrainConfig, header["config"])
+    except ConfigError as exc:
+        raise ParseError(f"{path}: checkpoint config: {exc}") from exc
+    return cfg, header, params
 
 
 def restore_parameters(model, params: dict, strict: bool = True) -> None:
@@ -90,4 +108,4 @@ def restore_parameters(model, params: dict, strict: bool = True) -> None:
                 f"model expects {tensor.data.shape}"
             )
         else:
-            tensor.data = params[name].astype(tensor.data.dtype).copy()
+            tensor.data = params[name].astype(tensor.data.dtype, order="C")

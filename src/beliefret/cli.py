@@ -15,8 +15,8 @@ import os
 import sys
 from collections import Counter
 
-from .checkpoint import atomic_open, load_checkpoint, restore_parameters
-from .config import TrainConfig, apply_overrides, build_checked, config_from_dict, load_config, load_json
+from .checkpoint import atomic_open, load_run, restore_parameters
+from .config import TrainConfig, apply_overrides, build_checked, load_config, load_json
 from .data import CorpusSpec, generate_corpus, load_dataset, write_dataset
 from .errors import (
     BeliefretError,
@@ -103,8 +103,7 @@ def cmd_train(args) -> int:
 
 
 def _model_from_checkpoint(path, dataset):
-    header, params = load_checkpoint(path)
-    cfg = config_from_dict(header["config"])
+    cfg, _, params = load_run(path)
     if "text.embed" not in params:
         raise ConfigError("checkpoint is missing parameter text.embed")
     vocab = params["text.embed"].shape[-1]

@@ -12,7 +12,6 @@ checkpoint file through ``init_from``.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -22,7 +21,7 @@ import warnings
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import atomic_open, load_checkpoint, restore_parameters, save_checkpoint
+from .checkpoint import atomic_open, load_checkpoint, load_run, restore_parameters, save_checkpoint
 from .config import TrainConfig, apply_overrides, config_from_dict, config_to_dict
 from .data import Dataset, epoch_batches, load_dataset
 from .encoders import fit_instruction
@@ -152,6 +151,22 @@ class Trainer:
     """Single-stage training with per-epoch validation and best-checkpoint tracking."""
 
     def __init__(self, cfg: TrainConfig, dataset: Dataset | None = None):
+        self._build(cfg, dataset)
+        if self.cfg.init_from:
+            restore_parameters(self.model, load_checkpoint(self.cfg.init_from)[1], strict=False)
+        elif self.cfg.stage == "stage2-finetune":
+            raise ConfigError("stage2-finetune needs init_from (a stage-1 checkpoint)")
+
+        if self.model.instruction is not None:
+            fit_instruction(
+                self.model.instruction,
+                np.stack([r.pixels for r in self.train_records]),
+                np.array([r.scene_label for r in self.train_records]),
+            )
+
+    def _build(self, cfg: TrainConfig, dataset: Dataset | None) -> None:
+        """Load and check the data, and build the model at its initial
+        parameters, at step 0 with no history."""
         self.cfg = effective_config(cfg)
         if dataset is None:
             if not self.cfg.data.train_path:
@@ -179,19 +194,6 @@ class Trainer:
         vocab = dataset.meta.vocab_size
         _check_captions(self.train_records + self.val_records, self.cfg.model.max_text_len, vocab)
         self.model = RetrievalModel(self.cfg, vocab, dataset.meta.num_classes)
-
-        if self.cfg.init_from:
-            restore_parameters(self.model, load_checkpoint(self.cfg.init_from)[1], strict=False)
-        elif self.cfg.stage == "stage2-finetune":
-            raise ConfigError("stage2-finetune needs init_from (a stage-1 checkpoint)")
-
-        if self.model.instruction is not None:
-            fit_instruction(
-                self.model.instruction,
-                np.stack([r.pixels for r in self.train_records]),
-                np.array([r.scene_label for r in self.train_records]),
-            )
-
         self.global_step = 0
         self.history: list = []
         self.best_params: dict | None = None
@@ -279,13 +281,13 @@ class Trainer:
 
     @classmethod
     def from_checkpoint(cls, path, dataset: Dataset | None = None) -> "Trainer":
-        header, params = load_checkpoint(path)
+        cfg, header, params = load_run(path)
         if "history" not in header:
             raise ParseError(f"{path}: checkpoint holds no training history, so it cannot be resumed")
-        cfg = config_from_dict(header["config"])
-        # the file itself, not the init_from it names, which may be gone by now
-        trainer = cls(dataclasses.replace(cfg, init_from=os.fspath(path)), dataset=dataset)
-        trainer.cfg = cfg
+        # every parameter comes from the file itself, not from the init_from it
+        # names, which may be gone by now, nor from a fit the restore overwrites
+        trainer = cls.__new__(cls)
+        trainer._build(cfg, dataset)
         restore_parameters(trainer.model, params, strict=True)
         trainer.global_step = int(header["global_step"])
         trainer.history = header["history"]

@@ -3,8 +3,11 @@
 Values are numpy arrays (float64 by default, float32 opt-in for training) and
 every operation records a backward closure, so calling ``backward()`` on a
 scalar accumulates exact partial derivatives into ``.grad`` of every leaf
-tensor that requires them (op outputs keep no gradient). ``grad_check``
-verifies any scalar-valued function against central differences.
+tensor that requires them (op outputs keep no gradient). ``backward()``
+consumes the graph it walks: each op lets go of its inputs and the arrays its
+closure saved once it has passed its gradient on, so a graph takes one
+backward pass, and leaves accumulate across graphs. ``grad_check`` verifies
+any scalar-valued function against central differences.
 
 Non-finite values are an error state, caught in one of two ways. Data entering
 as a leaf (``Tensor(...)``) is always scanned. Outside a ``trap_nonfinite()``
@@ -125,10 +128,16 @@ class Tensor:
         """Accumulate d(self)/d(leaf) into ``.grad`` of every reachable leaf
         (a requires_grad tensor that no op produced).
 
-        ``self`` must be a scalar; repeated calls keep accumulating. Ops run
-        latest-created first: an op is created after its inputs, so by the time
-        it is popped every consumer has passed it its gradient. Op outputs keep
-        ``.grad`` as None: their gradients are dropped once passed on.
+        ``self`` must be a scalar. Ops run latest-created first: an op is
+        created after its inputs, so by the time it is popped every consumer
+        has passed it its gradient. Op outputs keep ``.grad`` as None: their
+        gradients are dropped once passed on.
+
+        The walk consumes the graph: once an op has passed its gradients on,
+        it drops its inputs and its closure, and with them the activations
+        the closure saved, so they are freed during the walk rather than when
+        the caller lets go of the loss. A second backward through a consumed
+        op raises ``ContractError``; leaves keep accumulating across graphs.
         """
         if self.data.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -148,7 +157,9 @@ class Tensor:
         send(self, np.ones_like(self.data))
         while heap:
             node = heapq.heappop(heap)[1]
-            for parent, pg in zip(node._parents, node._backward_fn(pending.pop(node))):
+            parents, backward_fn = node._parents, node._backward_fn
+            node._parents, node._backward_fn = (), _consumed
+            for parent, pg in zip(parents, backward_fn(pending.pop(node))):
                 if pg is not None:
                     send(parent, pg)
 
@@ -201,6 +212,11 @@ class Tensor:
 
 
 _CREATED = itertools.count()  # creation stamps of graph nodes; backward runs the latest first
+
+
+def _consumed(g):
+    """The backward closure of an op whose gradient an earlier walk passed on."""
+    raise ContractError("backward through a graph that an earlier backward() consumed")
 
 
 def _op(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
@@ -673,17 +689,19 @@ def attention(xq, xkv, gamma_q, beta_q, gamma_kv, beta_kv, wq, bq, wk, bk, wv, b
 
     def bw(g):
         gctx = (wo.data.T @ g).reshape((*lead, heads, dh, lq))
-        gv = (gctx @ p).reshape((*lead, d, lk))
+        # dQ, dK and dV go straight into the rows of one buffer, the gradient
+        # at the stacked product's output; cross-attention stacks only dK and
+        # dV, as its dQ feeds a product of its own
+        stacked = np.empty((*lead, 3 if self_attn else 2, heads, dh, lk), dtype=gctx.dtype)
+        np.matmul(gctx, p, out=stacked[..., -1, :, :, :])  # dV
         gscore = gctx.swapaxes(-1, -2) @ vh  # dP, then dS in place
         gscore -= (gscore * p).sum(axis=-1, keepdims=True)
         gscore *= p
         gscore *= scale
-        gq = (kh @ gscore.swapaxes(-1, -2)).reshape((*lead, d, lq))
-        gk = (qh @ gscore).reshape((*lead, d, lk))
-        if self_attn:
-            g_outs = [np.concatenate([gq, gk, gv], axis=-2)]
-        else:
-            g_outs = [gq, np.concatenate([gk, gv], axis=-2)]
+        gq = np.matmul(kh, gscore.swapaxes(-1, -2), out=stacked[..., 0, :, :, :] if self_attn else None)
+        np.matmul(qh, gscore, out=stacked[..., -2, :, :, :])  # dK
+        stacked = stacked.reshape((*lead, -1, lk))
+        g_outs = [stacked] if self_attn else [gq.reshape((*lead, d, lq)), stacked]
         grads, gw, gb = [], [], []
         for g_out, (x, normed, std, w_cat, gamma, beta, w_fold) in zip(g_outs, products):
             residual = g if x is xq else None

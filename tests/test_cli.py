@@ -2,14 +2,17 @@ import builtins
 import dataclasses
 import json
 import os
+import re
 import shutil
 
+import numpy as np
 import pytest
 
 from beliefret.checkpoint import load_checkpoint, restore_parameters, save_checkpoint
 from beliefret.cli import main
 from beliefret.config import TrainConfig, apply_overrides, config_from_dict, config_to_dict, load_config
 from beliefret.data import CorpusSpec, Dataset, generate_corpus, load_dataset, write_dataset
+from beliefret.errors import ParseError
 from beliefret.model import RetrievalModel
 from beliefret.pipeline import Trainer, evaluate_model, run_stage
 from beliefret.retrieval import REPORT_KEYS
@@ -503,6 +506,40 @@ def test_checkpoint_without_text_embedding_exit_code(tmp_path, dataset_dir, caps
     assert main([*args, "--out", str(tmp_path / "run")]) == 2
     assert "checkpoint is missing parameter text.embed" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "dump-embeddings"])
+def test_missing_checkpoint_exit_code(tmp_path, dataset_dir, capsys, command):
+    missing = tmp_path / "missing.npz"
+    args = [command, "--checkpoint", str(missing), "--dataset", str(dataset_dir / "dataset.jsonl")]
+    assert main([*args, "--out", str(tmp_path / "run")]) == 3
+    assert str(missing) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "dump-embeddings"])
+@pytest.mark.parametrize("fault", ["no config", "mistyped value", "not an object"])
+def test_checkpoint_header_config_checked_on_load(tmp_path, dataset_dir, capsys, command, fault):
+    trainer = Trainer(load_config(fast_config(tmp_path, dataset_dir)))
+    header = trainer._header(0)
+    ck = tmp_path / "ck.npz"
+    if fault == "not an object":
+        np.savez(ck, __header__=np.frombuffer(b"[]", dtype=np.uint8))
+        message = "not a checkpoint (header is not a JSON object)"
+    else:
+        if fault == "no config":
+            del header["config"]
+            message = "checkpoint header has no config"
+        else:
+            header["config"]["model"]["embed_dim"] = "x"
+            message = "checkpoint config: config key model.embed_dim must be of type int, got 'x'"
+        save_checkpoint(ck, {name: t.data for name, t in trainer.model.named_parameters()}, header)
+    args = [command, "--checkpoint", str(ck), "--dataset", str(dataset_dir / "dataset.jsonl")]
+    assert main([*args, "--out", str(tmp_path / "run")]) == 3
+    assert f"{ck}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    with pytest.raises(ParseError, match=re.escape(f"{ck}: {message}")):
+        Trainer.from_checkpoint(ck)
 
 
 def two_stage_configs(tmp_path):

@@ -251,6 +251,41 @@ def test_resumed_history_keeps_rows_before_the_resume(tmp_path):
     assert resumed.best_report.mr >= best
 
 
+def test_resume_reads_the_checkpoint_once_and_fits_nothing(tmp_path, monkeypatch):
+    from beliefret import checkpoint, pipeline
+
+    trainer = Trainer(make_config(**{"optim.steps": "2", "optim.batch_size": "16"}), dataset=TINY).train()
+    trainer.save(tmp_path / "ck.npz")
+    reads = []
+
+    def counted(path, fn=checkpoint.load_checkpoint):
+        reads.append(path)
+        return fn(path)
+
+    def fitted(*args):
+        raise AssertionError("the strict restore overwrites every fitted centroid")
+
+    monkeypatch.setattr(checkpoint, "load_checkpoint", counted)
+    monkeypatch.setattr(pipeline, "load_checkpoint", counted)
+    monkeypatch.setattr(pipeline, "fit_instruction", fitted)
+    resumed = Trainer.from_checkpoint(tmp_path / "ck.npz", dataset=TINY)
+    assert reads == [tmp_path / "ck.npz"]
+    assert resumed.cfg == trainer.cfg and resumed.global_step == 2 and resumed.history == trainer.history
+    for (name, a), (_, b) in zip(resumed.model.named_parameters(), trainer.model.named_parameters()):
+        npt.assert_array_equal(a.data, b.data, err_msg=name)
+
+
+def test_restored_arrays_are_fresh_c_order_copies():
+    from beliefret.checkpoint import restore_parameters
+
+    trainer = Trainer(make_config(**{"optim.batch_size": "16"}), dataset=TINY)
+    params = {name: np.asfortranarray(t.data + 1.0) for name, t in trainer.model.named_parameters()}
+    restore_parameters(trainer.model, params, strict=True)
+    for name, t in trainer.model.named_parameters():
+        assert t.data.flags["C_CONTIGUOUS"] and not np.shares_memory(t.data, params[name])
+        npt.assert_array_equal(t.data, params[name])
+
+
 def test_tied_best_report_keeps_the_earlier_row(tmp_path):
     trainer = Trainer(make_config(**{"optim.batch_size": "16"}), dataset=TINY)
 

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -297,6 +298,71 @@ def test_folded_sublayer_stays_float32(kind, monkeypatch):
         assert arr.dtype == np.float32
 
 
+def _closure(fn) -> dict:
+    """name -> value of each variable a backward closure captured."""
+    return dict(zip(fn.__code__.co_freevars, (cell.cell_contents for cell in fn.__closure__)))
+
+
+@pytest.mark.parametrize("kind,saved", [("ffn", "h"), ("self", "p"), ("cross", "p")])
+def test_backward_frees_what_an_op_saved(kind, saved):
+    fused, _, args = _sublayer_case(kind, 0, np.float64)
+    out = fused(*args)
+    kept = weakref.ref(_closure(out._backward_fn)[saved])  # tanh(·) of ffn, attention's softmax
+    assert kept() is not None
+    (out * 2.0).sum().backward()
+    # the op outlives its backward, but not its inputs or the arrays it saved
+    assert out._parents == () and kept() is None
+    assert all(t.grad is not None for t in _leaves(args))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kind", ["self", "cross"])
+def test_attention_stacked_gradients_match_concatenation(kind, dtype, monkeypatch):
+    # dQ, dK and dV go straight into one buffer; each row must hold the bits
+    # of the per-head products stacked with one np.concatenate, at batch size
+    rng = child(0, "stacked", kind)
+    b, d, heads, lq = 8, 48, 2, 17
+    lk = lq if kind == "self" else 5
+    dh = d // heads
+
+    def leaf(shape, scale=1.0):
+        return Tensor((rng.normal(size=shape) * scale).astype(dtype), requires_grad=True)
+
+    x = leaf((b, d, lq))
+    kv, norm_kv = (x, [None, None]) if kind == "self" else (leaf((b, d, lk)), [leaf((d, 1)), leaf((d, 1))])
+    weights = [leaf((d, d), d**-0.5) if i % 2 == 0 else leaf((d, 1)) for i in range(8)]
+    out = T.attention(x, kv, leaf((d, 1)), leaf((d, 1)), *norm_kv, *weights, heads=heads)
+    saved = _closure(out._backward_fn)
+    coef = rng.normal(size=out.shape).astype(dtype)
+
+    received = []  # the gradient at each stacked product's output, in product order
+
+    def recording(g, *rest, fn=T._fold_grads):
+        received.append(g.copy())
+        return fn(g, *rest)
+
+    monkeypatch.setattr(T, "_fold_grads", recording)
+    (out * coef).sum().backward()  # the op's gradient is coef itself
+
+    p, lead = saved["p"], saved["lead"]
+    gctx = (saved["wo"].data.T @ coef).reshape((*lead, heads, dh, lq))
+    gv = (gctx @ p).reshape((*lead, d, lk))
+    gscore = gctx.swapaxes(-1, -2) @ saved["vh"]
+    gscore -= (gscore * p).sum(axis=-1, keepdims=True)
+    gscore *= p
+    gscore *= saved["scale"]
+    gq = (saved["kh"] @ gscore.swapaxes(-1, -2)).reshape((*lead, d, lq))
+    gk = (saved["qh"] @ gscore).reshape((*lead, d, lk))
+    if kind == "self":
+        expected = [np.concatenate([gq, gk, gv], axis=-2)]
+    else:
+        expected = [gq, np.concatenate([gk, gv], axis=-2)]
+    assert len(received) == len(expected)
+    for got, want in zip(received, expected):
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 # -- l2 normalize -------------------------------------------------------------
 
 
@@ -353,8 +419,9 @@ def test_backward_keeps_gradients_only_on_leaves():
     y = x * 2.0
     loss = (y * y).sum()
     loss.backward()
-    loss.backward()  # the same graph twice: the leaf accumulates
-    npt.assert_allclose(x.grad, [48.0])
+    with pytest.raises(ContractError, match="consumed"):
+        loss.backward()  # the first walk consumed the graph
+    npt.assert_allclose(x.grad, [24.0])
     assert y.grad is None and loss.grad is None
 
 
