@@ -3,9 +3,12 @@
 The belief vector is a softmax over inner products between the instruction
 embedding and each of the m+1 visual token columns (global token first). Hard
 refinement keeps the top-k columns by belief; soft refinement reweights every
-column by its belief plus the inverse square root of its rank. Ranks and sort
-orders are piecewise constant, so gradients flow through belief values and
-token features but never through the ordering itself.
+column by its belief plus the inverse square root of its rank. The rank runs
+upward from the lowest belief: rank 1 is the least-believed column, so it gets
+the largest boost, 1, and the most-believed of m+1 columns gets 1/sqrt(m+1)
+(about 0.24 for the 17 tokens of the desk model). Ranks and sort orders are
+piecewise constant, so gradients flow through belief values and token features
+but never through the ordering itself.
 
 ``refine_batch`` is the only implementation: the model calls it, and
 ``beliefret verify`` checks it directly (gradients, the rank and hard-filter
@@ -24,7 +27,7 @@ MODES = ("hard", "soft-sequence", "soft-aggregate")
 
 
 def _strict_rank(values: np.ndarray) -> np.ndarray:
-    # rank_j = 1 + #{k : v_k < v_j}, computed along the last axis
+    # rank_j = 1 + #{k : v_k < v_j} along the last axis, so the lowest value has rank 1
     return 1 + (values[..., None, :] < values[..., :, None]).sum(axis=-1)
 
 

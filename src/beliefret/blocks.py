@@ -51,9 +51,7 @@ class AttentionParams:
     heads: int
     ln_q: NormParams
     ln_kv: NormParams | None  # present only for cross-attention
-    q: LinearParams
-    k: LinearParams
-    v: LinearParams
+    qkv: LinearParams  # (3d, d): the query, key and value projections stacked, in that order
     o: LinearParams
 
 
@@ -64,9 +62,7 @@ def init_attention(rng: np.random.Generator, d: int, heads: int, cross: bool = F
         heads=heads,
         ln_q=init_norm(d),
         ln_kv=init_norm(d) if cross else None,
-        q=init_linear(rng, d, d),
-        k=init_linear(rng, d, d),
-        v=init_linear(rng, d, d),
+        qkv=init_linear(rng, d, 3 * d),
         o=init_linear(rng, d, d),
     )
 
@@ -84,7 +80,7 @@ def attention_block(q_in: Tensor, kv_in: Tensor, p: AttentionParams) -> Tensor:
         ln_kv = (p.ln_kv.gamma, p.ln_kv.beta)
     return T.attention(
         q_in, kv_in, p.ln_q.gamma, p.ln_q.beta, *ln_kv,
-        p.q.w, p.q.b, p.k.w, p.k.b, p.v.w, p.v.b, p.o.w, p.o.b, p.heads,
+        p.qkv.w, p.qkv.b, p.o.w, p.o.b, p.heads,
     )
 
 

@@ -55,13 +55,7 @@ def _sha256(path) -> str:
 
 
 def _load_train_config(args) -> TrainConfig:
-    cfg = load_config(args.config)
-    overrides = list(args.set or [])
-    if args.seed is not None:
-        overrides.append(f"seed={args.seed}")
-    if overrides:
-        cfg = apply_overrides(cfg, overrides)
-    return cfg
+    return apply_overrides(load_config(args.config), args.set or [])
 
 
 def cmd_gen_data(args) -> int:
@@ -183,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--config", required=True)
     train.add_argument("--out", help="output directory")
     train.add_argument("--set", action="append", metavar="KEY=VALUE", help="dotted config override")
-    train.add_argument("--seed", type=int, help="override config seed")
     train.set_defaults(fn=cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
@@ -198,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--values", required=True, help="comma-separated values")
     sw.add_argument("--out", help="output directory")
     sw.add_argument("--set", action="append", metavar="KEY=VALUE")
-    sw.add_argument("--seed", type=int)
     sw.set_defaults(fn=cmd_sweep)
 
     dump = sub.add_parser("dump-embeddings", help="write per-record embeddings to CSV")

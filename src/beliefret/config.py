@@ -20,7 +20,7 @@ from .losses import LossConfig
 
 SCHEMA_VERSION = 1
 
-STAGES = ("closed-domain", "stage1-pretrain", "stage2-finetune")
+STAGES = ("closed-domain", "stage1-pretrain")
 PRECISIONS = ("float64", "float32")
 
 @dataclass
@@ -29,8 +29,8 @@ class ModelSettings:
     encoder_dim: int = 48
     heads: int = 2
     encoder_blocks: int = 2
-    spatial_units: int = 2
-    temporal_units: int = 3
+    spatial_units: int = 2  # 0: no spatial stack, instruction prior or belief filter
+    temporal_units: int = 3  # 0: no temporal stack
     patch_size: int = 4
     image_size: int = 16
     max_text_len: int = 16
@@ -38,8 +38,9 @@ class ModelSettings:
     def __post_init__(self):
         for name in ("embed_dim", "encoder_dim", "heads", "encoder_blocks", "spatial_units",
                      "temporal_units", "patch_size", "image_size", "max_text_len"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"model.{name} must be at least 1")
+            least = 0 if name.endswith("_units") else 1
+            if getattr(self, name) < least:
+                raise ConfigError(f"model.{name} must be at least {least}")
 
 
 @dataclass
@@ -92,10 +93,8 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
     optim: OptimSettings = field(default_factory=OptimSettings)
     data: DataSettings = field(default_factory=DataSettings)
-    use_spatial_pae: bool = True
-    use_temporal_pae: bool = True
     precision: str = "float64"
-    init_from: str = ""  # stage-2 fine-tuning: checkpoint to start from
+    init_from: str = ""  # checkpoint to start from, as stage two starts from stage one
 
     def __post_init__(self):
         if self.schema_version != SCHEMA_VERSION:

@@ -1,11 +1,11 @@
 """The assembled dual-tower retrieval model.
 
-Each encoder returns one token sequence, global token in column 0. When the
-spatial stack is enabled, the image sequence as a whole is refined by the
+Each encoder returns one token sequence, global token in column 0. With
+spatial units, the image sequence as a whole is refined by the
 instruction-belief filter, the instruction-guided attention stack pools the
 refined tokens into one column queried by the instruction embedding, and the
-resulting local embedding is added to the global token. The text sequence
-optionally runs through the self-activated temporal stack the same way.
+resulting local embedding is added to the global token. With temporal units,
+the text sequence runs through the self-activated temporal stack the same way.
 Captions of different lengths are grouped and encoded per length, then put
 back into batch order; a batch of one length is already in order.
 """
@@ -70,7 +70,7 @@ class RetrievalModel:
         self.instruction = None
         self.spatial = None
         self.temporal = None
-        if cfg.use_spatial_pae:
+        if m.spatial_units:
             self.instruction = init_instruction(
                 child(cfg.seed, "instruction"), m.embed_dim, num_classes, 3 * m.image_size**2
             )
@@ -79,7 +79,7 @@ class RetrievalModel:
                 raise ConfigError(
                     f"belief.filter_k={cfg.belief.filter_k} exceeds the {self.image.tokens + 1} visual tokens"
                 )
-        if cfg.use_temporal_pae:
+        if m.temporal_units:
             self.temporal = init_pae_stack(child(cfg.seed, "temporal_pae"), m.embed_dim, m.heads, m.temporal_units)
         if cfg.loss.t_trainable:
             self.t_logit = Tensor(cfg.loss.t_logit, requires_grad=True)

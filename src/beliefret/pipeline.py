@@ -4,14 +4,15 @@ One Trainer runs a single stage, and ``run_stage`` trains any stage and writes
 its outputs. A run's state is its step count and its history: batch order and
 caption picks derive from (seed, epoch) child streams, so a checkpoint holding
 both resumes bit-identically. The open-domain recipe is two runs:
-contrastive-only pretraining on a coarse corpus, then belief- and
-attention-guided fine-tuning on a fine corpus that starts from stage one's
-checkpoint file through ``init_from``.
+contrastive-only pretraining on a coarse corpus, then a closed-domain run on
+a fine corpus that starts from stage one's checkpoint file through
+``init_from``.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import atomic_open, load_checkpoint, load_run, restore_parameters, save_checkpoint
-from .config import TrainConfig, apply_overrides, config_from_dict, config_to_dict
+from .config import TrainConfig, apply_overrides, build_checked, config_from_dict, config_to_dict
 from .data import Dataset, epoch_batches, load_dataset
 from .encoders import fit_instruction
 from .errors import ConfigError, InputError, NumericError, ParseError
@@ -31,24 +32,21 @@ from .retrieval import REPORT_KEYS, REPORT_KS, RecallReport, RetrievalTable, sim
 from .tensor import sgd_step
 
 HISTORY_COLUMNS = ("step", "loss", "l_c", "l_a", *REPORT_KEYS)
+# a stored history row, built only to check it: an int step, other columns numbers or null
+_HistoryRow = dataclasses.make_dataclass(
+    "_HistoryRow",
+    [("step", int), *((col, float | None, dataclasses.field(default=None)) for col in HISTORY_COLUMNS[1:])],
+)
 
 
 def effective_config(cfg: TrainConfig) -> TrainConfig:
-    """Normalise stage-dependent flags.
-
-    Stage-1 pretraining is a plain dual encoder under the pairwise loss alone;
-    stage-2 fine-tuning enables the soft belief filter and the spatial stack.
-    """
+    """Normalise stage-dependent settings: stage-1 pretraining is a plain dual
+    encoder, with no attention stack, under the pairwise loss alone."""
     data = config_to_dict(cfg)
     if cfg.stage == "stage1-pretrain":
-        data["use_spatial_pae"] = False
-        data["use_temporal_pae"] = False
+        data["model"]["spatial_units"] = 0
+        data["model"]["temporal_units"] = 0
         data["loss"]["lambda_cs"] = 0.0
-    elif cfg.stage == "stage2-finetune":
-        data["use_spatial_pae"] = True
-        if data["belief"]["mode"] == "hard":
-            warnings.warn("stage-2 fine-tuning uses the soft belief strategy; switching mode")
-            data["belief"]["mode"] = "soft-sequence"
     return config_from_dict(data)
 
 
@@ -154,8 +152,6 @@ class Trainer:
         self._build(cfg, dataset)
         if self.cfg.init_from:
             restore_parameters(self.model, load_checkpoint(self.cfg.init_from)[1], strict=False)
-        elif self.cfg.stage == "stage2-finetune":
-            raise ConfigError("stage2-finetune needs init_from (a stage-1 checkpoint)")
 
         if self.model.instruction is not None:
             fit_instruction(
@@ -173,7 +169,8 @@ class Trainer:
                 raise ConfigError("config has no data.train_path and no dataset was supplied")
             dataset = load_dataset(self.cfg.data.train_path)
         self.dataset = dataset
-        self._check_granularity(dataset)
+        if self.cfg.stage == "stage1-pretrain" and dataset.meta.granularity != "coarse":
+            warnings.warn("stage-1 pretraining expects a coarse-granularity corpus")
 
         if self.cfg.data.val_path:
             val_ds = load_dataset(self.cfg.data.val_path)
@@ -197,12 +194,6 @@ class Trainer:
         self.global_step = 0
         self.history: list = []
         self.best_params: dict | None = None
-
-    def _check_granularity(self, dataset: Dataset) -> None:
-        if self.cfg.stage == "stage1-pretrain" and dataset.meta.granularity != "coarse":
-            warnings.warn("stage-1 pretraining expects a coarse-granularity corpus")
-        if self.cfg.stage == "stage2-finetune" and dataset.meta.granularity != "fine":
-            warnings.warn("stage-2 fine-tuning expects a fine-granularity corpus")
 
     # -- steps ------------------------------------------------------------------
 
@@ -284,13 +275,24 @@ class Trainer:
         cfg, header, params = load_run(path)
         if "history" not in header:
             raise ParseError(f"{path}: checkpoint holds no training history, so it cannot be resumed")
+        global_step, history = header.get("global_step"), header["history"]
+        if type(global_step) is not int or global_step < 0:
+            raise ParseError(f"{path}: checkpoint global_step must be an integer >= 0, got {global_step!r}")
+        if not isinstance(history, list):
+            raise ParseError(f"{path}: checkpoint history must be a list of rows, got {history!r}")
+        for i, row in enumerate(history):
+            try:
+                step = build_checked(_HistoryRow, row, f"history[{i}]").step
+            except ConfigError as exc:
+                raise ParseError(f"{path}: checkpoint history: {exc}") from exc
+            if not 0 <= step <= global_step:
+                raise ParseError(f"{path}: checkpoint history[{i}] has step {step}, outside [0, {global_step}]")
         # every parameter comes from the file itself, not from the init_from it
         # names, which may be gone by now, nor from a fit the restore overwrites
         trainer = cls.__new__(cls)
         trainer._build(cfg, dataset)
         restore_parameters(trainer.model, params, strict=True)
-        trainer.global_step = int(header["global_step"])
-        trainer.history = header["history"]
+        trainer.global_step, trainer.history = global_step, history  # the rows as stored
         return trainer
 
 

@@ -610,27 +610,28 @@ def ffn(x, gamma, beta, w1, b1, w2, b2) -> Tensor:
     return _op(data, (x, gamma, beta, w1, b1, w2, b2), bw)
 
 
-def attention(xq, xkv, gamma_q, beta_q, gamma_kv, beta_kv, wq, bq, wk, bk, wv, bv, wo, bo, heads: int) -> Tensor:
+def attention(xq, xkv, gamma_q, beta_q, gamma_kv, beta_kv, w_qkv, b_qkv, wo, bo, heads: int) -> Tensor:
     """xq + MultiHead(LN_q(xq), LN_kv(xkv)) as one node.
 
     xq (..., d, Lq) gives the queries and xkv (..., d, Lk) the keys and
     values. Passing the same tensor twice makes it self-attention: one norm,
-    and gamma_kv and beta_kv are None. Gammas and betas are (d, 1), each w
-    (d, d) and each b (d, 1). Per head, with Q, K, V the head's rows of
-    wq·LN_q(xq) + bq, wk·LN_kv(xkv) + bk and wv·LN_kv(xkv) + bv,
-    P = softmax(QᵀK / √dh) along keys and the context V Pᵀ; the heads'
-    contexts, stacked back to d rows, go through wo·(·) + bo. Self-attention
-    projects Q, K and V in one stacked product and cross-attention K and V;
-    each product has its norm's γ and β folded in, (w∘γᵀ)·x̂ + (w β + b).
+    and gamma_kv and beta_kv are None. Gammas and betas are (d, 1), w_qkv
+    (3d, d) and b_qkv (3d, 1) stack the Q, K and V projections, wo is (d, d)
+    and bo (d, 1). Per head, with Q, K, V the head's rows of the projections
+    of LN_q(xq), LN_kv(xkv) and LN_kv(xkv), P = softmax(QᵀK / √dh) along keys
+    and the context V Pᵀ; the heads' contexts, stacked back to d rows, go
+    through wo·(·) + bo. Self-attention projects with all of w_qkv at once,
+    cross-attention Q with its rows [:d] and K and V with its rows [d:]; each
+    product has its norm's γ and β folded in, (w∘γᵀ)·x̂ + (w β + b).
 
     Backward, with G the context gradient per head: dV = G P,
     dP = Gᵀ V, dS = (dP − Σ_k dP·P) P / √dh, dQ = K dSᵀ, dK = Q dS.
     Each folded product, from the gradient g at its output, with
     G = Σ g x̂ᵀ (one tensordot over batch and sequence axes) and S = Σ g, gives
     dw = G∘γᵀ + S βᵀ, db = S, dγ = Σ_rows (w∘G), dβ = wᵀ S and the gradient
-    (w∘γᵀ)ᵀ g at x̂; a stacked product shares one G. The key bias gradient is
-    zero in exact arithmetic: a per-query constant added to every score leaves
-    the softmax unchanged. dxq is g plus the query norm's share.
+    (w∘γᵀ)ᵀ g at x̂. The key bias gradient is zero in exact arithmetic: a per-query
+    constant added to every score leaves the softmax unchanged. dxq is g plus
+    the query norm's share.
     """
     self_attn = xkv is xq
     xq = _as_tensor(xq)
@@ -639,8 +640,8 @@ def attention(xq, xkv, gamma_q, beta_q, gamma_kv, beta_kv, wq, bq, wk, bk, wv, b
         raise ContractError("attention takes a key/value norm exactly when keys come from a second input")
     norm_q = [_as_tensor(t, dtype=xq.dtype) for t in (gamma_q, beta_q)]
     norm_kv = [] if self_attn else [_as_tensor(t, dtype=xq.dtype) for t in (gamma_kv, beta_kv)]
-    params = [_as_tensor(t, dtype=xq.dtype) for t in (wq, bq, wk, bk, wv, bv, wo, bo)]
-    wq, bq, wk, bk, wv, bv, wo, bo = params
+    params = [_as_tensor(t, dtype=xq.dtype) for t in (w_qkv, b_qkv, wo, bo)]
+    w_qkv, b_qkv, wo, bo = params
     if xq.data.ndim < 2 or xkv.data.shape[:-1] != xq.data.shape[:-1]:
         raise DimensionError(f"attention inputs do not match: {xq.data.shape} vs {xkv.data.shape}")
     *lead, d, lq = xq.data.shape
@@ -648,27 +649,27 @@ def attention(xq, xkv, gamma_q, beta_q, gamma_kv, beta_kv, wq, bq, wk, bk, wv, b
     _check_norm(xq, *norm_q, "attention query")
     if norm_kv:
         _check_norm(xkv, *norm_kv, "attention key/value")
-    if any(t.data.shape != ((d, d) if i % 2 == 0 else (d, 1)) for i, t in enumerate(params)):
-        raise DimensionError(f"attention weights must be ({d}, {d}) and biases ({d}, 1)")
+    if [t.data.shape for t in params] != [(3 * d, d), (3 * d, 1), (d, d), (d, 1)]:
+        raise DimensionError(f"attention weights must be (3d, d), (3d, 1), (d, d) and (d, 1) for d={d}")
     if heads < 1 or d % heads != 0:
         raise ConfigError(f"head count {heads} must divide feature dim {d}")
     dh = d // heads
     # one folded product per normed input: Q, K and V of xq in self-attention;
     # Q of xq, then K and V of xkv in cross-attention
-    inputs = [(xq, norm_q, (wq, wk, wv), (bq, bk, bv))] if self_attn else [
-        (xq, norm_q, (wq,), (bq,)),
-        (xkv, norm_kv, (wk, wv), (bk, bv)),
+    inputs = [(xq, norm_q, slice(None))] if self_attn else [
+        (xq, norm_q, slice(None, d)),
+        (xkv, norm_kv, slice(d, None)),
     ]
-    products = []  # (x, normed x̂, s, stacked w, γ, β, folded w)
+    products = []  # (x, normed x̂, s, w rows, γ, β, folded w)
     outs = []
-    for x, (gamma, beta), ws, bs in inputs:
+    for x, (gamma, beta), rows in inputs:
         normed, std = _normalize(x.data)
-        w_cat = np.concatenate([w.data for w in ws])
-        w_fold, b_fold = _fold(w_cat, gamma.data, beta.data, np.concatenate([b.data for b in bs]))
+        w = w_qkv.data[rows]
+        w_fold, b_fold = _fold(w, gamma.data, beta.data, b_qkv.data[rows])
         out = w_fold @ normed
         out += b_fold
         outs.append(out)
-        products.append((x, normed, std, w_cat, gamma.data, beta.data, w_fold))
+        products.append((x, normed, std, w, gamma.data, beta.data, w_fold))
     if self_attn:
         q, k, v = outs[0][..., :d, :], outs[0][..., d : 2 * d, :], outs[0][..., 2 * d :, :]
     else:
@@ -702,19 +703,17 @@ def attention(xq, xkv, gamma_q, beta_q, gamma_kv, beta_kv, wq, bq, wk, bk, wv, b
         np.matmul(qh, gscore, out=stacked[..., -2, :, :, :])  # dK
         stacked = stacked.reshape((*lead, -1, lk))
         g_outs = [stacked] if self_attn else [gq.reshape((*lead, d, lq)), stacked]
-        grads, gw, gb = [], [], []
-        for g_out, (x, normed, std, w_cat, gamma, beta, w_fold) in zip(g_outs, products):
+        grads, rows = [], []
+        for g_out, (x, normed, std, w, gamma, beta, w_fold) in zip(g_outs, products):
             residual = g if x is xq else None
             grads.append(_norm_grads(w_fold.T @ g_out, normed, std, residual) if x.requires_grad else None)
-            ggamma, gbeta, gw_cat, gb_cat = _fold_grads(g_out, normed, w_cat, gamma, beta)
+            ggamma, gbeta, *row_grads = _fold_grads(g_out, normed, w, gamma, beta)
             grads += [ggamma, gbeta]
-            gw += [gw_cat[i : i + d] for i in range(0, len(gw_cat), d)]
-            gb += [gb_cat[i : i + d] for i in range(0, len(gb_cat), d)]
-        gw.append(_weight_grad(g, ctx))
-        gb.append(_unbroadcast(g, bo.data.shape))
-        for w, b, gw_i, gb_i in zip(params[::2], params[1::2], gw, gb):
-            grads += [gw_i if w.requires_grad else None, gb_i if b.requires_grad else None]
-        return grads
+            rows.append(row_grads)
+        # cross-attention's two products each give their rows of w_qkv and b_qkv
+        gw_qkv, gb_qkv = rows[0] if self_attn else map(np.concatenate, zip(*rows))
+        param_grads = (gw_qkv, gb_qkv, _weight_grad(g, ctx), _unbroadcast(g, bo.data.shape))
+        return grads + [gp if t.requires_grad else None for t, gp in zip(params, param_grads)]
 
     parents = (xq, *norm_q) if self_attn else (xq, *norm_q, xkv, *norm_kv)
     return _op(data, (*parents, *params), bw)

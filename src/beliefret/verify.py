@@ -104,7 +104,8 @@ def _grad_spatial(seed: int) -> float:
 def _grad_temporal(seed: int) -> float:
     rng = child(seed, "gs-temporal")
     d = 4
-    stack = init_pae_stack(child(seed, "gs-temporal-params"), d, heads=2, n_units=1)
+    # three units, as training runs it: all but the last guide from the whole sequence
+    stack = init_pae_stack(child(seed, "gs-temporal-params"), d, heads=2, n_units=3)
     # the text encoder's sequence: global token in column 0, then two tokens
     tokens = Tensor(rng.normal(size=(d, 3)), requires_grad=True)
     coef = Tensor(rng.normal(size=d))
@@ -168,7 +169,8 @@ def _attention_case(seed: int, cross: bool):
 
     Batched (B, d, L) inputs; cross-attention has Lq != Lk. The arguments are
     [xq, xkv, gamma_q, beta_q, gamma_kv, beta_kv, wq, bq, wk, bk, wv, bv, wo,
-    bo]; for self-attention xkv is xq and the key/value norm is None.
+    bo]; for self-attention xkv is xq and the key/value norm is None. The
+    readout stacks them into w_qkv and b_qkv, so the key bias is probed apart.
     """
     rng = child(seed, "gs-attention", int(cross))
     b, d, heads, lq, lk = 2, 4, 2, 3, 2
@@ -186,7 +188,8 @@ def _attention_case(seed: int, cross: bool):
 
     def readout(a):
         xkv_ = a[1] if cross else a[0]
-        return (T.ttanh(T.attention(a[0], xkv_, *a[2:], heads)) * coef).sum()
+        w_qkv, b_qkv = T.concat(a[6:12:2], axis=0), T.concat(a[7:12:2], axis=0)
+        return (T.ttanh(T.attention(a[0], xkv_, *a[2:6], w_qkv, b_qkv, *a[12:], heads)) * coef).sum()
 
     return [xq, xkv, *norms, *([] if cross else [None, None]), *params], readout
 

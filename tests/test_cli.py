@@ -125,7 +125,7 @@ def test_cli_set_overrides(tmp_path, dataset_dir):
     out = tmp_path / "short"
     assert main([
         "train", "--config", str(cfg_path), "--out", str(out),
-        "--set", "optim.steps=2", "--set", "use_temporal_pae=false",
+        "--set", "optim.steps=2", "--set", "model.temporal_units=0",
     ]) == 0
     history = (out / "history.csv").read_text().splitlines()
     assert len(history) == 3  # header + 2 steps
@@ -287,6 +287,8 @@ def test_instruction_source_config_exit_code(tmp_path, dataset_dir, capsys):
         "model.ffn_ratio": 2,
         "model.vocab_size": 48,
         "loss.epsilon": 1e-12,
+        "use_spatial_pae": True,
+        "use_temporal_pae": True,
     }
     for dotted, value in removed.items():
         cfg_path = fast_config(tmp_path, dataset_dir)
@@ -299,6 +301,18 @@ def test_instruction_source_config_exit_code(tmp_path, dataset_dir, capsys):
         cfg_path.write_text(json.dumps(data))
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
         assert f"'{dotted}'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+    # the stack switches, now a unit count of 0, and the stage-2 preset, now a
+    # closed-domain config with init_from, are refused from --set too
+    cfg_path = fast_config(tmp_path, dataset_dir)
+    refused = {
+        "use_spatial_pae=false": "'use_spatial_pae'",
+        "use_temporal_pae=false": "'use_temporal_pae'",
+        "stage=stage2-finetune": "'stage2-finetune'",
+    }
+    for item, named in refused.items():
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run"), "--set", item]) == 2
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
 
@@ -551,7 +565,7 @@ def two_stage_configs(tmp_path):
         spec.write_text(json.dumps(dict(CORPUS_SPEC, seed=seed, motif_seed=5, granularity=granularity)))
         assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / granularity)]) == 0
         cfg = apply_overrides(TrainConfig(), [
-            f"stage={'stage1-pretrain' if granularity == 'coarse' else 'stage2-finetune'}",
+            f"stage={'stage1-pretrain' if granularity == 'coarse' else 'closed-domain'}",
             f"data.train_path={tmp_path / granularity / 'dataset.jsonl'}",
             "optim.steps=6", "optim.batch_size=16", "optim.eval_every_epochs=2",
         ])

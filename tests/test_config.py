@@ -47,17 +47,17 @@ def test_validation():
 
 def test_overrides_typed():
     cfg = TrainConfig()
-    out = apply_overrides(cfg, ["optim.steps=99", "loss.lambda_cs=0.5", "use_temporal_pae=false", "seed=7"])
+    out = apply_overrides(cfg, ["optim.steps=99", "loss.lambda_cs=0.5", "loss.t_trainable=yes", "seed=7"])
     assert out.optim.steps == 99
     assert out.loss.lambda_cs == 0.5
-    assert out.use_temporal_pae is False
+    assert out.loss.t_trainable is True
     assert out.seed == 7
     with pytest.raises(ConfigError):
         apply_overrides(cfg, ["optim.warp=1"])
     with pytest.raises(ConfigError):
         apply_overrides(cfg, ["optim.steps=many"])
     with pytest.raises(ConfigError):
-        apply_overrides(cfg, ["use_spatial_pae=perhaps"])
+        apply_overrides(cfg, ["loss.t_trainable=perhaps"])
     with pytest.raises(ConfigError):
         apply_overrides(cfg, ["loss.tau"])
 
@@ -68,6 +68,14 @@ def test_defaults_match_documented_loss_settings():
     assert cfg.loss.lambda_cs == 1.0
     assert cfg.model.spatial_units == 2
     assert cfg.model.temporal_units == 3
+
+
+def test_unit_count_zero_accepted_and_below_refused():
+    cfg = apply_overrides(TrainConfig(), ["model.spatial_units=0", "model.temporal_units=0"])
+    assert cfg.model.spatial_units == 0 and cfg.model.temporal_units == 0
+    for dotted, least in (("model.spatial_units", 0), ("model.temporal_units", 0), ("model.heads", 1)):
+        with pytest.raises(ConfigError, match=f"{dotted} must be at least {least}"):
+            apply_overrides(TrainConfig(), [f"{dotted}={least - 1}"])
 
 
 def test_bad_json(tmp_path):
@@ -81,7 +89,7 @@ def test_bad_json(tmp_path):
 
 
 @pytest.mark.parametrize("dotted, value", [
-    ("use_spatial_pae", "false"),
+    ("loss.t_trainable", "false"),
     ("seed", "x"),
     ("seed", 1.0),
     ("optim.batch_size", 8.5),
@@ -137,6 +145,8 @@ REMOVED_KEYS = {
     "model.ffn_ratio": 2,
     "model.vocab_size": 48,
     "loss.epsilon": 1e-12,
+    "use_spatial_pae": True,
+    "use_temporal_pae": True,
 }
 
 

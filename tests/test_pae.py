@@ -9,6 +9,7 @@ from beliefret.blocks import (
     ffn_block,
     init_attention,
     init_ffn,
+    init_linear,
     linear,
     named_tensors,
 )
@@ -288,6 +289,17 @@ def all_columns_temporal_pae(tokens, stack):
     return all_columns_stack(tokens, stack, T.matmul)
 
 
+def test_stacked_qkv_draws_the_three_projections_in_order():
+    # one (3d, d) draw holds the values of three (d, d) draws in Q, K, V order,
+    # so a seed initialises attention as it did when each had its own array
+    params = init_attention(child(0, "qkv-draw"), D, HEADS, cross=True)
+    rng = child(0, "qkv-draw")
+    q, k, v, o = (init_linear(rng, D, D) for _ in range(4))
+    npt.assert_array_equal(params.qkv.w.data, np.vstack([q.w.data, k.w.data, v.w.data]))
+    npt.assert_array_equal(params.qkv.b.data, np.zeros((3 * D, 1)))
+    npt.assert_array_equal(params.o.w.data, o.w.data)
+
+
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["unbatched", "batched"])
 @pytest.mark.parametrize("n_units", [1, 3])
 def test_temporal_pae_matches_all_columns(n_units, lead):
@@ -399,7 +411,9 @@ def composed_attention_block(q_in, kv_in, p):
         *lead, d, length = x.shape
         return x.reshape((*lead, p.heads, d // p.heads, length))
 
-    q, k, v = (split_heads(composed_linear(h, lin)) for h, lin in ((hq, p.q), (hkv, p.k), (hkv, p.v)))
+    d = q_in.shape[-2]
+    rows = (slice(0, d), slice(d, 2 * d), slice(2 * d, 3 * d))  # Q, K and V of the stacked qkv
+    q, k, v = (split_heads(T.matmul(p.qkv.w[r], h) + p.qkv.b[r]) for h, r in zip((hq, hkv, hkv), rows))
     dh = q.shape[-2]
     weights = T.softmax(T.matmul(q.swapaxes(-1, -2), k) * (dh**-0.5), axis=-1)
     ctx = T.matmul(v, weights.swapaxes(-1, -2))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -60,14 +62,13 @@ def test_stratified_split_holds_out_per_class():
 
 def test_effective_config_normalises_stages():
     stage1 = effective_config(make_config(stage="stage1-pretrain"))
-    assert not stage1.use_spatial_pae and not stage1.use_temporal_pae
+    assert stage1.model.spatial_units == 0 and stage1.model.temporal_units == 0
     assert stage1.loss.lambda_cs == 0.0
-    with pytest.warns(UserWarning, match="soft belief"):
-        stage2 = effective_config(
-            make_config(stage="stage2-finetune", **{"belief.mode": "hard"})
-        )
-    assert stage2.belief.mode == "soft-sequence"
-    assert stage2.use_spatial_pae
+    # a closed-domain run keeps its settings, a hard belief filter included
+    closed = make_config(**{"belief.mode": "hard"})
+    assert effective_config(closed) == closed
+    with pytest.raises(ConfigError, match="stage must be one of"):
+        make_config(stage="stage2-finetune")
 
 
 # -- training basics -----------------------------------------------------------------
@@ -106,9 +107,7 @@ def test_training_seed_changes_trajectory():
 def test_baseline_flag_reduction():
     cfg = make_config(
         **FAST,
-        use_spatial_pae="false",
-        use_temporal_pae="false",
-        **{"loss.lambda_cs": "0"},
+        **{"model.spatial_units": "0", "model.temporal_units": "0", "loss.lambda_cs": "0"},
     )
     trainer = Trainer(cfg, dataset=TINY)
     model = trainer.model
@@ -120,18 +119,22 @@ def test_baseline_flag_reduction():
 
 def test_ablation_grid_reachable_from_flags():
     seen = set()
-    for spa in (False, True):
-        for tpa in (False, True):
+    for spa in (0, 2):
+        for tpa in (0, 3):
             for lam in (0.0, 1.0):
                 cfg = make_config(
                     **{"optim.steps": "2", "optim.batch_size": "16"},
-                    use_spatial_pae=str(spa).lower(),
-                    use_temporal_pae=str(tpa).lower(),
+                    **{"model.spatial_units": str(spa), "model.temporal_units": str(tpa)},
                     **{"loss.lambda_cs": str(lam)},
                 )
                 model = Trainer(cfg, dataset=TINY).model
                 active = (model.spatial is not None, model.temporal is not None, model.cfg.loss.lambda_cs > 0)
-                assert active == (spa, tpa, lam > 0)
+                assert active == (spa > 0, tpa > 0, lam > 0)
+                assert (model.instruction is not None) == (spa > 0)
+                if spa:
+                    assert len(model.spatial.layers) == spa
+                if tpa:
+                    assert len(model.temporal.layers) == tpa
                 seen.add(active)
     assert len(seen) == 8
 
@@ -319,6 +322,58 @@ def test_checkpoint_without_history_loads_but_does_not_resume(tmp_path):
         Trainer.from_checkpoint(path, dataset=TINY)
 
 
+_STEP = "checkpoint global_step must be an integer >= 0, got"
+RESUME_FAULTS = {  # id: (header keys replaced, message after the path)
+    "step-string": ({"global_step": "x"}, f"{_STEP} 'x'"),
+    "step-null": ({"global_step": None}, f"{_STEP} None"),
+    "step-float": ({"global_step": 2.5}, f"{_STEP} 2.5"),
+    "step-bool": ({"global_step": True}, f"{_STEP} True"),
+    "step-negative": ({"global_step": -1}, f"{_STEP} -1"),
+    "step-missing": (None, f"{_STEP} None"),
+    "history-object": ({"history": {"step": 1}}, "checkpoint history must be a list of rows, got {'step': 1}"),
+    "row-step-string": (
+        {"history": [{"step": "a"}]},
+        "checkpoint history: config key history[0].step must be of type int, got 'a'",
+    ),
+    "row-loss-string": (
+        {"history": [{"step": 1, "loss": "1.0"}]},
+        "checkpoint history: config key history[0].loss must be of type float, got '1.0'",
+    ),
+    "row-unknown-key": (
+        {"history": [{"step": 1, "lr": 0.1}]},
+        "checkpoint history: unknown config key(s): ['history[0].lr']",
+    ),
+    "row-no-step": ({"history": [{"loss": 1.0}]}, "checkpoint history: missing config key(s): ['history[0].step']"),
+    "row-number": ({"history": [7]}, "checkpoint history: config key history[0] must be a JSON object"),
+    "row-after-step": ({"history": [{"step": 3}]}, "checkpoint history[0] has step 3, outside [0, 2]"),
+}
+
+
+@pytest.mark.parametrize("fault", list(RESUME_FAULTS))
+def test_resume_refuses_a_malformed_step_or_history(tmp_path, fault):
+    replaced, message = RESUME_FAULTS[fault]
+    trainer = Trainer(make_config(**{"optim.steps": "2", "optim.batch_size": "16"}), dataset=TINY).train()
+    header = trainer._header(trainer.global_step)
+    if replaced is None:
+        del header["global_step"]
+    else:
+        header.update(replaced)
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, {name: t.data for name, t in trainer.model.named_parameters()}, header)
+    with pytest.raises(ParseError, match=re.escape(f"{path}: {message}")):
+        Trainer.from_checkpoint(path, dataset=TINY)
+
+
+def test_resume_keeps_the_stored_history_rows(tmp_path):
+    # rows of a no-step run and rows with and without recall are all taken as stored
+    trainer = Trainer(make_config(**{"optim.steps": "0", "optim.batch_size": "16"}), dataset=TINY).train()
+    trainer.history += [{"step": 0, "loss": 1, "l_c": 0.5, "l_a": None}]
+    trainer.save(tmp_path / "ck.npz")
+    resumed = Trainer.from_checkpoint(tmp_path / "ck.npz", dataset=TINY)
+    assert resumed.global_step == 0
+    assert resumed.history == trainer.history and type(resumed.history[-1]["loss"]) is int
+
+
 def test_named_parameters_built_once_and_kept_through_loading():
     from beliefret.checkpoint import restore_parameters
     from beliefret.encoders import fit_instruction
@@ -375,84 +430,68 @@ def test_checkpoint_with_non_finite_parameter_rejected(tmp_path):
         load_checkpoint(tmp_path / "ck.npz")
 
 
-def test_schema_1_checkpoint_rejected(tmp_path, monkeypatch):
+def _old_guide_names(header, arrays):
     # schema 1 named the temporal stack's guides step_w; a non-strict restore
     # (init_from) would silently skip them instead of failing
-    from beliefret import checkpoint
-
-    trainer = Trainer(make_config(**{"optim.batch_size": "16"}), dataset=TINY)
-    with monkeypatch.context() as patch:
-        patch.setattr(checkpoint, "SCHEMA_VERSION", 1)
-        trainer.save(tmp_path / "old.npz")
-    with pytest.raises(ParseError, match="unsupported checkpoint schema 1"):
-        load_checkpoint(tmp_path / "old.npz")
-    with pytest.raises(ParseError, match="unsupported checkpoint schema 1"):
-        Trainer(make_config(init_from=str(tmp_path / "old.npz")), dataset=TINY)
+    for name in [n for n in arrays if n.startswith("temporal.guide_w.")]:
+        arrays[name.replace("guide_w", "step_w")] = arrays.pop(name)
 
 
-def test_schema_2_checkpoint_rejected(tmp_path, monkeypatch):
+def _no_centroids(header, arrays):
     # schema 2 had no instruction centroids
-    from beliefret import checkpoint
-
-    trainer = Trainer(make_config(**{"optim.batch_size": "16"}), dataset=TINY)
-    with monkeypatch.context() as patch:
-        patch.setattr(checkpoint, "SCHEMA_VERSION", 2)
-        trainer.save(tmp_path / "old.npz")
-    with pytest.raises(ParseError, match="unsupported checkpoint schema 2"):
-        load_checkpoint(tmp_path / "old.npz")
-    with pytest.raises(ParseError, match="unsupported checkpoint schema 2"):
-        Trainer(make_config(init_from=str(tmp_path / "old.npz")), dataset=TINY)
+    del arrays["instruction.centroids"]
 
 
-def test_schema_3_checkpoint_rejected(tmp_path, monkeypatch, capsys):
+def _deleted_settings(header, arrays):
     # a schema 3 header's config still holds dropout_rate, model.ffn_ratio,
     # model.use_position_encoding and loss.epsilon, settings that are gone
-    from beliefret import checkpoint
-    from beliefret.cli import main
-
-    trainer = Trainer(make_config(**{"optim.batch_size": "16"}), dataset=TINY)
-    header = trainer._header(0)
     header["config"]["dropout_rate"] = 0.0
     header["config"]["model"].update(ffn_ratio=2, use_position_encoding=True)
     header["config"]["loss"]["epsilon"] = 1e-12
-    old = tmp_path / "old.npz"
-    with monkeypatch.context() as patch:
-        patch.setattr(checkpoint, "SCHEMA_VERSION", 3)
-        save_checkpoint(old, {name: t.data for name, t in trainer.model.named_parameters()}, header)
-    with pytest.raises(ParseError, match=f"{old}: unsupported checkpoint schema 3"):
-        load_checkpoint(old)
-    with pytest.raises(ParseError, match="unsupported checkpoint schema 3"):
-        Trainer(make_config(init_from=str(old)), dataset=TINY)
-    data = tmp_path / "dataset.jsonl"
-    write_dataset(TINY, data)
-    for command in ("eval", "dump-embeddings"):
-        args = [command, "--checkpoint", str(old), "--dataset", str(data), "--out", str(tmp_path / command)]
-        assert main(args) == 3
-        assert f"{old}: unsupported checkpoint schema 3" in capsys.readouterr().err
 
 
-def test_schema_4_checkpoint_rejected(tmp_path, monkeypatch, capsys):
+def _vocab_setting(header, arrays):
     # a schema 4 header's config still holds model.vocab_size, which the data now fixes
+    header["config"]["model"]["vocab_size"] = TINY.meta.vocab_size
+
+
+def _split_qkv(header, arrays):
+    # a schema 5 header's config still holds the stack switches, and attention
+    # kept Q, K and V as three arrays each
+    header["config"].update(use_spatial_pae=True, use_temporal_pae=True)
+    for name in [n for n in arrays if ".qkv." in n]:
+        for proj, part in zip("qkv", np.split(arrays.pop(name), 3)):
+            arrays[name.replace(".qkv.", f".{proj}.")] = part
+
+
+OLD_SCHEMAS = {1: _old_guide_names, 2: _no_centroids, 3: _deleted_settings, 4: _vocab_setting, 5: _split_qkv}
+
+
+@pytest.mark.parametrize("schema", sorted(OLD_SCHEMAS))
+def test_old_schema_checkpoint_rejected(schema, tmp_path, monkeypatch, capsys):
+    # a checkpoint as an earlier schema wrote it is refused by every reader, not partly loaded
     from beliefret import checkpoint
     from beliefret.cli import main
 
     trainer = Trainer(make_config(**{"optim.batch_size": "16"}), dataset=TINY)
     header = trainer._header(0)
-    header["config"]["model"]["vocab_size"] = TINY.meta.vocab_size
+    arrays = {name: t.data for name, t in trainer.model.named_parameters()}
+    OLD_SCHEMAS[schema](header, arrays)
     old = tmp_path / "old.npz"
     with monkeypatch.context() as patch:
-        patch.setattr(checkpoint, "SCHEMA_VERSION", 4)
-        save_checkpoint(old, {name: t.data for name, t in trainer.model.named_parameters()}, header)
-    with pytest.raises(ParseError, match=f"{old}: unsupported checkpoint schema 4"):
+        patch.setattr(checkpoint, "SCHEMA_VERSION", schema)
+        save_checkpoint(old, arrays, header)
+    message = f"{old}: unsupported checkpoint schema {schema}"
+    with pytest.raises(ParseError, match=re.escape(message)):
         load_checkpoint(old)
-    with pytest.raises(ParseError, match="unsupported checkpoint schema 4"):
+    with pytest.raises(ParseError, match=re.escape(message)):
         Trainer(make_config(init_from=str(old)), dataset=TINY)
     data = tmp_path / "dataset.jsonl"
     write_dataset(TINY, data)
     for command in ("eval", "dump-embeddings"):
         args = [command, "--checkpoint", str(old), "--dataset", str(data), "--out", str(tmp_path / command)]
         assert main(args) == 3
-        assert f"{old}: unsupported checkpoint schema 4" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 # -- output files ------------------------------------------------------------------------
@@ -615,10 +654,8 @@ def test_open_domain_two_stage(tmp_path):
     coarse, fine = coarse_fine_pair()
     out1, init_from = stage_one(tmp_path / "stage1", coarse)
     s2 = make_config(
-        stage="stage2-finetune",
         init_from=init_from,
-        use_temporal_pae="false",
-        **{"optim.steps": "6", "optim.batch_size": "16"},
+        **{"model.temporal_units": "0", "optim.steps": "6", "optim.batch_size": "16"},
     )
     # stage two starts from stage one's encoders and its own new spatial stack
     start = Trainer(s2, dataset=fine).model
@@ -636,37 +673,20 @@ def test_open_domain_two_stage(tmp_path):
     assert (tmp_path / "stage2" / "metrics.json").exists()
 
 
-def test_stage2_requires_checkpoint():
+def test_stage_granularity_warnings():
     _, fine = coarse_fine_pair()
-    cfg = make_config(stage="stage2-finetune", **{"optim.steps": "2", "optim.batch_size": "16"})
-    with pytest.raises(ConfigError, match="init_from"):
-        Trainer(cfg, dataset=fine)
-
-
-def test_stage_granularity_warnings(tmp_path):
-    coarse, fine = coarse_fine_pair()
     s1 = make_config(stage="stage1-pretrain", **{"optim.steps": "1", "optim.batch_size": "16"})
     with pytest.warns(UserWarning, match="coarse"):
         Trainer(s1, dataset=fine)
-    _, init_from = stage_one(tmp_path, coarse, steps="0")
-    s2 = make_config(stage="stage2-finetune", init_from=init_from, **{"optim.steps": "1", "optim.batch_size": "16"})
-    with pytest.warns(UserWarning, match="fine"):
-        Trainer(s2, dataset=coarse)
 
 
 def test_stage1_zero_steps_equals_from_scratch(tmp_path):
     coarse, fine = coarse_fine_pair()
     _, init_from = stage_one(tmp_path, coarse, seed="3", steps="0")
-    s2 = make_config(
-        stage="stage2-finetune", seed="3", init_from=init_from,
-        **{"optim.steps": "5", "optim.batch_size": "16"},
-    )
+    s2 = make_config(seed="3", init_from=init_from, **{"optim.steps": "5", "optim.batch_size": "16"})
     warm = run_stage(s2, dataset=fine)
-    # a closed-domain run with stage two's flags: spatial stack, soft belief filter
-    scratch_cfg = make_config(
-        seed="3", use_spatial_pae="true",
-        **{"belief.mode": "soft-sequence", "optim.steps": "5", "optim.batch_size": "16"},
-    )
+    # the same closed-domain run without init_from
+    scratch_cfg = make_config(seed="3", **{"optim.steps": "5", "optim.batch_size": "16"})
     scratch = run_stage(scratch_cfg, dataset=fine)
     assert history_to_csv(warm.history) == history_to_csv(scratch.history)
     for (name_a, pa), (name_b, pb) in zip(

@@ -179,7 +179,7 @@ def test_pre_norm_ops_refuse_mismatched_norms():
     rng = child(5, "ln-shapes")
     x, kv = Tensor(rng.normal(size=(2, 4, 3))), Tensor(rng.normal(size=(2, 4, 2)))
     ones, zeros = np.ones((4, 1)), np.zeros((4, 1))
-    w = [np.eye(4) if i % 2 == 0 else zeros for i in range(8)]
+    w = [np.zeros((12, 4)), np.zeros((12, 1)), np.eye(4), zeros]
     with pytest.raises(DimensionError, match="ffn norm"):
         T.ffn(x, np.ones((3, 1)), zeros, np.eye(4), zeros, np.eye(4), zeros)
     with pytest.raises(DimensionError, match="key/value norm"):
@@ -206,16 +206,17 @@ def unfolded_ffn(x, gamma, beta, w1, b1, w2, b2):
     return x + T.affine(w2, T.ttanh(T.affine(w1, unfolded_norm(x, gamma, beta), b1)), b2)
 
 
-def unfolded_attention(xq, xkv, gamma_q, beta_q, gamma_kv, beta_kv, wq, bq, wk, bk, wv, bv, wo, bo, heads):
+def unfolded_attention(xq, xkv, gamma_q, beta_q, gamma_kv, beta_kv, w_qkv, b_qkv, wo, bo, heads):
     hq = unfolded_norm(xq, gamma_q, beta_q)
     hkv = hq if xkv is xq else unfolded_norm(xkv, gamma_kv, beta_kv)
     *lead, d, lq = xq.shape
     dh = d // heads
 
-    def heads_of(h, w, b):
-        return T.affine(w, h, b).reshape((*lead, heads, dh, h.shape[-1]))
+    def heads_of(h, i):  # the i-th of the Q, K and V projections stacked in w_qkv
+        rows = slice(i * d, (i + 1) * d)
+        return T.affine(w_qkv[rows], h, b_qkv[rows]).reshape((*lead, heads, dh, h.shape[-1]))
 
-    q, k, v = heads_of(hq, wq, bq), heads_of(hkv, wk, bk), heads_of(hkv, wv, bv)
+    q, k, v = heads_of(hq, 0), heads_of(hkv, 1), heads_of(hkv, 2)
     weights = T.softmax(T.matmul(q.swapaxes(-1, -2), k) * dh**-0.5, axis=-1)
     ctx = T.matmul(v, weights.swapaxes(-1, -2)).reshape((*lead, d, lq))
     return xq + T.affine(wo, ctx, bo)
@@ -234,7 +235,7 @@ def _sublayer_case(kind, seed, dtype):
         args = [x, leaf((d, 1)), leaf((d, 1)), leaf((6, d), 0.5), leaf((6, 1)), leaf((d, 6), 0.5), leaf((d, 1))]
         return T.ffn, unfolded_ffn, args
     kv, norm_kv = (x, [None, None]) if kind == "self" else (leaf((2, d, 3)), [leaf((d, 1)), leaf((d, 1))])
-    weights = [leaf((d, d), 0.5) if i % 2 == 0 else leaf((d, 1)) for i in range(8)]
+    weights = [leaf((3 * d, d), 0.5), leaf((3 * d, 1)), leaf((d, d), 0.5), leaf((d, 1))]
     args = [x, kv, leaf((d, 1)), leaf((d, 1)), *norm_kv, *weights]
     return (
         lambda *a: T.attention(*a, heads=2),
@@ -330,7 +331,7 @@ def test_attention_stacked_gradients_match_concatenation(kind, dtype, monkeypatc
 
     x = leaf((b, d, lq))
     kv, norm_kv = (x, [None, None]) if kind == "self" else (leaf((b, d, lk)), [leaf((d, 1)), leaf((d, 1))])
-    weights = [leaf((d, d), d**-0.5) if i % 2 == 0 else leaf((d, 1)) for i in range(8)]
+    weights = [leaf((3 * d, d), d**-0.5), leaf((3 * d, 1)), leaf((d, d), d**-0.5), leaf((d, 1))]
     out = T.attention(x, kv, leaf((d, 1)), leaf((d, 1)), *norm_kv, *weights, heads=heads)
     saved = _closure(out._backward_fn)
     coef = rng.normal(size=out.shape).astype(dtype)
@@ -500,8 +501,8 @@ LN_FFN = [
     for i, (shape, scale) in enumerate((((6, 4), 0.5), ((6, 1), 1.0), ((4, 6), 6**-0.5), ((4, 1), 1.0)))
 ]
 LN_ATTN = [
-    Tensor(child(10, "gc-ln-attn", i).normal(size=(4, 4) if i % 2 == 0 else (4, 1)) * (0.5 if i % 2 == 0 else 1.0))
-    for i in range(8)
+    Tensor(child(10, "gc-ln-attn", i).normal(size=shape) * scale)
+    for i, (shape, scale) in enumerate((((12, 4), 0.5), ((12, 1), 1.0), ((4, 4), 0.5), ((4, 1), 1.0)))
 ]
 RANDOMISED_SHAPES = {
     "layer_norm": ((2, 4, 3), (2, 4, 3)),
