@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 from .belief import MODES as BELIEF_MODES
 from .errors import ConfigError
-from .losses import LossConfig
 
 SCHEMA_VERSION = 1
 
@@ -56,6 +55,19 @@ class BeliefSettings:
 
 
 @dataclass
+class LossSettings:
+    tau: float = 0.07  # contrastive temperature; the affiliation scale starts at 1/tau
+    t_trainable: bool = False  # learn the affiliation log-scale from ln(1/tau)
+    lambda_cs: float = 1.0  # affiliation weight; 0: the pairwise loss alone
+
+    def __post_init__(self):
+        if self.tau <= 0:
+            raise ConfigError(f"loss.tau must be positive, got {self.tau}")
+        if self.lambda_cs < 0:
+            raise ConfigError(f"loss.lambda_cs must be nonnegative, got {self.lambda_cs}")
+
+
+@dataclass
 class OptimSettings:
     learning_rate: float = 0.02
     steps: int = 500
@@ -90,7 +102,7 @@ class TrainConfig:
     seed: int = 0
     model: ModelSettings = field(default_factory=ModelSettings)
     belief: BeliefSettings = field(default_factory=BeliefSettings)
-    loss: LossConfig = field(default_factory=LossConfig)
+    loss: LossSettings = field(default_factory=LossSettings)
     optim: OptimSettings = field(default_factory=OptimSettings)
     data: DataSettings = field(default_factory=DataSettings)
     precision: str = "float64"

@@ -5,59 +5,21 @@ row- and column-softmax cross-entropy against the matched diagonal, averaged
 and summed over both directions. ``affiliation_loss`` replaces each sample's
 counterpart with its class prototype (the l2-normalised per-class mean of the
 other modality), pulling embeddings toward cross-modal cluster centers; the
-two directional cross-entropies are averaged with a 1/2 factor. The total
-objective is their weighted sum.
+two directional cross-entropies are averaged with a 1/2 factor. The model
+trains on their weighted sum, with the settings of ``config.LossSettings``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, InputError
+from .errors import InputError
 from .tensor import Tensor
 
-DEFAULT_TAU = 0.07
-DEFAULT_T_LOGIT = math.log(1.0 / DEFAULT_TAU)  # e^t = 1/tau
 EPSILON = 1e-12  # keeps an empty class's prototype scale finite
-DEFAULT_LAMBDA_CS = 1.0
-
-
-@dataclass
-class LossConfig:
-    tau: float = DEFAULT_TAU
-    t_logit: float = DEFAULT_T_LOGIT
-    t_trainable: bool = False
-    lambda_cs: float = DEFAULT_LAMBDA_CS
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.tau}")
-        if self.lambda_cs < 0:
-            raise ConfigError(f"lambda_cs must be nonnegative, got {self.lambda_cs}")
-
-
-@dataclass
-class LabeledBatch:
-    v: Tensor  # (B, d) image embeddings
-    t: Tensor  # (B, d) text embeddings
-    labels: np.ndarray  # (B,), values in [0, num_classes)
-    num_classes: int
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        b = self.v.shape[0]
-        if b < 1:
-            raise InputError("batch must contain at least one pair")
-        if self.t.shape != self.v.shape or self.labels.shape != (b,):
-            raise InputError(
-                f"mismatched batch shapes: v {self.v.shape}, t {self.t.shape}, labels {self.labels.shape}"
-            )
-        if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
-            raise InputError(f"label outside [0, {self.num_classes})")
 
 
 def _diagonal_mean_log_softmax(logits: Tensor, axis: int) -> Tensor:
@@ -66,10 +28,8 @@ def _diagonal_mean_log_softmax(logits: Tensor, axis: int) -> Tensor:
     return (T.log_softmax(logits, axis=axis) * eye).sum() * (1.0 / b)
 
 
-def contrastive_loss(v: Tensor, t: Tensor, tau: float = DEFAULT_TAU) -> Tensor:
+def contrastive_loss(v: Tensor, t: Tensor, tau: float) -> Tensor:
     """Symmetric pairwise loss over cosine similarities (rows normalised here)."""
-    if tau <= 0:
-        raise ConfigError(f"temperature must be positive, got {tau}")
     if v.ndim != 2 or v.shape != t.shape:
         raise InputError(f"embedding shapes differ: {v.shape} vs {t.shape}")
     if v.shape[0] < 1:
@@ -82,20 +42,19 @@ def contrastive_loss(v: Tensor, t: Tensor, tau: float = DEFAULT_TAU) -> Tensor:
     return -(row_term + col_term)
 
 
-def affiliation_loss(batch: LabeledBatch, t_logit: float | Tensor = DEFAULT_T_LOGIT) -> Tensor:
-    """Cluster-prototype symmetric loss over a labelled batch.
+def affiliation_loss(v: Tensor, t: Tensor, labels: np.ndarray, num_classes: int, t_logit: float | Tensor) -> Tensor:
+    """Cluster-prototype symmetric loss over (B, d) embeddings whose labels lie
+    in [0, num_classes).
 
     Normalise both sides, build per-class prototypes scaled by 1/(count + eps),
     align each sample with its class center of the other modality, and score
     e^t-scaled similarities against the diagonal with cross-entropy from both
     directions, averaged with a 1/2 factor.
     """
-    b = batch.v.shape[0]
-    c = batch.num_classes
-    vn = T.l2_normalize(batch.v, axis=-1)
-    tn = T.l2_normalize(batch.t, axis=-1)
+    vn = T.l2_normalize(v, axis=-1)
+    tn = T.l2_normalize(t, axis=-1)
 
-    onehot = np.eye(c, dtype=vn.dtype)[batch.labels]  # (B, C)
+    onehot = np.eye(num_classes, dtype=vn.dtype)[labels]  # (B, C)
     counts = onehot.sum(axis=0) + EPSILON  # (C,)
     y = Tensor(onehot)
     y_t = Tensor(onehot.T)
@@ -116,9 +75,3 @@ def affiliation_loss(batch: LabeledBatch, t_logit: float | Tensor = DEFAULT_T_LO
     ce_t2i = -_diagonal_mean_log_softmax(z_t2i, axis=-1)
     return (ce_i2t + ce_t2i) * 0.5
 
-
-def total_loss(l_c, l_a, lambda_cs: float = DEFAULT_LAMBDA_CS):
-    """Weighted sum of the pairwise and affiliation terms."""
-    if lambda_cs < 0:
-        raise ConfigError(f"lambda_cs must be nonnegative, got {lambda_cs}")
-    return l_c + lambda_cs * l_a

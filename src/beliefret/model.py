@@ -12,6 +12,8 @@ back into batch order; a batch of one length is already in order.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import tensor as T
@@ -27,7 +29,7 @@ from .encoders import (
     instruction_batch,
 )
 from .errors import ConfigError
-from .losses import affiliation_loss, contrastive_loss, total_loss, LabeledBatch
+from .losses import affiliation_loss, contrastive_loss
 from .pae import init_pae_stack, spatial_pae, temporal_pae
 from .rng import child
 from .tensor import Tensor
@@ -81,10 +83,10 @@ class RetrievalModel:
                 )
         if m.temporal_units:
             self.temporal = init_pae_stack(child(cfg.seed, "temporal_pae"), m.embed_dim, m.heads, m.temporal_units)
+        # one temperature: the affiliation scale e^t starts at 1/tau
+        self.t_logit = math.log(1.0 / cfg.loss.tau)
         if cfg.loss.t_trainable:
-            self.t_logit = Tensor(cfg.loss.t_logit, requires_grad=True)
-        else:
-            self.t_logit = cfg.loss.t_logit
+            self.t_logit = Tensor(self.t_logit, requires_grad=True)
 
         # loading a checkpoint and fitting the prior replace a parameter's data,
         # never the Tensor, so the list is walked once
@@ -143,13 +145,12 @@ class RetrievalModel:
     # -- losses ----------------------------------------------------------------
 
     def batch_losses(self, batch):
-        """(total, l_c, l_a) tensors for one PairBatch."""
+        """(total, l_c, l_a) tensors for one PairBatch: total = l_c + lambda_cs * l_a."""
         v_emb = self.embed_images(batch.images.astype(self.dtype))
         t_emb = self.embed_texts(batch.captions)
         l_c = contrastive_loss(v_emb, t_emb, self.cfg.loss.tau)
-        if self.cfg.loss.lambda_cs > 0:
-            labelled = LabeledBatch(v_emb, t_emb, batch.labels, num_classes=self.num_classes)
-            l_a = affiliation_loss(labelled, self.t_logit)
-        else:
-            l_a = Tensor(np.asarray(0.0, dtype=self.dtype))
-        return total_loss(l_c, l_a, self.cfg.loss.lambda_cs), l_c, l_a
+        lambda_cs = self.cfg.loss.lambda_cs
+        if lambda_cs == 0:
+            return l_c, l_c, Tensor(np.asarray(0.0, dtype=self.dtype))
+        l_a = affiliation_loss(v_emb, t_emb, batch.labels, self.num_classes, self.t_logit)
+        return l_c + lambda_cs * l_a, l_c, l_a

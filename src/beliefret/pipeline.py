@@ -145,6 +145,14 @@ def _check_captions(records, max_len: int, vocab_size: int) -> None:
                 )
 
 
+def _check_image_size(dataset: Dataset, name: str, image_size: int) -> None:
+    """Refuse, before the prior is fitted or a step runs, images the image encoder cannot take."""
+    if dataset.meta.image_size != image_size:
+        raise ConfigError(
+            f"{name}: images are {dataset.meta.image_size} px, but model.image_size is {image_size}"
+        )
+
+
 class Trainer:
     """Single-stage training with per-epoch validation and best-checkpoint tracking."""
 
@@ -172,10 +180,12 @@ class Trainer:
         if self.cfg.stage == "stage1-pretrain" and dataset.meta.granularity != "coarse":
             warnings.warn("stage-1 pretraining expects a coarse-granularity corpus")
 
+        _check_image_size(dataset, self.cfg.data.train_path or "training dataset", self.cfg.model.image_size)
         if self.cfg.data.val_path:
             val_ds = load_dataset(self.cfg.data.val_path)
             if not val_ds.records:
                 raise InputError(f"{self.cfg.data.val_path}: validation set has no records")
+            _check_image_size(val_ds, self.cfg.data.val_path, self.cfg.model.image_size)
             self.train_records = list(dataset.records)
             self.val_records = list(val_ds.records)
         else:
@@ -304,16 +314,22 @@ def _report(row: dict | None) -> RecallReport | None:
 
 
 def write_outputs(out_dir, trainer: Trainer) -> None:
+    """Write the run's checkpoints, history and metrics; a best checkpoint or
+    metrics file the run has none of is removed, not left from another run."""
     os.makedirs(out_dir, exist_ok=True)
+    best_path, metrics_path = os.path.join(out_dir, "best.npz"), os.path.join(out_dir, "metrics.json")
     trainer.save(os.path.join(out_dir, "checkpoint.npz"))
-    trainer.save_best(os.path.join(out_dir, "best.npz"))
+    trainer.save_best(best_path)
     with atomic_open(os.path.join(out_dir, "history.csv")) as fh:
         fh.write(history_to_csv(trainer.history))
     report = trainer.best_report
     if report is not None:
-        with atomic_open(os.path.join(out_dir, "metrics.json")) as fh:
+        with atomic_open(metrics_path) as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+    for path, written in ((best_path, trainer.best_params is not None), (metrics_path, report is not None)):
+        if not written and os.path.exists(path):
+            os.remove(path)
 
 
 def run_stage(cfg: TrainConfig, out_dir=None, dataset: Dataset | None = None) -> Trainer:

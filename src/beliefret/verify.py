@@ -16,8 +16,9 @@ import numpy as np
 
 from . import tensor as T
 from .belief import _strict_rank, refine_batch
+from .config import LossSettings
 from .errors import BeliefretError
-from .losses import DEFAULT_T_LOGIT, DEFAULT_TAU, EPSILON, LabeledBatch, affiliation_loss, contrastive_loss
+from .losses import EPSILON, affiliation_loss, contrastive_loss
 from .pae import init_pae_stack, init_pael, pael, spatial_pae, temporal_pae
 from .retrieval import RetrievalTable, mean_recall, recall_at_k
 from .rng import child
@@ -25,6 +26,7 @@ from .tensor import Tensor, grad_check
 
 SUITES = ("gradients", "oracles", "invariants")
 GRAD_TOLERANCE = 1e-4
+_TAU = LossSettings().tau  # the losses' oracle and invariant rows run at the default temperature
 
 
 @dataclass
@@ -64,8 +66,8 @@ def _grad_affiliation(seed: int) -> float:
     labels = _diverse_labels(rng, b, c)
     t_logit = float(rng.normal())
     return max(
-        grad_check(lambda x: affiliation_loss(LabeledBatch(x, t, labels, c), t_logit), v),
-        grad_check(lambda x: affiliation_loss(LabeledBatch(v, x, labels, c), t_logit), t),
+        grad_check(lambda x: affiliation_loss(x, t, labels, c, t_logit), v),
+        grad_check(lambda x: affiliation_loss(v, x, labels, c, t_logit), t),
     )
 
 
@@ -309,7 +311,7 @@ def affiliation_oracle_check(cases: int = 200, tolerance: float = 1e-8) -> Check
         t = rng.normal(size=(b, d))
         labels = rng.integers(0, c, size=b)
         t_logit = float(rng.normal())
-        got = affiliation_loss(LabeledBatch(Tensor(v), Tensor(t), labels, c), t_logit).item()
+        got = affiliation_loss(Tensor(v), Tensor(t), labels, c, t_logit).item()
         want = _loop_affiliation(v, t, labels, c, t_logit, EPSILON)
         worst = max(worst, abs(got - want))
     return CheckResult(
@@ -358,8 +360,8 @@ def unique_label_reduction_check(cases: int = 100, tolerance: float = 1e-6) -> C
         d = int(rng.integers(2, 8))
         v, t = rng.normal(size=(b, d)), rng.normal(size=(b, d))
         labels = rng.permutation(b)
-        l_a = affiliation_loss(LabeledBatch(Tensor(v), Tensor(t), labels, num_classes=b), DEFAULT_T_LOGIT).item()
-        l_c = contrastive_loss(Tensor(v), Tensor(t), tau=DEFAULT_TAU).item()
+        l_a = affiliation_loss(Tensor(v), Tensor(t), labels, b, math.log(1.0 / _TAU)).item()
+        l_c = contrastive_loss(Tensor(v), Tensor(t), _TAU).item()
         worst = max(worst, abs(l_a - 0.5 * l_c))
     return CheckResult(
         "oracles",
@@ -476,9 +478,9 @@ def loss_nonnegative_check(cases: int = 100) -> CheckResult:
         b, d, c = int(rng.integers(1, 9)), 4, 3
         v, t = Tensor(rng.normal(size=(b, d))), Tensor(rng.normal(size=(b, d)))
         labels = rng.integers(0, c, size=b)
-        if contrastive_loss(v, t).item() < 0:
+        if contrastive_loss(v, t, _TAU).item() < 0:
             return CheckResult("invariants", "loss_nonnegative", False, f"contrastive, case {seed}")
-        if affiliation_loss(LabeledBatch(v, t, labels, c)).item() < 0:
+        if affiliation_loss(v, t, labels, c, math.log(1.0 / _TAU)).item() < 0:
             return CheckResult("invariants", "loss_nonnegative", False, f"affiliation, case {seed}")
     return CheckResult("invariants", "loss_nonnegative", True, f"{cases} random batches")
 

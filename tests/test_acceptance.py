@@ -5,13 +5,14 @@ lines; thresholds are fixed here and mirror the self-check suites behind
 ``beliefret verify``.
 """
 
+import math
 import time
 
 import numpy as np
 
-from beliefret.config import TrainConfig, apply_overrides
+from beliefret.config import LossSettings, TrainConfig, apply_overrides
 from beliefret.data import CorpusSpec, generate_corpus
-from beliefret.losses import LabeledBatch, affiliation_loss, contrastive_loss, total_loss
+from beliefret.losses import affiliation_loss, contrastive_loss
 from beliefret.pipeline import Trainer, run_stage
 from beliefret.rng import child
 from beliefret.tensor import Tensor, sgd_step
@@ -142,12 +143,9 @@ def test_cluster_pull():
     v = Tensor(rng.normal(size=(b, d)), requires_grad=True)
     t = Tensor(rng.normal(size=(b, d)), requires_grad=True)
     before = mean_intra_class_cosine(v.data, labels)
+    tau = LossSettings().tau
     for _ in range(200):
-        loss = total_loss(
-            contrastive_loss(v, t),
-            affiliation_loss(LabeledBatch(v, t, labels, num_classes=c)),
-            lambda_cs=1.0,
-        )
+        loss = contrastive_loss(v, t, tau) + affiliation_loss(v, t, labels, c, math.log(1.0 / tau))
         loss.backward()
         sgd_step([("v", v), ("t", t)], lr=0.5)
     after = mean_intra_class_cosine(v.data, labels)

@@ -289,6 +289,7 @@ def test_instruction_source_config_exit_code(tmp_path, dataset_dir, capsys):
         "loss.epsilon": 1e-12,
         "use_spatial_pae": True,
         "use_temporal_pae": True,
+        "loss.t_logit": 2.659,
     }
     for dotted, value in removed.items():
         cfg_path = fast_config(tmp_path, dataset_dir)
@@ -302,13 +303,15 @@ def test_instruction_source_config_exit_code(tmp_path, dataset_dir, capsys):
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
         assert f"'{dotted}'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
-    # the stack switches, now a unit count of 0, and the stage-2 preset, now a
-    # closed-domain config with init_from, are refused from --set too
+    # the stack switches, now a unit count of 0, the stage-2 preset, now a
+    # closed-domain config with init_from, and the log-scale, now set by
+    # loss.tau, are refused from --set too
     cfg_path = fast_config(tmp_path, dataset_dir)
     refused = {
         "use_spatial_pae=false": "'use_spatial_pae'",
         "use_temporal_pae=false": "'use_temporal_pae'",
         "stage=stage2-finetune": "'stage2-finetune'",
+        "loss.t_logit=2.659": "'loss.t_logit'",
     }
     for item, named in refused.items():
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run"), "--set", item]) == 2
@@ -473,6 +476,17 @@ def test_out_of_vocabulary_validation_id_refused_before_training(tmp_path, datas
     _forbid(monkeypatch, "beliefret.pipeline.Trainer._train_step")
     assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 3
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key", ["data.train_path", "data.val_path"])
+def test_image_size_mismatch_refused_before_training(tmp_path, dataset_dir, capsys, monkeypatch, key):
+    small = tmp_path / "small"
+    write_dataset(generate_corpus(CorpusSpec(**{**CORPUS_SPEC, "image_size": 8})), small)
+    cfg_path = fast_config(tmp_path, dataset_dir, **{key: str(small)})
+    _forbid(monkeypatch, "beliefret.pipeline.Trainer._train_step")
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+    assert f"{small}: images are 8 px, but model.image_size is 16" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from beliefret.config import (
+    LossSettings,
     TrainConfig,
     apply_overrides,
     config_from_dict,
@@ -70,6 +71,14 @@ def test_defaults_match_documented_loss_settings():
     assert cfg.model.temporal_units == 3
 
 
+def test_loss_settings_validation():
+    LossSettings()
+    with pytest.raises(ConfigError, match="loss.tau must be positive"):
+        LossSettings(tau=0.0)
+    with pytest.raises(ConfigError, match="loss.lambda_cs must be nonnegative"):
+        LossSettings(lambda_cs=-1.0)
+
+
 def test_unit_count_zero_accepted_and_below_refused():
     cfg = apply_overrides(TrainConfig(), ["model.spatial_units=0", "model.temporal_units=0"])
     assert cfg.model.spatial_units == 0 and cfg.model.temporal_units == 0
@@ -119,7 +128,7 @@ def test_float_field_takes_an_int():
         config_from_dict(data)
 
 
-@pytest.mark.parametrize("dotted", ["optim.learning_rate", "loss.tau", "loss.t_logit"])
+@pytest.mark.parametrize("dotted", ["optim.learning_rate", "loss.tau"])
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
 def test_non_finite_float_refused(dotted, raw, tmp_path):
     # NaN slips past every range check (it compares false both ways), and an
@@ -147,6 +156,7 @@ REMOVED_KEYS = {
     "loss.epsilon": 1e-12,
     "use_spatial_pae": True,
     "use_temporal_pae": True,
+    "loss.t_logit": 2.659,
 }
 
 

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -464,7 +465,13 @@ def _split_qkv(header, arrays):
             arrays[name.replace(".qkv.", f".{proj}.")] = part
 
 
-OLD_SCHEMAS = {1: _old_guide_names, 2: _no_centroids, 3: _deleted_settings, 4: _vocab_setting, 5: _split_qkv}
+def _own_log_scale(header, arrays):
+    # a schema 6 header's config still holds loss.t_logit, which loss.tau now sets
+    header["config"]["loss"]["t_logit"] = 2.659
+
+
+OLD_SCHEMAS = {1: _old_guide_names, 2: _no_centroids, 3: _deleted_settings, 4: _vocab_setting, 5: _split_qkv,
+               6: _own_log_scale}
 
 
 @pytest.mark.parametrize("schema", sorted(OLD_SCHEMAS))
@@ -509,6 +516,16 @@ def test_output_files_written_and_deterministic(tmp_path):
     assert (tmp_path / "a" / "best.npz").exists()
     header = (tmp_path / "a" / "history.csv").read_text().splitlines()[0]
     assert header == "step,loss,l_c,l_a,i2t_r1,i2t_r5,i2t_r10,t2i_r1,t2i_r5,t2i_r10,mr"
+
+
+def test_reused_output_directory_keeps_no_other_runs_files(tmp_path):
+    # a run with no validation split writes no best checkpoint or metrics, and
+    # leaves none of an earlier run's beside its own checkpoint
+    run_dir = tmp_path / "run"
+    run_stage(make_config(**FAST), out_dir=run_dir, dataset=TINY)
+    assert {p.name for p in run_dir.iterdir()} == {"checkpoint.npz", "best.npz", "history.csv", "metrics.json"}
+    run_stage(make_config(**{**FAST, "data.val_images_per_class": "0"}), out_dir=run_dir, dataset=TINY)
+    assert {p.name for p in run_dir.iterdir()} == {"checkpoint.npz", "history.csv"}
 
 
 class HalfWrittenFile:
@@ -760,6 +777,14 @@ def test_float32_precision_mode():
     assert all(t.data.dtype == np.float32 for _, t in trainer.model.named_parameters())
     out = trainer.train()
     assert all(np.isfinite(row["loss"]) for row in out.history)
+
+
+def test_affiliation_scale_starts_at_one_over_tau():
+    from beliefret.model import RetrievalModel
+
+    trainable = RetrievalModel(make_config(**{"loss.t_trainable": "true", "loss.tau": "0.1"}), 30, 3)
+    assert trainable.t_logit.item() == math.log(10.0) and trainable.t_logit.requires_grad
+    assert RetrievalModel(make_config(**{"loss.tau": "0.1"}), 30, 3).t_logit == math.log(10.0)
 
 
 def test_float32_parameters_are_the_float64_draw_cast():
