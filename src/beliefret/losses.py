@@ -74,4 +74,3 @@ def affiliation_loss(v: Tensor, t: Tensor, labels: np.ndarray, num_classes: int,
     ce_i2t = -_diagonal_mean_log_softmax(z_i2t, axis=-1)
     ce_t2i = -_diagonal_mean_log_softmax(z_t2i, axis=-1)
     return (ce_i2t + ce_t2i) * 0.5
-
