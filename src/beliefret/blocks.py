@@ -67,9 +67,10 @@ def init_attention(rng: np.random.Generator, d: int, heads: int, cross: bool = F
     )
 
 
-def attention_block(q_in: Tensor, kv_in: Tensor, p: AttentionParams) -> Tensor:
+def attention_block(q_in: Tensor, kv_in: Tensor, p: AttentionParams, key_mask=None) -> Tensor:
     """Pre-norm residual multi-head attention, one node; queries from q_in,
-    keys/values from kv_in (the same tensor for self-attention)."""
+    keys/values from kv_in (the same tensor for self-attention), padded keys
+    marked by ``key_mask`` as in ``tensor.attention``."""
     if q_in.shape[-2] != kv_in.shape[-2]:
         raise DimensionError(f"feature dims differ: {q_in.shape} vs {kv_in.shape}")
     if kv_in is q_in:
@@ -80,7 +81,7 @@ def attention_block(q_in: Tensor, kv_in: Tensor, p: AttentionParams) -> Tensor:
         ln_kv = (p.ln_kv.gamma, p.ln_kv.beta)
     return T.attention(
         q_in, kv_in, p.ln_q.gamma, p.ln_q.beta, *ln_kv,
-        p.qkv.w, p.qkv.b, p.o.w, p.o.b, p.heads,
+        p.qkv.w, p.qkv.b, p.o.w, p.o.b, p.heads, key_mask,
     )
 
 

@@ -25,7 +25,7 @@ from .errors import (
     NumericError,
 )
 from .model import RetrievalModel
-from .pipeline import _check_captions, embed_records, evaluate_model, run_stage, sweep
+from .pipeline import _check_captions, _check_image_size, embed_records, evaluate_model, run_stage, sweep
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -96,8 +96,9 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _model_from_checkpoint(path, dataset):
+def _model_from_checkpoint(path, dataset, dataset_path):
     cfg, _, params = load_run(path)
+    _check_image_size(dataset, dataset_path, cfg.model.image_size)
     if "text.embed" not in params:
         raise ConfigError("checkpoint is missing parameter text.embed")
     vocab = params["text.embed"].shape[-1]
@@ -112,7 +113,7 @@ def _model_from_checkpoint(path, dataset):
 def cmd_eval(args) -> int:
     out_dir = _resolve_out(args.out, "eval")
     dataset = load_dataset(args.dataset)
-    model = _model_from_checkpoint(args.checkpoint, dataset)
+    model = _model_from_checkpoint(args.checkpoint, dataset, args.dataset)
     report = evaluate_model(model, dataset.records)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "metrics.json")
@@ -135,7 +136,7 @@ def cmd_sweep(args) -> int:
 def cmd_dump_embeddings(args) -> int:
     out_dir = _resolve_out(args.out, "dump-embeddings")
     dataset = load_dataset(args.dataset)
-    model = _model_from_checkpoint(args.checkpoint, dataset)
+    model = _model_from_checkpoint(args.checkpoint, dataset, args.dataset)
     v, t = embed_records(model, dataset.records)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "embeddings.csv")

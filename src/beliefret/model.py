@@ -6,8 +6,15 @@ instruction-belief filter, the instruction-guided attention stack pools the
 refined tokens into one column queried by the instruction embedding, and the
 resulting local embedding is added to the global token. With temporal units,
 the text sequence runs through the self-activated temporal stack the same way.
-Captions of different lengths are grouped and encoded per length, then put
-back into batch order; a batch of one length is already in order.
+
+Captions of different lengths are grouped and encoded per length. The groups
+are then padded with zero columns to the longest and run through the temporal
+stack as one batch, with a key mask that keeps the padded columns out of every
+attention, and the rows are put back into batch order once; a batch of one
+length is already in order and needs no padding. The text tower itself still
+runs once per length: the benchmark requires more than one text-tower call per
+embedding on its multi-length workloads, so padding the tower as well waits
+for a change to the benchmark first.
 """
 
 from __future__ import annotations
@@ -33,6 +40,14 @@ from .losses import affiliation_loss, contrastive_loss
 from .pae import init_pae_stack, spatial_pae, temporal_pae
 from .rng import child
 from .tensor import Tensor
+
+
+def _pad_columns(tokens: Tensor, width: int) -> Tensor:
+    """(..., d, L) tokens with zero columns appended up to ``width``."""
+    missing = width - tokens.shape[-1]
+    if not missing:
+        return tokens
+    return T.concat([tokens, Tensor(np.zeros((*tokens.shape[:-1], missing), dtype=tokens.dtype))], axis=-1)
 
 
 class RetrievalModel:
@@ -119,28 +134,31 @@ class RetrievalModel:
         refined = refine_batch(tokens, f_ins, self.cfg.belief.mode, self.cfg.belief.filter_k)
         return f_cls + spatial_pae(refined, f_ins, self.spatial)
 
-    def _embed_text_group(self, ids: np.ndarray) -> Tensor:
-        tokens = encode_text_batch(ids, self.text)
-        t_cls = tokens[..., 0]
-        if self.temporal is None:
-            return t_cls
-        return t_cls + temporal_pae(tokens, self.temporal)
-
     def embed_texts(self, captions) -> Tensor:
-        """Embed variable-length captions by grouping equal lengths."""
+        """Embed variable-length captions: the text tower runs once per length,
+        the temporal stack once over the groups padded to the longest."""
         by_length: dict[int, list[int]] = {}
         for i, cap in enumerate(captions):
             by_length.setdefault(len(cap), []).append(i)
-        chunks = []
-        order = []
-        for length in sorted(by_length):
-            rows = by_length[length]
-            ids = np.array([captions[i] for i in rows], dtype=np.intp)
-            chunks.append(self._embed_text_group(ids))
-            order.extend(rows)
-        if len(chunks) == 1:
-            return chunks[0]
-        return T.concat(chunks, axis=0)[np.argsort(np.array(order))]
+        lengths = sorted(by_length)
+        groups = [
+            encode_text_batch(np.array([captions[i] for i in by_length[n]], dtype=np.intp), self.text)
+            for n in lengths
+        ]
+        if len(groups) == 1:
+            tokens, key_mask = groups[0], None
+        else:
+            width = lengths[-1] + 1  # the global token, then the longest caption's words
+            tokens = T.concat([_pad_columns(g, width) for g in groups], axis=0)
+            row_lengths = np.repeat(lengths, [len(by_length[n]) for n in lengths])
+            key_mask = np.where(np.arange(width) > row_lengths[:, None], -np.inf, 0.0).astype(self.dtype)
+            key_mask = key_mask[:, None, None, :]
+        t_emb = tokens[..., 0]
+        if self.temporal is not None:
+            t_emb = t_emb + temporal_pae(tokens, self.temporal, key_mask)
+        if len(groups) == 1:
+            return t_emb
+        return t_emb[np.argsort(np.concatenate([by_length[n] for n in lengths]))]
 
     # -- losses ----------------------------------------------------------------
 

@@ -12,7 +12,9 @@ carries the query branch forward. The two stacks differ only in the guide:
   tokens into one carried column (attention pooling with a single query);
 * ``temporal_pae`` runs over the text encoder's whole sequence (global token
   first), and each layer's guide is a projection of the previous layer's
-  output; the last layer's guide is the projected head column alone.
+  output; the last layer's guide is the projected head column alone. A batch
+  of captions of several lengths runs as one sequence padded to the longest,
+  with a key mask that keeps every padded column out of every attention.
 
 Both read the head token (column 0) of the final carried sequence through one
 linear map; the model adds the resulting local embedding to the encoder's
@@ -58,15 +60,17 @@ def init_pael(rng: np.random.Generator, d: int, heads: int) -> PaelParams:
     )
 
 
-def pael(h_s: Tensor, h_c: Tensor, params: PaelParams):
+def pael(h_s: Tensor, h_c: Tensor, params: PaelParams, key_mask=None):
     """Return (refined_s, refined_c); shapes (d, N) and (d, N') are preserved.
 
     refined_s = FFN(SelfAttn(h_s)); refined_c = FFN(CrossAttn(h_c, refined_s)).
+    Both attentions take their keys from the source, so ``key_mask`` (see
+    ``tensor.attention``) marks its padded columns in both.
     """
     if h_s.shape[-2] != h_c.shape[-2]:
         raise DimensionError(f"feature dims differ: {h_s.shape} vs {h_c.shape}")
-    s_out = ffn_block(attention_block(h_s, h_s, params.self_attn), params.self_ffn)
-    c_out = ffn_block(attention_block(h_c, s_out, params.cross_attn), params.cross_ffn)
+    s_out = ffn_block(attention_block(h_s, h_s, params.self_attn, key_mask), params.self_ffn)
+    c_out = ffn_block(attention_block(h_c, s_out, params.cross_attn, key_mask), params.cross_ffn)
     return s_out, c_out
 
 
@@ -85,7 +89,7 @@ def init_pae_stack(rng: np.random.Generator, d: int, heads: int, n_units: int) -
     return PaeStack(layers=layers, guide_w=guides, head=init_linear(rng, d, d))
 
 
-def _run_stack(cur: Tensor, stack: PaeStack, guide) -> Tensor:
+def _run_stack(cur: Tensor, stack: PaeStack, guide, key_mask=None) -> Tensor:
     """Run the units, each guided by guide(w, cur), and read out the head token.
 
     The head reads only column 0, and every op on the query branch works
@@ -95,7 +99,7 @@ def _run_stack(cur: Tensor, stack: PaeStack, guide) -> Tensor:
     """
     last = len(stack.layers) - 1
     for i, (w, layer) in enumerate(zip(stack.guide_w, stack.layers)):
-        _, cur = pael(cur, guide(w, cur[..., :1] if i == last else cur), layer)
+        _, cur = pael(cur, guide(w, cur[..., :1] if i == last else cur), layer, key_mask=key_mask)
     out = linear(cur, stack.head)  # (..., d, 1)
     return out.reshape(out.shape[:-1])
 
@@ -112,12 +116,18 @@ def spatial_pae(tokens: Tensor, f_ins: Tensor, stack: PaeStack) -> Tensor:
     return _run_stack(tokens, stack, lambda w, cur: T.matmul(w, ins_col))
 
 
-def temporal_pae(tokens: Tensor, stack: PaeStack) -> Tensor:
+def temporal_pae(tokens: Tensor, stack: PaeStack, key_mask=None) -> Tensor:
     """Local text embedding from the text encoder's sequence (..., d, n + 1),
     [t_cls, F_t] with the global token in column 0.
 
     The sequence is carried as it is, and the guide is a projection of the
     carried sequence itself, so the previous step's output activates the next;
     the last unit projects the head column alone, the one column read out.
+
+    ``key_mask`` (..., 1, 1, n + 1) marks the trailing columns a shorter
+    caption was padded with (see ``tensor.attention``); column 0 is never
+    padded. Every op works column by column except attention, whose padded
+    keys get weight 0, so a padded column never reaches a real one: up to
+    rounding, each caption's embedding is the one its unpadded sequence gives.
     """
-    return _run_stack(tokens, stack, T.matmul)
+    return _run_stack(tokens, stack, T.matmul, key_mask)

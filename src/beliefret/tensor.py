@@ -610,7 +610,9 @@ def ffn(x, gamma, beta, w1, b1, w2, b2) -> Tensor:
     return _op(data, (x, gamma, beta, w1, b1, w2, b2), bw)
 
 
-def attention(xq, xkv, gamma_q, beta_q, gamma_kv, beta_kv, w_qkv, b_qkv, wo, bo, heads: int) -> Tensor:
+def attention(
+    xq, xkv, gamma_q, beta_q, gamma_kv, beta_kv, w_qkv, b_qkv, wo, bo, heads: int, key_mask=None
+) -> Tensor:
     """xq + MultiHead(LN_q(xq), LN_kv(xkv)) as one node.
 
     xq (..., d, Lq) gives the queries and xkv (..., d, Lk) the keys and
@@ -624,6 +626,11 @@ def attention(xq, xkv, gamma_q, beta_q, gamma_kv, beta_kv, w_qkv, b_qkv, wo, bo,
     cross-attention Q with its rows [:d] and K and V with its rows [d:]; each
     product has its norm's γ and β folded in, (w∘γᵀ)·x̂ + (w β + b).
 
+    ``key_mask``, a constant (..., 1, 1, Lk) array of 0 on real keys and −inf
+    on padded ones, is added to every head's scaled scores before the softmax,
+    so P is exactly 0 on a padded key. A row of the batch must keep at least
+    one real key, or its softmax has no finite entry.
+
     Backward, with G the context gradient per head: dV = G P,
     dP = Gᵀ V, dS = (dP − Σ_k dP·P) P / √dh, dQ = K dSᵀ, dK = Q dS.
     Each folded product, from the gradient g at its output, with
@@ -631,7 +638,8 @@ def attention(xq, xkv, gamma_q, beta_q, gamma_kv, beta_kv, w_qkv, b_qkv, wo, bo,
     dw = G∘γᵀ + S βᵀ, db = S, dγ = Σ_rows (w∘G), dβ = wᵀ S and the gradient
     (w∘γᵀ)ᵀ g at x̂. The key bias gradient is zero in exact arithmetic: a per-query
     constant added to every score leaves the softmax unchanged. dxq is g plus
-    the query norm's share.
+    the query norm's share. The mask needs no term of its own: where P is 0,
+    so are dS, and with it a padded key's dK and dV.
     """
     self_attn = xkv is xq
     xq = _as_tensor(xq)
@@ -653,6 +661,8 @@ def attention(xq, xkv, gamma_q, beta_q, gamma_kv, beta_kv, w_qkv, b_qkv, wo, bo,
         raise DimensionError(f"attention weights must be (3d, d), (3d, 1), (d, d) and (d, 1) for d={d}")
     if heads < 1 or d % heads != 0:
         raise ConfigError(f"head count {heads} must divide feature dim {d}")
+    if key_mask is not None and np.shape(key_mask) != (*lead, 1, 1, lk):
+        raise DimensionError(f"attention key mask {np.shape(key_mask)} does not fit keys {xkv.data.shape}")
     dh = d // heads
     # one folded product per normed input: Q, K and V of xq in self-attention;
     # Q of xq, then K and V of xkv in cross-attention
@@ -680,6 +690,8 @@ def attention(xq, xkv, gamma_q, beta_q, gamma_kv, beta_kv, w_qkv, b_qkv, wo, bo,
     scale = np.asarray(dh**-0.5, dtype=xq.dtype)
     p = qh.swapaxes(-1, -2) @ kh  # scores (..., h, Lq, Lk), then their softmax in place
     p *= scale
+    if key_mask is not None:
+        p += key_mask
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)

@@ -166,16 +166,22 @@ def _grad_ffn(seed: int) -> float:
     return _probe_each(args, lambda a: (T.ttanh(T.ffn(*a)) * coef).sum())
 
 
-def _attention_case(seed: int, cross: bool):
+def _attention_case(seed: int, cross: bool, masked: bool = False):
     """Inputs, norms, weights and biases, and a scalar readout of ``attention``.
 
     Batched (B, d, L) inputs; cross-attention has Lq != Lk. The arguments are
     [xq, xkv, gamma_q, beta_q, gamma_kv, beta_kv, wq, bq, wk, bk, wv, bv, wo,
     bo]; for self-attention xkv is xq and the key/value norm is None. The
     readout stacks them into w_qkv and b_qkv, so the key bias is probed apart.
+    With ``masked``, the inputs are the same and the second row's last key is
+    padded: the key mask is −inf there.
     """
     rng = child(seed, "gs-attention", int(cross))
     b, d, heads, lq, lk = 2, 4, 2, 3, 2
+    key_mask = None
+    if masked:
+        key_mask = np.zeros((b, 1, 1, lk if cross else lq))
+        key_mask[1, ..., -1] = -np.inf
     xq = Tensor(rng.normal(size=(b, d, lq)), requires_grad=True)
     xkv = Tensor(rng.normal(size=(b, d, lk)), requires_grad=True) if cross else xq
     norms = [Tensor(rng.normal(size=(d, 1)), requires_grad=True) for _ in range(4 if cross else 2)]
@@ -191,7 +197,7 @@ def _attention_case(seed: int, cross: bool):
     def readout(a):
         xkv_ = a[1] if cross else a[0]
         w_qkv, b_qkv = T.concat(a[6:12:2], axis=0), T.concat(a[7:12:2], axis=0)
-        return (T.ttanh(T.attention(a[0], xkv_, *a[2:6], w_qkv, b_qkv, *a[12:], heads)) * coef).sum()
+        return (T.ttanh(T.attention(a[0], xkv_, *a[2:6], w_qkv, b_qkv, *a[12:], heads, key_mask)) * coef).sum()
 
     return [xq, xkv, *norms, *([] if cross else [None, None]), *params], readout
 
@@ -200,8 +206,8 @@ def _attention_case(seed: int, cross: bool):
 _KEY_BIAS = 9
 
 
-def _grad_attention(seed: int, cross: bool) -> float:
-    args, readout = _attention_case(seed, cross)
+def _grad_attention(seed: int, cross: bool, masked: bool = False) -> float:
+    args, readout = _attention_case(seed, cross, masked)
     # the key bias gradient is exactly 0, so a relative error reads ~1 on rounding
     # noise; attention_key_bias checks it in absolute terms instead
     skip = {_KEY_BIAS} | (set() if cross else {1, 4, 5})
@@ -230,6 +236,7 @@ GRADIENT_CHECKS = (
     ("ffn", _grad_ffn),
     ("attention_self", lambda seed: _grad_attention(seed, cross=False)),
     ("attention_cross", lambda seed: _grad_attention(seed, cross=True)),
+    ("attention_masked", lambda seed: max(_grad_attention(seed, cross, masked=True) for cross in (False, True))),
     ("contrastive_loss", _grad_contrastive),
     ("affiliation_loss", _grad_affiliation),
     ("pael", _grad_pael),

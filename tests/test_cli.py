@@ -490,6 +490,21 @@ def test_image_size_mismatch_refused_before_training(tmp_path, dataset_dir, caps
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "dump-embeddings"])
+def test_image_size_mismatch_refused_before_embedding(tmp_path, dataset_dir, capsys, monkeypatch, command):
+    run_dir = tmp_path / "run"
+    cfg_path = fast_config(tmp_path, dataset_dir, **{"optim.steps": "2"})
+    assert main(["train", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
+    small = tmp_path / "small"
+    write_dataset(generate_corpus(CorpusSpec(**{**CORPUS_SPEC, "image_size": 8})), small)
+    _forbid(monkeypatch, "beliefret.model.RetrievalModel.embed_images", "beliefret.model.RetrievalModel.embed_texts")
+    out = tmp_path / "out"
+    assert main([command, "--checkpoint", str(run_dir / "checkpoint.npz"), "--dataset", str(small),
+                 "--out", str(out)]) == 2
+    assert f"{small}: images are 8 px, but model.image_size is 16" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validation_split_too_small_for_recall_refused(tmp_path, dataset_dir, capsys, monkeypatch):
     cfg_path = fast_config(tmp_path, dataset_dir, **{"data.val_images_per_class": "1"})
     _forbid(monkeypatch, "beliefret.pipeline.Trainer._train_step")

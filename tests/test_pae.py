@@ -227,9 +227,9 @@ def test_spatial_pae_guides_with_one_column(monkeypatch):
     shapes = []
     run_pael = pae.pael
 
-    def recording_pael(h_s, h_c, params):
+    def recording_pael(h_s, h_c, params, key_mask):
         shapes.append((h_s.shape, h_c.shape))
-        return run_pael(h_s, h_c, params)
+        return run_pael(h_s, h_c, params, key_mask)
 
     monkeypatch.setattr(pae, "pael", recording_pael)
     model.embed_images(child(17, "spa-one").random((2, 3, 16, 16)))
@@ -270,6 +270,25 @@ def test_temporal_pae_batched_matches_per_sample():
     for i in range(3):
         single = temporal_pae(Tensor(tokens[i]), stack)
         npt.assert_allclose(batched.data[i], single.data, atol=1e-12)
+
+
+def test_temporal_pae_padded_columns_change_no_output_bit():
+    # three captions of 5, 3 and 0 words padded to 6 columns: the mask keeps the
+    # padded columns out of every attention, so their values reach no output
+    stack = _random_params(init_pae_stack(child(16, "tmp-pad"), D, HEADS, n_units=3), child(16, "tmp-pad-p"))
+    rng = child(16, "tmp-pad-in")
+    words = np.array([5, 3, 0])
+    mask = np.where(np.arange(6) > words[:, None], -np.inf, 0.0)[:, None, None, :]
+    tokens = rng.normal(size=(3, D, 6))
+    overwritten = tokens.copy()
+    for row, n in enumerate(words):
+        tokens[row, :, n + 1 :] = 0.0
+        overwritten[row, :, n + 1 :] = rng.normal(scale=100.0, size=(D, 5 - n))
+    zero_padded = temporal_pae(Tensor(tokens), stack, mask).data
+    npt.assert_array_equal(temporal_pae(Tensor(overwritten), stack, mask).data, zero_padded)
+    for row, n in enumerate(words):
+        unpadded = temporal_pae(Tensor(tokens[row, :, : n + 1]), stack).data
+        npt.assert_allclose(zero_padded[row], unpadded, rtol=0, atol=1e-12)
 
 
 def test_temporal_pae_gradients():
@@ -332,9 +351,9 @@ def test_temporal_pae_last_unit_queries_one_column(monkeypatch):
     shapes = []
     run_pael = pae.pael
 
-    def recording_pael(h_s, h_c, params):
+    def recording_pael(h_s, h_c, params, key_mask):
         shapes.append((h_s.shape, h_c.shape))
-        return run_pael(h_s, h_c, params)
+        return run_pael(h_s, h_c, params, key_mask)
 
     monkeypatch.setattr(pae, "pael", recording_pael)
     model.embed_texts(child(18, "tmp-one").integers(0, 30, size=(2, 5)).tolist())
@@ -403,7 +422,7 @@ def composed_norm(x, p):
     return p.gamma * (centered / T.tsqrt(var + 1e-5)) + p.beta
 
 
-def composed_attention_block(q_in, kv_in, p):
+def composed_attention_block(q_in, kv_in, p, key_mask=None):
     hq = composed_norm(q_in, p.ln_q)
     hkv = hq if kv_in is q_in else composed_norm(kv_in, p.ln_kv)
 
@@ -415,7 +434,13 @@ def composed_attention_block(q_in, kv_in, p):
     rows = (slice(0, d), slice(d, 2 * d), slice(2 * d, 3 * d))  # Q, K and V of the stacked qkv
     q, k, v = (split_heads(T.matmul(p.qkv.w[r], h) + p.qkv.b[r]) for h, r in zip((hq, hkv, hkv), rows))
     dh = q.shape[-2]
-    weights = T.softmax(T.matmul(q.swapaxes(-1, -2), k) * (dh**-0.5), axis=-1)
+    scores = T.matmul(q.swapaxes(-1, -2), k) * (dh**-0.5)
+    if key_mask is None:
+        weights = T.softmax(scores, axis=-1)
+    else:
+        # the masked softmax: a padded key's exponential is zeroed before the sum
+        e = T.texp(scores) * (key_mask == 0)
+        weights = e / e.sum(axis=-1, keepdims=True)
     ctx = T.matmul(v, weights.swapaxes(-1, -2))
     *lead, _, _, lq = ctx.shape
     out = composed_linear(ctx.reshape((*lead, p.heads * dh, lq)), p.o)

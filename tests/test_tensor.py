@@ -364,6 +364,44 @@ def test_attention_stacked_gradients_match_concatenation(kind, dtype, monkeypatc
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["self", "cross"])
+def test_attention_masked_key_gets_zero_dk_and_dv(kind, monkeypatch):
+    # P is exactly 0 on a masked key, so dS is too, and with it dK = Q dS and
+    # dV = G P at that key, with no backward term of its own for the mask
+    rng = child(0, "masked", kind)
+    b, d, heads, lq = 3, 8, 2, 5
+    lk = lq if kind == "self" else 4
+    # (B, 1, 1, lk): row 0 unpadded, then rows of lk - 1 and 1 real keys; key 0 is never padded
+    mask = np.where(np.arange(lk) >= np.array([lk, lk - 1, 1])[:, None, None, None], -np.inf, 0.0)
+
+    def leaf(shape, scale=1.0):
+        return Tensor(rng.normal(size=shape) * scale, requires_grad=True)
+
+    x = leaf((b, d, lq))
+    kv, norm_kv = (x, [None, None]) if kind == "self" else (leaf((b, d, lk)), [leaf((d, 1)), leaf((d, 1))])
+    weights = [leaf((3 * d, d), d**-0.5), leaf((3 * d, 1)), leaf((d, d), d**-0.5), leaf((d, 1))]
+    args = [x, kv, leaf((d, 1)), leaf((d, 1)), *norm_kv, *weights]
+    with pytest.raises(DimensionError, match="key mask"):
+        T.attention(*args, heads=heads, key_mask=mask[..., 1:])
+
+    received = []  # the gradient at each stacked product's output, in product order
+
+    def recording(g, *rest, fn=T._fold_grads):
+        received.append(g.copy())
+        return fn(g, *rest)
+
+    monkeypatch.setattr(T, "_fold_grads", recording)
+    with T.trap_nonfinite():
+        out = T.attention(*args, heads=heads, key_mask=mask)
+        (out * rng.normal(size=out.shape)).sum().backward()
+    gkv = received[-1][:, -2 * d :, :]  # dK and dV rows of the key/value product
+    padded = np.isinf(mask[:, 0, 0, :])
+    assert padded.any() and not padded[:, 0].any()
+    for row in range(b):
+        assert np.all(gkv[row][:, padded[row]] == 0.0)
+        assert np.all(gkv[row][d:, ~padded[row]] != 0.0)  # a real key's dV, P > 0
+
+
 # -- l2 normalize -------------------------------------------------------------
 
 
