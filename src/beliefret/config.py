@@ -105,7 +105,7 @@ class TrainConfig:
     loss: LossSettings = field(default_factory=LossSettings)
     optim: OptimSettings = field(default_factory=OptimSettings)
     data: DataSettings = field(default_factory=DataSettings)
-    precision: str = "float64"
+    precision: str = "float32"  # of every parameter, op and embedding; a checkpoint keeps its own
     init_from: str = ""  # checkpoint to start from, as stage two starts from stage one
 
     def __post_init__(self):

@@ -71,6 +71,9 @@ def stratified_split(records, val_images_per_class: int):
     return train, val
 
 
+# The file write_outputs keeps the best row's parameters in, beside the run's checkpoint.
+_BEST_FILE = "best.npz"
+
 # Records or captions per embedding call of embed_records.
 _EMBED_CHUNK = 64
 
@@ -303,7 +306,24 @@ class Trainer:
         trainer._build(cfg, dataset)
         restore_parameters(trainer.model, params, strict=True)
         trainer.global_step, trainer.history = global_step, history  # the rows as stored
+        trainer._load_best(os.path.join(os.path.dirname(os.fspath(path)), _BEST_FILE), header["config"])
         return trainer
+
+    def _load_best(self, path, config: dict) -> None:
+        """Keep the parameters of the best row across a resume: take them from
+        the best checkpoint ``write_outputs`` put beside the resumed one, if that
+        file holds this run's best row, at the same config and the row's step."""
+        row = self._best_row()
+        if row is None or not os.path.exists(path):
+            return
+        header, params = load_checkpoint(path)
+        if header.get("config") != config or header.get("global_step") != row["step"]:
+            return
+        if {name: (arr.shape, arr.dtype) for name, arr in params.items()} != {
+            name: (t.data.shape, t.data.dtype) for name, t in self.model.named_parameters()
+        }:
+            raise ParseError(f"{path}: best checkpoint does not hold this model's parameters")
+        self.best_params = params
 
 
 def _report(row: dict | None) -> RecallReport | None:
@@ -317,7 +337,7 @@ def write_outputs(out_dir, trainer: Trainer) -> None:
     """Write the run's checkpoints, history and metrics; a best checkpoint or
     metrics file the run has none of is removed, not left from another run."""
     os.makedirs(out_dir, exist_ok=True)
-    best_path, metrics_path = os.path.join(out_dir, "best.npz"), os.path.join(out_dir, "metrics.json")
+    best_path, metrics_path = os.path.join(out_dir, _BEST_FILE), os.path.join(out_dir, "metrics.json")
     trainer.save(os.path.join(out_dir, "checkpoint.npz"))
     trainer.save_best(best_path)
     with atomic_open(os.path.join(out_dir, "history.csv")) as fh:

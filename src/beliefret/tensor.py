@@ -1,6 +1,7 @@
 """Dense tensors with reverse-mode differentiation.
 
-Values are numpy arrays (float64 by default, float32 opt-in for training) and
+Values are numpy arrays (a float array keeps its type, anything else becomes
+float64; training runs at the config's ``precision``, float32 unless set) and
 every operation records a backward closure, so calling ``backward()`` on a
 scalar accumulates exact partial derivatives into ``.grad`` of every leaf
 tensor that requires them (op outputs keep no gradient). ``backward()``

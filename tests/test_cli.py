@@ -14,7 +14,7 @@ from beliefret.config import TrainConfig, apply_overrides, config_from_dict, con
 from beliefret.data import CorpusSpec, Dataset, generate_corpus, load_dataset, write_dataset
 from beliefret.errors import ParseError
 from beliefret.model import RetrievalModel
-from beliefret.pipeline import Trainer, evaluate_model, run_stage
+from beliefret.pipeline import Trainer, embed_records, evaluate_model, run_stage
 from beliefret.retrieval import REPORT_KEYS
 
 
@@ -537,6 +537,32 @@ def test_class_count_read_from_checkpoint(tmp_path):
     report = evaluate_model(model, load_dataset(paths[3]).records)
     assert json.loads((tmp_path / "eval" / "metrics.json").read_text()) == report.to_dict()
     assert len((tmp_path / "dump-embeddings" / "embeddings.csv").read_text().splitlines()) == 1 + 18 * 6
+
+
+def test_float64_checkpoint_is_evaluated_at_float64(tmp_path, dataset_dir):
+    # a run trained at float64 keeps that precision under the float32 default:
+    # eval and dump-embeddings rebuild the model from the header's config
+    cfg_path = fast_config(tmp_path, dataset_dir)
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(run_dir), "--set", "precision=float64"]) == 0
+    checkpoint = run_dir / "checkpoint.npz"
+    assert TrainConfig().precision == "float32"
+    assert load_checkpoint(checkpoint)[0]["config"]["precision"] == "float64"
+    for command in ("eval", "dump-embeddings"):
+        assert main([command, "--checkpoint", str(checkpoint), "--dataset", str(dataset_dir / "dataset.jsonl"),
+                     "--out", str(tmp_path / command)]) == 0
+
+    trainer = Trainer(apply_overrides(load_config(cfg_path), ["precision=float64"])).train()
+    records = load_dataset(dataset_dir / "dataset.jsonl").records
+    assert json.loads((tmp_path / "eval" / "metrics.json").read_text()) == evaluate_model(trainer.model, records).to_dict()
+    # every dumped value is the float64 embedding itself, which a float32 model would round
+    v, t = embed_records(trainer.model, records)
+    assert v.dtype == t.dtype == np.float64
+    rows = [line.split(",") for line in (tmp_path / "dump-embeddings" / "embeddings.csv").read_text().splitlines()[1:]]
+    dumped = {modality: np.array([[float(x) for x in row[3:]] for row in rows if row[1] == modality])
+              for modality in ("image", "text")}
+    np.testing.assert_array_equal(dumped["image"], v)
+    np.testing.assert_array_equal(dumped["text"], t)
 
 
 def test_checkpoint_without_text_embedding_exit_code(tmp_path, dataset_dir, capsys):

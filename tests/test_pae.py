@@ -383,7 +383,7 @@ def test_compose_embeddings():
     from beliefret.encoders import encode_image_batch, encode_text_batch
     from beliefret.model import RetrievalModel
 
-    model = RetrievalModel(TrainConfig(), vocab_size=30, num_classes=3)
+    model = RetrievalModel(TrainConfig(precision="float64"), vocab_size=30, num_classes=3)
     rng = child(16, "compose")
     pixels = rng.random((2, 3, 16, 16))
     captions = rng.integers(0, 30, size=(2, 5))
@@ -512,7 +512,8 @@ def test_fused_model_matches_composed(monkeypatch):
     spec = CorpusSpec(num_classes=4, images_per_class=10, vocab_size=40, seed=3, granularity="fine")
     data = generate_corpus(spec)
     # three steps and no evaluation, so no validation split (8 images could not rank R@10)
-    cfg = apply_overrides(TrainConfig(), ["optim.batch_size=8", "seed=11", "data.val_images_per_class=0"])
+    cfg = apply_overrides(TrainConfig(precision="float64"),
+                          ["optim.batch_size=8", "seed=11", "data.val_images_per_class=0"])
 
     def three_losses():
         trainer = Trainer(cfg, dataset=data)

@@ -154,7 +154,7 @@ def test_evaluate_model_protocol():
 
 def test_embed_records_matches_per_record_embeddings():
     # 40 records and 200 captions: chunks of 64 cross record boundaries
-    trainer = Trainer(make_config(**{"optim.steps": "1", "optim.batch_size": "16"}), dataset=TINY)
+    trainer = Trainer(make_config(precision="float64", **{"optim.steps": "1", "optim.batch_size": "16"}), dataset=TINY)
     model, records = trainer.model, TINY.records
     v, t = embed_records(model, records)
     with T.no_grad():
@@ -245,7 +245,7 @@ def test_masked_text_pass_matches_per_length_reference(monkeypatch):
     from beliefret.data import epoch_batches
 
     data = generate_corpus(CorpusSpec(num_classes=8, images_per_class=12, vocab_size=48, seed=11))
-    trainer = Trainer(make_config(**{"data.val_images_per_class": "0"}), dataset=data)
+    trainer = Trainer(make_config(precision="float64", **{"data.val_images_per_class": "0"}), dataset=data)
     model = trainer.model
     batch = next(epoch_batches(trainer.train_records, 32, 0, 0))
     assert len({len(cap) for cap in batch.captions}) > 2
@@ -273,8 +273,10 @@ def test_masked_text_pass_matches_per_length_reference(monkeypatch):
 # -- checkpointing -----------------------------------------------------------------------
 
 
-def test_checkpoint_resume_bit_identical(tmp_path):
-    cfg = make_config(**{"optim.steps": "20", "optim.batch_size": "16", "optim.eval_every_epochs": "5"})
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+def test_checkpoint_resume_bit_identical(tmp_path, precision):
+    cfg = make_config(precision=precision,
+                      **{"optim.steps": "20", "optim.batch_size": "16", "optim.eval_every_epochs": "5"})
     straight = Trainer(cfg, dataset=tiny_dataset())
     straight_out = straight.train()
 
@@ -436,6 +438,40 @@ def test_resume_keeps_the_stored_history_rows(tmp_path):
     resumed = Trainer.from_checkpoint(tmp_path / "ck.npz", dataset=TINY)
     assert resumed.global_step == 0
     assert resumed.history == trainer.history and type(resumed.history[-1]["loss"]) is int
+
+
+def test_resumed_run_keeps_its_earlier_best_checkpoint(tmp_path):
+    # seed 1 reads its best mR at step 2, before the resume at step 6, and
+    # never beats it after: the resumed run's outputs keep that row's best.npz
+    cfg = make_config(seed=1, **{"optim.steps": "6", "optim.batch_size": "16", "optim.eval_every_epochs": "1"})
+    run_dir = tmp_path / "run"
+    run_stage(cfg, out_dir=run_dir, dataset=TINY)
+    best_header, best_arrays = load_checkpoint(run_dir / "best.npz")
+    metrics = (run_dir / "metrics.json").read_bytes()
+
+    resumed = Trainer.from_checkpoint(run_dir / "checkpoint.npz", dataset=TINY)
+    assert resumed.best_params is not None
+    resumed.cfg.optim.steps = 12
+    resumed.train()
+    assert resumed._best_row()["step"] == best_header["global_step"] == 2
+    write_outputs(run_dir, resumed)
+    header, arrays = load_checkpoint(run_dir / "best.npz")
+    assert header["global_step"] == 2 and arrays.keys() == best_arrays.keys()
+    for name, arr in best_arrays.items():
+        npt.assert_array_equal(arrays[name], arr, err_msg=name)
+    assert (run_dir / "metrics.json").read_bytes() == metrics
+    # a best.npz that is this run's by its header but lacks a parameter is refused, by name
+    arrays.pop("text.embed")
+    save_checkpoint(run_dir / "best.npz", arrays, header)
+    with pytest.raises(ParseError, match="best.npz: best checkpoint does not hold"):
+        Trainer.from_checkpoint(run_dir / "checkpoint.npz", dataset=TINY)
+
+    # the best.npz of another run (seed 2), at the same step 2, is not this run's best
+    other = tmp_path / "other"
+    run_stage(make_config(seed=2, **{"optim.steps": "6", "optim.batch_size": "16"}), out_dir=other, dataset=TINY)
+    assert load_checkpoint(other / "best.npz")[0]["global_step"] == 2
+    (other / "checkpoint.npz").write_bytes((run_dir / "checkpoint.npz").read_bytes())
+    assert Trainer.from_checkpoint(other / "checkpoint.npz", dataset=TINY).best_params is None
 
 
 def test_named_parameters_built_once_and_kept_through_loading():
@@ -823,13 +859,15 @@ def test_single_value_sweep_equals_plain_run():
     assert rows[0]["mr"] == report.mr
 
 
-def test_divergence_aborts_with_step_diagnostic():
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+def test_divergence_aborts_with_step_diagnostic(precision):
     from beliefret.errors import NumericError
 
-    cfg = make_config(**{"optim.steps": "4", "optim.batch_size": "16"})
+    cfg = make_config(precision=precision, **{"optim.steps": "4", "optim.batch_size": "16"})
     trainer = Trainer(cfg, dataset=TINY)
-    # poison one weight so the next forward overflows
-    trainer.model.image.patch.w.data[...] = 1e200
+    # poison one weight with a value finite in the model's dtype, so the next forward overflows
+    weight = trainer.model.image.patch.w.data
+    weight[...] = np.finfo(weight.dtype).max / 10
     with pytest.raises(NumericError, match="diverged at step 0"):
         trainer.train()
 
@@ -845,7 +883,9 @@ def test_float32_precision_mode():
 def test_affiliation_scale_starts_at_one_over_tau():
     from beliefret.model import RetrievalModel
 
-    trainable = RetrievalModel(make_config(**{"loss.t_trainable": "true", "loss.tau": "0.1"}), 30, 3)
+    # a trainable scale is a parameter in the model's precision: ln 10 exactly at float64
+    trainable = RetrievalModel(make_config(precision="float64", **{"loss.t_trainable": "true", "loss.tau": "0.1"}),
+                               30, 3)
     assert trainable.t_logit.item() == math.log(10.0) and trainable.t_logit.requires_grad
     assert RetrievalModel(make_config(**{"loss.tau": "0.1"}), 30, 3).t_logit == math.log(10.0)
 
@@ -855,7 +895,7 @@ def test_float32_parameters_are_the_float64_draw_cast():
     from beliefret.model import RetrievalModel
 
     base = ["loss.t_trainable=true"]
-    wide = RetrievalModel(apply_overrides(TrainConfig(), base), vocab_size=30, num_classes=3)
+    wide = RetrievalModel(apply_overrides(TrainConfig(), [*base, "precision=float64"]), vocab_size=30, num_classes=3)
     narrow = RetrievalModel(apply_overrides(TrainConfig(), [*base, "precision=float32"]), vocab_size=30, num_classes=3)
     assert [name for name, _ in narrow.named_parameters()] == [name for name, _ in wide.named_parameters()]
     for (_, w), (_, n) in zip(wide.named_parameters(), narrow.named_parameters()):
@@ -895,6 +935,39 @@ def test_float32_every_op_output_is_float32(monkeypatch):
     assert grads and all(g.dtype == np.float32 for g in grads)
 
 
+def test_default_desk_step_is_float32_end_to_end(monkeypatch):
+    # the default config trains and evaluates in float32: a float64 op output,
+    # parameter, gradient or embedding on a desk step would be a silent upcast
+    from beliefret import pipeline
+    from beliefret.data import epoch_batches
+
+    corpus = generate_corpus(CorpusSpec(num_classes=8, images_per_class=12, vocab_size=48, seed=11))
+    trainer = Trainer(TrainConfig(), dataset=corpus)
+    batch = next(epoch_batches(trainer.train_records, trainer.cfg.optim.batch_size, 0, 0))
+    assert len({len(cap) for cap in batch.captions}) > 2  # the padded, masked text pass runs
+    op, sgd = T._op, pipeline.sgd_step
+    outputs, grads = [], []
+
+    def recording_op(data, parents, backward_fn):
+        outputs.append(data.dtype)
+        return op(data, parents, backward_fn)
+
+    def recording_sgd(named, learning_rate):
+        grads.extend(p.grad.dtype for _, p in named if p.grad is not None)
+        return sgd(named, learning_rate)
+
+    monkeypatch.setattr(T, "_op", recording_op)
+    monkeypatch.setattr(pipeline, "sgd_step", recording_sgd)
+    trainer._train_step(batch)
+    assert len(outputs) > 150 and set(outputs) == {np.dtype(np.float32)}
+    assert grads and set(grads) == {np.dtype(np.float32)}
+    assert {t.data.dtype for _, t in trainer.model.named_parameters()} == {np.dtype(np.float32)}
+    outputs.clear()
+    v, t = embed_records(trainer.model, trainer.val_records)
+    assert outputs and set(outputs) == {np.dtype(np.float32)}
+    assert v.dtype == t.dtype == np.float32
+
+
 def test_full_model_gradient_end_to_end():
     # one composed check across encoder, belief filter, both attention stacks
     # and both losses; unsaturated temperature keeps the probe well-posed
@@ -906,6 +979,7 @@ def test_full_model_gradient_end_to_end():
                    caption_len_min=4, caption_len_max=5, seed=2, granularity="fine")
     )
     cfg = make_config(
+        precision="float64",
         **{
             "model.embed_dim": "8", "model.encoder_dim": "8", "model.heads": "2",
             "model.encoder_blocks": "1", "model.spatial_units": "1",
