@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError
 from .tensor import Tensor
 
 
@@ -71,14 +71,7 @@ def attention_block(q_in: Tensor, kv_in: Tensor, p: AttentionParams, key_mask=No
     """Pre-norm residual multi-head attention, one node; queries from q_in,
     keys/values from kv_in (the same tensor for self-attention), padded keys
     marked by ``key_mask`` as in ``tensor.attention``."""
-    if q_in.shape[-2] != kv_in.shape[-2]:
-        raise DimensionError(f"feature dims differ: {q_in.shape} vs {kv_in.shape}")
-    if kv_in is q_in:
-        ln_kv = (None, None)
-    elif p.ln_kv is None:
-        raise ContractError("cross-attention call on self-attention parameters")
-    else:
-        ln_kv = (p.ln_kv.gamma, p.ln_kv.beta)
+    ln_kv = (None, None) if p.ln_kv is None else (p.ln_kv.gamma, p.ln_kv.beta)
     return T.attention(
         q_in, kv_in, p.ln_q.gamma, p.ln_q.beta, *ln_kv,
         p.qkv.w, p.qkv.b, p.o.w, p.o.b, p.heads, key_mask,
@@ -126,7 +119,7 @@ def encoder_block(x: Tensor, p: EncoderBlockParams) -> Tensor:
 
 
 def named_tensors(obj, prefix: str = ""):
-    """Yield (dotted_name, Tensor) pairs from nested dataclasses / lists / dicts."""
+    """Yield (dotted_name, Tensor) pairs from nested dataclasses / lists."""
     if isinstance(obj, Tensor):
         yield prefix, obj
     elif is_dataclass(obj) and not isinstance(obj, type):
@@ -137,6 +130,3 @@ def named_tensors(obj, prefix: str = ""):
     elif isinstance(obj, (list, tuple)):
         for i, value in enumerate(obj):
             yield from named_tensors(value, f"{prefix}.{i}" if prefix else str(i))
-    elif isinstance(obj, dict):
-        for key in obj:
-            yield from named_tensors(obj[key], f"{prefix}.{key}" if prefix else str(key))

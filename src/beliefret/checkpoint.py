@@ -36,6 +36,13 @@ def atomic_open(path, mode: str = "w"):
             os.remove(tmp)
 
 
+def _write_json(path, obj) -> None:
+    """Write ``obj`` as indented JSON with sorted keys and a final newline, atomically."""
+    with atomic_open(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def save_checkpoint(path, named_arrays: dict, header: dict) -> None:
     header = dict(header)
     header["schema_version"] = SCHEMA_VERSION

@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import json
 import os
 import sys
 from collections import Counter
 
-from .checkpoint import atomic_open, load_run, restore_parameters
+from .checkpoint import _write_json, atomic_open, load_run, restore_parameters
 from .config import TrainConfig, apply_overrides, build_checked, load_config, load_json
 from .data import CorpusSpec, generate_corpus, load_dataset, write_dataset
 from .errors import (
@@ -78,9 +77,7 @@ def cmd_gen_data(args) -> int:
         "seed": dataset.meta.seed,
         "sha256": _sha256(data_path),
     }
-    with atomic_open(os.path.join(out_dir, "manifest.json")) as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     print(f"wrote {data_path} ({manifest['records']} records, sha256 {manifest['sha256'][:12]}…)")
     return EXIT_OK
 
@@ -117,9 +114,7 @@ def cmd_eval(args) -> int:
     report = evaluate_model(model, dataset.records)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "metrics.json")
-    with atomic_open(path) as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, report.to_dict())
     print(f"wrote {path}: mR {report.mr:.2f}")
     return EXIT_OK
 

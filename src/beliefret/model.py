@@ -60,8 +60,6 @@ class RetrievalModel:
 
     def __init__(self, cfg: TrainConfig, vocab_size: int, num_classes: int):
         m = cfg.model
-        if vocab_size < 1:
-            raise ConfigError("model needs a positive vocabulary size")
         self.cfg = cfg
         self.num_classes = num_classes
         self.dtype = np.float64 if cfg.precision == "float64" else np.float32

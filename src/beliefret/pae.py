@@ -39,7 +39,7 @@ from .blocks import (
     init_linear,
     linear,
 )
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 from .tensor import Tensor
 
 
@@ -67,8 +67,6 @@ def pael(h_s: Tensor, h_c: Tensor, params: PaelParams, key_mask=None):
     Both attentions take their keys from the source, so ``key_mask`` (see
     ``tensor.attention``) marks its padded columns in both.
     """
-    if h_s.shape[-2] != h_c.shape[-2]:
-        raise DimensionError(f"feature dims differ: {h_s.shape} vs {h_c.shape}")
     s_out = ffn_block(attention_block(h_s, h_s, params.self_attn, key_mask), params.self_ffn)
     c_out = ffn_block(attention_block(h_c, s_out, params.cross_attn, key_mask), params.cross_ffn)
     return s_out, c_out

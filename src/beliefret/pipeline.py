@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import json
 import math
 import os
 import warnings
@@ -22,7 +21,7 @@ import warnings
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import atomic_open, load_checkpoint, load_run, restore_parameters, save_checkpoint
+from .checkpoint import _write_json, atomic_open, load_checkpoint, load_run, restore_parameters, save_checkpoint
 from .config import TrainConfig, apply_overrides, build_checked, config_from_dict, config_to_dict
 from .data import Dataset, epoch_batches, load_dataset
 from .encoders import fit_instruction
@@ -344,9 +343,7 @@ def write_outputs(out_dir, trainer: Trainer) -> None:
         fh.write(history_to_csv(trainer.history))
     report = trainer.best_report
     if report is not None:
-        with atomic_open(metrics_path) as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(metrics_path, report.to_dict())
     for path, written in ((best_path, trainer.best_params is not None), (metrics_path, report is not None)):
         if not written and os.path.exists(path):
             os.remove(path)

@@ -45,48 +45,46 @@ def _diverse_labels(rng, b: int, c: int) -> np.ndarray:
 # -- gradient suite ---------------------------------------------------------------
 
 
+def _probe_each(args: list, readout, skip=frozenset()) -> float:
+    """Worst grad_check error of ``readout(args)`` over each probed argument."""
+    worst = 0.0
+    for i, arg in enumerate(args):
+        if i not in skip:
+            worst = max(worst, grad_check(lambda v: readout(args[:i] + [v] + args[i + 1 :]), arg))
+    return worst
+
+
 def _grad_contrastive(seed: int) -> float:
     rng = child(seed, "gs-contrastive")
-    v = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    t = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    args = [Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(2)]
     # tau 0.5 keeps the softmax unsaturated: at 0.07 true gradient components
     # fall to ~1e-8, below the 64-bit central-difference noise floor; the
     # backward path itself does not depend on tau
-    return max(
-        grad_check(lambda x: contrastive_loss(x, t, tau=0.5), v),
-        grad_check(lambda x: contrastive_loss(v, x, tau=0.5), t),
-    )
+    return _probe_each(args, lambda a: contrastive_loss(*a, tau=0.5))
 
 
 def _grad_affiliation(seed: int) -> float:
     rng = child(seed, "gs-affiliation")
     b, c = 4, 2
-    v = Tensor(rng.normal(size=(b, 3)), requires_grad=True)
-    t = Tensor(rng.normal(size=(b, 3)), requires_grad=True)
+    args = [Tensor(rng.normal(size=(b, 3)), requires_grad=True) for _ in range(2)]
     labels = _diverse_labels(rng, b, c)
     t_logit = float(rng.normal())
-    return max(
-        grad_check(lambda x: affiliation_loss(x, t, labels, c, t_logit), v),
-        grad_check(lambda x: affiliation_loss(v, x, labels, c, t_logit), t),
-    )
+    return _probe_each(args, lambda a: affiliation_loss(*a, labels, c, t_logit))
 
 
 def _grad_pael(seed: int) -> float:
     rng = child(seed, "gs-pael")
     d = 4
     params = init_pael(child(seed, "gs-pael-params"), d, heads=2)
-    h_s = Tensor(rng.normal(size=(d, 3)), requires_grad=True)
-    h_c = Tensor(rng.normal(size=(d, 2)), requires_grad=True)
+    args = [Tensor(rng.normal(size=(d, n)), requires_grad=True) for n in (3, 2)]
     coef_s = Tensor(rng.normal(size=(d, 3)))
     coef_c = Tensor(rng.normal(size=(d, 2)))
 
-    def readout(s, c):
+    def readout(a):
+        s, c = pael(*a, params)
         return (s * coef_s).sum() + (c * coef_c).sum()
 
-    return max(
-        grad_check(lambda x: readout(*pael(x, h_c, params)), h_s),
-        grad_check(lambda x: readout(*pael(h_s, x, params)), h_c),
-    )
+    return _probe_each(args, readout)
 
 
 def _grad_spatial(seed: int) -> float:
@@ -94,13 +92,9 @@ def _grad_spatial(seed: int) -> float:
     d = 4
     # two units, as training runs it: the second unit carries the one pooled column
     stack = init_pae_stack(child(seed, "gs-spatial-params"), d, heads=2, n_units=2)
-    tokens = Tensor(rng.normal(size=(d, 3)), requires_grad=True)
-    ins = Tensor(rng.normal(size=d), requires_grad=True)
+    args = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((d, 3), d)]
     coef = Tensor(rng.normal(size=d))
-    return max(
-        grad_check(lambda x: (spatial_pae(x, ins, stack) * coef).sum(), tokens),
-        grad_check(lambda x: (spatial_pae(tokens, x, stack) * coef).sum(), ins),
-    )
+    return _probe_each(args, lambda a: (spatial_pae(*a, stack) * coef).sum())
 
 
 def _grad_temporal(seed: int) -> float:
@@ -118,25 +112,11 @@ def _grad_refine_batch(seed: int) -> float:
     # ranks are piecewise constant, so central differences see them frozen
     rng = child(seed, "gs-refine")
     b, d, length = 2, 3, 5
-    feats = Tensor(rng.normal(size=(b, d, length)), requires_grad=True)
-    ins = Tensor(rng.normal(size=(b, d)), requires_grad=True)
+    args = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((b, d, length), (b, d))]
     worst = 0.0
     for mode, width in (("soft-sequence", length), ("soft-aggregate", 1)):
         coef = Tensor(rng.normal(size=(b, d, width)))
-        worst = max(
-            worst,
-            grad_check(lambda x: (refine_batch(x, ins, mode) * coef).sum(), feats),
-            grad_check(lambda x: (refine_batch(feats, x, mode) * coef).sum(), ins),
-        )
-    return worst
-
-
-def _probe_each(args: list, readout, skip=frozenset()) -> float:
-    """Worst grad_check error of ``readout(args)`` over each probed argument."""
-    worst = 0.0
-    for i, arg in enumerate(args):
-        if i not in skip:
-            worst = max(worst, grad_check(lambda v: readout(args[:i] + [v] + args[i + 1 :]), arg))
+        worst = max(worst, _probe_each(args, lambda a: (refine_batch(*a, mode) * coef).sum()))
     return worst
 
 
@@ -517,12 +497,7 @@ def invariant_checks() -> list:
 
 
 def run_suite(suite: str, grad_seeds: int = 100) -> list:
-    if suite == "all":
-        return gradient_checks(grad_seeds) + oracle_checks() + invariant_checks()
-    if suite == "gradients":
-        return gradient_checks(grad_seeds)
-    if suite == "oracles":
-        return oracle_checks()
-    if suite == "invariants":
-        return invariant_checks()
-    raise BeliefretError(f"unknown verification suite {suite!r}")
+    runs = {"gradients": lambda: gradient_checks(grad_seeds), "oracles": oracle_checks, "invariants": invariant_checks}
+    if suite not in (*runs, "all"):
+        raise BeliefretError(f"unknown verification suite {suite!r}")
+    return [row for name, run in runs.items() if suite in (name, "all") for row in run()]

@@ -1,14 +1,15 @@
 """Acceptance criteria, one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines; thresholds are fixed here and mirror the self-check suites behind
-``beliefret verify``.
+lines. Each self-check suite behind ``beliefret verify`` runs here at its own
+defaults, the one place that fixes its cases, seeds and tolerances.
 """
 
 import math
 import time
 
 import numpy as np
+import pytest
 
 from beliefret.config import LossSettings, TrainConfig, apply_overrides
 from beliefret.data import CorpusSpec, generate_corpus
@@ -16,18 +17,7 @@ from beliefret.losses import affiliation_loss, contrastive_loss
 from beliefret.pipeline import Trainer, run_stage
 from beliefret.rng import child
 from beliefret.tensor import Tensor, sgd_step
-from beliefret.verify import (
-    GRADIENT_CHECKS,
-    affiliation_oracle_check,
-    gradient_checks,
-    hard_filter_oracle_check,
-    mean_recall_arithmetic_check,
-    rank_oracle_check,
-    recall_oracle_check,
-    unique_label_reduction_check,
-)
-
-GRAD_SEEDS = 100
+from beliefret.verify import SUITES, run_suite
 
 
 def announce(name, ok, detail):
@@ -39,61 +29,15 @@ def make_config(**overrides):
     return apply_overrides(TrainConfig(), [f"{k}={v}" for k, v in overrides.items()])
 
 
-# -- criterion: gradient suite ---------------------------------------------------
+# -- criterion: each verify suite --------------------------------------------------
 
 
-def test_gradient_suite():
-    started = time.perf_counter()
-    results = gradient_checks(seeds=GRAD_SEEDS)
-    elapsed = time.perf_counter() - started
-    per_fn = {r.name: r for r in results}
-    ok = all(r.ok for r in results) and elapsed < 60.0
-    detail = "; ".join(
-        f"{name} {per_fn[name].detail.split()[3]}" for name, _ in GRADIENT_CHECKS
-    ) + f"; runtime {elapsed:.1f}s < 60s"
-    announce("gradient-suite", ok, detail)
-
-
-# -- criterion: rank oracle -------------------------------------------------------
-
-
-def test_rank_oracle():
-    result = rank_oracle_check(cases=1000)
-    announce("rank-oracle", result.ok, result.detail)
-
-
-# -- criterion: hard-filter oracle ---------------------------------------------------
-
-
-def test_hard_filter_oracle():
-    result = hard_filter_oracle_check(cases=1000)
-    announce("hard-filter-oracle", result.ok, result.detail)
-
-
-# -- criterion: affiliation-loss oracle ------------------------------------------------
-
-
-def test_affiliation_oracle():
-    result = affiliation_oracle_check(cases=200, tolerance=1e-8)
-    announce("affiliation-oracle", result.ok, result.detail)
-
-
-# -- criterion: unique-label reduction ---------------------------------------------------
-
-
-def test_unique_label_reduction():
-    result = unique_label_reduction_check(cases=100, tolerance=1e-6)
-    announce("unique-label-reduction", result.ok, result.detail)
-
-
-# -- criterion: metric arithmetic -----------------------------------------------------------
-
-
-def test_metric_arithmetic():
-    mean_result = mean_recall_arithmetic_check()
-    oracle_result = recall_oracle_check(cases=500)
-    ok = mean_result.ok and oracle_result.ok
-    announce("metric-arithmetic", ok, f"{mean_result.detail}; {oracle_result.detail}")
+@pytest.mark.parametrize("suite", SUITES)
+def test_verify_suite(suite):
+    results = run_suite(suite)
+    for r in results:
+        print(f"[{'PASS' if r.ok else 'FAIL'}] {r.suite}/{r.name}: {r.detail}")
+    assert all(r.ok for r in results), [r.name for r in results if not r.ok]
 
 
 # -- criterion: convergence smoke test ----------------------------------------------------------

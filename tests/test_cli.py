@@ -8,6 +8,8 @@ import shutil
 import numpy as np
 import pytest
 
+from beliefret import tensor as T
+from beliefret import verify
 from beliefret.checkpoint import load_checkpoint, restore_parameters, save_checkpoint
 from beliefret.cli import main
 from beliefret.config import TrainConfig, apply_overrides, config_from_dict, config_to_dict, load_config
@@ -159,6 +161,21 @@ def test_verify_command_fast(capsys):
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
     assert main(["verify", "--suite", "gradients", "--grad-seeds", "3"]) == 0
+
+
+def test_verify_reports_a_wrong_piece(monkeypatch, capsys):
+    # the layer norm's dx without its x̂·mean(gn·x̂) term, and ranks that count
+    # each value as smaller than itself
+    def norm_grads_without_projection(gn, normed, std, residual=None):
+        gn = (gn - gn.mean(axis=-2, keepdims=True)) / std
+        return gn if residual is None else gn + residual
+
+    monkeypatch.setattr(T, "_norm_grads", norm_grads_without_projection)
+    assert main(["verify", "--suite", "gradients", "--grad-seeds", "3"]) == 4
+    assert re.search(r"^\[FAIL\] gradients/ffn: ", capsys.readouterr().out, re.M)
+    monkeypatch.setattr(verify, "_strict_rank", lambda v: 1 + (v[..., None, :] <= v[..., :, None]).sum(axis=-1))
+    result = verify.rank_oracle_check()
+    assert not result.ok and result.name == "rank_vs_brute_force"
 
 
 def test_error_exit_codes(tmp_path, dataset_dir):

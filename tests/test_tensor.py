@@ -15,6 +15,8 @@ from beliefret.errors import (
 from beliefret.rng import child
 from beliefret.tensor import Tensor, grad_check
 
+from composed import composed_layer_norm
+
 
 # The package has no log or mean op: these references are built from its ops,
 # so the gradient oracle and the trap still cover a log and a scaled sum.
@@ -104,18 +106,6 @@ def test_softmax_empty_axis_rejected():
         T.softmax(Tensor(3.0))
 
 
-def test_softmax_sums_to_one_and_permutation_equivariant():
-    for seed in range(50):
-        rng = child(seed, "softmax-prop")
-        x = rng.normal(size=8) * 5.0
-        y = T.softmax(Tensor(x)).data
-        assert abs(y.sum() - 1.0) < 1e-6
-        assert (y >= 0).all()
-        perm = rng.permutation(8)
-        y_perm = T.softmax(Tensor(x[perm])).data
-        npt.assert_allclose(y_perm, y[perm], atol=1e-12)
-
-
 # -- layer norm ---------------------------------------------------------------
 #
 # The norm lives inside the pre-norm ops ffn and attention; these check its
@@ -151,17 +141,6 @@ def test_layer_norm_standardises_along_axis():
     npt.assert_allclose(std, np.sqrt(x.var(axis=-2, keepdims=True) + 1e-5), rtol=1e-12)
 
 
-def composed_layer_norm(x, eps=1e-5):
-    """(x̂, s) along the feature axis (-2) as a graph of primitive ops, with the
-    mean and variance taken as products with the (1, d) row of 1/d: the
-    reference the fused helper matches."""
-    d = x.shape[-2]
-    avg = Tensor(np.full((1, d), 1.0 / d), dtype=x.dtype)
-    centered = x - T.matmul(avg, x)
-    std = T.tsqrt(T.matmul(avg, centered * centered) + eps)
-    return centered / std, std
-
-
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_layer_norm_fused_forward_matches_composed_bit_for_bit(dtype):
     for seed in range(20):
@@ -191,39 +170,14 @@ def test_pre_norm_ops_refuse_mismatched_norms():
         T.attention(x, kv, ones, zeros, None, None, *w, heads=2)
 
 
-# -- folded gamma and beta ------------------------------------------------------
+# -- fused sublayers ------------------------------------------------------------
 #
-# The unfolded composition normalises, scales and shifts by gamma and beta, and
-# then applies the sublayer's first product, w·(γ·x̂ + β) + b; the fused ops
-# fold gamma and beta into w and b instead.
-
-
-def unfolded_norm(x, gamma, beta):
-    return gamma * composed_layer_norm(x)[0] + beta
-
-
-def unfolded_ffn(x, gamma, beta, w1, b1, w2, b2):
-    return x + T.affine(w2, T.ttanh(T.affine(w1, unfolded_norm(x, gamma, beta), b1)), b2)
-
-
-def unfolded_attention(xq, xkv, gamma_q, beta_q, gamma_kv, beta_kv, w_qkv, b_qkv, wo, bo, heads):
-    hq = unfolded_norm(xq, gamma_q, beta_q)
-    hkv = hq if xkv is xq else unfolded_norm(xkv, gamma_kv, beta_kv)
-    *lead, d, lq = xq.shape
-    dh = d // heads
-
-    def heads_of(h, i):  # the i-th of the Q, K and V projections stacked in w_qkv
-        rows = slice(i * d, (i + 1) * d)
-        return T.affine(w_qkv[rows], h, b_qkv[rows]).reshape((*lead, heads, dh, h.shape[-1]))
-
-    q, k, v = heads_of(hq, 0), heads_of(hkv, 1), heads_of(hkv, 2)
-    weights = T.softmax(T.matmul(q.swapaxes(-1, -2), k) * dh**-0.5, axis=-1)
-    ctx = T.matmul(v, weights.swapaxes(-1, -2)).reshape((*lead, d, lq))
-    return xq + T.affine(wo, ctx, bo)
+# tests/composed.py builds the same sublayers from primitive ops; test_pae.py
+# checks every output and gradient of the fused blocks against it.
 
 
 def _sublayer_case(kind, seed, dtype):
-    """(fused op, unfolded reference, arguments) of one random batched case."""
+    """(fused op, arguments) of one random batched case."""
     rng = child(seed, "fold", kind)
     d = 4
 
@@ -233,39 +187,15 @@ def _sublayer_case(kind, seed, dtype):
     x = leaf((2, d, 5))
     if kind == "ffn":
         args = [x, leaf((d, 1)), leaf((d, 1)), leaf((6, d), 0.5), leaf((6, 1)), leaf((d, 6), 0.5), leaf((d, 1))]
-        return T.ffn, unfolded_ffn, args
+        return T.ffn, args
     kv, norm_kv = (x, [None, None]) if kind == "self" else (leaf((2, d, 3)), [leaf((d, 1)), leaf((d, 1))])
     weights = [leaf((3 * d, d), 0.5), leaf((3 * d, 1)), leaf((d, d), 0.5), leaf((d, 1))]
     args = [x, kv, leaf((d, 1)), leaf((d, 1)), *norm_kv, *weights]
-    return (
-        lambda *a: T.attention(*a, heads=2),
-        lambda *a: unfolded_attention(*a, heads=2),
-        args,
-    )
+    return lambda *a: T.attention(*a, heads=2), args
 
 
 def _leaves(args):
     return list({id(t): t for t in args if t is not None}.values())
-
-
-@pytest.mark.parametrize("kind", ["ffn", "self", "cross"])
-def test_folded_sublayer_matches_unfolded_composition(kind):
-    for seed in range(10):
-        fused, unfolded, args = _sublayer_case(kind, seed, np.float64)
-        leaves = _leaves(args)
-        coef = child(seed, "fold-coef", kind).normal(size=args[0].shape)
-        results = []
-        for f in (fused, unfolded):
-            for t in leaves:
-                t.zero_grad()
-            out = f(*args)
-            (out * coef).sum().backward()
-            results.append((out.data, [t.grad for t in leaves]))
-        (out, grads), (ref, ref_grads) = results
-        npt.assert_allclose(out, ref, rtol=0, atol=1e-12)
-        for g, ref_g in zip(grads, ref_grads):
-            assert g.shape == ref_g.shape
-            npt.assert_allclose(g, ref_g, rtol=0, atol=1e-10)
 
 
 def _arrays_in(obj):
@@ -289,7 +219,7 @@ def test_folded_sublayer_stays_float32(kind, monkeypatch):
             return out
 
         monkeypatch.setattr(T, name, recording)
-    fused, _, args = _sublayer_case(kind, 0, np.float32)
+    fused, args = _sublayer_case(kind, 0, np.float32)
     out = fused(*args)
     kept = list(_arrays_in([cell.cell_contents for cell in out._backward_fn.__closure__]))
     (out * child(0, "fold-coef32").normal(size=out.shape).astype(np.float32)).sum().backward()
@@ -306,7 +236,7 @@ def _closure(fn) -> dict:
 
 @pytest.mark.parametrize("kind,saved", [("ffn", "h"), ("self", "p"), ("cross", "p")])
 def test_backward_frees_what_an_op_saved(kind, saved):
-    fused, _, args = _sublayer_case(kind, 0, np.float64)
+    fused, args = _sublayer_case(kind, 0, np.float64)
     out = fused(*args)
     kept = weakref.ref(_closure(out._backward_fn)[saved])  # tanh(·) of ffn, attention's softmax
     assert kept() is not None
@@ -528,25 +458,7 @@ def test_grad_check_constant_function():
     assert grad_check(lambda t: c.sum(), x) == 0.0
 
 
-# layer_norm cases check the norm inside the pre-norm ops in the production
-# layout: a (B, d, L) input normalised along d with (d, 1) gamma and beta. The
-# layer_norm_* cases probe x, gamma or beta of a fixed ffn, and layer_norm the
-# input of a fixed self-attention; the coefficient tensor has the input's shape.
-LN_GAMMA = Tensor(child(10, "gc-ln-gamma").normal(size=(4, 1)))
-LN_BETA = Tensor(child(10, "gc-ln-beta").normal(size=(4, 1)))
-LN_FFN = [
-    Tensor(child(10, "gc-ln-ffn", i).normal(size=shape) * scale)
-    for i, (shape, scale) in enumerate((((6, 4), 0.5), ((6, 1), 1.0), ((4, 6), 6**-0.5), ((4, 1), 1.0)))
-]
-LN_ATTN = [
-    Tensor(child(10, "gc-ln-attn", i).normal(size=shape) * scale)
-    for i, (shape, scale) in enumerate((((12, 4), 0.5), ((12, 1), 1.0), ((4, 4), 0.5), ((4, 1), 1.0)))
-]
 RANDOMISED_SHAPES = {
-    "layer_norm": ((2, 4, 3), (2, 4, 3)),
-    "layer_norm_x": ((2, 4, 3), (2, 4, 3)),
-    "layer_norm_gamma": ((4, 1), (2, 4, 3)),
-    "layer_norm_beta": ((4, 1), (2, 4, 3)),
     "index_hard_filter": ((2, 3, 5), (2, 3, 4)),
 }
 # the hard filter's key: per batch row, the kept columns of every feature row
@@ -564,13 +476,12 @@ def along_last(shape, idx):
 
 
 # Readouts are weighted by a random coefficient tensor so the gradient never
-# collapses to an identical zero (softmax/layer_norm sums are constants).
+# collapses to an identical zero (softmax sums are constants).
 @pytest.mark.parametrize(
     "name,f",
     [
         ("softmax", lambda t, c: (T.softmax(t, axis=-1) * c).sum()),
         ("log_softmax", lambda t, c: (T.log_softmax(t, axis=-1) * c).sum()),
-        ("layer_norm", lambda t, c: (T.attention(t, t, LN_GAMMA, LN_BETA, None, None, *LN_ATTN, 2) * c).sum()),
         ("l2_normalize", lambda t, c: (T.l2_normalize(t, axis=-1) * c).sum()),
         ("exp", lambda t, c: (T.texp(t * 0.3) * c).sum()),
         ("log", lambda t, c: (tlog(t * t + 1.0) * c).sum()),
@@ -591,9 +502,6 @@ def along_last(shape, idx):
         ("transpose", lambda t, c: (T.transpose(t, (1, 0)) * T.transpose(c, (1, 0))).sum()),
         ("take_along_last", lambda t, c: (t[along_last(t.shape, np.array([[0, 2, 2], [3, 1, 0]]))] * 0.5).sum()),
         ("index_hard_filter", lambda t, c: (t[HARD_FILTER_KEY] * c).sum()),
-        ("layer_norm_x", lambda t, c: (T.ffn(t, LN_GAMMA, LN_BETA, *LN_FFN) * c).sum()),
-        ("layer_norm_gamma", lambda t, c: (T.ffn(c * 2.0 + 0.5, t, LN_BETA, *LN_FFN) * c).sum()),
-        ("layer_norm_beta", lambda t, c: (T.ffn(c, LN_GAMMA, t, *LN_FFN) * T.ttanh(c)).sum()),
     ],
 )
 def test_grad_check_ops_randomised(name, f):
