@@ -497,7 +497,11 @@ def invariant_checks() -> list:
 
 
 def run_suite(suite: str, grad_seeds: int = 100) -> list:
-    runs = {"gradients": lambda: gradient_checks(grad_seeds), "oracles": oracle_checks, "invariants": invariant_checks}
+    runs = {
+        "gradients": lambda: gradient_checks(grad_seeds),
+        "oracles": oracle_checks,
+        "invariants": invariant_checks,
+    }
     if suite not in (*runs, "all"):
         raise BeliefretError(f"unknown verification suite {suite!r}")
     return [row for name, run in runs.items() if suite in (name, "all") for row in run()]
