@@ -5,6 +5,7 @@ lines. Each self-check suite behind ``beliefret verify`` runs here at its own
 defaults, the one place that fixes its cases, seeds and tolerances.
 """
 
+import functools
 import math
 import time
 
@@ -32,12 +33,45 @@ def make_config(**overrides):
 # -- criterion: each verify suite --------------------------------------------------
 
 
+# each suite runs once per session; the per-criterion tests below read its rows
+suite_rows = functools.cache(run_suite)
+
+
 @pytest.mark.parametrize("suite", SUITES)
 def test_verify_suite(suite):
-    results = run_suite(suite)
+    results = suite_rows(suite)
     for r in results:
         print(f"[{'PASS' if r.ok else 'FAIL'}] {r.suite}/{r.name}: {r.detail}")
     assert all(r.ok for r in results), [r.name for r in results if not r.ok]
+
+
+def announce_rows(criterion, suite, *names):
+    rows = {r.name: r for r in suite_rows(suite)}
+    picked = [rows[name] for name in names]
+    announce(criterion, all(r.ok for r in picked), "; ".join(f"{r.name} {r.detail}" for r in picked))
+
+
+# -- criterion: each oracle row --------------------------------------------------------
+
+
+def test_rank_oracle():
+    announce_rows("rank-oracle", "oracles", "rank_vs_brute_force")
+
+
+def test_hard_filter_oracle():
+    announce_rows("hard-filter-oracle", "oracles", "hard_filter_top_k")
+
+
+def test_affiliation_oracle():
+    announce_rows("affiliation-oracle", "oracles", "affiliation_vs_loop_oracle")
+
+
+def test_unique_label_reduction():
+    announce_rows("unique-label-reduction", "oracles", "unique_label_reduction")
+
+
+def test_metric_arithmetic():
+    announce_rows("metric-arithmetic", "oracles", "mean_recall_published_row", "recall_vs_sort_oracle")
 
 
 # -- criterion: convergence smoke test ----------------------------------------------------------
