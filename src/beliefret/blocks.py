@@ -4,6 +4,11 @@ Pre-norm residual wiring throughout: x + Sublayer(LayerNorm(x)), each sublayer
 one node of ``tensor.attention`` or ``tensor.ffn``. Feed-forward
 stacks use tanh, which is smooth everywhere so difference-based gradient
 verification stays tight.
+
+``encoder_block``, an attention sublayer followed by a feed-forward one, is
+the one block of both encoder towers and of both attention stacks: a self
+block attends over its own input, a cross block (``cross=True``) takes its
+keys and values from another sequence.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError
 from .tensor import Tensor
 
 
@@ -56,8 +60,6 @@ class AttentionParams:
 
 
 def init_attention(rng: np.random.Generator, d: int, heads: int, cross: bool = False) -> AttentionParams:
-    if d % heads != 0:
-        raise ConfigError(f"head count {heads} must divide feature dim {d}")
     return AttentionParams(
         heads=heads,
         ln_q=init_norm(d),
@@ -107,15 +109,17 @@ class EncoderBlockParams:
     ffn: FfnParams
 
 
-def init_encoder_block(rng: np.random.Generator, d: int, heads: int) -> EncoderBlockParams:
+def init_encoder_block(rng: np.random.Generator, d: int, heads: int, cross: bool = False) -> EncoderBlockParams:
     return EncoderBlockParams(
-        attn=init_attention(rng, d, heads, cross=False),
+        attn=init_attention(rng, d, heads, cross=cross),
         ffn=init_ffn(rng, d),
     )
 
 
-def encoder_block(x: Tensor, p: EncoderBlockParams) -> Tensor:
-    return ffn_block(attention_block(x, x, p.attn), p.ffn)
+def encoder_block(x: Tensor, p: EncoderBlockParams, kv: Tensor | None = None, key_mask=None) -> Tensor:
+    """Attention then feed-forward, two nodes; queries from x, keys and values
+    from ``kv`` when given (a cross block) and from x otherwise."""
+    return ffn_block(attention_block(x, x if kv is None else kv, p.attn, key_mask), p.ffn)
 
 
 def named_tensors(obj, prefix: str = ""):

@@ -16,7 +16,7 @@ import numpy as np
 from .config import TrainConfig, build_checked
 from .errors import ConfigError, ParseError
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 _HEADER_KEY = "__header__"
 _PARAM_PREFIX = "param::"

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .model import RetrievalModel
 from .pipeline import _check_captions, _check_image_size, embed_records, evaluate_model, run_stage, sweep
-from .verify import SUITES, run_suite
+from .verify import GRAD_SEEDS, SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -150,6 +150,8 @@ def cmd_dump_embeddings(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.grad_seeds < 1:
+        raise ConfigError(f"--grad-seeds must be at least 1, got {args.grad_seeds}")
     results = run_suite(args.suite, grad_seeds=args.grad_seeds)
     failures = 0
     for r in results:
@@ -197,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run self-check suites")
     ver.add_argument("--suite", default="all", choices=(*SUITES, "all"))
-    ver.add_argument("--grad-seeds", type=int, default=100)
+    ver.add_argument("--grad-seeds", type=int, default=GRAD_SEEDS)
     ver.set_defaults(fn=cmd_verify)
 
     return parser

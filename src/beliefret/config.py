@@ -2,7 +2,10 @@
 
 Configs are JSON with a schema version. Loading rejects unknown keys, and
 command-line overrides use dotted paths (``--set optim.steps=200``) with type
-coercion against the dataclass field types.
+coercion against the dataclass field types. Every rule of a valid config is
+checked here, when it is built: each settings class checks its own values, and
+``TrainConfig`` applies its stage's preset and then the rule that spans
+sections, so a config that builds is one a model can be built from.
 """
 
 from __future__ import annotations
@@ -40,6 +43,13 @@ class ModelSettings:
             least = 0 if name.endswith("_units") else 1
             if getattr(self, name) < least:
                 raise ConfigError(f"model.{name} must be at least {least}")
+        if self.encoder_dim < self.embed_dim:
+            raise ConfigError(f"model.encoder_dim={self.encoder_dim} must be at least model.embed_dim={self.embed_dim}")
+        for name in ("embed_dim", "encoder_dim"):
+            if getattr(self, name) % self.heads:
+                raise ConfigError(f"model.heads={self.heads} must divide model.{name}={getattr(self, name)}")
+        if self.image_size % self.patch_size:
+            raise ConfigError(f"model.patch_size={self.patch_size} must divide model.image_size={self.image_size}")
 
 
 @dataclass
@@ -115,6 +125,12 @@ class TrainConfig:
             raise ConfigError(f"stage must be one of {STAGES}, got {self.stage!r}")
         if self.precision not in PRECISIONS:
             raise ConfigError(f"precision must be one of {PRECISIONS}")
+        if self.stage == "stage1-pretrain":  # a plain dual encoder under the pairwise loss alone
+            self.model = dataclasses.replace(self.model, spatial_units=0, temporal_units=0)
+            self.loss = dataclasses.replace(self.loss, lambda_cs=0.0)
+        tokens = (self.model.image_size // self.model.patch_size) ** 2 + 1  # the patches and the global token
+        if self.model.spatial_units and self.belief.mode == "hard" and self.belief.filter_k > tokens:
+            raise ConfigError(f"belief.filter_k={self.belief.filter_k} exceeds the {tokens} visual tokens")
 
 
 def config_to_dict(cfg: TrainConfig) -> dict:

@@ -43,10 +43,16 @@ class ImageEncoderParams:
     blocks: list
     proj: LinearParams  # (d, d_enc)
 
-    @property
-    def tokens(self) -> int:
-        side = self.image_size // self.patch_size
-        return side * side
+
+def _init_tower(rng: np.random.Generator, d: int, d_enc: int, n: int, blocks: int, heads: int) -> dict:
+    """The global token, the positions of n + 1 columns, the blocks and the
+    projection of one tower, drawn in that order after the tower's input map."""
+    return dict(
+        cls_token=Tensor(rng.normal(0.0, 0.5, size=(d_enc, 1)), requires_grad=True),
+        pos=Tensor(rng.normal(0.0, 0.1, size=(d_enc, n + 1)), requires_grad=True),
+        blocks=[init_encoder_block(rng, d_enc, heads) for _ in range(blocks)],
+        proj=init_linear(rng, d_enc, d),
+    )
 
 
 def init_image_encoder(
@@ -58,20 +64,9 @@ def init_image_encoder(
     blocks: int,
     heads: int,
 ) -> ImageEncoderParams:
-    if d_enc < d:
-        raise ConfigError(f"internal width {d_enc} must be at least the embedding dim {d}")
-    if image_size % patch_size != 0:
-        raise ConfigError(f"patch size {patch_size} must divide image size {image_size}")
+    patch = init_linear(rng, 3 * patch_size * patch_size, d_enc)
     m = (image_size // patch_size) ** 2
-    return ImageEncoderParams(
-        image_size=image_size,
-        patch_size=patch_size,
-        patch=init_linear(rng, 3 * patch_size * patch_size, d_enc),
-        cls_token=Tensor(rng.normal(0.0, 0.5, size=(d_enc, 1)), requires_grad=True),
-        pos=Tensor(rng.normal(0.0, 0.1, size=(d_enc, m + 1)), requires_grad=True),
-        blocks=[init_encoder_block(rng, d_enc, heads) for _ in range(blocks)],
-        proj=init_linear(rng, d_enc, d),
-    )
+    return ImageEncoderParams(image_size, patch_size, patch, **_init_tower(rng, d, d_enc, m, blocks, heads))
 
 
 def patch_columns(pixels: np.ndarray, patch_size: int) -> np.ndarray:
@@ -134,19 +129,10 @@ def init_text_encoder(
     blocks: int,
     heads: int,
 ) -> TextEncoderParams:
-    if d_enc < d:
-        raise ConfigError(f"internal width {d_enc} must be at least the embedding dim {d}")
-    if vocab_size < 1 or max_len < 1:
-        raise ConfigError("text encoder needs a positive vocab size and max length")
-    return TextEncoderParams(
-        vocab_size=vocab_size,
-        max_len=max_len,
-        embed=Tensor(rng.normal(0.0, 0.5, size=(d_enc, vocab_size)), requires_grad=True),
-        cls_token=Tensor(rng.normal(0.0, 0.5, size=(d_enc, 1)), requires_grad=True),
-        pos=Tensor(rng.normal(0.0, 0.1, size=(d_enc, max_len + 1)), requires_grad=True),
-        blocks=[init_encoder_block(rng, d_enc, heads) for _ in range(blocks)],
-        proj=init_linear(rng, d_enc, d),
-    )
+    if vocab_size < 1:
+        raise ConfigError("text encoder needs a positive vocab size")
+    embed = Tensor(rng.normal(0.0, 0.5, size=(d_enc, vocab_size)), requires_grad=True)
+    return TextEncoderParams(vocab_size, max_len, embed, **_init_tower(rng, d, d_enc, max_len, blocks, heads))
 
 
 def encode_text_batch(ids: np.ndarray, params: TextEncoderParams) -> Tensor:

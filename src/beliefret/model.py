@@ -35,7 +35,6 @@ from .encoders import (
     encode_text_batch,
     instruction_batch,
 )
-from .errors import ConfigError
 from .losses import affiliation_loss, contrastive_loss
 from .pae import init_pae_stack, spatial_pae, temporal_pae
 from .rng import child
@@ -90,10 +89,6 @@ class RetrievalModel:
                 child(cfg.seed, "instruction"), m.embed_dim, num_classes, 3 * m.image_size**2
             )
             self.spatial = init_pae_stack(child(cfg.seed, "spatial_pae"), m.embed_dim, m.heads, m.spatial_units)
-            if cfg.belief.mode == "hard" and cfg.belief.filter_k > self.image.tokens + 1:
-                raise ConfigError(
-                    f"belief.filter_k={cfg.belief.filter_k} exceeds the {self.image.tokens + 1} visual tokens"
-                )
         if m.temporal_units:
             self.temporal = init_pae_stack(child(cfg.seed, "temporal_pae"), m.embed_dim, m.heads, m.temporal_units)
         # one temperature: the affiliation scale e^t starts at 1/tau

@@ -1,8 +1,9 @@
 """Progressive attention encoding.
 
-One layer (``pael``) self-refines a source sequence and then injects it into a
-companion sequence through cross-attention: queries come from the companion,
-keys and values from the freshly refined source, so the two updates are serial
+One layer (``pael``) is two ``blocks.encoder_block`` calls, the block the
+encoder towers use: a self block refines a source sequence, then a cross block
+injects it into a companion sequence, with queries from the companion and keys
+and values from the freshly refined source, so the two updates are serial
 rather than parallel. One stack type, ``PaeStack``, runs a sequence of such
 layers; each layer queries the carried sequence with a projected guide and
 carries the query branch forward. The two stacks differ only in the guide:
@@ -28,35 +29,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .blocks import (
-    AttentionParams,
-    FfnParams,
-    LinearParams,
-    attention_block,
-    ffn_block,
-    init_attention,
-    init_ffn,
-    init_linear,
-    linear,
-)
+from .blocks import EncoderBlockParams, LinearParams, encoder_block, init_encoder_block, init_linear, linear
 from .errors import ConfigError
 from .tensor import Tensor
 
 
 @dataclass
 class PaelParams:
-    self_attn: AttentionParams
-    self_ffn: FfnParams
-    cross_attn: AttentionParams
-    cross_ffn: FfnParams
+    refine: EncoderBlockParams  # the self block over the source
+    inject: EncoderBlockParams  # the cross block from the refined source into the companion
 
 
 def init_pael(rng: np.random.Generator, d: int, heads: int) -> PaelParams:
     return PaelParams(
-        self_attn=init_attention(rng, d, heads, cross=False),
-        self_ffn=init_ffn(rng, d),
-        cross_attn=init_attention(rng, d, heads, cross=True),
-        cross_ffn=init_ffn(rng, d),
+        refine=init_encoder_block(rng, d, heads),
+        inject=init_encoder_block(rng, d, heads, cross=True),
     )
 
 
@@ -67,9 +54,8 @@ def pael(h_s: Tensor, h_c: Tensor, params: PaelParams, key_mask=None):
     Both attentions take their keys from the source, so ``key_mask`` (see
     ``tensor.attention``) marks its padded columns in both.
     """
-    s_out = ffn_block(attention_block(h_s, h_s, params.self_attn, key_mask), params.self_ffn)
-    c_out = ffn_block(attention_block(h_c, s_out, params.cross_attn, key_mask), params.cross_ffn)
-    return s_out, c_out
+    s_out = encoder_block(h_s, params.refine, key_mask=key_mask)
+    return s_out, encoder_block(h_c, params.inject, kv=s_out, key_mask=key_mask)
 
 
 @dataclass

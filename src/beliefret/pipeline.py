@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import _write_json, atomic_open, load_checkpoint, load_run, restore_parameters, save_checkpoint
-from .config import TrainConfig, apply_overrides, build_checked, config_from_dict, config_to_dict
+from .config import TrainConfig, apply_overrides, build_checked, config_to_dict
 from .data import Dataset, epoch_batches, load_dataset
 from .encoders import fit_instruction
 from .errors import ConfigError, InputError, NumericError, ParseError
@@ -36,17 +36,6 @@ _HistoryRow = dataclasses.make_dataclass(
     "_HistoryRow",
     [("step", int), *((col, float | None, dataclasses.field(default=None)) for col in HISTORY_COLUMNS[1:])],
 )
-
-
-def effective_config(cfg: TrainConfig) -> TrainConfig:
-    """Normalise stage-dependent settings: stage-1 pretraining is a plain dual
-    encoder, with no attention stack, under the pairwise loss alone."""
-    data = config_to_dict(cfg)
-    if cfg.stage == "stage1-pretrain":
-        data["model"]["spatial_units"] = 0
-        data["model"]["temporal_units"] = 0
-        data["loss"]["lambda_cs"] = 0.0
-    return config_from_dict(data)
 
 
 def stratified_split(records, val_images_per_class: int):
@@ -173,7 +162,7 @@ class Trainer:
     def _build(self, cfg: TrainConfig, dataset: Dataset | None) -> None:
         """Load and check the data, and build the model at its initial
         parameters, at step 0 with no history."""
-        self.cfg = effective_config(cfg)
+        self.cfg = cfg
         if dataset is None:
             if not self.cfg.data.train_path:
                 raise ConfigError("config has no data.train_path and no dataset was supplied")

@@ -175,9 +175,6 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -186,9 +183,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
 
     def __neg__(self):
         return _op(-self.data, (self,), lambda g: (-g,))

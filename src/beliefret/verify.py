@@ -26,6 +26,7 @@ from .tensor import Tensor, grad_check
 
 SUITES = ("gradients", "oracles", "invariants")
 GRAD_TOLERANCE = 1e-4
+GRAD_SEEDS = 100  # seeds per gradient row
 _TAU = LossSettings().tau  # the losses' oracle and invariant rows run at the default temperature
 
 
@@ -194,7 +195,7 @@ def _grad_attention(seed: int, cross: bool, masked: bool = False) -> float:
     return _probe_each(args, readout, skip)
 
 
-def attention_key_bias_check(seeds: int = 100) -> CheckResult:
+def attention_key_bias_check(seeds: int = GRAD_SEEDS) -> CheckResult:
     """The analytic key bias gradient is zero: softmax ignores a per-query constant."""
     bound = 1e-12
     worst = 0.0
@@ -226,7 +227,7 @@ GRADIENT_CHECKS = (
 )
 
 
-def gradient_checks(seeds: int = 100) -> list:
+def gradient_checks(seeds: int = GRAD_SEEDS) -> list:
     results = []
     started = time.perf_counter()
     for name, fn in GRADIENT_CHECKS:
@@ -496,7 +497,7 @@ def invariant_checks() -> list:
     ]
 
 
-def run_suite(suite: str, grad_seeds: int = 100) -> list:
+def run_suite(suite: str, grad_seeds: int = GRAD_SEEDS) -> list:
     runs = {
         "gradients": lambda: gradient_checks(grad_seeds),
         "oracles": oracle_checks,

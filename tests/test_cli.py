@@ -163,6 +163,14 @@ def test_verify_command_fast(capsys):
     assert main(["verify", "--suite", "gradients", "--grad-seeds", "3"]) == 0
 
 
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_verify_grad_seeds_below_one_refused(seeds, capsys):
+    assert main(["verify", "--suite", "gradients", "--grad-seeds", seeds]) == 2
+    err = capsys.readouterr().err
+    assert f"--grad-seeds must be at least 1, got {seeds}" in err
+    assert "Traceback" not in err
+
+
 def test_verify_reports_a_wrong_piece(monkeypatch, capsys):
     # the layer norm's dx without its x̂·mean(gn·x̂) term, and ranks that count
     # each value as smaller than itself

@@ -171,3 +171,42 @@ def test_instruction_source_key_refused():
         node[leaf] = value
         with pytest.raises(ConfigError, match=f"unknown config key.*'{dotted}'"):
             config_from_dict(data)
+
+
+# -- rules across values, each checked when the config is built ---------------------
+
+
+def test_encoder_dim_below_embed_dim_refused():
+    # the towers project their internal width down to the embedding width
+    assert apply_overrides(TrainConfig(), ["model.encoder_dim=32"]).model.encoder_dim == 32
+    with pytest.raises(ConfigError, match="model.encoder_dim=31 must be at least model.embed_dim=32"):
+        apply_overrides(TrainConfig(), ["model.encoder_dim=31"])
+
+
+def test_patch_size_must_divide_image_size():
+    with pytest.raises(ConfigError, match="model.patch_size=5 must divide model.image_size=16"):
+        apply_overrides(TrainConfig(), ["model.patch_size=5"])
+
+
+@pytest.mark.parametrize("overrides, width", [
+    (["model.heads=5"], "embed_dim=32"),
+    (["model.heads=4", "model.encoder_dim=50"], "encoder_dim=50"),
+    (["model.heads=3"], "embed_dim=32"),  # divides the towers' 48, not the stacks' 32
+], ids=["neither", "towers", "stacks"])
+def test_heads_must_divide_both_widths(overrides, width):
+    with pytest.raises(ConfigError, match=f"model.heads=.* must divide model.{width}"):
+        apply_overrides(TrainConfig(), overrides)
+
+
+def test_hard_filter_k_above_visual_tokens_refused():
+    # 16 patches of a 16-px image at patch size 4, and the global token
+    hard = ["belief.mode=hard"]
+    assert apply_overrides(TrainConfig(), hard + ["belief.filter_k=17"]).belief.filter_k == 17
+    with pytest.raises(ConfigError, match="belief.filter_k=18 exceeds the 17 visual tokens"):
+        apply_overrides(TrainConfig(), hard + ["belief.filter_k=18"])
+    # no filter is built without a spatial stack, and a soft filter keeps every token
+    apply_overrides(TrainConfig(), hard + ["belief.filter_k=18", "model.spatial_units=0"])
+    apply_overrides(TrainConfig(), ["belief.filter_k=18"])
+    # the stage-1 preset removes the spatial stack before the rule is checked
+    stage1 = apply_overrides(TrainConfig(), hard + ["belief.filter_k=50", "stage=stage1-pretrain"])
+    assert stage1.model.spatial_units == 0

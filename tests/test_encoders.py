@@ -77,15 +77,9 @@ def test_image_encoder_batch_matches_single():
 
 
 def test_image_encoder_patch_mismatch_rejected():
-    with pytest.raises(ConfigError):
-        image_params(patch_size=5)
+    # the config refuses a patch size that does not divide the image (test_config.py)
     with pytest.raises(ConfigError):
         encode_image_batch(np.zeros((1, 3, 8, 8)), image_params())
-
-
-def test_image_encoder_requires_projection_width():
-    with pytest.raises(ConfigError):
-        image_params(d_enc=D - 1)
 
 
 # -- text encoder ------------------------------------------------------------------

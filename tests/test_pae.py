@@ -6,6 +6,7 @@ from beliefret import pae
 from beliefret import tensor as T
 from beliefret.blocks import (
     attention_block,
+    encoder_block,
     ffn_block,
     init_attention,
     init_ffn,
@@ -78,7 +79,7 @@ def test_pael_serial_wiring_differs_from_parallel():
     hs = Tensor(rng.normal(size=(D, 4)))
     hc = Tensor(rng.normal(size=(D, 3)))
     _, serial = pael(hs, hc, p)
-    refined_raw = ffn_block(attention_block(hc, hs, p.cross_attn), p.cross_ffn)
+    refined_raw = encoder_block(hc, p.inject, kv=hs)
     assert np.abs(serial.data - refined_raw.data).max() > 1e-6
 
 
@@ -428,9 +429,8 @@ def test_fused_model_matches_composed(monkeypatch):
         return [trainer._train_step(next(batches))["loss"] for _ in range(3)]
 
     fused = three_losses()
-    for module in (blocks, pae):
-        monkeypatch.setattr(module, "attention_block", composed_attention_block)
-        monkeypatch.setattr(module, "ffn_block", composed_ffn_block)
+    monkeypatch.setattr(blocks, "attention_block", composed_attention_block)
+    monkeypatch.setattr(blocks, "ffn_block", composed_ffn_block)
     for module in (blocks, encoders, pae):
         monkeypatch.setattr(module, "linear", composed_linear)
     composed = three_losses()

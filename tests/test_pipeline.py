@@ -13,7 +13,6 @@ from beliefret.data import CorpusSpec, Dataset, generate_corpus, write_dataset
 from beliefret.errors import ConfigError, InputError, ParseError
 from beliefret.pipeline import (
     Trainer,
-    effective_config,
     embed_records,
     evaluate_model,
     history_to_csv,
@@ -61,13 +60,16 @@ def test_stratified_split_holds_out_per_class():
         stratified_split(TINY.records, 8)
 
 
-def test_effective_config_normalises_stages():
-    stage1 = effective_config(make_config(stage="stage1-pretrain"))
+def test_stage_preset_is_in_the_built_config():
+    # the stage-1 preset is part of the built config, and the trainer uses it as given
+    stage1 = make_config(stage="stage1-pretrain")
     assert stage1.model.spatial_units == 0 and stage1.model.temporal_units == 0
     assert stage1.loss.lambda_cs == 0.0
+    assert Trainer(stage1, dataset=tiny_dataset(granularity="coarse")).cfg is stage1
     # a closed-domain run keeps its settings, a hard belief filter included
     closed = make_config(**{"belief.mode": "hard"})
-    assert effective_config(closed) == closed
+    assert (closed.model.spatial_units, closed.model.temporal_units, closed.loss.lambda_cs) == (2, 3, 1.0)
+    assert Trainer(closed, dataset=TINY).cfg is closed
     with pytest.raises(ConfigError, match="stage must be one of"):
         make_config(stage="stage2-finetune")
 
@@ -569,8 +571,18 @@ def _own_log_scale(header, arrays):
     header["config"]["loss"]["t_logit"] = 2.659
 
 
+def _layer_blocks_unnamed(header, arrays):
+    # schema 7 named a stack layer's four sublayers self_attn, self_ffn,
+    # cross_attn and cross_ffn, where its two blocks are now refine and inject
+    renames = {".refine.attn.": ".self_attn.", ".refine.ffn.": ".self_ffn.",
+               ".inject.attn.": ".cross_attn.", ".inject.ffn.": ".cross_ffn."}
+    for name in [n for n in arrays if ".layers." in n]:
+        new = next(name.replace(a, b) for a, b in renames.items() if a in name)
+        arrays[new] = arrays.pop(name)
+
+
 OLD_SCHEMAS = {1: _old_guide_names, 2: _no_centroids, 3: _deleted_settings, 4: _vocab_setting, 5: _split_qkv,
-               6: _own_log_scale}
+               6: _own_log_scale, 7: _layer_blocks_unnamed}
 
 
 @pytest.mark.parametrize("schema", sorted(OLD_SCHEMAS))
@@ -841,6 +853,8 @@ def test_sweep_refuses_bad_value_before_any_run(monkeypatch):
     monkeypatch.setattr("beliefret.pipeline.run_stage", no_run)
     with pytest.raises(ConfigError, match="cannot parse override belief.filter_k='x' as int"):
         sweep(cfg, "belief.filter_k", [3, "x"], dataset=TINY)
+    with pytest.raises(ConfigError, match="model.heads=5 must divide model.embed_dim=32"):
+        sweep(cfg, "model.heads", [2, 5], dataset=TINY)
 
 
 def test_empty_validation_file_refused(tmp_path):
