@@ -150,8 +150,6 @@ def cmd_dump_embeddings(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.grad_seeds < 1:
-        raise ConfigError(f"--grad-seeds must be at least 1, got {args.grad_seeds}")
     results = run_suite(args.suite, grad_seeds=args.grad_seeds)
     failures = 0
     for r in results:

@@ -150,7 +150,7 @@ class Trainer:
     def __init__(self, cfg: TrainConfig, dataset: Dataset | None = None):
         self._build(cfg, dataset)
         if self.cfg.init_from:
-            restore_parameters(self.model, load_checkpoint(self.cfg.init_from)[1], strict=False)
+            restore_parameters(self.model, load_run(self.cfg.init_from)[2], strict=False)
 
         if self.model.instruction is not None:
             fit_instruction(
@@ -283,11 +283,22 @@ class Trainer:
             raise ParseError(f"{path}: checkpoint history must be a list of rows, got {history!r}")
         for i, row in enumerate(history):
             try:
-                step = build_checked(_HistoryRow, row, f"history[{i}]").step
+                checked = build_checked(_HistoryRow, row, f"history[{i}]")
             except ConfigError as exc:
                 raise ParseError(f"{path}: checkpoint history: {exc}") from exc
+            step = checked.step
             if not 0 <= step <= global_step:
                 raise ParseError(f"{path}: checkpoint history[{i}] has step {step}, outside [0, {global_step}]")
+            # a row's recall columns are one whole report or none, as best_report reads them
+            recalls = {key: getattr(checked, key) for key in REPORT_KEYS}
+            missing = [key for key, value in recalls.items() if value is None]
+            if 0 < len(missing) < len(recalls):
+                raise ParseError(f"{path}: checkpoint history[{i}] has no {', '.join(missing)}")
+            if not missing:
+                try:
+                    RecallReport(**recalls)
+                except InputError as exc:
+                    raise ParseError(f"{path}: checkpoint history[{i}]: {exc}") from exc
         # every parameter comes from the file itself, not from the init_from it
         # names, which may be gone by now, nor from a fit the restore overwrites
         trainer = cls.__new__(cls)

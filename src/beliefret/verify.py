@@ -3,13 +3,15 @@
 Three suites: ``gradients`` re-derives every differentiable mechanism against
 central differences; ``oracles`` compares fast implementations to independent
 brute-force references; ``invariants`` asserts structural properties. Each
-check returns a result row, and the CLI exits nonzero when any row fails.
+suite is one table of rows, and ``run_suite``, the one entry, turns each row
+into a result; the CLI exits nonzero when any row fails.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .belief import _strict_rank, refine_batch
 from .config import LossSettings
-from .errors import BeliefretError
+from .errors import BeliefretError, ConfigError
 from .losses import EPSILON, affiliation_loss, contrastive_loss
 from .pae import init_pae_stack, init_pael, pael, spatial_pae, temporal_pae
 from .retrieval import RetrievalTable, mean_recall, recall_at_k
@@ -190,124 +192,74 @@ _KEY_BIAS = 9
 def _grad_attention(seed: int, cross: bool, masked: bool = False) -> float:
     args, readout = _attention_case(seed, cross, masked)
     # the key bias gradient is exactly 0, so a relative error reads ~1 on rounding
-    # noise; attention_key_bias checks it in absolute terms instead
+    # noise; _key_bias_grad checks it in absolute terms instead
     skip = {_KEY_BIAS} | (set() if cross else {1, 4, 5})
     return _probe_each(args, readout, skip)
 
 
-def attention_key_bias_check(seeds: int = GRAD_SEEDS) -> CheckResult:
-    """The analytic key bias gradient is zero: softmax ignores a per-query constant."""
-    bound = 1e-12
+def _grad_attention_masked(seed: int) -> float:
+    return max(_grad_attention(seed, cross, masked=True) for cross in (False, True))
+
+
+def _key_bias_grad(seed: int) -> float:
+    """Largest |analytic key bias gradient|, self and cross: softmax ignores a
+    per-query constant, so it is zero."""
     worst = 0.0
-    for seed in range(seeds):
-        for cross in (False, True):
-            args, readout = _attention_case(seed, cross)
-            readout(args).backward()
-            worst = max(worst, float(np.abs(args[_KEY_BIAS].grad).max()))
-    return CheckResult(
-        "gradients",
-        "attention_key_bias",
-        worst <= bound,
-        f"max |grad| {worst:.1e} over {seeds} seeds, self and cross (bound {bound:.0e})",
-    )
-
-
-GRADIENT_CHECKS = (
-    ("affine", _grad_affine),
-    ("ffn", _grad_ffn),
-    ("attention_self", lambda seed: _grad_attention(seed, cross=False)),
-    ("attention_cross", lambda seed: _grad_attention(seed, cross=True)),
-    ("attention_masked", lambda seed: max(_grad_attention(seed, cross, masked=True) for cross in (False, True))),
-    ("contrastive_loss", _grad_contrastive),
-    ("affiliation_loss", _grad_affiliation),
-    ("pael", _grad_pael),
-    ("spatial_pae", _grad_spatial),
-    ("temporal_pae", _grad_temporal),
-    ("refine_batch", _grad_refine_batch),
-)
-
-
-def gradient_checks(seeds: int = GRAD_SEEDS) -> list:
-    results = []
-    started = time.perf_counter()
-    for name, fn in GRADIENT_CHECKS:
-        worst = max(fn(seed) for seed in range(seeds))
-        results.append(
-            CheckResult(
-                "gradients",
-                name,
-                worst < GRAD_TOLERANCE,
-                f"max rel err {worst:.3e} over {seeds} seeds (tolerance {GRAD_TOLERANCE:.0e})",
-            )
-        )
-    results.append(attention_key_bias_check(seeds))
-    elapsed = time.perf_counter() - started
-    results.append(
-        CheckResult("gradients", "runtime", elapsed < 60.0, f"{elapsed:.1f}s (budget 60s)")
-    )
-    return results
+    for cross in (False, True):
+        args, readout = _attention_case(seed, cross)
+        readout(args).backward()
+        worst = max(worst, float(np.abs(args[_KEY_BIAS].grad).max()))
+    return worst
 
 
 # -- oracle suite ------------------------------------------------------------------
 
 
-def rank_oracle_check(cases: int = 1000) -> CheckResult:
-    for seed in range(cases):
-        rng = child(seed, "vo-rank")
-        length = int(rng.integers(1, 65))
-        values = rng.random(length)
-        if seed % 2:
-            values = np.round(values * 4) / 4.0
-        weights = values / values.sum() if values.sum() > 0 else np.full(length, 1.0 / length)
-        got = _strict_rank(weights)
-        want = np.array([1 + sum(1 for vk in weights if vk < vj) for vj in weights])
-        if not np.array_equal(got, want):
-            return CheckResult("oracles", "rank_vs_brute_force", False, f"mismatch at case {seed}")
-    return CheckResult("oracles", "rank_vs_brute_force", True, f"{cases} cases, exact match")
+def _brute_rank(weights) -> np.ndarray:
+    """1 + the number of strictly smaller weights, by counting."""
+    return np.array([1 + sum(1 for vk in weights if vk < vj) for vj in weights])
 
 
-def hard_filter_oracle_check(cases: int = 1000) -> CheckResult:
-    for seed in range(cases):
-        rng = child(seed, "vo-filter")
-        length = int(rng.integers(1, 33))
-        values = rng.random(length) + 1e-6
-        if seed % 3 == 0:
-            values = np.round(values * 3) / 3.0 + 0.05
-        weights = values / values.sum()
-        k = int(rng.integers(1, length + 1))
-        # identity features and f_ins = log(weights) make the beliefs the weights,
-        # and each output column the one-hot of its source index
-        out = refine_batch(Tensor(np.eye(length)[None]), Tensor(np.log(weights)[None]), "hard", k)
-        kept = np.argmax(out.data[0], axis=0)
-        expected_order = sorted(range(length), key=lambda j: (-weights[j], j))[:k]
-        top_multiset = np.sort(np.sort(weights)[::-1][:k])
-        if not np.array_equal(kept, expected_order):
-            return CheckResult("oracles", "hard_filter_top_k", False, f"tie rule broken at case {seed}")
-        if not np.allclose(np.sort(weights[kept]), top_multiset, atol=0):
-            return CheckResult("oracles", "hard_filter_top_k", False, f"multiset mismatch at case {seed}")
-    return CheckResult("oracles", "hard_filter_top_k", True, f"{cases} cases, exact match")
+def _rank_case(seed: int):
+    rng = child(seed, "vo-rank")
+    length = int(rng.integers(1, 65))
+    values = rng.random(length)
+    if seed % 2:
+        values = np.round(values * 4) / 4.0
+    weights = values / values.sum() if values.sum() > 0 else np.full(length, 1.0 / length)
+    return None if np.array_equal(_strict_rank(weights), _brute_rank(weights)) else "ranks differ"
 
 
-def affiliation_oracle_check(cases: int = 200, tolerance: float = 1e-8) -> CheckResult:
-    worst = 0.0
-    for seed in range(cases):
-        rng = child(seed, "vo-aff")
-        b = int(rng.integers(1, 17))
-        c = int(rng.integers(1, 6))
-        d = int(rng.integers(2, 9))
-        v = rng.normal(size=(b, d))
-        t = rng.normal(size=(b, d))
-        labels = rng.integers(0, c, size=b)
-        t_logit = float(rng.normal())
-        got = affiliation_loss(Tensor(v), Tensor(t), labels, c, t_logit).item()
-        want = _loop_affiliation(v, t, labels, c, t_logit, EPSILON)
-        worst = max(worst, abs(got - want))
-    return CheckResult(
-        "oracles",
-        "affiliation_vs_loop_oracle",
-        worst < tolerance,
-        f"max |Δ| {worst:.2e} over {cases} batches (tolerance {tolerance:.0e})",
-    )
+def _hard_filter_case(seed: int):
+    rng = child(seed, "vo-filter")
+    length = int(rng.integers(1, 33))
+    values = rng.random(length) + 1e-6
+    if seed % 3 == 0:
+        values = np.round(values * 3) / 3.0 + 0.05
+    weights = values / values.sum()
+    k = int(rng.integers(1, length + 1))
+    # identity features and f_ins = log(weights) make the beliefs the weights,
+    # and each output column the one-hot of its source index
+    out = refine_batch(Tensor(np.eye(length)[None]), Tensor(np.log(weights)[None]), "hard", k)
+    kept = np.argmax(out.data[0], axis=0)
+    if not np.array_equal(kept, sorted(range(length), key=lambda j: (-weights[j], j))[:k]):
+        return "tie rule broken"
+    if not np.allclose(np.sort(weights[kept]), np.sort(np.sort(weights)[::-1][:k]), atol=0):
+        return "kept weights are not the k largest"
+    return None
+
+
+def _affiliation_case(seed: int) -> float:
+    rng = child(seed, "vo-aff")
+    b = int(rng.integers(1, 17))
+    c = int(rng.integers(1, 6))
+    d = int(rng.integers(2, 9))
+    v = rng.normal(size=(b, d))
+    t = rng.normal(size=(b, d))
+    labels = rng.integers(0, c, size=b)
+    t_logit = float(rng.normal())
+    got = affiliation_loss(Tensor(v), Tensor(t), labels, c, t_logit).item()
+    return abs(got - _loop_affiliation(v, t, labels, c, t_logit, EPSILON))
 
 
 def _loop_affiliation(v, t, labels, num_classes, t_logit, epsilon):
@@ -340,41 +292,31 @@ def _loop_affiliation(v, t, labels, num_classes, t_logit, epsilon):
     )
 
 
-def unique_label_reduction_check(cases: int = 100, tolerance: float = 1e-6) -> CheckResult:
-    worst = 0.0
-    for seed in range(cases):
-        rng = child(seed, "vo-uniq")
-        b = int(rng.integers(2, 9))
-        d = int(rng.integers(2, 8))
-        v, t = rng.normal(size=(b, d)), rng.normal(size=(b, d))
-        labels = rng.permutation(b)
-        l_a = affiliation_loss(Tensor(v), Tensor(t), labels, b, math.log(1.0 / _TAU)).item()
-        l_c = contrastive_loss(Tensor(v), Tensor(t), _TAU).item()
-        worst = max(worst, abs(l_a - 0.5 * l_c))
-    return CheckResult(
-        "oracles",
-        "unique_label_reduction",
-        worst < tolerance,
-        f"max |L_a - 0.5 L_c| {worst:.2e} over {cases} batches (tolerance {tolerance:.0e})",
-    )
+def _unique_label_case(seed: int) -> float:
+    """|L_a - 0.5 L_c| when every label is its own class."""
+    rng = child(seed, "vo-uniq")
+    b = int(rng.integers(2, 9))
+    d = int(rng.integers(2, 8))
+    v, t = rng.normal(size=(b, d)), rng.normal(size=(b, d))
+    labels = rng.permutation(b)
+    l_a = affiliation_loss(Tensor(v), Tensor(t), labels, b, math.log(1.0 / _TAU)).item()
+    l_c = contrastive_loss(Tensor(v), Tensor(t), _TAU).item()
+    return abs(l_a - 0.5 * l_c)
 
 
-def recall_oracle_check(cases: int = 500) -> CheckResult:
-    for seed in range(cases):
-        rng = child(seed, "vo-recall")
-        n_img = int(rng.integers(2, 11))
-        cpi = int(rng.integers(1, 6))
-        sim = rng.normal(size=(n_img, n_img * cpi))
-        if rng.random() < 0.3:
-            sim = np.round(sim, 1)
-        table = RetrievalTable(sim, np.repeat(np.arange(n_img), cpi))
-        k = int(rng.integers(1, n_img + 1))
-        for direction in ("i2t", "t2i"):
-            got = recall_at_k(table, k, direction)
-            want = _exhaustive_recall(table, k, direction)
-            if got != want:
-                return CheckResult("oracles", "recall_vs_sort_oracle", False, f"case {seed} {direction}")
-    return CheckResult("oracles", "recall_vs_sort_oracle", True, f"{cases} tables, exact match")
+def _recall_case(seed: int):
+    rng = child(seed, "vo-recall")
+    n_img = int(rng.integers(2, 11))
+    cpi = int(rng.integers(1, 6))
+    sim = rng.normal(size=(n_img, n_img * cpi))
+    if rng.random() < 0.3:
+        sim = np.round(sim, 1)
+    table = RetrievalTable(sim, np.repeat(np.arange(n_img), cpi))
+    k = int(rng.integers(1, n_img + 1))
+    for direction in ("i2t", "t2i"):
+        if recall_at_k(table, k, direction) != _exhaustive_recall(table, k, direction):
+            return f"{direction} R@{k} differs"
+    return None
 
 
 def _exhaustive_recall(table, k, direction):
@@ -391,118 +333,149 @@ def _exhaustive_recall(table, k, direction):
     return 100.0 * hits / n_txt
 
 
-def mean_recall_arithmetic_check() -> CheckResult:
-    values = [18.36, 42.04, 55.53, 13.36, 44.47, 61.73]
-    got = mean_recall(values)
-    ok = abs(got - 39.25) <= 0.005
-    return CheckResult("oracles", "mean_recall_published_row", ok, f"mean {got:.4f} vs 39.25 ± 0.005")
-
-
-def oracle_checks() -> list:
-    return [
-        rank_oracle_check(),
-        hard_filter_oracle_check(),
-        affiliation_oracle_check(),
-        unique_label_reduction_check(),
-        recall_oracle_check(),
-        mean_recall_arithmetic_check(),
-    ]
+def _published_row_error(_seed: int) -> float:
+    """|mR - 39.25| of a published row's six recalls."""
+    return abs(mean_recall([18.36, 42.04, 55.53, 13.36, 44.47, 61.73]) - 39.25)
 
 
 # -- invariant suite -----------------------------------------------------------------
 
 
-def softmax_invariant_check(cases: int = 200) -> CheckResult:
-    for seed in range(cases):
-        rng = child(seed, "vi-softmax")
-        x = rng.normal(size=8) * 5
-        y = T.softmax(Tensor(x)).data
-        if abs(y.sum() - 1.0) > 1e-6 or (y < 0).any():
-            return CheckResult("invariants", "softmax_simplex", False, f"case {seed}")
-        perm = rng.permutation(8)
-        if not np.allclose(T.softmax(Tensor(x[perm])).data, y[perm], atol=1e-12):
-            return CheckResult("invariants", "softmax_simplex", False, f"equivariance, case {seed}")
-    return CheckResult("invariants", "softmax_simplex", True, f"{cases} cases")
+def _softmax_case(seed: int):
+    rng = child(seed, "vi-softmax")
+    x = rng.normal(size=8) * 5
+    y = T.softmax(Tensor(x)).data
+    if abs(y.sum() - 1.0) > 1e-6 or (y < 0).any():
+        return "off the simplex"
+    perm = rng.permutation(8)
+    if not np.allclose(T.softmax(Tensor(x[perm])).data, y[perm], atol=1e-12):
+        return "not permutation equivariant"
+    return None
 
 
-def soft_weight_bounds_check(cases: int = 200) -> CheckResult:
-    tolerance = 1e-12
-    for seed in range(cases):
-        rng = child(seed, "vi-bounds")
-        length = int(rng.integers(1, 24))
-        weights = rng.random(length) + 1e-3
-        weights /= weights.sum()
-        # beliefs = weights as in hard_filter_oracle_check; column j is e_j times w_j
-        out = refine_batch(Tensor(np.eye(length)[None]), Tensor(np.log(weights)[None]), "soft-sequence")
-        w = np.diagonal(out.data[0])
-        if not ((w > weights).all() and (w <= weights + 1.0 + 1e-12).all()):
-            return CheckResult("invariants", "soft_weight_bounds", False, f"case {seed}")
-        rank = np.array([1 + sum(1 for vk in weights if vk < vj) for vj in weights])
-        if np.abs(w - (weights + 1.0 / np.sqrt(rank))).max() > tolerance:
-            return CheckResult(
-                "invariants", "soft_weight_bounds", False, f"boost is not 1/sqrt(rank), case {seed}"
-            )
+def _soft_weight_case(seed: int):
+    """M < w <= M + 1, and w = M + 1/sqrt(rank) to 1e-12."""
+    rng = child(seed, "vi-bounds")
+    length = int(rng.integers(1, 24))
+    weights = rng.random(length) + 1e-3
+    weights /= weights.sum()
+    # beliefs = weights as in _hard_filter_case; column j is e_j times w_j
+    out = refine_batch(Tensor(np.eye(length)[None]), Tensor(np.log(weights)[None]), "soft-sequence")
+    w = np.diagonal(out.data[0])
+    if not ((w > weights).all() and (w <= weights + 1.0 + 1e-12).all()):
+        return "weight outside (M, M + 1]"
+    if np.abs(w - (weights + 1.0 / np.sqrt(_brute_rank(weights)))).max() > 1e-12:
+        return "boost is not 1/sqrt(rank)"
+    return None
+
+
+def _pael_shape_case(seed: int):
+    rng = child(seed, "vi-pael")
+    d = int(rng.integers(1, 5)) * 2
+    params = init_pael(child(seed, "vi-pael-params"), d, heads=2)
+    n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+    s, c = pael(Tensor(rng.normal(size=(d, n))), Tensor(rng.normal(size=(d, m))), params)
+    return None if (s.shape, c.shape) == ((d, n), (d, m)) else f"shapes {s.shape}, {c.shape}"
+
+
+def _nonnegative_case(seed: int):
+    rng = child(seed, "vi-nonneg")
+    b, d, c = int(rng.integers(1, 9)), 4, 3
+    v, t = Tensor(rng.normal(size=(b, d))), Tensor(rng.normal(size=(b, d)))
+    labels = rng.integers(0, c, size=b)
+    if contrastive_loss(v, t, _TAU).item() < 0:
+        return "contrastive loss below 0"
+    if affiliation_loss(v, t, labels, c, math.log(1.0 / _TAU)).item() < 0:
+        return "affiliation loss below 0"
+    return None
+
+
+def _argmax_scale_case(seed: int):
+    # hard mode at k=1 keeps the argmax column, so equal outputs mean equal argmax
+    rng = child(seed, "vi-argmax")
+    d, length = 5, 9
+    f_ins = Tensor(rng.normal(size=(1, d)))
+    feats = Tensor(rng.normal(size=(1, d, length)))
+    base = refine_batch(feats, f_ins, "hard", 1).data
+    scaled = refine_batch(feats, f_ins * float(rng.uniform(0.1, 10.0)), "hard", 1).data
+    return None if np.array_equal(base, scaled) else "argmax moved under scaling"
+
+
+# -- the tables and their runner --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Row:
+    """A check of ``cases`` seeds (None: the gradient seed count). With a bound,
+    ``probe(seed)`` is an error that must stay below it; without one, it is
+    None or the reason that case failed."""
+
+    name: str
+    cases: int | None
+    probe: Callable
+    bound: float | None = None
+
+
+_TABLES = {
+    "gradients": (
+        _Row("affine", None, _grad_affine, GRAD_TOLERANCE),
+        _Row("ffn", None, _grad_ffn, GRAD_TOLERANCE),
+        _Row("attention_self", None, lambda seed: _grad_attention(seed, cross=False), GRAD_TOLERANCE),
+        _Row("attention_cross", None, lambda seed: _grad_attention(seed, cross=True), GRAD_TOLERANCE),
+        _Row("attention_masked", None, _grad_attention_masked, GRAD_TOLERANCE),
+        _Row("contrastive_loss", None, _grad_contrastive, GRAD_TOLERANCE),
+        _Row("affiliation_loss", None, _grad_affiliation, GRAD_TOLERANCE),
+        _Row("pael", None, _grad_pael, GRAD_TOLERANCE),
+        _Row("spatial_pae", None, _grad_spatial, GRAD_TOLERANCE),
+        _Row("temporal_pae", None, _grad_temporal, GRAD_TOLERANCE),
+        _Row("refine_batch", None, _grad_refine_batch, GRAD_TOLERANCE),
+        _Row("attention_key_bias", None, _key_bias_grad, 1e-12),
+    ),
+    "oracles": (
+        _Row("rank_vs_brute_force", 1000, _rank_case),
+        _Row("hard_filter_top_k", 1000, _hard_filter_case),
+        _Row("affiliation_vs_loop_oracle", 200, _affiliation_case, 1e-8),
+        _Row("unique_label_reduction", 100, _unique_label_case, 1e-6),
+        _Row("recall_vs_sort_oracle", 500, _recall_case),
+        _Row("mean_recall_published_row", 1, _published_row_error, 0.005),
+    ),
+    "invariants": (
+        _Row("softmax_simplex", 200, _softmax_case),
+        _Row("soft_weight_bounds", 200, _soft_weight_case),
+        _Row("pael_shape_preservation", 25, _pael_shape_case),
+        _Row("loss_nonnegative", 100, _nonnegative_case),
+        _Row("belief_argmax_scale_invariant", 100, _argmax_scale_case),
+    ),
+}
+
+
+def _run_row(suite: str, row: _Row, grad_seeds: int) -> CheckResult:
+    cases = grad_seeds if row.cases is None else row.cases
+    if row.bound is None:
+        for seed in range(cases):
+            reason = row.probe(seed)
+            if reason is not None:
+                return CheckResult(suite, row.name, False, f"{reason} at case {seed}")
+        return CheckResult(suite, row.name, True, f"{cases} cases pass")
+    worst = float(max(row.probe(seed) for seed in range(cases)))
     return CheckResult(
-        "invariants", "soft_weight_bounds", True,
-        f"{cases} cases, M < w <= M + 1, w = M + 1/sqrt(rank) to {tolerance:.0e}",
+        suite, row.name, worst < row.bound, f"max error {worst:.2e} over {cases} cases (bound {row.bound:.0e})"
     )
 
 
-def pael_shape_check(cases: int = 25) -> CheckResult:
-    for seed in range(cases):
-        rng = child(seed, "vi-pael")
-        d = int(rng.integers(1, 5)) * 2
-        params = init_pael(child(seed, "vi-pael-params"), d, heads=2)
-        n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-        s, c = pael(Tensor(rng.normal(size=(d, n))), Tensor(rng.normal(size=(d, m))), params)
-        if s.shape != (d, n) or c.shape != (d, m):
-            return CheckResult("invariants", "pael_shape_preservation", False, f"case {seed}")
-    return CheckResult("invariants", "pael_shape_preservation", True, f"{cases} cases")
-
-
-def loss_nonnegative_check(cases: int = 100) -> CheckResult:
-    for seed in range(cases):
-        rng = child(seed, "vi-nonneg")
-        b, d, c = int(rng.integers(1, 9)), 4, 3
-        v, t = Tensor(rng.normal(size=(b, d))), Tensor(rng.normal(size=(b, d)))
-        labels = rng.integers(0, c, size=b)
-        if contrastive_loss(v, t, _TAU).item() < 0:
-            return CheckResult("invariants", "loss_nonnegative", False, f"contrastive, case {seed}")
-        if affiliation_loss(v, t, labels, c, math.log(1.0 / _TAU)).item() < 0:
-            return CheckResult("invariants", "loss_nonnegative", False, f"affiliation, case {seed}")
-    return CheckResult("invariants", "loss_nonnegative", True, f"{cases} random batches")
-
-
-def belief_argmax_scale_check(cases: int = 100) -> CheckResult:
-    # hard mode at k=1 keeps the argmax column, so equal outputs mean equal argmax
-    for seed in range(cases):
-        rng = child(seed, "vi-argmax")
-        d, length = 5, 9
-        f_ins = Tensor(rng.normal(size=(1, d)))
-        feats = Tensor(rng.normal(size=(1, d, length)))
-        base = refine_batch(feats, f_ins, "hard", 1).data
-        scaled = refine_batch(feats, f_ins * float(rng.uniform(0.1, 10.0)), "hard", 1).data
-        if not np.array_equal(base, scaled):
-            return CheckResult("invariants", "belief_argmax_scale_invariant", False, f"case {seed}")
-    return CheckResult("invariants", "belief_argmax_scale_invariant", True, f"{cases} cases")
-
-
-def invariant_checks() -> list:
-    return [
-        softmax_invariant_check(),
-        soft_weight_bounds_check(),
-        pael_shape_check(),
-        loss_nonnegative_check(),
-        belief_argmax_scale_check(),
-    ]
-
-
 def run_suite(suite: str, grad_seeds: int = GRAD_SEEDS) -> list:
-    runs = {
-        "gradients": lambda: gradient_checks(grad_seeds),
-        "oracles": oracle_checks,
-        "invariants": invariant_checks,
-    }
-    if suite not in (*runs, "all"):
+    """Every row of ``suite``, or of all three for "all"; the gradient suite
+    runs ``grad_seeds`` seeds per row and ends with its runtime row."""
+    if suite not in (*SUITES, "all"):
         raise BeliefretError(f"unknown verification suite {suite!r}")
-    return [row for name, run in runs.items() if suite in (name, "all") for row in run()]
+    if grad_seeds < 1:
+        raise ConfigError(f"--grad-seeds must be at least 1, got {grad_seeds}")
+    results = []
+    for name in SUITES:
+        if suite in (name, "all"):
+            started = time.perf_counter()
+            results += [_run_row(name, row, grad_seeds) for row in _TABLES[name]]
+            if name == "gradients":
+                elapsed = time.perf_counter() - started
+                results.append(CheckResult(name, "runtime", elapsed < 60.0, f"{elapsed:.1f}s (budget 60s)"))
+    return results

@@ -36,12 +36,30 @@ def make_config(**overrides):
 # each suite runs once per session; the per-criterion tests below read its rows
 suite_rows = functools.cache(run_suite)
 
+# each suite's rows, in the order `beliefret verify` prints them
+ROW_NAMES = {
+    "gradients": (
+        "affine", "ffn", "attention_self", "attention_cross", "attention_masked", "contrastive_loss",
+        "affiliation_loss", "pael", "spatial_pae", "temporal_pae", "refine_batch", "attention_key_bias", "runtime",
+    ),
+    "oracles": (
+        "rank_vs_brute_force", "hard_filter_top_k", "affiliation_vs_loop_oracle", "unique_label_reduction",
+        "recall_vs_sort_oracle", "mean_recall_published_row",
+    ),
+    "invariants": (
+        "softmax_simplex", "soft_weight_bounds", "pael_shape_preservation", "loss_nonnegative",
+        "belief_argmax_scale_invariant",
+    ),
+}
+
 
 @pytest.mark.parametrize("suite", SUITES)
 def test_verify_suite(suite):
     results = suite_rows(suite)
     for r in results:
         print(f"[{'PASS' if r.ok else 'FAIL'}] {r.suite}/{r.name}: {r.detail}")
+    assert tuple(r.name for r in results) == ROW_NAMES[suite]
+    assert all(type(r.ok) is bool for r in results), [(r.name, type(r.ok)) for r in results]
     assert all(r.ok for r in results), [r.name for r in results if not r.ok]
 
 

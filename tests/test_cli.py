@@ -14,7 +14,7 @@ from beliefret.checkpoint import load_checkpoint, restore_parameters, save_check
 from beliefret.cli import main
 from beliefret.config import TrainConfig, apply_overrides, config_from_dict, config_to_dict, load_config
 from beliefret.data import CorpusSpec, Dataset, generate_corpus, load_dataset, write_dataset
-from beliefret.errors import ParseError
+from beliefret.errors import ConfigError, ParseError
 from beliefret.model import RetrievalModel
 from beliefret.pipeline import Trainer, embed_records, evaluate_model, run_stage
 from beliefret.retrieval import REPORT_KEYS
@@ -169,6 +169,9 @@ def test_verify_grad_seeds_below_one_refused(seeds, capsys):
     err = capsys.readouterr().err
     assert f"--grad-seeds must be at least 1, got {seeds}" in err
     assert "Traceback" not in err
+    # run_suite refuses it itself, whichever suite is asked for
+    with pytest.raises(ConfigError, match=f"--grad-seeds must be at least 1, got {seeds}"):
+        verify.run_suite("oracles", grad_seeds=int(seeds))
 
 
 def test_verify_reports_a_wrong_piece(monkeypatch, capsys):
@@ -182,8 +185,7 @@ def test_verify_reports_a_wrong_piece(monkeypatch, capsys):
     assert main(["verify", "--suite", "gradients", "--grad-seeds", "3"]) == 4
     assert re.search(r"^\[FAIL\] gradients/ffn: ", capsys.readouterr().out, re.M)
     monkeypatch.setattr(verify, "_strict_rank", lambda v: 1 + (v[..., None, :] <= v[..., :, None]).sum(axis=-1))
-    result = verify.rank_oracle_check()
-    assert not result.ok and result.name == "rank_vs_brute_force"
+    assert [r.name for r in verify.run_suite("oracles") if not r.ok] == ["rank_vs_brute_force"]
 
 
 def test_error_exit_codes(tmp_path, dataset_dir):
@@ -611,10 +613,12 @@ def test_missing_checkpoint_exit_code(tmp_path, dataset_dir, capsys, command):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("command", ["eval", "dump-embeddings"])
+@pytest.mark.parametrize("command", ["eval", "dump-embeddings", "train"])
 @pytest.mark.parametrize("fault", ["no config", "mistyped value", "not an object"])
 def test_checkpoint_header_config_checked_on_load(tmp_path, dataset_dir, capsys, command, fault):
-    trainer = Trainer(load_config(fast_config(tmp_path, dataset_dir)))
+    # eval and dump-embeddings read --checkpoint, and train reads init_from
+    cfg = fast_config(tmp_path, dataset_dir)
+    trainer = Trainer(load_config(cfg))
     header = trainer._header(0)
     ck = tmp_path / "ck.npz"
     if fault == "not an object":
@@ -628,7 +632,10 @@ def test_checkpoint_header_config_checked_on_load(tmp_path, dataset_dir, capsys,
             header["config"]["model"]["embed_dim"] = "x"
             message = "checkpoint config: config key model.embed_dim must be of type int, got 'x'"
         save_checkpoint(ck, {name: t.data for name, t in trainer.model.named_parameters()}, header)
-    args = [command, "--checkpoint", str(ck), "--dataset", str(dataset_dir / "dataset.jsonl")]
+    if command == "train":
+        args = ["train", "--config", str(cfg), "--set", f"init_from={ck}"]
+    else:
+        args = [command, "--checkpoint", str(ck), "--dataset", str(dataset_dir / "dataset.jsonl")]
     assert main([*args, "--out", str(tmp_path / "run")]) == 3
     assert f"{ck}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()

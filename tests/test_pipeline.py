@@ -21,6 +21,7 @@ from beliefret.pipeline import (
     sweep,
     write_outputs,
 )
+from beliefret.retrieval import REPORT_KEYS
 
 
 def make_config(**overrides):
@@ -414,6 +415,14 @@ RESUME_FAULTS = {  # id: (header keys replaced, message after the path)
     "row-no-step": ({"history": [{"loss": 1.0}]}, "checkpoint history: missing config key(s): ['history[0].step']"),
     "row-number": ({"history": [7]}, "checkpoint history: config key history[0] must be a JSON object"),
     "row-after-step": ({"history": [{"step": 3}]}, "checkpoint history[0] has step 3, outside [0, 2]"),
+    "row-recall-incomplete": (
+        {"history": [{"step": 1, **dict.fromkeys(REPORT_KEYS[1:], 50.0)}]},
+        "checkpoint history[0] has no i2t_r1",
+    ),
+    "row-recall-out-of-range": (
+        {"history": [{"step": 1, **dict.fromkeys(REPORT_KEYS, 50.0), "mr": 150.0}]},
+        "checkpoint history[0]: mr=150.0 outside [0, 100]",
+    ),
 }
 
 
