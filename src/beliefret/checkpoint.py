@@ -1,7 +1,7 @@
 """Versioned checkpoints: parameter blobs plus a self-describing JSON header.
 
-The header carries the config snapshot, the step count and the run's history,
-so a restored trainer continues bit-identically.
+The header carries the config snapshot and the run's history, which hold a
+run's whole state, so a restored trainer continues bit-identically.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from .config import TrainConfig, build_checked
 from .errors import ConfigError, ParseError
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 _HEADER_KEY = "__header__"
 _PARAM_PREFIX = "param::"

@@ -1,9 +1,10 @@
 """Training loops and evaluation protocol.
 
 One Trainer runs a single stage, and ``run_stage`` trains any stage and writes
-its outputs. A run's state is its step count and its history: batch order and
+its outputs. A run's state is its config and its history: the step is the last
+row's, each report's mean is read off its six recalls, and batch order and
 caption picks derive from (seed, epoch) child streams, so a checkpoint holding
-both resumes bit-identically. The open-domain recipe is two runs:
+the two resumes bit-identically. The open-domain recipe is two runs:
 contrastive-only pretraining on a coarse corpus, then a closed-domain run on
 a fine corpus that starts from stage one's checkpoint file through
 ``init_from``.
@@ -27,7 +28,7 @@ from .data import Dataset, epoch_batches, load_dataset
 from .encoders import fit_instruction
 from .errors import ConfigError, InputError, NumericError, ParseError
 from .model import RetrievalModel
-from .retrieval import REPORT_KEYS, REPORT_KS, RecallReport, RetrievalTable, similarity_matrix
+from .retrieval import _RECALL_KEYS, REPORT_KEYS, REPORT_KS, RecallReport, RetrievalTable, similarity_matrix
 from .tensor import sgd_step
 
 HISTORY_COLUMNS = ("step", "loss", "l_c", "l_a", *REPORT_KEYS)
@@ -160,14 +161,12 @@ class Trainer:
             )
 
     def _build(self, cfg: TrainConfig, dataset: Dataset | None) -> None:
-        """Load and check the data, and build the model at its initial
-        parameters, at step 0 with no history."""
+        """Load and check the data, and build the model at its initial parameters, with no history."""
         self.cfg = cfg
         if dataset is None:
             if not self.cfg.data.train_path:
                 raise ConfigError("config has no data.train_path and no dataset was supplied")
             dataset = load_dataset(self.cfg.data.train_path)
-        self.dataset = dataset
         if self.cfg.stage == "stage1-pretrain" and dataset.meta.granularity != "coarse":
             warnings.warn("stage-1 pretraining expects a coarse-granularity corpus")
 
@@ -192,9 +191,13 @@ class Trainer:
         vocab = dataset.meta.vocab_size
         _check_captions(self.train_records + self.val_records, self.cfg.model.max_text_len, vocab)
         self.model = RetrievalModel(self.cfg, vocab, dataset.meta.num_classes)
-        self.global_step = 0
         self.history: list = []
         self.best_params: dict | None = None
+
+    @property
+    def global_step(self) -> int:
+        """The step of the last history row; 0 before the first."""
+        return self.history[-1]["step"] if self.history else 0
 
     # -- steps ------------------------------------------------------------------
 
@@ -206,9 +209,8 @@ class Trainer:
                 sgd_step(self.model.named_parameters(), self.cfg.optim.learning_rate)
         except NumericError as exc:
             raise NumericError(f"training diverged at step {self.global_step}: {exc}") from exc
-        self.global_step += 1
         return {
-            "step": self.global_step,
+            "step": self.global_step + 1,
             "loss": loss.item(),
             "l_c": l_c.item(),
             "l_a": l_a.item(),
@@ -257,11 +259,7 @@ class Trainer:
     # -- persistence ----------------------------------------------------------------
 
     def _header(self, step: int) -> dict:
-        return {
-            "config": config_to_dict(self.cfg),
-            "global_step": step,
-            "history": [row for row in self.history if row["step"] <= step],
-        }
+        return {"config": config_to_dict(self.cfg), "history": [row for row in self.history if row["step"] <= step]}
 
     def save(self, path) -> None:
         arrays = {name: t.data for name, t in self.model.named_parameters()}
@@ -276,47 +274,42 @@ class Trainer:
         cfg, header, params = load_run(path)
         if "history" not in header:
             raise ParseError(f"{path}: checkpoint holds no training history, so it cannot be resumed")
-        global_step, history = header.get("global_step"), header["history"]
-        if type(global_step) is not int or global_step < 0:
-            raise ParseError(f"{path}: checkpoint global_step must be an integer >= 0, got {global_step!r}")
+        history = header["history"]
         if not isinstance(history, list):
             raise ParseError(f"{path}: checkpoint history must be a list of rows, got {history!r}")
+        step = 0
         for i, row in enumerate(history):
             try:
-                checked = build_checked(_HistoryRow, row, f"history[{i}]")
+                row = build_checked(_HistoryRow, row, f"history[{i}]")
             except ConfigError as exc:
                 raise ParseError(f"{path}: checkpoint history: {exc}") from exc
-            step = checked.step
-            if not 0 <= step <= global_step:
-                raise ParseError(f"{path}: checkpoint history[{i}] has step {step}, outside [0, {global_step}]")
-            # a row's recall columns are one whole report or none, as best_report reads them
-            recalls = {key: getattr(checked, key) for key in REPORT_KEYS}
-            missing = [key for key, value in recalls.items() if value is None]
-            if 0 < len(missing) < len(recalls):
-                raise ParseError(f"{path}: checkpoint history[{i}] has no {', '.join(missing)}")
-            if not missing:
-                try:
-                    RecallReport(**recalls)
-                except InputError as exc:
-                    raise ParseError(f"{path}: checkpoint history[{i}]: {exc}") from exc
+            # steps start at 0 and never go down, so the last row's step is the run's
+            if row.step < step:
+                raise ParseError(f"{path}: checkpoint history[{i}] has step {row.step}, below the previous step {step}")
+            step = row.step
+            try:
+                _report(dataclasses.asdict(row))
+            except InputError as exc:
+                raise ParseError(f"{path}: checkpoint history[{i}]: {exc}") from exc
         # every parameter comes from the file itself, not from the init_from it
         # names, which may be gone by now, nor from a fit the restore overwrites
         trainer = cls.__new__(cls)
         trainer._build(cfg, dataset)
         restore_parameters(trainer.model, params, strict=True)
-        trainer.global_step, trainer.history = global_step, history  # the rows as stored
-        trainer._load_best(os.path.join(os.path.dirname(os.fspath(path)), _BEST_FILE), header["config"])
+        trainer.history = history  # the rows as stored
+        trainer._load_best(os.path.join(os.path.dirname(os.fspath(path)), _BEST_FILE))
         return trainer
 
-    def _load_best(self, path, config: dict) -> None:
+    def _load_best(self, path) -> None:
         """Keep the parameters of the best row across a resume: take them from
-        the best checkpoint ``write_outputs`` put beside the resumed one, if that
-        file holds this run's best row, at the same config and the row's step."""
+        the best checkpoint ``write_outputs`` put beside the resumed one, if its
+        header is the one ``save_best`` writes for this run's best row."""
         row = self._best_row()
         if row is None or not os.path.exists(path):
             return
         header, params = load_checkpoint(path)
-        if header.get("config") != config or header.get("global_step") != row["step"]:
+        expected = self._header(row["step"])
+        if {key: header.get(key) for key in expected} != expected:
             return
         if {name: (arr.shape, arr.dtype) for name, arr in params.items()} != {
             name: (t.data.shape, t.data.dtype) for name, t in self.model.named_parameters()
@@ -326,10 +319,17 @@ class Trainer:
 
 
 def _report(row: dict | None) -> RecallReport | None:
-    """The validation report a history row carries, if any."""
-    if row is None or row.get("mr") is None:
+    """The validation report a history row carries, if any: its seven columns
+    are all set or all unset, and its mr is the mean of its six recalls."""
+    missing = [key for key in REPORT_KEYS if row is None or row.get(key) is None]
+    if len(missing) == len(REPORT_KEYS):
         return None
-    return RecallReport(**{key: row[key] for key in REPORT_KEYS})
+    if missing:
+        raise InputError(f"incomplete report, no {', '.join(missing)}")
+    report = RecallReport(*(row[key] for key in _RECALL_KEYS))
+    if row["mr"] != report.mr:
+        raise InputError(f"mr={row['mr']} is not {report.mr}, the mean of the six recalls")
+    return report
 
 
 def write_outputs(out_dir, trainer: Trainer) -> None:
@@ -361,13 +361,13 @@ def run_stage(cfg: TrainConfig, out_dir=None, dataset: Dataset | None = None) ->
 def sweep(cfg: TrainConfig, axis: str, values, out_dir=None, dataset: Dataset | None = None):
     """One full train+eval per value of the dotted config key ``axis``; returns table rows.
 
-    Every derived config is built, and so validated, before the first run.
+    Every derived config, and a trainer on it, which checks the data, is built before the first run.
     """
     if not values:
         raise ConfigError("sweep needs at least one value")
     derived = [apply_overrides(cfg, [f"{axis}={value}"]) for value in values]
     for value, run_cfg in zip(values, derived):
-        if not run_cfg.data.val_path and run_cfg.data.val_images_per_class == 0:
+        if not Trainer(run_cfg, dataset=dataset).val_records:
             raise ConfigError(
                 f"sweep at {axis}={value} has no validation split to report "
                 "(set data.val_path or data.val_images_per_class)"

@@ -4,7 +4,7 @@ Captions retrieve images (each caption has exactly one ground-truth image, its
 owner) and images retrieve captions (an image's ground truth is every caption
 it owns).
 Ranking is by descending similarity with ties broken toward the lower
-candidate index, and mean recall averages the six R@{1,5,10} values.
+candidate index, and a report's mean recall ``mr`` is read off its six R@{1,5,10} values.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import numpy as np
 from .errors import ConfigError, DegenerateInputError, InputError
 
 DIRECTIONS = ("i2t", "t2i")
-REPORT_KEYS = ("i2t_r1", "i2t_r5", "i2t_r10", "t2i_r1", "t2i_r5", "t2i_r10", "mr")
+_RECALL_KEYS = ("i2t_r1", "i2t_r5", "i2t_r10", "t2i_r1", "t2i_r5", "t2i_r10")
+REPORT_KEYS = (*_RECALL_KEYS, "mr")
 REPORT_KS = (1, 5, 10)
 # Image rows per comparison pass or finiteness check: 16 x 5000 captions keeps each mask at 80 KB.
 _RANK_BLOCK = 16
@@ -115,14 +116,6 @@ def recall_at_k(table: RetrievalTable, k: int, direction: str) -> float:
     return _recall(_ground_truth_ranks(table, direction), k)
 
 
-def mean_recall(recalls) -> float:
-    """Arithmetic mean of the six R@{1,5,10} percentages (both directions)."""
-    values = [float(r) for r in recalls]
-    if len(values) != 6:
-        raise InputError(f"mean recall averages exactly six values, got {len(values)}")
-    return sum(values) / 6.0
-
-
 @dataclass
 class RecallReport:
     i2t_r1: float
@@ -131,10 +124,9 @@ class RecallReport:
     t2i_r1: float
     t2i_r5: float
     t2i_r10: float
-    mr: float
 
     def __post_init__(self):
-        for name in REPORT_KEYS:
+        for name in _RECALL_KEYS:
             value = getattr(self, name)
             if not 0.0 <= value <= 100.0:
                 raise InputError(f"{name}={value} outside [0, 100]")
@@ -142,6 +134,11 @@ class RecallReport:
             raise InputError("image-to-text recalls must be nondecreasing in K")
         if not (self.t2i_r1 <= self.t2i_r5 <= self.t2i_r10):
             raise InputError("text-to-image recalls must be nondecreasing in K")
+
+    @property
+    def mr(self) -> float:
+        """Mean recall: the arithmetic mean of the six percentages, summed in key order."""
+        return sum(float(getattr(self, key)) for key in _RECALL_KEYS) / 6.0
 
     @classmethod
     def from_table(cls, table: RetrievalTable) -> "RecallReport":
@@ -151,7 +148,7 @@ class RecallReport:
                 _check_k(table, k, direction)
             ranks = _ground_truth_ranks(table, direction)
             values += [_recall(ranks, k) for k in REPORT_KS]
-        return cls(*values, mr=mean_recall(values))
+        return cls(*values)
 
     def to_dict(self) -> dict:
         return {key: float(getattr(self, key)) for key in REPORT_KEYS}

@@ -22,7 +22,7 @@ from .config import LossSettings
 from .errors import BeliefretError, ConfigError
 from .losses import EPSILON, affiliation_loss, contrastive_loss
 from .pae import init_pae_stack, init_pael, pael, spatial_pae, temporal_pae
-from .retrieval import RetrievalTable, mean_recall, recall_at_k
+from .retrieval import RecallReport, RetrievalTable, recall_at_k
 from .rng import child
 from .tensor import Tensor, grad_check
 
@@ -335,7 +335,7 @@ def _exhaustive_recall(table, k, direction):
 
 def _published_row_error(_seed: int) -> float:
     """|mR - 39.25| of a published row's six recalls."""
-    return abs(mean_recall([18.36, 42.04, 55.53, 13.36, 44.47, 61.73]) - 39.25)
+    return abs(RecallReport(18.36, 42.04, 55.53, 13.36, 44.47, 61.73).mr - 39.25)
 
 
 # -- invariant suite -----------------------------------------------------------------

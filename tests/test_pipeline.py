@@ -7,7 +7,7 @@ import pytest
 
 from beliefret import tensor as T
 from beliefret.blocks import named_tensors
-from beliefret.checkpoint import load_checkpoint, save_checkpoint
+from beliefret.checkpoint import SCHEMA_VERSION, load_checkpoint, save_checkpoint
 from beliefret.config import TrainConfig, apply_overrides, config_from_dict, config_to_dict
 from beliefret.data import CorpusSpec, Dataset, generate_corpus, write_dataset
 from beliefret.errors import ConfigError, InputError, ParseError
@@ -21,7 +21,7 @@ from beliefret.pipeline import (
     sweep,
     write_outputs,
 )
-from beliefret.retrieval import REPORT_KEYS
+from beliefret.retrieval import REPORT_KEYS, RecallReport
 
 
 def make_config(**overrides):
@@ -361,17 +361,17 @@ def test_restored_arrays_are_fresh_c_order_copies():
 def test_tied_best_report_keeps_the_earlier_row(tmp_path):
     trainer = Trainer(make_config(**{"optim.batch_size": "16"}), dataset=TINY)
 
-    def row(step, r1, mr):
-        return {"step": step, "loss": 1.0, "l_c": 1.0, "l_a": 0.0, "i2t_r1": r1, "i2t_r5": 60.0,
-                "i2t_r10": 70.0, "t2i_r1": 40.0, "t2i_r5": 50.0, "t2i_r10": 60.0, "mr": mr}
+    def row(step, i2t_r1, t2i_r1):
+        report = RecallReport(i2t_r1, 60.0, 70.0, t2i_r1, 50.0, 60.0)
+        return {"step": step, "loss": 1.0, "l_c": 1.0, "l_a": 0.0, **report.to_dict()}
 
-    trainer.history = [row(1, 30.0, 50.0), row(2, 35.0, 40.0), row(3, 50.0, 50.0), row(4, 10.0, 20.0)]
+    # rows 1 and 3 tie on mR: their recalls sum to 310 in either order
+    trainer.history = [row(1, 30.0, 40.0), row(2, 35.0, 20.0), row(3, 40.0, 30.0), row(4, 10.0, 20.0)]
     trainer.best_params = {name: t.data.copy() for name, t in trainer.model.named_parameters()}
     assert trainer.best_report.i2t_r1 == 30.0
     assert trainer.final_report.i2t_r1 == 10.0
     trainer.save_best(tmp_path / "best.npz")
     header, _ = load_checkpoint(tmp_path / "best.npz")
-    assert header["global_step"] == 1
     assert header["history"] == trainer.history[:1]
 
 
@@ -391,14 +391,8 @@ def test_checkpoint_without_history_loads_but_does_not_resume(tmp_path):
         Trainer.from_checkpoint(path, dataset=TINY)
 
 
-_STEP = "checkpoint global_step must be an integer >= 0, got"
 RESUME_FAULTS = {  # id: (header keys replaced, message after the path)
-    "step-string": ({"global_step": "x"}, f"{_STEP} 'x'"),
-    "step-null": ({"global_step": None}, f"{_STEP} None"),
-    "step-float": ({"global_step": 2.5}, f"{_STEP} 2.5"),
-    "step-bool": ({"global_step": True}, f"{_STEP} True"),
-    "step-negative": ({"global_step": -1}, f"{_STEP} -1"),
-    "step-missing": (None, f"{_STEP} None"),
+    "step-negative": ({"history": [{"step": -1}]}, "checkpoint history[0] has step -1, below the previous step 0"),
     "history-object": ({"history": {"step": 1}}, "checkpoint history must be a list of rows, got {'step': 1}"),
     "row-step-string": (
         {"history": [{"step": "a"}]},
@@ -414,14 +408,21 @@ RESUME_FAULTS = {  # id: (header keys replaced, message after the path)
     ),
     "row-no-step": ({"history": [{"loss": 1.0}]}, "checkpoint history: missing config key(s): ['history[0].step']"),
     "row-number": ({"history": [7]}, "checkpoint history: config key history[0] must be a JSON object"),
-    "row-after-step": ({"history": [{"step": 3}]}, "checkpoint history[0] has step 3, outside [0, 2]"),
+    "row-after-step": (
+        {"history": [{"step": 2}, {"step": 1}]},
+        "checkpoint history[1] has step 1, below the previous step 2",
+    ),
     "row-recall-incomplete": (
         {"history": [{"step": 1, **dict.fromkeys(REPORT_KEYS[1:], 50.0)}]},
-        "checkpoint history[0] has no i2t_r1",
+        "checkpoint history[0]: incomplete report, no i2t_r1",
     ),
     "row-recall-out-of-range": (
-        {"history": [{"step": 1, **dict.fromkeys(REPORT_KEYS, 50.0), "mr": 150.0}]},
-        "checkpoint history[0]: mr=150.0 outside [0, 100]",
+        {"history": [{"step": 1, **dict.fromkeys(REPORT_KEYS, 50.0), "i2t_r10": 150.0}]},
+        "checkpoint history[0]: i2t_r10=150.0 outside [0, 100]",
+    ),
+    "row-mr-not-mean": (
+        {"history": [{"step": 1, **dict.fromkeys(REPORT_KEYS, 10.0), "mr": 90.0}]},
+        "checkpoint history[0]: mr=90.0 is not 10.0, the mean of the six recalls",
     ),
 }
 
@@ -431,14 +432,22 @@ def test_resume_refuses_a_malformed_step_or_history(tmp_path, fault):
     replaced, message = RESUME_FAULTS[fault]
     trainer = Trainer(make_config(**{"optim.steps": "2", "optim.batch_size": "16"}), dataset=TINY).train()
     header = trainer._header(trainer.global_step)
-    if replaced is None:
-        del header["global_step"]
-    else:
-        header.update(replaced)
+    header.update(replaced)
     path = tmp_path / "ck.npz"
     save_checkpoint(path, {name: t.data for name, t in trainer.model.named_parameters()}, header)
     with pytest.raises(ParseError, match=re.escape(f"{path}: {message}")):
         Trainer.from_checkpoint(path, dataset=TINY)
+
+
+def test_resume_steps_on_from_the_last_row(tmp_path):
+    # a step count stored beside the rows, as schema 8 held one, is not read
+    cfg = make_config(**{"optim.steps": "3", "optim.batch_size": "16"})
+    trainer = Trainer(cfg, dataset=TINY).train()
+    save_checkpoint(tmp_path / "ck.npz", {name: t.data for name, t in trainer.model.named_parameters()},
+                    {**trainer._header(3), "global_step": 10})
+    resumed = Trainer.from_checkpoint(tmp_path / "ck.npz", dataset=TINY)
+    resumed.cfg.optim.steps = 6
+    assert [row["step"] for row in resumed.train().history] == [1, 2, 3, 4, 5, 6]
 
 
 def test_resume_keeps_the_stored_history_rows(tmp_path):
@@ -464,10 +473,10 @@ def test_resumed_run_keeps_its_earlier_best_checkpoint(tmp_path):
     assert resumed.best_params is not None
     resumed.cfg.optim.steps = 12
     resumed.train()
-    assert resumed._best_row()["step"] == best_header["global_step"] == 2
+    assert resumed._best_row()["step"] == best_header["history"][-1]["step"] == 2
     write_outputs(run_dir, resumed)
     header, arrays = load_checkpoint(run_dir / "best.npz")
-    assert header["global_step"] == 2 and arrays.keys() == best_arrays.keys()
+    assert header["history"][-1]["step"] == 2 and arrays.keys() == best_arrays.keys()
     for name, arr in best_arrays.items():
         npt.assert_array_equal(arrays[name], arr, err_msg=name)
     assert (run_dir / "metrics.json").read_bytes() == metrics
@@ -480,7 +489,7 @@ def test_resumed_run_keeps_its_earlier_best_checkpoint(tmp_path):
     # the best.npz of another run (seed 2), at the same step 2, is not this run's best
     other = tmp_path / "other"
     run_stage(make_config(seed=2, **{"optim.steps": "6", "optim.batch_size": "16"}), out_dir=other, dataset=TINY)
-    assert load_checkpoint(other / "best.npz")[0]["global_step"] == 2
+    assert load_checkpoint(other / "best.npz")[0]["history"][-1]["step"] == 2
     (other / "checkpoint.npz").write_bytes((run_dir / "checkpoint.npz").read_bytes())
     assert Trainer.from_checkpoint(other / "checkpoint.npz", dataset=TINY).best_params is None
 
@@ -527,7 +536,9 @@ def test_checkpoint_header_contents(tmp_path):
     path = tmp_path / "ck.npz"
     trainer.save(path)
     header, params = load_checkpoint(path)
-    assert header["global_step"] == 3
+    # the config and the history are a run's whole state
+    assert set(header) == {"config", "history", "schema_version"}
+    assert header["history"][-1]["step"] == 3
     assert header["config"]["seed"] == cfg.seed
     names = {name for name, _ in trainer.model.named_parameters()}
     assert set(params) == names
@@ -541,69 +552,16 @@ def test_checkpoint_with_non_finite_parameter_rejected(tmp_path):
         load_checkpoint(tmp_path / "ck.npz")
 
 
-def _old_guide_names(header, arrays):
-    # schema 1 named the temporal stack's guides step_w; a non-strict restore
-    # (init_from) would silently skip them instead of failing
-    for name in [n for n in arrays if n.startswith("temporal.guide_w.")]:
-        arrays[name.replace("guide_w", "step_w")] = arrays.pop(name)
-
-
-def _no_centroids(header, arrays):
-    # schema 2 had no instruction centroids
-    del arrays["instruction.centroids"]
-
-
-def _deleted_settings(header, arrays):
-    # a schema 3 header's config still holds dropout_rate, model.ffn_ratio,
-    # model.use_position_encoding and loss.epsilon, settings that are gone
-    header["config"]["dropout_rate"] = 0.0
-    header["config"]["model"].update(ffn_ratio=2, use_position_encoding=True)
-    header["config"]["loss"]["epsilon"] = 1e-12
-
-
-def _vocab_setting(header, arrays):
-    # a schema 4 header's config still holds model.vocab_size, which the data now fixes
-    header["config"]["model"]["vocab_size"] = TINY.meta.vocab_size
-
-
-def _split_qkv(header, arrays):
-    # a schema 5 header's config still holds the stack switches, and attention
-    # kept Q, K and V as three arrays each
-    header["config"].update(use_spatial_pae=True, use_temporal_pae=True)
-    for name in [n for n in arrays if ".qkv." in n]:
-        for proj, part in zip("qkv", np.split(arrays.pop(name), 3)):
-            arrays[name.replace(".qkv.", f".{proj}.")] = part
-
-
-def _own_log_scale(header, arrays):
-    # a schema 6 header's config still holds loss.t_logit, which loss.tau now sets
-    header["config"]["loss"]["t_logit"] = 2.659
-
-
-def _layer_blocks_unnamed(header, arrays):
-    # schema 7 named a stack layer's four sublayers self_attn, self_ffn,
-    # cross_attn and cross_ffn, where its two blocks are now refine and inject
-    renames = {".refine.attn.": ".self_attn.", ".refine.ffn.": ".self_ffn.",
-               ".inject.attn.": ".cross_attn.", ".inject.ffn.": ".cross_ffn."}
-    for name in [n for n in arrays if ".layers." in n]:
-        new = next(name.replace(a, b) for a, b in renames.items() if a in name)
-        arrays[new] = arrays.pop(name)
-
-
-OLD_SCHEMAS = {1: _old_guide_names, 2: _no_centroids, 3: _deleted_settings, 4: _vocab_setting, 5: _split_qkv,
-               6: _own_log_scale, 7: _layer_blocks_unnamed}
-
-
-@pytest.mark.parametrize("schema", sorted(OLD_SCHEMAS))
+@pytest.mark.parametrize("schema", range(1, SCHEMA_VERSION))
 def test_old_schema_checkpoint_rejected(schema, tmp_path, monkeypatch, capsys):
-    # a checkpoint as an earlier schema wrote it is refused by every reader, not partly loaded
+    # every reader refuses an earlier schema by its number, before it reads any
+    # layout: a file of the current layout under an old number is refused too
     from beliefret import checkpoint
     from beliefret.cli import main
 
     trainer = Trainer(make_config(**{"optim.batch_size": "16"}), dataset=TINY)
     header = trainer._header(0)
     arrays = {name: t.data for name, t in trainer.model.named_parameters()}
-    OLD_SCHEMAS[schema](header, arrays)
     old = tmp_path / "old.npz"
     with monkeypatch.context() as patch:
         patch.setattr(checkpoint, "SCHEMA_VERSION", schema)
@@ -864,6 +822,11 @@ def test_sweep_refuses_bad_value_before_any_run(monkeypatch):
         sweep(cfg, "belief.filter_k", [3, "x"], dataset=TINY)
     with pytest.raises(ConfigError, match="model.heads=5 must divide model.embed_dim=32"):
         sweep(cfg, "model.heads", [2, 5], dataset=TINY)
+    # the data's faults too: each value's trainer is built before the first run
+    with pytest.raises(ConfigError, match="class 0 has only 8 images, cannot hold out 8"):
+        sweep(cfg, "data.val_images_per_class", [2, 8], dataset=TINY)
+    with pytest.raises(InputError, match="tokens, more than model.max_text_len=4"):
+        sweep(cfg, "model.max_text_len", [16, 4], dataset=TINY)
 
 
 def test_empty_validation_file_refused(tmp_path):
