@@ -13,7 +13,9 @@ a fine corpus that starts from stage one's checkpoint file through
 from __future__ import annotations
 
 import csv
+import ctypes
 import dataclasses
+import functools
 import io
 import math
 import os
@@ -37,6 +39,28 @@ _HistoryRow = dataclasses.make_dataclass(
     "_HistoryRow",
     [("step", int), *((col, float | None, dataclasses.field(default=None)) for col in HISTORY_COLUMNS[1:])],
 )
+
+
+@functools.cache
+def _pin_heap() -> None:
+    """Pin glibc's mmap and trim thresholds for the process, once.
+
+    With the dynamic thresholds, the heap top that a backward pass frees is
+    given back to the OS and the next forward pass faults it in again:
+    thousands of minor faults per step at batch 128. Setting either value
+    turns the dynamic adjustment off, so both are set, and the trim threshold
+    only if the mmap one is taken: alone, it leaves every array over 128 KiB
+    to a fresh mmap. An array under 64 MiB comes from the heap (a 1000 x 5000
+    float64 similarity table is 40 MB), and a free heap top under 128 MiB is
+    kept for the next step. Without glibc's ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    # a glibc that caps M_MMAP_THRESHOLD below 64 MiB refuses it and returns 0
+    if mallopt(-3, 64 << 20):  # M_MMAP_THRESHOLD
+        mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
 
 
 def stratified_split(records, val_images_per_class: int):
@@ -224,6 +248,7 @@ class Trainer:
             self.best_params = {name: t.data.copy() for name, t in self.model.named_parameters()}
 
     def train(self) -> Trainer:
+        _pin_heap()
         per_epoch = math.ceil(len(self.train_records) / self.cfg.optim.batch_size)
         batches = None
         while self.global_step < self.cfg.optim.steps:

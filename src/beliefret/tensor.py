@@ -478,8 +478,7 @@ def affine(w, x, b) -> Tensor:
     w = _as_tensor(w, dtype=x.dtype)
     b = _as_tensor(b, dtype=x.dtype)
     _check_weights(x, ((w, b),), "affine")
-    # biases are added in place: a second output-sized temporary of a few hundred
-    # KB is handed back to the OS when freed, and faulted in afresh on each call
+    # the bias is added in place, so no second output-sized array is allocated and written
     data = w.data @ x.data
     data += b.data
 

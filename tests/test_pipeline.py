@@ -1,10 +1,13 @@
+import ctypes
 import math
 import re
+import resource
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from beliefret import pipeline
 from beliefret import tensor as T
 from beliefret.blocks import named_tensors
 from beliefret.checkpoint import SCHEMA_VERSION, load_checkpoint, save_checkpoint
@@ -721,6 +724,57 @@ def test_trapped_step_matches_untrapped_bit_for_bit(precision):
     assert len(plain_grads) > 10 and plain_grads.keys() == trapped_grads.keys()
     for name, grad in plain_grads.items():
         assert grad.tobytes() == trapped_grads[name].tobytes(), name
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_training_steps_reuse_freed_pages():
+    # a batch-128 stage-1 step frees a few MB at the heap top; with glibc's
+    # dynamic thresholds the next step faulted it back in, thousands of
+    # minor faults per step
+    coarse = generate_corpus(
+        CorpusSpec(num_classes=8, images_per_class=20, vocab_size=64, seed=7, granularity="coarse",
+                   caption_len_min=8, caption_len_max=8)
+    )
+    cfg = make_config(stage="stage1-pretrain", **{
+        "optim.steps": "3", "optim.batch_size": "128", "data.val_images_per_class": "0",
+    })
+    trainer = Trainer(cfg, dataset=coarse).train()
+    faults = []
+    for _ in range(4):
+        trainer.cfg.optim.steps += 1
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        trainer.train()
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert sum(faults) < 500, faults
+
+
+def test_heap_pin_sets_the_trim_threshold_only_with_the_mmap_one(monkeypatch):
+    calls = []
+
+    class Libc:
+        def __init__(self, name):
+            pass
+
+        def mallopt(self, param, value):
+            calls.append(param)
+            return accepted
+
+    monkeypatch.setattr(pipeline.ctypes, "CDLL", Libc)
+    for accepted, expected in ((1, [-3, -1]), (0, [-3])):
+        calls.clear()
+        pipeline._pin_heap.__wrapped__()
+        assert calls == expected
+    del Libc.mallopt  # a C library without mallopt: nothing is set, nothing raised
+    calls.clear()
+    pipeline._pin_heap.__wrapped__()
+    assert calls == []
 
 
 # -- open domain ---------------------------------------------------------------------------
