@@ -468,6 +468,17 @@ def _check_weights(x: Tensor, pairs, op_name: str) -> None:
         width = w.data.shape[0]
 
 
+def _add_bias(out: np.ndarray, b: np.ndarray) -> None:
+    """out += b in place, for out (..., n, L) and an (n, 1) bias b.
+
+    The bias is first repeated into one contiguous (n, L) block, so numpy adds
+    that block to each batch row instead of broadcasting b along the short
+    sequence axis (see the notes on the pre-norm sublayers below). The bits
+    are those of out + b.
+    """
+    out += np.repeat(b, out.shape[-1], axis=1)
+
+
 def affine(w, x, b) -> Tensor:
     """w @ x + b as one node: w (out, in), x (..., in, L), b (out, 1).
 
@@ -478,9 +489,9 @@ def affine(w, x, b) -> Tensor:
     w = _as_tensor(w, dtype=x.dtype)
     b = _as_tensor(b, dtype=x.dtype)
     _check_weights(x, ((w, b),), "affine")
-    # the bias is added in place, so no second output-sized array is allocated and written
+    # the bias goes in place, so no second output-sized array is allocated
     data = w.data @ x.data
-    data += b.data
+    _add_bias(data, b.data)
 
     def bw(g):
         return (
@@ -501,6 +512,18 @@ def affine(w, x, b) -> Tensor:
 # column j of w by γ_j; γ·x̂ + β is never formed. μ and var = mean((x − μ)²)
 # are products with the (1, d) row of 1/d: for a (B, d, L) input BLAS takes
 # them several times faster than a numpy sum across the short sequence axis.
+#
+# numpy pays per row of the last axis: a reduction along the 9-17-long
+# sequence axis, or a broadcast of an (n, 1) bias along it, runs one short
+# inner loop per row, and at the desk shapes that loop overhead, not the
+# arithmetic, sets the cost. At (64, 2, 11, 11) float32 (numpy 2.4.6, one
+# thread) a max along the last axis takes 110-136 µs and a sum 38 µs, against
+# 10 µs for ``exp`` of the whole array and 6.5 µs for a product with a ones
+# row; adding a (144, 1) bias to (64, 144, 11) takes 78 µs, against 29 µs for
+# the bias repeated to one contiguous (144, 11) block. So no sublayer reduces
+# or broadcasts along that axis: means and softmax sums are ones-row products,
+# attention's softmax runs along key rows, and biases go in through
+# ``_add_bias``.
 #
 # Backward from g, the gradient at the first product's output, with G = Σ g x̂ᵀ
 # and S = Σ g over batch and sequence axes: dw = G∘γᵀ + S βᵀ, db = S,
@@ -583,12 +606,12 @@ def ffn(x, gamma, beta, w1, b1, w2, b2) -> Tensor:
     normed, std = _normalize(x.data)
     w_fold, b_fold = _fold(w1.data, gamma.data, beta.data, b1.data)
     h = w_fold @ normed
-    h += b_fold
+    _add_bias(h, b_fold)
     if not _TRAPPING:
         _check_finite(h)  # tanh would hide an overflow here
     np.tanh(h, out=h)
     data = w2.data @ h
-    data += b2.data
+    _add_bias(data, b2.data)
     data += x.data
 
     def bw(g):
@@ -614,19 +637,27 @@ def attention(
     and gamma_kv and beta_kv are None. Gammas and betas are (d, 1), w_qkv
     (3d, d) and b_qkv (3d, 1) stack the Q, K and V projections, wo is (d, d)
     and bo (d, 1). Per head, with Q, K, V the head's rows of the projections
-    of LN_q(xq), LN_kv(xkv) and LN_kv(xkv), P = softmax(QᵀK / √dh) along keys
-    and the context V Pᵀ; the heads' contexts, stacked back to d rows, go
+    of LN_q(xq), LN_kv(xkv) and LN_kv(xkv), the scores S = KᵀQ / √dh are held
+    key by query, (..., h, Lk, Lq), and P = softmax(S) along the keys (axis
+    −2), so the context is V P; the heads' contexts, stacked back to d rows, go
     through wo·(·) + bo. Self-attention projects with all of w_qkv at once,
     cross-attention Q with its rows [:d] and K and V with its rows [d:]; each
     product has its norm's γ and β folded in, (w∘γᵀ)·x̂ + (w β + b).
 
-    ``key_mask``, a constant (..., 1, 1, Lk) array of 0 on real keys and −inf
-    on padded ones, is added to every head's scaled scores before the softmax,
-    so P is exactly 0 on a padded key. A row of the batch must keep at least
-    one real key, or its softmax has no finite entry.
+    The softmax works along key rows, never along the short last axis (see
+    the notes on the pre-norm sublayers): the max is one reduce over axis −2,
+    and the denominators are the product of a (1, Lk) ones row with the
+    exponentials.
 
-    Backward, with G the context gradient per head: dV = G P,
-    dP = Gᵀ V, dS = (dP − Σ_k dP·P) P / √dh, dQ = K dSᵀ, dK = Q dS.
+    ``key_mask``, a constant (..., 1, 1, Lk) array of 0 on real keys and −inf
+    on padded ones, is added, as its swapped (..., 1, Lk, 1) view, to every
+    head's scaled scores before the softmax, so P is exactly 0 on a padded
+    key. A row of the batch must keep at least one real key, or its softmax
+    has no finite entry.
+
+    Backward, with G the context gradient per head: dV = G Pᵀ,
+    dP = Vᵀ G, dS = (dP − Σ_k dP∘P) ∘ P / √dh, the sum over keys again a
+    ones-row product, dQ = K dS and dK = Q dSᵀ.
     Each folded product, from the gradient g at its output, with
     G = Σ g x̂ᵀ (one tensordot over batch and sequence axes) and S = Σ g, gives
     dw = G∘γᵀ + S βᵀ, db = S, dγ = Σ_rows (w∘G), dβ = wᵀ S and the gradient
@@ -671,7 +702,7 @@ def attention(
         w = w_qkv.data[rows]
         w_fold, b_fold = _fold(w, gamma.data, beta.data, b_qkv.data[rows])
         out = w_fold @ normed
-        out += b_fold
+        _add_bias(out, b_fold)
         outs.append(out)
         products.append((x, normed, std, w, gamma.data, beta.data, w_fold))
     if self_attn:
@@ -682,16 +713,17 @@ def attention(
     kh = k.reshape((*lead, heads, dh, lk))
     vh = v.reshape((*lead, heads, dh, lk))
     scale = np.asarray(dh**-0.5, dtype=xq.dtype)
-    p = qh.swapaxes(-1, -2) @ kh  # scores (..., h, Lq, Lk), then their softmax in place
+    ones = np.ones((1, lk), dtype=xq.dtype)  # ones @ a sums a's key rows
+    p = kh.swapaxes(-1, -2) @ qh  # scores (..., h, Lk, Lq), then their softmax along keys in place
     p *= scale
     if key_mask is not None:
-        p += key_mask
-    p -= p.max(axis=-1, keepdims=True)
+        p += key_mask.swapaxes(-1, -2)
+    p -= p.max(axis=-2, keepdims=True)
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    ctx = (vh @ p.swapaxes(-1, -2)).reshape((*lead, d, lq))
+    p /= ones @ p
+    ctx = (vh @ p).reshape((*lead, d, lq))
     data = wo.data @ ctx
-    data += bo.data
+    _add_bias(data, bo.data)
     data += xq.data
 
     def bw(g):
@@ -700,13 +732,13 @@ def attention(
         # at the stacked product's output; cross-attention stacks only dK and
         # dV, as its dQ feeds a product of its own
         stacked = np.empty((*lead, 3 if self_attn else 2, heads, dh, lk), dtype=gctx.dtype)
-        np.matmul(gctx, p, out=stacked[..., -1, :, :, :])  # dV
-        gscore = gctx.swapaxes(-1, -2) @ vh  # dP, then dS in place
-        gscore -= (gscore * p).sum(axis=-1, keepdims=True)
+        np.matmul(gctx, p.swapaxes(-1, -2), out=stacked[..., -1, :, :, :])  # dV
+        gscore = vh.swapaxes(-1, -2) @ gctx  # dP, then dS in place, key by query
+        gscore -= ones @ (gscore * p)
         gscore *= p
         gscore *= scale
-        gq = np.matmul(kh, gscore.swapaxes(-1, -2), out=stacked[..., 0, :, :, :] if self_attn else None)
-        np.matmul(qh, gscore, out=stacked[..., -2, :, :, :])  # dK
+        gq = np.matmul(kh, gscore, out=stacked[..., 0, :, :, :] if self_attn else None)
+        np.matmul(qh, gscore.swapaxes(-1, -2), out=stacked[..., -2, :, :, :])  # dK
         stacked = stacked.reshape((*lead, -1, lk))
         g_outs = [stacked] if self_attn else [gq.reshape((*lead, d, lq)), stacked]
         grads, rows = [], []

@@ -78,6 +78,17 @@ def test_matmul_batched_broadcast_gradient():
     assert err_w < 1e-6
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", [(4, 6, 11), (6, 11), (4, 6, 1)], ids=["batched", "unbatched", "one-column"])
+def test_bias_add_matches_broadcast_bit_for_bit(shape, dtype):
+    rng = child(3, "bias-add", *shape)
+    out = rng.normal(size=shape).astype(dtype)
+    b = rng.normal(size=(shape[-2], 1)).astype(dtype)
+    want = out + b
+    T._add_bias(out, b)
+    assert out.dtype == dtype and out.tobytes() == want.tobytes()
+
+
 # -- softmax ------------------------------------------------------------------
 
 
@@ -275,15 +286,15 @@ def test_attention_stacked_gradients_match_concatenation(kind, dtype, monkeypatc
     monkeypatch.setattr(T, "_fold_grads", recording)
     (out * coef).sum().backward()  # the op's gradient is coef itself
 
-    p, lead = saved["p"], saved["lead"]
+    p, lead = saved["p"], saved["lead"]  # P stored as (..., h, Lk, Lq)
     gctx = (saved["wo"].data.T @ coef).reshape((*lead, heads, dh, lq))
-    gv = (gctx @ p).reshape((*lead, d, lk))
-    gscore = gctx.swapaxes(-1, -2) @ saved["vh"]
-    gscore -= (gscore * p).sum(axis=-1, keepdims=True)
+    gv = (gctx @ p.swapaxes(-1, -2)).reshape((*lead, d, lk))
+    gscore = saved["vh"].swapaxes(-1, -2) @ gctx  # dP, then dS, key by query
+    gscore -= np.ones((1, lk), dtype=dtype) @ (gscore * p)
     gscore *= p
     gscore *= saved["scale"]
-    gq = (saved["kh"] @ gscore.swapaxes(-1, -2)).reshape((*lead, d, lq))
-    gk = (saved["qh"] @ gscore).reshape((*lead, d, lk))
+    gq = (saved["kh"] @ gscore).reshape((*lead, d, lq))
+    gk = (saved["qh"] @ gscore.swapaxes(-1, -2)).reshape((*lead, d, lk))
     if kind == "self":
         expected = [np.concatenate([gq, gk, gv], axis=-2)]
     else:
