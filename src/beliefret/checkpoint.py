@@ -16,7 +16,7 @@ import numpy as np
 from .config import TrainConfig, build_checked
 from .errors import ConfigError, ParseError
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 _HEADER_KEY = "__header__"
 _PARAM_PREFIX = "param::"

@@ -25,6 +25,7 @@ from .errors import (
 )
 from .model import RetrievalModel
 from .pipeline import _check_captions, _check_image_size, embed_records, evaluate_model, run_stage, sweep
+from .retrieval import REPORT_KS
 from .verify import GRAD_SEEDS, SUITES, run_suite
 
 EXIT_OK = 0
@@ -110,6 +111,9 @@ def _model_from_checkpoint(path, dataset, dataset_path):
 def cmd_eval(args) -> int:
     out_dir = _resolve_out(args.out, "eval")
     dataset = load_dataset(args.dataset)
+    k = max(REPORT_KS)
+    if len(dataset.records) < k:
+        raise InputError(f"{args.dataset}: {len(dataset.records)} records; R@{k} needs at least {k}")
     model = _model_from_checkpoint(args.checkpoint, dataset, args.dataset)
     report = evaluate_model(model, dataset.records)
     os.makedirs(out_dir, exist_ok=True)

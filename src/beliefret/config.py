@@ -4,8 +4,8 @@ Configs are JSON with a schema version. Loading rejects unknown keys, and
 command-line overrides use dotted paths (``--set optim.steps=200``) with type
 coercion against the dataclass field types. Every rule of a valid config is
 checked here, when it is built: each settings class checks its own values, and
-``TrainConfig`` applies its stage's preset and then the rule that spans
-sections, so a config that builds is one a model can be built from.
+``TrainConfig`` applies its stage's preset, so a config that builds is one a
+model can be built from.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import math
 import typing
 from dataclasses import dataclass, field
 
-from .belief import MODES as BELIEF_MODES
 from .errors import ConfigError
 
 SCHEMA_VERSION = 1
@@ -50,18 +49,6 @@ class ModelSettings:
                 raise ConfigError(f"model.heads={self.heads} must divide model.{name}={getattr(self, name)}")
         if self.image_size % self.patch_size:
             raise ConfigError(f"model.patch_size={self.patch_size} must divide model.image_size={self.image_size}")
-
-
-@dataclass
-class BeliefSettings:
-    mode: str = "soft-sequence"
-    filter_k: int = 8  # hard mode only
-
-    def __post_init__(self):
-        if self.mode not in BELIEF_MODES:
-            raise ConfigError(f"belief.mode must be one of {BELIEF_MODES}, got {self.mode!r}")
-        if self.filter_k < 1:
-            raise ConfigError("belief.filter_k must be at least 1")
 
 
 @dataclass
@@ -111,7 +98,6 @@ class TrainConfig:
     stage: str = "closed-domain"
     seed: int = 0
     model: ModelSettings = field(default_factory=ModelSettings)
-    belief: BeliefSettings = field(default_factory=BeliefSettings)
     loss: LossSettings = field(default_factory=LossSettings)
     optim: OptimSettings = field(default_factory=OptimSettings)
     data: DataSettings = field(default_factory=DataSettings)
@@ -128,9 +114,6 @@ class TrainConfig:
         if self.stage == "stage1-pretrain":  # a plain dual encoder under the pairwise loss alone
             self.model = dataclasses.replace(self.model, spatial_units=0, temporal_units=0)
             self.loss = dataclasses.replace(self.loss, lambda_cs=0.0)
-        tokens = (self.model.image_size // self.model.patch_size) ** 2 + 1  # the patches and the global token
-        if self.model.spatial_units and self.belief.mode == "hard" and self.belief.filter_k > tokens:
-            raise ConfigError(f"belief.filter_k={self.belief.filter_k} exceeds the {tokens} visual tokens")
 
 
 def config_to_dict(cfg: TrainConfig) -> dict:

@@ -124,7 +124,7 @@ class RetrievalModel:
         if self.spatial is None:
             return f_cls
         f_ins = instruction_batch(pixels, self.instruction)
-        refined = refine_batch(tokens, f_ins, self.cfg.belief.mode, self.cfg.belief.filter_k)
+        refined = refine_batch(tokens, f_ins)
         return f_cls + spatial_pae(refined, f_ins, self.spatial)
 
     def embed_texts(self, captions) -> Tensor:

@@ -116,11 +116,8 @@ def _grad_refine_batch(seed: int) -> float:
     rng = child(seed, "gs-refine")
     b, d, length = 2, 3, 5
     args = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((b, d, length), (b, d))]
-    worst = 0.0
-    for mode, width in (("soft-sequence", length), ("soft-aggregate", 1)):
-        coef = Tensor(rng.normal(size=(b, d, width)))
-        worst = max(worst, _probe_each(args, lambda a: (refine_batch(*a, mode) * coef).sum()))
-    return worst
+    coef = Tensor(rng.normal(size=(b, d, length)))
+    return _probe_each(args, lambda a: (refine_batch(*a) * coef).sum())
 
 
 def _grad_affine(seed: int) -> float:
@@ -228,25 +225,6 @@ def _rank_case(seed: int):
         values = np.round(values * 4) / 4.0
     weights = values / values.sum() if values.sum() > 0 else np.full(length, 1.0 / length)
     return None if np.array_equal(_strict_rank(weights), _brute_rank(weights)) else "ranks differ"
-
-
-def _hard_filter_case(seed: int):
-    rng = child(seed, "vo-filter")
-    length = int(rng.integers(1, 33))
-    values = rng.random(length) + 1e-6
-    if seed % 3 == 0:
-        values = np.round(values * 3) / 3.0 + 0.05
-    weights = values / values.sum()
-    k = int(rng.integers(1, length + 1))
-    # identity features and f_ins = log(weights) make the beliefs the weights,
-    # and each output column the one-hot of its source index
-    out = refine_batch(Tensor(np.eye(length)[None]), Tensor(np.log(weights)[None]), "hard", k)
-    kept = np.argmax(out.data[0], axis=0)
-    if not np.array_equal(kept, sorted(range(length), key=lambda j: (-weights[j], j))[:k]):
-        return "tie rule broken"
-    if not np.allclose(np.sort(weights[kept]), np.sort(np.sort(weights)[::-1][:k]), atol=0):
-        return "kept weights are not the k largest"
-    return None
 
 
 def _affiliation_case(seed: int) -> float:
@@ -359,8 +337,9 @@ def _soft_weight_case(seed: int):
     length = int(rng.integers(1, 24))
     weights = rng.random(length) + 1e-3
     weights /= weights.sum()
-    # beliefs = weights as in _hard_filter_case; column j is e_j times w_j
-    out = refine_batch(Tensor(np.eye(length)[None]), Tensor(np.log(weights)[None]), "soft-sequence")
+    # identity features and f_ins = log(weights) make the beliefs the weights,
+    # and column j e_j times its refinement weight w_j
+    out = refine_batch(Tensor(np.eye(length)[None]), Tensor(np.log(weights)[None]))
     w = np.diagonal(out.data[0])
     if not ((w > weights).all() and (w <= weights + 1.0 + 1e-12).all()):
         return "weight outside (M, M + 1]"
@@ -390,15 +369,18 @@ def _nonnegative_case(seed: int):
     return None
 
 
-def _argmax_scale_case(seed: int):
-    # hard mode at k=1 keeps the argmax column, so equal outputs mean equal argmax
-    rng = child(seed, "vi-argmax")
-    d, length = 5, 9
-    f_ins = Tensor(rng.normal(size=(1, d)))
-    feats = Tensor(rng.normal(size=(1, d, length)))
-    base = refine_batch(feats, f_ins, "hard", 1).data
-    scaled = refine_batch(feats, f_ins * float(rng.uniform(0.1, 10.0)), "hard", 1).data
-    return None if np.array_equal(base, scaled) else "argmax moved under scaling"
+def _rank_scale_case(seed: int):
+    """The rank boost, each weight minus its belief, is unchanged to 1e-12 when
+    f_ins is scaled by c in [0.1, 10]: scaling keeps the beliefs' order."""
+    rng = child(seed, "vi-rank-scale")
+    length = 9
+    scores = rng.normal(size=(1, length)) * 3.0
+    boosts = []
+    for c in (1.0, float(rng.uniform(0.1, 10.0))):
+        # identity features and f_ins = c * scores make the beliefs softmax(c * scores)
+        out = refine_batch(Tensor(np.eye(length)[None]), Tensor(c * scores))
+        boosts.append(np.diagonal(out.data[0]) - T.softmax(Tensor(c * scores), axis=-1).data[0])
+    return None if np.abs(boosts[0] - boosts[1]).max() <= 1e-12 else "rank boost moved under scaling"
 
 
 # -- the tables and their runner --------------------------------------------------------
@@ -433,7 +415,6 @@ _TABLES = {
     ),
     "oracles": (
         _Row("rank_vs_brute_force", 1000, _rank_case),
-        _Row("hard_filter_top_k", 1000, _hard_filter_case),
         _Row("affiliation_vs_loop_oracle", 200, _affiliation_case, 1e-8),
         _Row("unique_label_reduction", 100, _unique_label_case, 1e-6),
         _Row("recall_vs_sort_oracle", 500, _recall_case),
@@ -444,7 +425,7 @@ _TABLES = {
         _Row("soft_weight_bounds", 200, _soft_weight_case),
         _Row("pael_shape_preservation", 25, _pael_shape_case),
         _Row("loss_nonnegative", 100, _nonnegative_case),
-        _Row("belief_argmax_scale_invariant", 100, _argmax_scale_case),
+        _Row("belief_rank_scale_invariant", 100, _rank_scale_case),
     ),
 }
 

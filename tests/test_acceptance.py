@@ -43,12 +43,12 @@ ROW_NAMES = {
         "affiliation_loss", "pael", "spatial_pae", "temporal_pae", "refine_batch", "attention_key_bias", "runtime",
     ),
     "oracles": (
-        "rank_vs_brute_force", "hard_filter_top_k", "affiliation_vs_loop_oracle", "unique_label_reduction",
+        "rank_vs_brute_force", "affiliation_vs_loop_oracle", "unique_label_reduction",
         "recall_vs_sort_oracle", "mean_recall_published_row",
     ),
     "invariants": (
         "softmax_simplex", "soft_weight_bounds", "pael_shape_preservation", "loss_nonnegative",
-        "belief_argmax_scale_invariant",
+        "belief_rank_scale_invariant",
     ),
 }
 
@@ -74,10 +74,6 @@ def announce_rows(criterion, suite, *names):
 
 def test_rank_oracle():
     announce_rows("rank-oracle", "oracles", "rank_vs_brute_force")
-
-
-def test_hard_filter_oracle():
-    announce_rows("hard-filter-oracle", "oracles", "hard_filter_top_k")
 
 
 def test_affiliation_oracle():

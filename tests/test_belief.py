@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from beliefret import tensor as T
 from beliefret.belief import _strict_rank, refine_batch
-from beliefret.errors import ConfigError, DimensionError
+from beliefret.errors import DimensionError
 from beliefret.rng import child
-from beliefret.tensor import Tensor, grad_check
+from beliefret.tensor import Tensor
 
 
 def brute_force_ranks(values):
@@ -35,28 +35,9 @@ def identity_batch(scores):
     return Tensor(np.tile(np.eye(length), (b, 1, 1))), Tensor(scores)
 
 
-def weights_batch(values, tokens=None):
-    """A batch of one whose beliefs are the normalised ``values`` (L,).
-
-    The features are the identity stacked on ``tokens`` (t, L), and f_ins is
-    log(weights) padded with zeros, so the first L rows of each output column
-    are the one-hot of its source index and the rest are that token's values.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    tokens = np.zeros((0, v.size)) if tokens is None else np.asarray(tokens, dtype=np.float64)
-    features = np.vstack([np.eye(v.size), tokens])
-    f_ins = np.r_[np.log(v / v.sum()), np.zeros(len(tokens))]
-    return Tensor(features[None]), Tensor(f_ins[None])
-
-
-def kept_indices(out, length):
-    """Source index of each hard-mode output column of a weights_batch."""
-    return np.argmax(out.data[0, :length], axis=0)
-
-
 def soft_weights(scores):
     """Per-column soft weights belief + 1/sqrt(rank) for scores (B, L)."""
-    return refine_batch(*identity_batch(scores), "soft-aggregate").data[..., 0]
+    return refine_batch(*identity_batch(scores)).data.sum(axis=-1)
 
 
 def beliefs_of(scores):
@@ -68,7 +49,7 @@ def beliefs_of(scores):
 
 
 def test_belief_matrix_closed_form():
-    out = refine_batch(*identity_batch([[1.0, 0.0]]), "soft-sequence").data[0]
+    out = refine_batch(*identity_batch([[1.0, 0.0]])).data[0]
     e = math.e
     # beliefs e/(e+1) and 1/(e+1) have ranks 2 and 1, so boosts 1/sqrt(2) and 1
     npt.assert_allclose(np.diagonal(out), [e / (e + 1.0) + 2**-0.5, 1.0 / (e + 1.0) + 1.0], atol=1e-12)
@@ -80,7 +61,7 @@ def test_belief_matrix_orthogonal_instruction_uniform():
     # instruction hits only the first feature row, which is identically zero:
     # the beliefs are uniform 1/4 and all rank 1, so each column is scaled by 1.25
     features = np.r_[np.zeros((1, 4)), child(0, "bm").normal(size=(3, 4))]
-    out = refine_batch(Tensor(features[None]), Tensor([[1.0, 0.0, 0.0, 0.0]]), "soft-sequence")
+    out = refine_batch(Tensor(features[None]), Tensor([[1.0, 0.0, 0.0, 0.0]]))
     npt.assert_allclose(out.data[0], 1.25 * features, atol=1e-12)
 
 
@@ -94,7 +75,7 @@ def test_belief_matrix_scaling_sharpens():
 
 def test_belief_matrix_dim_mismatch():
     with pytest.raises(DimensionError):
-        refine_batch(Tensor(np.ones((1, 2, 5))), Tensor([[1.0, 0.0, 0.0]]), "soft-sequence")
+        refine_batch(Tensor(np.ones((1, 2, 5))), Tensor([[1.0, 0.0, 0.0]]))
 
 
 def test_belief_matrix_invariants():
@@ -116,58 +97,17 @@ def test_ranks_hand_cases():
     npt.assert_array_equal(_strict_rank(np.array([[0.5, 0.2, 0.3], [0.4, 0.4, 0.2]])), [[3, 1, 2], [2, 2, 1]])
 
 
-# -- hard filter ---------------------------------------------------------------
-
-
-def test_hard_filter_sort_oracle():
-    tokens = np.array([[1.0, 2.0, 3.0], [10.0, 20.0, 30.0]])
-    out = refine_batch(*weights_batch([0.2, 0.5, 0.3], tokens), "hard", 2)
-    npt.assert_array_equal(kept_indices(out, 3), [1, 2])
-    npt.assert_allclose(out.data[0, 3:], [[2.0, 3.0], [20.0, 30.0]])
-
-
-def test_hard_filter_full_keep_sorts():
-    tokens = child(3, "hf").normal(size=(4, 3))
-    out = refine_batch(*weights_batch([0.2, 0.5, 0.3], tokens), "hard", 3)
-    npt.assert_array_equal(kept_indices(out, 3), [1, 2, 0])
-    npt.assert_array_equal(out.data[0, 3:], tokens[:, [1, 2, 0]])
-
-
-def test_hard_filter_tie_keeps_lower_index():
-    out = refine_batch(*weights_batch([0.4, 0.4, 0.2]), "hard", 1)
-    npt.assert_array_equal(kept_indices(out, 3), [0])
-
-
-def test_hard_filter_k_out_of_range():
-    batch = weights_batch([0.3, 0.3, 0.4])
-    with pytest.raises(ConfigError):
-        refine_batch(*batch, "hard", 0)
-    with pytest.raises(ConfigError):
-        refine_batch(*batch, "hard", 4)
-
-
 # -- soft reweight ---------------------------------------------------------------
 
 
 def test_soft_reweight_two_token_hand_case():
-    batch = weights_batch([0.5, 0.5])
-    agg = refine_batch(*batch, "soft-aggregate")
-    npt.assert_allclose(agg.data[0], [[1.5], [1.5]])
-    seq = refine_batch(*batch, "soft-sequence")
-    npt.assert_allclose(seq.data[0], [[1.5, 0.0], [0.0, 1.5]])
+    out = refine_batch(*identity_batch([[0.0, 0.0]]))  # beliefs 0.5 and 0.5, both rank 1
+    npt.assert_allclose(out.data[0], [[1.5, 0.0], [0.0, 1.5]])
 
 
 def test_soft_reweight_uniform_weights():
     length = 5
     npt.assert_allclose(soft_weights(np.zeros((1, length)))[0], np.full(length, 1.0 / length + 1.0))
-
-
-def test_soft_reweight_unknown_mode():
-    batch = weights_batch([0.5, 0.5])
-    with pytest.raises(ConfigError):
-        refine_batch(*batch, "soft")
-    with pytest.raises(ConfigError):
-        refine_batch(*batch, "hard")  # hard mode needs a filter size
 
 
 # -- batched refinement ----------------------------------------------------------
@@ -178,36 +118,18 @@ def test_refine_batch_matches_per_sample():
     b, d, length = 3, 6, 7
     feats = rng.normal(size=(b, d, length))
     ins = rng.normal(size=(b, d))
-    for mode, k in (("hard", 3), ("soft-sequence", 0), ("soft-aggregate", 0)):
-        batched = refine_batch(Tensor(feats), Tensor(ins), mode, k)
-        for i in range(b):
-            single = refine_batch(Tensor(feats[i : i + 1]), Tensor(ins[i : i + 1]), mode, k)
-            npt.assert_allclose(batched.data[i], single.data[0], atol=1e-12)
+    batched = refine_batch(Tensor(feats), Tensor(ins))
+    for i in range(b):
+        single = refine_batch(Tensor(feats[i : i + 1]), Tensor(ins[i : i + 1]))
+        npt.assert_allclose(batched.data[i], single.data[0], atol=1e-12)
 
 
 def test_refine_batch_shapes_and_validation():
     feats = Tensor(np.ones((2, 3, 5)))
     ins = Tensor(np.ones((2, 3)))
-    assert refine_batch(feats, ins, "hard", 2).shape == (2, 3, 2)
-    assert refine_batch(feats, ins, "soft-sequence").shape == (2, 3, 5)
-    assert refine_batch(feats, ins, "soft-aggregate").shape == (2, 3, 1)
-    with pytest.raises(ConfigError):
-        refine_batch(feats, ins, "nope")
+    assert refine_batch(feats, ins).shape == (2, 3, 5)
     with pytest.raises(DimensionError):
-        refine_batch(feats, Tensor(np.ones((2, 4))), "soft-sequence")
-
-
-def test_refine_batch_hard_mode_gradient_flows_through_features():
-    rng = child(6, "hard-grad")
-    feats = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
-    ins = Tensor(rng.normal(size=(2, 3)))
-    coef = Tensor(rng.normal(size=(2, 3, 2)))
-
-    def f(t):
-        return (refine_batch(t, ins, "hard", 2) * coef).sum()
-
-    # selection indices are constants; gradients reach the kept columns
-    assert grad_check(f, feats) < 1e-4
+        refine_batch(feats, Tensor(np.ones((2, 4))))
 
 
 # -- properties over random batches ------------------------------------------------
@@ -215,7 +137,7 @@ def test_refine_batch_hard_mode_gradient_flows_through_features():
 
 @st.composite
 def one_hot_batches(draw):
-    """(scores (B, d), L, k) for features whose L columns are e_0..e_{L-1} in R^d.
+    """(scores (B, d), L) for features whose L columns are e_0..e_{L-1} in R^d.
 
     f_ins @ features is then scores[:, :L] exactly, and every output column is
     the one-hot of its source index times its weight. Quarter-step scores make
@@ -226,7 +148,7 @@ def one_hot_batches(draw):
     d = draw(st.integers(length, length + 3))
     score = st.one_of(st.integers(-12, 12).map(lambda v: v / 4.0), st.floats(-6.0, 6.0))
     scores = np.array(draw(st.lists(score, min_size=b * d, max_size=b * d))).reshape(b, d)
-    return scores, length, draw(st.integers(1, length))
+    return scores, length
 
 
 def _one_hot_inputs(scores, length):
@@ -237,22 +159,10 @@ def _one_hot_inputs(scores, length):
 
 
 @given(one_hot_batches())
-def test_property_hard_keeps_k_largest_in_stable_order(case):
-    scores, length, k = case
-    features, f_ins, beliefs = _one_hot_inputs(scores, length)
-    out = refine_batch(features, f_ins, "hard", k).data  # (B, d, k)
-    for row, belief in zip(out, beliefs):
-        kept = np.argmax(row, axis=0)
-        npt.assert_array_equal(row, np.eye(row.shape[0])[:, kept])
-        npt.assert_array_equal(kept, sorted(range(length), key=lambda j: (-belief[j], j))[:k])
-        npt.assert_array_equal(np.sort(belief[kept]), np.sort(belief)[length - k :])
-
-
-@given(one_hot_batches())
 def test_property_soft_weights_within_one_above_belief(case):
-    scores, length, _ = case
+    scores, length = case
     features, f_ins, beliefs = _one_hot_inputs(scores, length)
-    w = refine_batch(features, f_ins, "soft-aggregate").data[:, :length, 0]
+    w = refine_batch(features, f_ins).data[:, :length].sum(axis=-1)
     assert (w > beliefs).all()
     assert (w <= beliefs + 1.0).all()
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from beliefret import tensor as T
-from beliefret import verify
+from beliefret import belief, verify
+from beliefret.belief import _strict_rank
 from beliefret.checkpoint import load_checkpoint, restore_parameters, save_checkpoint
 from beliefret.cli import main
 from beliefret.config import TrainConfig, apply_overrides, config_from_dict, config_to_dict, load_config
@@ -137,11 +138,11 @@ def test_sweep_command(tmp_path, dataset_dir):
     cfg_path = fast_config(tmp_path, dataset_dir, **{"optim.steps": "2"})
     out = tmp_path / "sweep"
     assert main([
-        "sweep", "--config", str(cfg_path), "--axis", "belief.filter_k",
-        "--values", "3,9", "--set", "belief.mode=hard", "--out", str(out),
+        "sweep", "--config", str(cfg_path), "--axis", "seed",
+        "--values", "3,9", "--out", str(out),
     ]) == 0
     lines = (out / "sweep.csv").read_text().splitlines()
-    assert lines[0] == "belief.filter_k,i2t_r1,i2t_r5,i2t_r10,t2i_r1,t2i_r5,t2i_r10,mr"
+    assert lines[0] == "seed,i2t_r1,i2t_r5,i2t_r10,t2i_r1,t2i_r5,t2i_r10,mr"
     assert [line.split(",")[0] for line in lines[1:]] == ["3", "9"]
 
 
@@ -175,8 +176,9 @@ def test_verify_grad_seeds_below_one_refused(seeds, capsys):
 
 
 def test_verify_reports_a_wrong_piece(monkeypatch, capsys):
-    # the layer norm's dx without its x̂·mean(gn·x̂) term, and ranks that count
-    # each value as smaller than itself
+    # the layer norm's dx without its x̂·mean(gn·x̂) term, ranks that count each
+    # value as smaller than itself, and a rank boost that reads the belief values:
+    # beliefs floored at 1e-6 tie once a sharper instruction pushes them below it
     def norm_grads_without_projection(gn, normed, std, residual=None):
         gn = (gn - gn.mean(axis=-2, keepdims=True)) / std
         return gn if residual is None else gn + residual
@@ -186,6 +188,9 @@ def test_verify_reports_a_wrong_piece(monkeypatch, capsys):
     assert re.search(r"^\[FAIL\] gradients/ffn: ", capsys.readouterr().out, re.M)
     monkeypatch.setattr(verify, "_strict_rank", lambda v: 1 + (v[..., None, :] <= v[..., :, None]).sum(axis=-1))
     assert [r.name for r in verify.run_suite("oracles") if not r.ok] == ["rank_vs_brute_force"]
+    monkeypatch.undo()
+    monkeypatch.setattr(belief, "_strict_rank", lambda v: _strict_rank(np.maximum(v, 1e-6)))
+    assert [r.name for r in verify.run_suite("invariants") if not r.ok] == ["belief_rank_scale_invariant"]
 
 
 def test_error_exit_codes(tmp_path, dataset_dir):
@@ -538,6 +543,22 @@ def test_validation_split_too_small_for_recall_refused(tmp_path, dataset_dir, ca
     assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
     assert "validation split has 5 images; R@10 needs at least 10" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_eval_dataset_too_small_for_recall_refused(tmp_path, dataset_dir, capsys, monkeypatch):
+    # R@10 needs 10 images: eval refuses a smaller file before it builds the model;
+    # dump-embeddings reports no recall, so it still takes the file
+    ck = tmp_path / "ck.npz"
+    Trainer(load_config(fast_config(tmp_path, dataset_dir))).save(ck)
+    small = tmp_path / "six.jsonl"
+    write_dataset(generate_corpus(CorpusSpec(**{**CORPUS_SPEC, "num_classes": 3, "images_per_class": 2})), small)
+    assert main(["dump-embeddings", "--checkpoint", str(ck), "--dataset", str(small),
+                 "--out", str(tmp_path / "emb")]) == 0
+    _forbid(monkeypatch, "beliefret.cli.RetrievalModel")
+    out = tmp_path / "out"
+    assert main(["eval", "--checkpoint", str(ck), "--dataset", str(small), "--out", str(out)]) == 3
+    assert f"{small}: 6 records; R@10 needs at least 10" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_class_count_read_from_checkpoint(tmp_path):

@@ -37,7 +37,7 @@ def test_validation():
     with pytest.raises(ConfigError):
         config_from_dict(data)
     data = config_to_dict(TrainConfig())
-    data["belief"]["mode"] = "fuzzy"
+    data["precision"] = "float16"
     with pytest.raises(ConfigError):
         config_from_dict(data)
     data = config_to_dict(TrainConfig())
@@ -157,10 +157,11 @@ REMOVED_KEYS = {
     "use_spatial_pae": True,
     "use_temporal_pae": True,
     "loss.t_logit": 2.659,
+    "belief": {"mode": "hard", "filter_k": 8},
 }
 
 
-def test_instruction_source_key_refused():
+def test_removed_keys_refused():
     # keys of settings that were deleted are unknown, each named by its dotted path
     for dotted, value in REMOVED_KEYS.items():
         data = config_to_dict(TrainConfig())
@@ -196,17 +197,3 @@ def test_patch_size_must_divide_image_size():
 def test_heads_must_divide_both_widths(overrides, width):
     with pytest.raises(ConfigError, match=f"model.heads=.* must divide model.{width}"):
         apply_overrides(TrainConfig(), overrides)
-
-
-def test_hard_filter_k_above_visual_tokens_refused():
-    # 16 patches of a 16-px image at patch size 4, and the global token
-    hard = ["belief.mode=hard"]
-    assert apply_overrides(TrainConfig(), hard + ["belief.filter_k=17"]).belief.filter_k == 17
-    with pytest.raises(ConfigError, match="belief.filter_k=18 exceeds the 17 visual tokens"):
-        apply_overrides(TrainConfig(), hard + ["belief.filter_k=18"])
-    # no filter is built without a spatial stack, and a soft filter keeps every token
-    apply_overrides(TrainConfig(), hard + ["belief.filter_k=18", "model.spatial_units=0"])
-    apply_overrides(TrainConfig(), ["belief.filter_k=18"])
-    # the stage-1 preset removes the spatial stack before the rule is checked
-    stage1 = apply_overrides(TrainConfig(), hard + ["belief.filter_k=50", "stage=stage1-pretrain"])
-    assert stage1.model.spatial_units == 0

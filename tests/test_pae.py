@@ -160,7 +160,7 @@ def replicated_guide_spatial_pae(tokens, f_ins, stack):
     return all_columns_stack(tokens, stack, lambda w, cur: T.broadcast_to(T.matmul(w, ins_col), cur.shape))
 
 
-@pytest.mark.parametrize("k", [1, 8, 17], ids=["soft-aggregate", "hard-k8", "soft-sequence"])
+@pytest.mark.parametrize("k", [1, 8, 17], ids=["width1", "width8", "soft-sequence"])
 @pytest.mark.parametrize("n_units", [1, 2])
 def test_spatial_pae_matches_replicated_guide(n_units, k):
     rng = child(n_units, k, "spa-rep")
@@ -183,7 +183,7 @@ def test_spatial_pae_matches_replicated_guide(n_units, k):
 
 
 def test_spatial_pae_guides_with_one_column(monkeypatch):
-    # the default soft-sequence filter hands the stack all 17 visual tokens;
+    # the belief filter hands the stack all 17 visual tokens, reweighted;
     # the first unit pools them into one column, and every guide is one column
     from beliefret.config import TrainConfig
     from beliefret.model import RetrievalModel

@@ -70,9 +70,10 @@ def test_stage_preset_is_in_the_built_config():
     assert stage1.model.spatial_units == 0 and stage1.model.temporal_units == 0
     assert stage1.loss.lambda_cs == 0.0
     assert Trainer(stage1, dataset=tiny_dataset(granularity="coarse")).cfg is stage1
-    # a closed-domain run keeps its settings, a hard belief filter included
-    closed = make_config(**{"belief.mode": "hard"})
+    # a closed-domain run keeps its settings, an override included
+    closed = make_config(**{"loss.t_trainable": "true"})
     assert (closed.model.spatial_units, closed.model.temporal_units, closed.loss.lambda_cs) == (2, 3, 1.0)
+    assert closed.loss.t_trainable is True
     assert Trainer(closed, dataset=TINY).cfg is closed
     with pytest.raises(ConfigError, match="stage must be one of"):
         make_config(stage="stage2-finetune")
@@ -849,13 +850,13 @@ def test_stage1_zero_steps_equals_from_scratch(tmp_path):
 
 
 def test_sweep_tables(tmp_path):
-    cfg = make_config(**{"optim.steps": "4", "optim.batch_size": "16", "belief.mode": "hard"})
-    rows = sweep(cfg, "belief.filter_k", [3, 17], out_dir=tmp_path, dataset=TINY)
-    assert [row["belief.filter_k"] for row in rows] == [3, 17]
+    cfg = make_config(**{"optim.steps": "4", "optim.batch_size": "16"})
+    rows = sweep(cfg, "seed", [3, 17], out_dir=tmp_path, dataset=TINY)
+    assert [row["seed"] for row in rows] == [3, 17]
     assert all("mr" in row for row in rows)
     text = (tmp_path / "sweep.csv").read_text().splitlines()
-    assert text[0] == "belief.filter_k,i2t_r1,i2t_r5,i2t_r10,t2i_r1,t2i_r5,t2i_r10,mr"
-    assert len(text) == 3
+    assert text[0] == "seed,i2t_r1,i2t_r5,i2t_r10,t2i_r1,t2i_r5,t2i_r10,mr"
+    assert [line.split(",")[0] for line in text[1:]] == ["3", "17"]
 
     rows_l = sweep(cfg, "loss.lambda_cs", [0.0], dataset=TINY)
     assert len(rows_l) == 1
@@ -872,8 +873,8 @@ def test_sweep_refuses_bad_value_before_any_run(monkeypatch):
         raise AssertionError("a sweep run started")
 
     monkeypatch.setattr("beliefret.pipeline.run_stage", no_run)
-    with pytest.raises(ConfigError, match="cannot parse override belief.filter_k='x' as int"):
-        sweep(cfg, "belief.filter_k", [3, "x"], dataset=TINY)
+    with pytest.raises(ConfigError, match="cannot parse override seed='x' as int"):
+        sweep(cfg, "seed", [3, "x"], dataset=TINY)
     with pytest.raises(ConfigError, match="model.heads=5 must divide model.embed_dim=32"):
         sweep(cfg, "model.heads", [2, 5], dataset=TINY)
     # the data's faults too: each value's trainer is built before the first run
