@@ -1,4 +1,4 @@
-"""Transformer building blocks over column-layout sequences (..., d, L).
+"""Transformer building blocks over sequences of token rows (..., L, d).
 
 Pre-norm residual wiring throughout: x + Sublayer(LayerNorm(x)), each sublayer
 one node of ``tensor.attention`` or ``tensor.ffn``. Feed-forward

@@ -4,8 +4,8 @@ The image encoder embeds non-overlapping patches, prepends a learned global
 token, and runs a small pre-norm transformer; the text encoder does the same
 over a token embedding table. Both work at an internal width and project the
 whole sequence down to the shared embedding dimension with one linear map, so
-each returns one (B, d, n + 1) token sequence with its global token in
-column 0, as a CLIP tower does. The instruction prior
+each returns one (B, n + 1, d) sequence of token rows with its global token in
+row 0, as a CLIP tower does. The instruction prior
 stands in for a pretrained scene recogniser: a nearest class-mean classifier
 over the image's own pixels picks a column of a frozen orthonormal class
 table. Its centroids are the training split's per-class mean images, fitted in
@@ -45,7 +45,7 @@ class ImageEncoderParams:
 
 
 def _init_tower(rng: np.random.Generator, d: int, d_enc: int, n: int, blocks: int, heads: int) -> dict:
-    """The global token, the positions of n + 1 columns, the blocks and the
+    """The global token, the positions of n + 1 tokens, the blocks and the
     projection of one tower, drawn in that order after the tower's input map."""
     return dict(
         cls_token=Tensor(rng.normal(0.0, 0.5, size=(d_enc, 1)), requires_grad=True),
@@ -69,40 +69,40 @@ def init_image_encoder(
     return ImageEncoderParams(image_size, patch_size, patch, **_init_tower(rng, d, d_enc, m, blocks, heads))
 
 
-def patch_columns(pixels: np.ndarray, patch_size: int) -> np.ndarray:
-    """(B, 3, H, W) -> (B, 3 * p * p, m) with patches in row-major grid order."""
+def patch_rows(pixels: np.ndarray, patch_size: int) -> np.ndarray:
+    """(B, 3, H, W) -> (B, m, 3 * p * p), a row per patch in row-major grid order."""
     b, c, h, w = pixels.shape
     hp, wp = h // patch_size, w // patch_size
     grid = pixels.reshape(b, c, hp, patch_size, wp, patch_size)
-    patches = grid.transpose(0, 2, 4, 1, 3, 5).reshape(b, hp * wp, c * patch_size * patch_size)
-    return patches.transpose(0, 2, 1)
+    return grid.transpose(0, 2, 4, 1, 3, 5).reshape(b, hp * wp, c * patch_size * patch_size)
 
 
 def _tower(x: Tensor, params: ImageEncoderParams | TextEncoderParams) -> Tensor:
     """Shared transformer tower of both encoders.
 
-    Prepends the global token to (B, d_enc, n) inputs, adds the positions of
-    the first n + 1 columns, runs the blocks and projects the whole sequence
-    to the embedding dimension: (B, d, n + 1), global token in column 0.
+    Prepends the global token to (B, n, d_enc) inputs, adds the positions of
+    the first n + 1 tokens, runs the blocks and projects the whole sequence
+    to the embedding dimension: (B, n + 1, d), global token in row 0. The
+    global token and the positions are stored as columns, and enter as rows.
     """
-    b, _, n = x.shape
-    cls = T.broadcast_to(params.cls_token, (b, *params.cls_token.shape))
-    x = T.concat([cls, x], axis=-1)
-    x = x + params.pos[:, : n + 1]
+    b, n, d_enc = x.shape
+    cls = T.broadcast_to(params.cls_token.swapaxes(0, 1), (b, 1, d_enc))
+    x = T.concat([cls, x], axis=-2)
+    x = x + params.pos[:, : n + 1].swapaxes(0, 1)
     for blk in params.blocks:
         x = encoder_block(x, blk)
     return linear(x, params.proj)
 
 
 def encode_image_batch(pixels: np.ndarray, params: ImageEncoderParams) -> Tensor:
-    """(B, 3, H, W) pixels -> (B, d, m + 1) tokens: f_cls in column 0, then the m patches."""
+    """(B, 3, H, W) pixels -> (B, m + 1, d) tokens: f_cls in row 0, then the m patches."""
     pixels = np.asarray(pixels, dtype=params.patch.w.dtype)
     if pixels.shape[1:] != (3, params.image_size, params.image_size):
         raise ConfigError(
             f"image shape {pixels.shape[1:]} does not match configured "
             f"(3, {params.image_size}, {params.image_size})"
         )
-    x = linear(Tensor(patch_columns(pixels, params.patch_size)), params.patch)  # (B, d_enc, m)
+    x = linear(Tensor(patch_rows(pixels, params.patch_size)), params.patch)  # (B, m, d_enc)
     return _tower(x, params)
 
 
@@ -136,7 +136,7 @@ def init_text_encoder(
 
 
 def encode_text_batch(ids: np.ndarray, params: TextEncoderParams) -> Tensor:
-    """(B, n) equal-length token ids -> (B, d, n + 1) tokens: t_cls in column 0, then F_t."""
+    """(B, n) equal-length token ids -> (B, n + 1, d) tokens: t_cls in row 0, then F_t."""
     ids = np.asarray(ids, dtype=np.intp)
     if ids.ndim != 2:
         raise InputError(f"token batch must be 2-d, got shape {ids.shape}")
@@ -145,7 +145,7 @@ def encode_text_batch(ids: np.ndarray, params: TextEncoderParams) -> Tensor:
         raise InputError(f"sequence length {n} outside [1, {params.max_len}]")
     if ids.min() < 0 or ids.max() >= params.vocab_size:
         raise InputError(f"token id outside vocabulary of size {params.vocab_size}")
-    x = T.transpose(params.embed[:, ids], (1, 0, 2))  # (B, d_enc, n)
+    x = params.embed.swapaxes(0, 1)[ids]  # (B, n, d_enc): each id's column of the table as a row
     return _tower(x, params)
 
 

@@ -1,15 +1,15 @@
 """The assembled dual-tower retrieval model.
 
-Each encoder returns one token sequence, global token in column 0. With
+Each encoder returns one sequence of token rows, global token in row 0. With
 spatial units, the image sequence as a whole is refined by the
 instruction-belief filter, the instruction-guided attention stack pools the
-refined tokens into one column queried by the instruction embedding, and the
+refined tokens into one token queried by the instruction embedding, and the
 resulting local embedding is added to the global token. With temporal units,
 the text sequence runs through the self-activated temporal stack the same way.
 
 Captions of different lengths are grouped and encoded per length. The groups
-are then padded with zero columns to the longest and run through the temporal
-stack as one batch, with a key mask that keeps the padded columns out of every
+are then padded with zero rows to the longest and run through the temporal
+stack as one batch, with a key mask that keeps the padded tokens out of every
 attention, and the rows are put back into batch order once; a batch of one
 length is already in order and needs no padding. The text tower itself still
 runs once per length: the benchmark requires more than one text-tower call per
@@ -41,12 +41,12 @@ from .rng import child
 from .tensor import Tensor
 
 
-def _pad_columns(tokens: Tensor, width: int) -> Tensor:
-    """(..., d, L) tokens with zero columns appended up to ``width``."""
-    missing = width - tokens.shape[-1]
-    if not missing:
+def _pad_rows(tokens: Tensor, width: int) -> Tensor:
+    """(..., L, d) tokens with zero rows appended up to ``width``."""
+    *lead, length, d = tokens.shape
+    if length == width:
         return tokens
-    return T.concat([tokens, Tensor(np.zeros((*tokens.shape[:-1], missing), dtype=tokens.dtype))], axis=-1)
+    return T.concat([tokens, Tensor(np.zeros((*lead, width - length, d), dtype=tokens.dtype))], axis=-2)
 
 
 class RetrievalModel:
@@ -120,7 +120,7 @@ class RetrievalModel:
 
     def embed_images(self, pixels: np.ndarray) -> Tensor:
         tokens = encode_image_batch(pixels, self.image)
-        f_cls = tokens[..., 0]
+        f_cls = tokens[..., 0, :]
         if self.spatial is None:
             return f_cls
         f_ins = instruction_batch(pixels, self.instruction)
@@ -142,11 +142,11 @@ class RetrievalModel:
             tokens, key_mask = groups[0], None
         else:
             width = lengths[-1] + 1  # the global token, then the longest caption's words
-            tokens = T.concat([_pad_columns(g, width) for g in groups], axis=0)
+            tokens = T.concat([_pad_rows(g, width) for g in groups], axis=0)
             row_lengths = np.repeat(lengths, [len(by_length[n]) for n in lengths])
             key_mask = np.where(np.arange(width) > row_lengths[:, None], -np.inf, 0.0).astype(self.dtype)
-            key_mask = key_mask[:, None, None, :]
-        t_emb = tokens[..., 0]
+            key_mask = key_mask[:, None, :, None]
+        t_emb = tokens[..., 0, :]
         if self.temporal is not None:
             t_emb = t_emb + temporal_pae(tokens, self.temporal, key_mask)
         if len(groups) == 1:

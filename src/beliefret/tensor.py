@@ -17,8 +17,9 @@ overflow, division by zero or invalid operation instead, which the scope
 turns into a ``NumericError`` naming the numpy op; from finite leaves no op
 can make a non-finite value without raising, so the per-op scan is skipped.
 
-Sequence features throughout the package use column layout: a stack of L
-tokens of width d is a (d, L) matrix, optionally with leading batch axes.
+Sequence features throughout the package use token rows: a stack of L
+tokens of width d is an (L, d) matrix, a row per token, optionally with
+leading batch axes, as CLIP-style towers hold them.
 """
 
 from __future__ import annotations
@@ -249,8 +250,8 @@ def _operands(a, b) -> tuple:
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to the originating shape.
 
-    Leading axes are summed first, then the kept size-1 axes: for a (B, d, L)
-    gradient and a (d, 1) bias, numpy takes 4-10x longer for one sum over
+    Leading axes are summed first, then the kept size-1 axes: for a (B, n, m)
+    gradient and an (n, 1) operand, numpy takes 4-10x longer for one sum over
     axes (0, 2) than for a sum over axis 0 and then over axis 2.
     """
     if grad.shape == shape:
@@ -447,111 +448,119 @@ def matmul(a, b) -> Tensor:
     return _op(data, (a, b), bw)
 
 
-def _weight_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Σ g xᵀ over every batch axis and the sequence axis, in one product.
+def _rows(x: np.ndarray) -> np.ndarray:
+    """x (..., n) as one (N, n) matrix, a row per token (a view where x allows)."""
+    return x.reshape(-1, x.shape[-1])
 
-    g (..., out, L) and x (..., in, L) give the (out, in) gradient of a weight
-    applied as w @ x.
+
+def _weight_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Σ gᵀ x over every token, one product of the flattened rows.
+
+    g (..., out) and x (..., in) give the (out, in) gradient of a weight
+    applied as x wᵀ.
     """
-    axes = tuple(range(g.ndim - 2)) + (g.ndim - 1,)
-    return np.tensordot(g, x, axes=(axes, axes))
+    return _rows(g).T @ _rows(x)
+
+
+def _bias_grad(g: np.ndarray) -> np.ndarray:
+    """Σ g over every token, as the (out, 1) gradient of a bias added as bᵀ."""
+    return _rows(g).sum(axis=0)[:, None]
 
 
 def _check_weights(x: Tensor, pairs, op_name: str) -> None:
-    """Each (w, b) maps width w.shape[1] to w.shape[0] with a (out, 1) bias."""
-    width = x.data.shape[-2] if x.data.ndim >= 2 else None
+    """Each (w, b) maps width w.shape[1] to w.shape[0] with a (out, 1) bias, or none."""
+    width = x.data.shape[-1] if x.data.ndim >= 1 else None
     for w, b in pairs:
-        if w.data.ndim != 2 or w.data.shape[1] != width or b.data.shape != (w.data.shape[0], 1):
+        if w.data.ndim != 2 or w.data.shape[1] != width or (b is not None and b.data.shape != (w.data.shape[0], 1)):
             raise DimensionError(
-                f"{op_name} weight {w.data.shape} and bias {b.data.shape} do not fit input {x.data.shape}"
+                f"{op_name} weight {w.data.shape} and bias {None if b is None else b.data.shape} "
+                f"do not fit input {x.data.shape}"
             )
         width = w.data.shape[0]
 
 
-def _add_bias(out: np.ndarray, b: np.ndarray) -> None:
-    """out += b in place, for out (..., n, L) and an (n, 1) bias b.
+def affine(w, x, b=None) -> Tensor:
+    """x wᵀ + bᵀ as one node: w (out, in), x (..., in), b (out, 1) or None.
 
-    The bias is first repeated into one contiguous (n, L) block, so numpy adds
-    that block to each batch row instead of broadcasting b along the short
-    sequence axis (see the notes on the pre-norm sublayers below). The bits
-    are those of out + b.
-    """
-    out += np.repeat(b, out.shape[-1], axis=1)
-
-
-def affine(w, x, b) -> Tensor:
-    """w @ x + b as one node: w (out, in), x (..., in, L), b (out, 1).
-
-    Backward: dx = wᵀ @ g, dw = Σ g xᵀ over batch and sequence axes (one
-    tensordot) and db = Σ g over the same axes.
+    All N token rows go through one product of the flattened (N, in) rows.
+    Backward: dx = g w, and dw = Σ gᵀ x and db = Σ g over all tokens, each
+    one product or one sum of the flattened rows.
     """
     x = _as_tensor(x)
     w = _as_tensor(w, dtype=x.dtype)
-    b = _as_tensor(b, dtype=x.dtype)
+    b = None if b is None else _as_tensor(b, dtype=x.dtype)
     _check_weights(x, ((w, b),), "affine")
     # the bias goes in place, so no second output-sized array is allocated
-    data = w.data @ x.data
-    _add_bias(data, b.data)
+    data = _rows(x.data) @ w.data.T
+    if b is not None:
+        data += b.data.T
+    data = data.reshape((*x.data.shape[:-1], w.data.shape[0]))
 
     def bw(g):
-        return (
+        grads = [
             _weight_grad(g, x.data) if w.requires_grad else None,
-            w.data.T @ g if x.requires_grad else None,
-            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
-        )
+            (_rows(g) @ w.data).reshape(x.data.shape) if x.requires_grad else None,
+        ]
+        if b is not None:
+            grads.append(_bias_grad(g) if b.requires_grad else None)
+        return grads
 
-    return _op(data, (w, x, b), bw)
+    return _op(data, (w, x) if b is None else (w, x, b), bw)
 
 
 # -- pre-norm residual sublayers ----------------------------------------------
 #
-# Each sublayer is one node x + sublayer(LN(x)), with LN(x) = γ·x̂ + β
-# along the feature axis (-2), (d, 1) γ and β, x̂ = (x − μ) / s and
+# Each sublayer is one node x + sublayer(LN(x)), with LN(x) = x̂·diag(γ) + βᵀ
+# along the feature axis (-1), (d, 1) γ and β, x̂ = (x − μ) / s and
 # s = sqrt(var + eps). The norm feeds only the sublayer's first product, so γ
-# and β fold into it: w·(γ·x̂ + β) + b = (w∘γᵀ)·x̂ + (w β + b), where w∘γᵀ scales
-# column j of w by γ_j; γ·x̂ + β is never formed. μ and var = mean((x − μ)²)
-# are products with the (1, d) row of 1/d: for a (B, d, L) input BLAS takes
-# them several times faster than a numpy sum across the short sequence axis.
+# and β fold into it: LN(x) wᵀ + bᵀ = x̂ (w∘γᵀ)ᵀ + (w β + b)ᵀ, where w∘γᵀ scales
+# column j of w by γ_j; LN(x) itself is never formed. μ and
+# var = mean((x − μ)²) are products with the (d, 1) column of 1/d.
 #
-# numpy pays per row of the last axis: a reduction along the 9-17-long
-# sequence axis, or a broadcast of an (n, 1) bias along it, runs one short
-# inner loop per row, and at the desk shapes that loop overhead, not the
-# arithmetic, sets the cost. At (64, 2, 11, 11) float32 (numpy 2.4.6, one
-# thread) a max along the last axis takes 110-136 µs and a sum 38 µs, against
-# 10 µs for ``exp`` of the whole array and 6.5 µs for a product with a ones
-# row; adding a (144, 1) bias to (64, 144, 11) takes 78 µs, against 29 µs for
-# the bias repeated to one contiguous (144, 11) block. So no sublayer reduces
-# or broadcasts along that axis: means and softmax sums are ones-row products,
-# attention's softmax runs along key rows, and biases go in through
-# ``_add_bias``.
+# Token rows: a sequence of L tokens of width d is held as (..., L, d), and
+# every sublayer works on its flattened (N, d) rows, N the number of tokens,
+# so each weight product, weight gradient and norm statistic is one BLAS call
+# over all N tokens. Held as columns (..., d, L), w @ x would contract the
+# middle axis, which numpy runs as one small product per sequence, and the
+# weight gradient would be a tensordot that copies both operands across the
+# 9-17-long sequence axis: for 64 sequences of 9 tokens at d = 32, float32
+# (numpy 2.4.6, one BLAS thread), the (96, 32) QKV product takes 77 µs as 64
+# column products against 44 µs as one product of the (576, 32) rows, and
+# its weight gradient 108 µs as a tensordot against 45 µs. A bias adds along
+# the contiguous last axis as bᵀ, and a norm statistic is one GEMV.
 #
-# Backward from g, the gradient at the first product's output, with G = Σ g x̂ᵀ
-# and S = Σ g over batch and sequence axes: dw = G∘γᵀ + S βᵀ, db = S,
-# dγ = Σ_rows (w∘G), dβ = wᵀ S, and the gradient at x̂ is (w∘γᵀ)ᵀ g. Only the
+# numpy still pays per row of a short last axis: attention's scores are
+# (..., h, Lk, Lq), with the queries on the short last axis, so the softmax
+# runs along key rows (axis −2), its max as one reduce over that axis and its
+# sums as products with a (1, Lk) ones row, never along the last axis.
+#
+# Backward from g, the gradient at the first product's output, with G = Σ gᵀ x̂
+# and S = Σ g over all tokens: dw = G∘γᵀ + S βᵀ, db = S,
+# dγ = Σ_rows (w∘G), dβ = wᵀ S, and the gradient at x̂ is g (w∘γᵀ). Only the
 # last is activation-sized; ``_norm_grads`` carries it back to x.
 
 _LN_EPS = 1e-5
 
 
 def _check_norm(x: Tensor, gamma: Tensor, beta: Tensor, op_name: str) -> None:
-    d = x.data.shape[-2] if x.data.ndim >= 2 else None
+    d = x.data.shape[-1] if x.data.ndim >= 1 else None
     if gamma.data.shape != (d, 1) or beta.data.shape != (d, 1):
         raise DimensionError(
             f"{op_name} norm gamma {gamma.data.shape} and beta {beta.data.shape} do not fit input {x.data.shape}"
         )
 
 
-def _avg_row(x: np.ndarray) -> np.ndarray:
-    """The (1, d) row of 1/d, in x's dtype: avg @ x is the mean along axis -2."""
-    d = x.shape[-2]
-    return np.full((1, d), 1.0 / d, dtype=x.dtype)
+def _avg_col(x: np.ndarray) -> np.ndarray:
+    """The (d, 1) column of 1/d, in x's dtype: x @ avg is the mean along axis -1."""
+    d = x.shape[-1]
+    return np.full((d, 1), 1.0 / d, dtype=x.dtype)
 
 
 def _normalize(x: np.ndarray):
-    """(x̂, s) along axis -2, with x̂ = (x − μ) / s and s = sqrt(var + eps)."""
-    avg = _avg_row(x)
-    normed = x - avg @ x
-    std = avg @ (normed * normed)
+    """(x̂, s) along axis -1, with x̂ = (x − μ) / s and s = sqrt(var + eps)."""
+    avg = _avg_col(x)
+    normed = x - x @ avg
+    std = (normed * normed) @ avg
     std += _LN_EPS
     np.sqrt(std, out=std)
     normed /= std
@@ -565,9 +574,9 @@ def _norm_grads(gn: np.ndarray, normed: np.ndarray, std: np.ndarray, residual=No
     dx = (gn − mean(gn) − x̂·mean(gn·x̂)) / s, means along the feature axis.
     gn is the op's own temporary and becomes dx in place.
     """
-    avg = _avg_row(gn)
-    mean_gn_normed = avg @ (gn * normed)
-    gn -= avg @ gn
+    avg = _avg_col(gn)
+    mean_gn_normed = (gn * normed) @ avg
+    gn -= gn @ avg
     gn -= normed * mean_gn_normed
     gn /= std
     if residual is not None:
@@ -576,55 +585,57 @@ def _norm_grads(gn: np.ndarray, normed: np.ndarray, std: np.ndarray, residual=No
 
 
 def _fold(w: np.ndarray, gamma: np.ndarray, beta: np.ndarray, b: np.ndarray):
-    """(w∘γᵀ, w β + b): the product and bias that map x̂ to w·(γ·x̂ + β) + b."""
+    """(w∘γᵀ, w β + b): the product and bias that map x̂ to LN(x) wᵀ + bᵀ."""
     return w * gamma.T, w @ beta + b
 
 
 def _fold_grads(g: np.ndarray, normed: np.ndarray, w: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
-    """(dγ, dβ, dw, db) of (w∘γᵀ)·x̂ + (w β + b) from g, the gradient at its output."""
-    outer = _weight_grad(g, normed)  # G = Σ g x̂ᵀ
-    total = _unbroadcast(g, (g.shape[-2], 1))  # S = Σ g
+    """(dγ, dβ, dw, db) of x̂ (w∘γᵀ)ᵀ + (w β + b)ᵀ from g, the gradient at its output."""
+    outer = _weight_grad(g, normed)  # G = Σ gᵀ x̂
+    total = _bias_grad(g)  # S = Σ g
     gw = outer * gamma.T
     gw += total @ beta.T
     return (w * outer).sum(axis=0)[:, None], w.T @ total, gw, total
 
 
 def ffn(x, gamma, beta, w1, b1, w2, b2) -> Tensor:
-    """x + w2 · tanh(w1 · LN(x) + b1) + b2 as one node, over x (..., d, L).
+    """x + tanh(LN(x) w1ᵀ + b1ᵀ) w2ᵀ + b2ᵀ as one node, over x (..., L, d).
 
-    The first product is (w1∘γᵀ)·x̂ + (w1 β + b1), with γ and β folded in.
+    The first product is x̂ (w1∘γᵀ)ᵀ + (w1 β + b1)ᵀ, with γ and β folded in.
 
-    Backward with h = tanh(w1 · LN(x) + b1) and
-    ĝ = (w2ᵀ g)(1 − h²): dw2 = Σ g hᵀ, db2 = Σ g; with G = Σ ĝ x̂ᵀ and
-    S = Σ ĝ, dw1 = G∘γᵀ + S βᵀ, db1 = S, dγ = Σ_rows (w1∘G), dβ = w1ᵀ S; and
-    dx = g plus the norm's share of (w1∘γᵀ)ᵀ ĝ, the gradient at x̂.
+    Backward with h = tanh(LN(x) w1ᵀ + b1ᵀ) and ĝ = (g w2)(1 − h²):
+    dw2 = Σ gᵀ h, db2 = Σ g; with G = Σ ĝᵀ x̂ and S = Σ ĝ, dw1 = G∘γᵀ + S βᵀ,
+    db1 = S, dγ = Σ_rows (w1∘G), dβ = w1ᵀ S; and dx = g plus the norm's
+    share of ĝ (w1∘γᵀ), the gradient at x̂.
     """
     x = _as_tensor(x)
     gamma, beta, w1, b1, w2, b2 = (_as_tensor(t, dtype=x.dtype) for t in (gamma, beta, w1, b1, w2, b2))
     _check_norm(x, gamma, beta, "ffn")
     _check_weights(x, ((w1, b1), (w2, b2)), "ffn")
-    normed, std = _normalize(x.data)
+    rows = _rows(x.data)
+    normed, std = _normalize(rows)
     w_fold, b_fold = _fold(w1.data, gamma.data, beta.data, b1.data)
-    h = w_fold @ normed
-    _add_bias(h, b_fold)
+    h = normed @ w_fold.T
+    h += b_fold.T
     if not _TRAPPING:
         _check_finite(h)  # tanh would hide an overflow here
     np.tanh(h, out=h)
-    data = w2.data @ h
-    _add_bias(data, b2.data)
-    data += x.data
+    data = h @ w2.data.T
+    data += b2.data.T
+    data += rows
 
     def bw(g):
-        gpre = w2.data.T @ g
+        g = _rows(g)
+        gpre = g @ w2.data
         gpre -= gpre * h * h
         return (
-            _norm_grads(w_fold.T @ gpre, normed, std, residual=g) if x.requires_grad else None,
+            _norm_grads(gpre @ w_fold, normed, std, residual=g).reshape(x.data.shape) if x.requires_grad else None,
             *_fold_grads(gpre, normed, w1.data, gamma.data, beta.data),
             _weight_grad(g, h) if w2.requires_grad else None,
-            _unbroadcast(g, b2.data.shape) if b2.requires_grad else None,
+            _bias_grad(g) if b2.requires_grad else None,
         )
 
-    return _op(data, (x, gamma, beta, w1, b1, w2, b2), bw)
+    return _op(data.reshape(x.data.shape), (x, gamma, beta, w1, b1, w2, b2), bw)
 
 
 def attention(
@@ -632,39 +643,40 @@ def attention(
 ) -> Tensor:
     """xq + MultiHead(LN_q(xq), LN_kv(xkv)) as one node.
 
-    xq (..., d, Lq) gives the queries and xkv (..., d, Lk) the keys and
+    xq (..., Lq, d) gives the queries and xkv (..., Lk, d) the keys and
     values. Passing the same tensor twice makes it self-attention: one norm,
     and gamma_kv and beta_kv are None. Gammas and betas are (d, 1), w_qkv
     (3d, d) and b_qkv (3d, 1) stack the Q, K and V projections, wo is (d, d)
-    and bo (d, 1). Per head, with Q, K, V the head's rows of the projections
-    of LN_q(xq), LN_kv(xkv) and LN_kv(xkv), the scores S = KᵀQ / √dh are held
-    key by query, (..., h, Lk, Lq), and P = softmax(S) along the keys (axis
-    −2), so the context is V P; the heads' contexts, stacked back to d rows, go
-    through wo·(·) + bo. Self-attention projects with all of w_qkv at once,
-    cross-attention Q with its rows [:d] and K and V with its rows [d:]; each
-    product has its norm's γ and β folded in, (w∘γᵀ)·x̂ + (w β + b).
+    and bo (d, 1). Per head, with Q, K, V the head's (L, dh) slices of the
+    projections of LN_q(xq), LN_kv(xkv) and LN_kv(xkv), the scores
+    S = K Qᵀ / √dh are held key by query, (..., h, Lk, Lq), and P = softmax(S)
+    along the keys (axis −2), so the context is Pᵀ V, written straight into
+    the heads' slices of its (..., Lq, d) rows; they go through ctx woᵀ + boᵀ.
+    Self-attention projects with all of w_qkv at once, cross-attention Q with
+    its rows [:d] and K and V with its rows [d:]; each product has its norm's
+    γ and β folded in, x̂ (w∘γᵀ)ᵀ + (w β + b)ᵀ, over the flattened token rows.
 
     The softmax works along key rows, never along the short last axis (see
     the notes on the pre-norm sublayers): the max is one reduce over axis −2,
     and the denominators are the product of a (1, Lk) ones row with the
     exponentials.
 
-    ``key_mask``, a constant (..., 1, 1, Lk) array of 0 on real keys and −inf
-    on padded ones, is added, as its swapped (..., 1, Lk, 1) view, to every
-    head's scaled scores before the softmax, so P is exactly 0 on a padded
-    key. A row of the batch must keep at least one real key, or its softmax
-    has no finite entry.
+    ``key_mask``, a constant (..., 1, Lk, 1) array of 0 on real keys and −inf
+    on padded ones, is added to every head's scaled scores before the
+    softmax, so P is exactly 0 on a padded key. A row of the batch must keep
+    at least one real key, or its softmax has no finite entry.
 
-    Backward, with G the context gradient per head: dV = G Pᵀ,
-    dP = Vᵀ G, dS = (dP − Σ_k dP∘P) ∘ P / √dh, the sum over keys again a
-    ones-row product, dQ = K dS and dK = Q dSᵀ.
+    Backward, with G the context gradient per head: dV = P G,
+    dP = V Gᵀ, dS = (dP − Σ_k dP∘P) ∘ P / √dh, the sum over keys again a
+    ones-row product, dQ = dSᵀ K and dK = dS Q, each written straight into
+    the rows of the gradient at its product's output.
     Each folded product, from the gradient g at its output, with
-    G = Σ g x̂ᵀ (one tensordot over batch and sequence axes) and S = Σ g, gives
-    dw = G∘γᵀ + S βᵀ, db = S, dγ = Σ_rows (w∘G), dβ = wᵀ S and the gradient
-    (w∘γᵀ)ᵀ g at x̂. The key bias gradient is zero in exact arithmetic: a per-query
-    constant added to every score leaves the softmax unchanged. dxq is g plus
-    the query norm's share. The mask needs no term of its own: where P is 0,
-    so are dS, and with it a padded key's dK and dV.
+    G = Σ gᵀ x̂ and S = Σ g over all tokens, gives dw = G∘γᵀ + S βᵀ, db = S,
+    dγ = Σ_rows (w∘G), dβ = wᵀ S and the gradient g (w∘γᵀ) at x̂. The key
+    bias gradient is zero in exact arithmetic: a per-query constant added to
+    every score leaves the softmax unchanged. dxq is g plus the query norm's
+    share. The mask needs no term of its own: where P is 0, so are dS, and
+    with it a padded key's dK and dV.
     """
     self_attn = xkv is xq
     xq = _as_tensor(xq)
@@ -675,10 +687,11 @@ def attention(
     norm_kv = [] if self_attn else [_as_tensor(t, dtype=xq.dtype) for t in (gamma_kv, beta_kv)]
     params = [_as_tensor(t, dtype=xq.dtype) for t in (w_qkv, b_qkv, wo, bo)]
     w_qkv, b_qkv, wo, bo = params
-    if xq.data.ndim < 2 or xkv.data.shape[:-1] != xq.data.shape[:-1]:
+    if (xq.data.ndim < 2 or xkv.data.shape[:-2] != xq.data.shape[:-2]
+            or xkv.data.shape[-1] != xq.data.shape[-1]):
         raise DimensionError(f"attention inputs do not match: {xq.data.shape} vs {xkv.data.shape}")
-    *lead, d, lq = xq.data.shape
-    lk = xkv.data.shape[-1]
+    *lead, lq, d = xq.data.shape
+    lk = xkv.data.shape[-2]
     _check_norm(xq, *norm_q, "attention query")
     if norm_kv:
         _check_norm(xkv, *norm_kv, "attention key/value")
@@ -686,9 +699,14 @@ def attention(
         raise DimensionError(f"attention weights must be (3d, d), (3d, 1), (d, d) and (d, 1) for d={d}")
     if heads < 1 or d % heads != 0:
         raise ConfigError(f"head count {heads} must divide feature dim {d}")
-    if key_mask is not None and np.shape(key_mask) != (*lead, 1, 1, lk):
+    if key_mask is not None and np.shape(key_mask) != (*lead, 1, lk, 1):
         raise DimensionError(f"attention key mask {np.shape(key_mask)} does not fit keys {xkv.data.shape}")
     dh = d // heads
+
+    def by_head(rows: np.ndarray, length: int, part: int) -> np.ndarray:
+        """The (..., h, length, dh) view of projection ``part`` of (N, parts·d) rows."""
+        return rows.reshape((*lead, length, -1, heads, dh))[..., part, :, :].swapaxes(-3, -2)
+
     # one folded product per normed input: Q, K and V of xq in self-attention;
     # Q of xq, then K and V of xkv in cross-attention
     inputs = [(xq, norm_q, slice(None))] if self_attn else [
@@ -698,63 +716,62 @@ def attention(
     products = []  # (x, normed x̂, s, w rows, γ, β, folded w)
     outs = []
     for x, (gamma, beta), rows in inputs:
-        normed, std = _normalize(x.data)
+        normed, std = _normalize(_rows(x.data))
         w = w_qkv.data[rows]
         w_fold, b_fold = _fold(w, gamma.data, beta.data, b_qkv.data[rows])
-        out = w_fold @ normed
-        _add_bias(out, b_fold)
+        out = normed @ w_fold.T
+        out += b_fold.T
         outs.append(out)
         products.append((x, normed, std, w, gamma.data, beta.data, w_fold))
-    if self_attn:
-        q, k, v = outs[0][..., :d, :], outs[0][..., d : 2 * d, :], outs[0][..., 2 * d :, :]
-    else:
-        q, k, v = outs[0], outs[1][..., :d, :], outs[1][..., d:, :]
-    qh = q.reshape((*lead, heads, dh, lq))
-    kh = k.reshape((*lead, heads, dh, lk))
-    vh = v.reshape((*lead, heads, dh, lk))
+    qh = by_head(outs[0], lq, 0)
+    kh, vh = (by_head(outs[-1], lk, part) for part in ((1, 2) if self_attn else (0, 1)))
     scale = np.asarray(dh**-0.5, dtype=xq.dtype)
     ones = np.ones((1, lk), dtype=xq.dtype)  # ones @ a sums a's key rows
-    p = kh.swapaxes(-1, -2) @ qh  # scores (..., h, Lk, Lq), then their softmax along keys in place
+    p = kh @ qh.swapaxes(-1, -2)  # scores (..., h, Lk, Lq), then their softmax along keys in place
     p *= scale
     if key_mask is not None:
-        p += key_mask.swapaxes(-1, -2)
+        p += key_mask
     p -= p.max(axis=-2, keepdims=True)
     np.exp(p, out=p)
     p /= ones @ p
-    ctx = (vh @ p).reshape((*lead, d, lq))
-    data = wo.data @ ctx
-    _add_bias(data, bo.data)
-    data += xq.data
+    ctx = _rows(np.empty((*lead, lq, d), dtype=xq.dtype))
+    np.matmul(p.swapaxes(-1, -2), vh, out=by_head(ctx, lq, 0))
+    data = ctx @ wo.data.T
+    data += bo.data.T
+    data += _rows(xq.data)
 
     def bw(g):
-        gctx = (wo.data.T @ g).reshape((*lead, heads, dh, lq))
+        g = _rows(g)
+        gctx = by_head(g @ wo.data, lq, 0)
         # dQ, dK and dV go straight into the rows of one buffer, the gradient
         # at the stacked product's output; cross-attention stacks only dK and
         # dV, as its dQ feeds a product of its own
-        stacked = np.empty((*lead, 3 if self_attn else 2, heads, dh, lk), dtype=gctx.dtype)
-        np.matmul(gctx, p.swapaxes(-1, -2), out=stacked[..., -1, :, :, :])  # dV
-        gscore = vh.swapaxes(-1, -2) @ gctx  # dP, then dS in place, key by query
+        stacked = _rows(np.empty((*lead, lk, (3 if self_attn else 2) * d), dtype=g.dtype))
+        np.matmul(p, gctx, out=by_head(stacked, lk, -1))  # dV
+        gscore = vh @ gctx.swapaxes(-1, -2)  # dP, then dS in place, key by query
         gscore -= ones @ (gscore * p)
         gscore *= p
         gscore *= scale
-        gq = np.matmul(kh, gscore, out=stacked[..., 0, :, :, :] if self_attn else None)
-        np.matmul(qh, gscore.swapaxes(-1, -2), out=stacked[..., -2, :, :, :])  # dK
-        stacked = stacked.reshape((*lead, -1, lk))
-        g_outs = [stacked] if self_attn else [gq.reshape((*lead, d, lq)), stacked]
+        gq = stacked if self_attn else np.empty_like(g)
+        np.matmul(gscore.swapaxes(-1, -2), kh, out=by_head(gq, lq, 0))  # dQ
+        np.matmul(gscore, qh, out=by_head(stacked, lk, -2))  # dK
+        g_outs = [stacked] if self_attn else [gq, stacked]
         grads, rows = [], []
         for g_out, (x, normed, std, w, gamma, beta, w_fold) in zip(g_outs, products):
             residual = g if x is xq else None
-            grads.append(_norm_grads(w_fold.T @ g_out, normed, std, residual) if x.requires_grad else None)
+            grads.append(
+                _norm_grads(g_out @ w_fold, normed, std, residual).reshape(x.data.shape) if x.requires_grad else None
+            )
             ggamma, gbeta, *row_grads = _fold_grads(g_out, normed, w, gamma, beta)
             grads += [ggamma, gbeta]
             rows.append(row_grads)
         # cross-attention's two products each give their rows of w_qkv and b_qkv
         gw_qkv, gb_qkv = rows[0] if self_attn else map(np.concatenate, zip(*rows))
-        param_grads = (gw_qkv, gb_qkv, _weight_grad(g, ctx), _unbroadcast(g, bo.data.shape))
+        param_grads = (gw_qkv, gb_qkv, _weight_grad(g, ctx), _bias_grad(g))
         return grads + [gp if t.requires_grad else None for t, gp in zip(params, param_grads)]
 
     parents = (xq, *norm_q) if self_attn else (xq, *norm_q, xkv, *norm_kv)
-    return _op(data, (*parents, *params), bw)
+    return _op(data.reshape(xq.data.shape), (*parents, *params), bw)
 
 
 # -- normalisations ----------------------------------------------------------

@@ -48,6 +48,14 @@ def _diverse_labels(rng, b: int, c: int) -> np.ndarray:
 # -- gradient suite ---------------------------------------------------------------
 
 
+def _token_rows(a: np.ndarray) -> np.ndarray:
+    """Token rows (..., L, d) of a draw shaped (..., d, L).
+
+    The cases draw their sequences in that shape, in the rng order the table's
+    values were first read with, so each row probes the same points."""
+    return np.ascontiguousarray(np.swapaxes(a, -1, -2))
+
+
 def _probe_each(args: list, readout, skip=frozenset()) -> float:
     """Worst grad_check error of ``readout(args)`` over each probed argument."""
     worst = 0.0
@@ -79,9 +87,9 @@ def _grad_pael(seed: int) -> float:
     rng = child(seed, "gs-pael")
     d = 4
     params = init_pael(child(seed, "gs-pael-params"), d, heads=2)
-    args = [Tensor(rng.normal(size=(d, n)), requires_grad=True) for n in (3, 2)]
-    coef_s = Tensor(rng.normal(size=(d, 3)))
-    coef_c = Tensor(rng.normal(size=(d, 2)))
+    args = [Tensor(_token_rows(rng.normal(size=(d, n))), requires_grad=True) for n in (3, 2)]
+    coef_s = Tensor(_token_rows(rng.normal(size=(d, 3))))
+    coef_c = Tensor(_token_rows(rng.normal(size=(d, 2))))
 
     def readout(a):
         s, c = pael(*a, params)
@@ -93,9 +101,10 @@ def _grad_pael(seed: int) -> float:
 def _grad_spatial(seed: int) -> float:
     rng = child(seed, "gs-spatial")
     d = 4
-    # two units, as training runs it: the second unit carries the one pooled column
+    # two units, as training runs it: the second unit carries the one pooled token
     stack = init_pae_stack(child(seed, "gs-spatial-params"), d, heads=2, n_units=2)
-    args = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((d, 3), d)]
+    tokens, f_ins = (rng.normal(size=shape) for shape in ((d, 3), d))
+    args = [Tensor(_token_rows(tokens), requires_grad=True), Tensor(f_ins, requires_grad=True)]
     coef = Tensor(rng.normal(size=d))
     return _probe_each(args, lambda a: (spatial_pae(*a, stack) * coef).sum())
 
@@ -105,8 +114,8 @@ def _grad_temporal(seed: int) -> float:
     d = 4
     # three units, as training runs it: all but the last guide from the whole sequence
     stack = init_pae_stack(child(seed, "gs-temporal-params"), d, heads=2, n_units=3)
-    # the text encoder's sequence: global token in column 0, then two tokens
-    tokens = Tensor(rng.normal(size=(d, 3)), requires_grad=True)
+    # the text encoder's sequence: global token in row 0, then two tokens
+    tokens = Tensor(_token_rows(rng.normal(size=(d, 3))), requires_grad=True)
     coef = Tensor(rng.normal(size=d))
     return grad_check(lambda x: (temporal_pae(x, stack) * coef).sum(), tokens)
 
@@ -115,19 +124,18 @@ def _grad_refine_batch(seed: int) -> float:
     # ranks are piecewise constant, so central differences see them frozen
     rng = child(seed, "gs-refine")
     b, d, length = 2, 3, 5
-    args = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((b, d, length), (b, d))]
-    coef = Tensor(rng.normal(size=(b, d, length)))
+    features, f_ins = (rng.normal(size=shape) for shape in ((b, d, length), (b, d)))
+    args = [Tensor(_token_rows(features), requires_grad=True), Tensor(f_ins, requires_grad=True)]
+    coef = Tensor(_token_rows(rng.normal(size=(b, d, length))))
     return _probe_each(args, lambda a: (refine_batch(*a) * coef).sum())
 
 
 def _grad_affine(seed: int) -> float:
     rng = child(seed, "gs-affine")
     b, d_in, d_out, length = 2, 4, 3, 5
-    args = [
-        Tensor(rng.normal(size=shape), requires_grad=True)
-        for shape in ((d_out, d_in), (b, d_in, length), (d_out, 1))
-    ]
-    coef = Tensor(rng.normal(size=(b, d_out, length)))
+    w, x, bias = (rng.normal(size=shape) for shape in ((d_out, d_in), (b, d_in, length), (d_out, 1)))
+    args = [Tensor(a, requires_grad=True) for a in (w, _token_rows(x), bias)]
+    coef = Tensor(_token_rows(rng.normal(size=(b, d_out, length))))
     return _probe_each(args, lambda a: (T.ttanh(T.affine(*a)) * coef).sum())
 
 
@@ -138,20 +146,19 @@ def _grad_ffn(seed: int) -> float:
     # as in _attention_case: a saturated tanh unit has true gradient components
     # near 1e-7, below the central-difference noise floor
     shapes = ((b, d, length), (d, 1), (d, 1), (hidden, d), (hidden, 1), (d, hidden), (d, 1))
-    args = [
-        Tensor(rng.normal(size=shape) * (shape[1] ** -0.5 if i in (3, 5) else 1.0), requires_grad=True)
-        for i, shape in enumerate(shapes)
-    ]
-    coef = Tensor(rng.normal(size=(b, d, length)))
+    draws = [rng.normal(size=shape) * (shape[1] ** -0.5 if i in (3, 5) else 1.0) for i, shape in enumerate(shapes)]
+    args = [Tensor(_token_rows(a) if i == 0 else a, requires_grad=True) for i, a in enumerate(draws)]
+    coef = Tensor(_token_rows(rng.normal(size=(b, d, length))))
     return _probe_each(args, lambda a: (T.ttanh(T.ffn(*a)) * coef).sum())
 
 
 def _attention_case(seed: int, cross: bool, masked: bool = False):
     """Inputs, norms, weights and biases, and a scalar readout of ``attention``.
 
-    Batched (B, d, L) inputs; cross-attention has Lq != Lk. The arguments are
-    [xq, xkv, gamma_q, beta_q, gamma_kv, beta_kv, wq, bq, wk, bk, wv, bv, wo,
-    bo]; for self-attention xkv is xq and the key/value norm is None. The
+    Batched (B, L, d) token rows, drawn as (B, d, L) and transposed;
+    cross-attention has Lq != Lk. The arguments are [xq, xkv, gamma_q,
+    beta_q, gamma_kv, beta_kv, wq, bq, wk, bk, wv, bv, wo, bo]; for
+    self-attention xkv is xq and the key/value norm is None. The
     readout stacks them into w_qkv and b_qkv, so the key bias is probed apart.
     With ``masked``, the inputs are the same and the second row's last key is
     padded: the key mask is −inf there.
@@ -160,10 +167,10 @@ def _attention_case(seed: int, cross: bool, masked: bool = False):
     b, d, heads, lq, lk = 2, 4, 2, 3, 2
     key_mask = None
     if masked:
-        key_mask = np.zeros((b, 1, 1, lk if cross else lq))
-        key_mask[1, ..., -1] = -np.inf
-    xq = Tensor(rng.normal(size=(b, d, lq)), requires_grad=True)
-    xkv = Tensor(rng.normal(size=(b, d, lk)), requires_grad=True) if cross else xq
+        key_mask = np.zeros((b, 1, lk if cross else lq, 1))
+        key_mask[1, :, -1] = -np.inf
+    xq = Tensor(_token_rows(rng.normal(size=(b, d, lq))), requires_grad=True)
+    xkv = Tensor(_token_rows(rng.normal(size=(b, d, lk))), requires_grad=True) if cross else xq
     norms = [Tensor(rng.normal(size=(d, 1)), requires_grad=True) for _ in range(4 if cross else 2)]
     # weights at the 1/sqrt(d) init scale keep softmax and tanh unsaturated, so no
     # true gradient component falls to the central-difference noise floor
@@ -172,7 +179,7 @@ def _attention_case(seed: int, cross: bool, masked: bool = False):
                requires_grad=True)
         for i in range(8)
     ]
-    coef = Tensor(rng.normal(size=(b, d, lq)))
+    coef = Tensor(_token_rows(rng.normal(size=(b, d, lq))))
 
     def readout(a):
         xkv_ = a[1] if cross else a[0]
@@ -338,7 +345,7 @@ def _soft_weight_case(seed: int):
     weights = rng.random(length) + 1e-3
     weights /= weights.sum()
     # identity features and f_ins = log(weights) make the beliefs the weights,
-    # and column j e_j times its refinement weight w_j
+    # and row j e_j times its refinement weight w_j
     out = refine_batch(Tensor(np.eye(length)[None]), Tensor(np.log(weights)[None]))
     w = np.diagonal(out.data[0])
     if not ((w > weights).all() and (w <= weights + 1.0 + 1e-12).all()):
@@ -353,8 +360,8 @@ def _pael_shape_case(seed: int):
     d = int(rng.integers(1, 5)) * 2
     params = init_pael(child(seed, "vi-pael-params"), d, heads=2)
     n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-    s, c = pael(Tensor(rng.normal(size=(d, n))), Tensor(rng.normal(size=(d, m))), params)
-    return None if (s.shape, c.shape) == ((d, n), (d, m)) else f"shapes {s.shape}, {c.shape}"
+    s, c = pael(Tensor(_token_rows(rng.normal(size=(d, n)))), Tensor(_token_rows(rng.normal(size=(d, m)))), params)
+    return None if (s.shape, c.shape) == ((n, d), (m, d)) else f"shapes {s.shape}, {c.shape}"
 
 
 def _nonnegative_case(seed: int):

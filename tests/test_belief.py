@@ -27,8 +27,8 @@ def brute_force_ranks(values):
 def identity_batch(scores):
     """refine_batch inputs with identity features and f_ins = scores (B, L).
 
-    The beliefs are softmax(scores), and each output column holds the one-hot
-    of its source index scaled by that column's refinement weight.
+    The beliefs are softmax(scores), and each output row holds the one-hot
+    of its source index scaled by that token's refinement weight.
     """
     scores = np.asarray(scores, dtype=np.float64)
     b, length = scores.shape
@@ -36,7 +36,7 @@ def identity_batch(scores):
 
 
 def soft_weights(scores):
-    """Per-column soft weights belief + 1/sqrt(rank) for scores (B, L)."""
+    """Per-token soft weights belief + 1/sqrt(rank) for scores (B, L)."""
     return refine_batch(*identity_batch(scores)).data.sum(axis=-1)
 
 
@@ -58,9 +58,9 @@ def test_belief_matrix_closed_form():
 
 
 def test_belief_matrix_orthogonal_instruction_uniform():
-    # instruction hits only the first feature row, which is identically zero:
-    # the beliefs are uniform 1/4 and all rank 1, so each column is scaled by 1.25
-    features = np.r_[np.zeros((1, 4)), child(0, "bm").normal(size=(3, 4))]
+    # instruction hits only the first feature, which is identically zero:
+    # the beliefs are uniform 1/4 and all rank 1, so each token is scaled by 1.25
+    features = np.c_[np.zeros((4, 1)), child(0, "bm").normal(size=(3, 4)).T]
     out = refine_batch(Tensor(features[None]), Tensor([[1.0, 0.0, 0.0, 0.0]]))
     npt.assert_allclose(out.data[0], 1.25 * features, atol=1e-12)
 
@@ -75,7 +75,7 @@ def test_belief_matrix_scaling_sharpens():
 
 def test_belief_matrix_dim_mismatch():
     with pytest.raises(DimensionError):
-        refine_batch(Tensor(np.ones((1, 2, 5))), Tensor([[1.0, 0.0, 0.0]]))
+        refine_batch(Tensor(np.ones((1, 5, 2))), Tensor([[1.0, 0.0, 0.0]]))
 
 
 def test_belief_matrix_invariants():
@@ -116,7 +116,7 @@ def test_soft_reweight_uniform_weights():
 def test_refine_batch_matches_per_sample():
     rng = child(5, "refine-batch")
     b, d, length = 3, 6, 7
-    feats = rng.normal(size=(b, d, length))
+    feats = rng.normal(size=(b, length, d))
     ins = rng.normal(size=(b, d))
     batched = refine_batch(Tensor(feats), Tensor(ins))
     for i in range(b):
@@ -125,9 +125,9 @@ def test_refine_batch_matches_per_sample():
 
 
 def test_refine_batch_shapes_and_validation():
-    feats = Tensor(np.ones((2, 3, 5)))
+    feats = Tensor(np.ones((2, 5, 3)))
     ins = Tensor(np.ones((2, 3)))
-    assert refine_batch(feats, ins).shape == (2, 3, 5)
+    assert refine_batch(feats, ins).shape == (2, 5, 3)
     with pytest.raises(DimensionError):
         refine_batch(feats, Tensor(np.ones((2, 4))))
 
@@ -137,9 +137,9 @@ def test_refine_batch_shapes_and_validation():
 
 @st.composite
 def one_hot_batches(draw):
-    """(scores (B, d), L) for features whose L columns are e_0..e_{L-1} in R^d.
+    """(scores (B, d), L) for features whose L token rows are e_0..e_{L-1} in R^d.
 
-    f_ins @ features is then scores[:, :L] exactly, and every output column is
+    features @ f_ins is then scores[:, :L] exactly, and every output row is
     the one-hot of its source index times its weight. Quarter-step scores make
     ties common; the other draws are arbitrary floats.
     """
@@ -153,7 +153,7 @@ def one_hot_batches(draw):
 
 def _one_hot_inputs(scores, length):
     b, d = scores.shape
-    features = np.tile(np.eye(d)[:, :length], (b, 1, 1))
+    features = np.tile(np.eye(d)[:length], (b, 1, 1))
     beliefs = T.softmax(Tensor(np.ascontiguousarray(scores[:, None, :length])), axis=-1).data[:, 0]
     return Tensor(features), Tensor(scores), beliefs
 
@@ -162,7 +162,7 @@ def _one_hot_inputs(scores, length):
 def test_property_soft_weights_within_one_above_belief(case):
     scores, length = case
     features, f_ins, beliefs = _one_hot_inputs(scores, length)
-    w = refine_batch(features, f_ins).data[:, :length].sum(axis=-1)
+    w = refine_batch(features, f_ins).data.sum(axis=-1)
     assert (w > beliefs).all()
     assert (w <= beliefs + 1.0).all()
 

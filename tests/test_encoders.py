@@ -10,7 +10,7 @@ from beliefret.encoders import (
     init_instruction,
     init_text_encoder,
     instruction_batch,
-    patch_columns,
+    patch_rows,
 )
 from beliefret.errors import ConfigError, InputError
 from beliefret.rng import child
@@ -39,24 +39,24 @@ def rand_image(seed=0):
 
 def test_image_encoder_token_count():
     tokens = encode_image_batch(rand_image()[None], image_params())
-    assert tokens.shape == (1, D, 17)  # the global token, then (16/4)^2 patches
-    assert tokens[..., 0].shape == (1, D)
+    assert tokens.shape == (1, 17, D)  # the global token, then (16/4)^2 patches
+    assert tokens[..., 0, :].shape == (1, D)
 
 
 def test_patch_columns_grid_order():
     px = np.zeros((1, 3, 8, 8))
     px[0, :, 0:4, 4:8] = 1.0  # second patch in row-major grid order
-    cols = patch_columns(px, 4)
-    assert cols.shape == (1, 48, 4)
-    npt.assert_array_equal(cols[0, :, 1], np.ones(48))
-    npt.assert_array_equal(cols[0, :, 0], np.zeros(48))
+    rows = patch_rows(px, 4)
+    assert rows.shape == (1, 4, 48)
+    npt.assert_array_equal(rows[0, 1], np.ones(48))
+    npt.assert_array_equal(rows[0, 0], np.zeros(48))
 
 
 def test_zero_image_gives_equal_patch_columns():
     params = image_params()
     params.pos.data[:] = 0.0
-    f_v = encode_image_batch(np.zeros((1, 3, 16, 16)), params).data[0, :, 1:]
-    npt.assert_allclose(f_v, np.repeat(f_v[:, :1], 16, axis=1), atol=1e-10)
+    f_v = encode_image_batch(np.zeros((1, 3, 16, 16)), params).data[0, 1:]
+    npt.assert_allclose(f_v, np.repeat(f_v[:1], 16, axis=0), atol=1e-10)
 
 
 def test_image_encoder_deterministic():
@@ -87,8 +87,8 @@ def test_image_encoder_patch_mismatch_rejected():
 
 def test_text_encoder_single_token():
     tokens = encode_text_batch([[5]], text_params())
-    assert tokens.shape == (1, D, 2)  # the global token, then the one word
-    assert tokens[..., 0].shape == (1, D)
+    assert tokens.shape == (1, 2, D)  # the global token, then the one word
+    assert tokens[..., 0, :].shape == (1, D)
 
 
 def test_text_encoder_permutation_equivariance_without_positions():
@@ -99,15 +99,15 @@ def test_text_encoder_permutation_equivariance_without_positions():
     perm = rng.permutation(7)
     base = encode_text_batch(ids[None], params).data
     permuted = encode_text_batch(ids[perm][None], params).data
-    npt.assert_allclose(permuted[..., 1:], base[..., 1:][..., perm], atol=1e-10)
-    npt.assert_allclose(permuted[..., 0], base[..., 0], atol=1e-10)
+    npt.assert_allclose(permuted[:, 1:], base[:, 1:][:, perm], atol=1e-10)
+    npt.assert_allclose(permuted[:, 0], base[:, 0], atol=1e-10)
 
 
 def test_text_encoder_deterministic():
     params = text_params()
     a = encode_text_batch([[1, 2, 3]], params)
     b = encode_text_batch([[1, 2, 3]], params)
-    npt.assert_array_equal(a.data[..., 1:], b.data[..., 1:])
+    npt.assert_array_equal(a.data[:, 1:], b.data[:, 1:])
 
 
 def test_text_encoder_validation():

@@ -34,16 +34,16 @@ def make_pael(seed):
 def test_pael_single_token_sequences():
     p = make_pael(0)
     rng = child(0, "pael-in")
-    s, c = pael(Tensor(rng.normal(size=(D, 1))), Tensor(rng.normal(size=(D, 1))), p)
-    assert s.shape == (D, 1)
-    assert c.shape == (D, 1)
+    s, c = pael(Tensor(rng.normal(size=(1, D))), Tensor(rng.normal(size=(1, D))), p)
+    assert s.shape == (1, D)
+    assert c.shape == (1, D)
 
 
 def test_pael_batched_matches_per_sample():
     p = make_pael(2)
     rng = child(2, "pael-batch")
-    hs = rng.normal(size=(3, D, 4))
-    hc = rng.normal(size=(3, D, 2))
+    hs = rng.normal(size=(3, 4, D))
+    hc = rng.normal(size=(3, 2, D))
     s_b, c_b = pael(Tensor(hs), Tensor(hc), p)
     for i in range(3):
         s_i, c_i = pael(Tensor(hs[i]), Tensor(hc[i]), p)
@@ -54,20 +54,20 @@ def test_pael_batched_matches_per_sample():
 def test_pael_dim_mismatch():
     p = make_pael(3)
     with pytest.raises(DimensionError):
-        pael(Tensor(np.ones((D, 3))), Tensor(np.ones((D + 2, 3))), p)
+        pael(Tensor(np.ones((3, D))), Tensor(np.ones((3, D + 2))), p)
 
 
 def test_pael_key_permutation_property():
-    # permuting the source columns permutes the self output and leaves the
+    # permuting the source tokens permutes the self output and leaves the
     # cross output unchanged (attention is permutation-invariant over keys)
     p = make_pael(4)
     rng = child(4, "pael-perm")
-    hs = rng.normal(size=(D, 6))
-    hc = rng.normal(size=(D, 3))
+    hs = rng.normal(size=(6, D))
+    hc = rng.normal(size=(3, D))
     perm = rng.permutation(6)
     s0, c0 = pael(Tensor(hs), Tensor(hc), p)
-    s1, c1 = pael(Tensor(hs[:, perm]), Tensor(hc), p)
-    npt.assert_allclose(s1.data, s0.data[:, perm], atol=1e-10)
+    s1, c1 = pael(Tensor(hs[perm]), Tensor(hc), p)
+    npt.assert_allclose(s1.data, s0.data[perm], atol=1e-10)
     npt.assert_allclose(c1.data, c0.data, atol=1e-10)
 
 
@@ -76,8 +76,8 @@ def test_pael_serial_wiring_differs_from_parallel():
     # in the raw source (parallel wiring) changes the output
     p = make_pael(5)
     rng = child(5, "pael-serial")
-    hs = Tensor(rng.normal(size=(D, 4)))
-    hc = Tensor(rng.normal(size=(D, 3)))
+    hs = Tensor(rng.normal(size=(4, D)))
+    hc = Tensor(rng.normal(size=(3, D)))
     _, serial = pael(hs, hc, p)
     refined_raw = encoder_block(hc, p.inject, kv=hs)
     assert np.abs(serial.data - refined_raw.data).max() > 1e-6
@@ -86,7 +86,7 @@ def test_pael_serial_wiring_differs_from_parallel():
 def test_pael_deterministic_without_dropout():
     p = make_pael(6)
     rng = child(6, "pael-det")
-    hs, hc = rng.normal(size=(D, 3)), rng.normal(size=(D, 2))
+    hs, hc = rng.normal(size=(3, D)), rng.normal(size=(2, D))
     a = pael(Tensor(hs), Tensor(hc), p)
     b = pael(Tensor(hs), Tensor(hc), p)
     npt.assert_array_equal(a[0].data, b[0].data)
@@ -99,7 +99,7 @@ def test_pael_deterministic_without_dropout():
 def test_spatial_pae_minimal_stack():
     stack = init_pae_stack(child(7, "spa"), D, HEADS, n_units=1)
     rng = child(7, "spa-in")
-    out = spatial_pae(Tensor(rng.normal(size=(D, 1))), Tensor(rng.normal(size=D)), stack)
+    out = spatial_pae(Tensor(rng.normal(size=(1, D))), Tensor(rng.normal(size=D)), stack)
     assert out.shape == (D,)
 
 
@@ -119,8 +119,8 @@ def test_spatial_pae_zero_instruction_zero_weights_is_input_independent():
             t.data[...] = 0.0
     rng = child(9, "spa-zero-in")
     f_ins = Tensor(np.zeros(D))
-    out_a = spatial_pae(Tensor(rng.normal(size=(D, 5))), f_ins, stack)
-    out_b = spatial_pae(Tensor(rng.normal(size=(D, 5)) * 3.0), f_ins, stack)
+    out_a = spatial_pae(Tensor(rng.normal(size=(5, D))), f_ins, stack)
+    out_b = spatial_pae(Tensor(rng.normal(size=(5, D)) * 3.0), f_ins, stack)
     npt.assert_allclose(out_a.data, out_b.data, atol=1e-12)
 
 
@@ -133,7 +133,7 @@ def _stack_tensors(stack):
 def test_spatial_pae_batched_matches_per_sample():
     stack = init_pae_stack(child(10, "spa-b"), D, HEADS, n_units=2)
     rng = child(10, "spa-b-in")
-    toks = rng.normal(size=(3, D, 4))
+    toks = rng.normal(size=(3, 4, D))
     ins = rng.normal(size=(3, D))
     batched = spatial_pae(Tensor(toks), Tensor(ins), stack)
     for i in range(3):
@@ -143,21 +143,26 @@ def test_spatial_pae_batched_matches_per_sample():
 
 def all_columns_stack(cur, stack, guide):
     """A stack run whose every unit is guided by guide(w, cur) over all carried
-    columns, reading out column 0 at the end: the reference both stacks are
+    tokens, reading out row 0 at the end: the reference both stacks are
     checked against, living only here."""
     for w, layer in zip(stack.guide_w, stack.layers):
         _, cur = pae.pael(cur, guide(w, cur), layer)
-    out = linear(cur[..., :1], stack.head)
-    return out.reshape(out.shape[:-1])
+    out = linear(cur[..., :1, :], stack.head)
+    return out.reshape((*out.shape[:-2], out.shape[-1]))
+
+
+def projected(w, rows):
+    """rows wᵀ as a primitive matmul: the guide projection, apart from ``affine``."""
+    return T.matmul(rows, w.swapaxes(0, 1))
 
 
 def replicated_guide_spatial_pae(tokens, f_ins, stack):
     """The replicated-guide spatial stack: the projected instruction broadcast
-    to all k carried columns. Every op on the query branch works column by
-    column, so the k columns stay identical and the head reads what one column
+    to all k carried tokens. Every op on the query branch works token by
+    token, so the k tokens stay identical and the head reads what one token
     gives."""
-    ins_col = f_ins.reshape((*f_ins.shape, 1))
-    return all_columns_stack(tokens, stack, lambda w, cur: T.broadcast_to(T.matmul(w, ins_col), cur.shape))
+    ins_row = f_ins.reshape((*f_ins.shape[:-1], 1, f_ins.shape[-1]))
+    return all_columns_stack(tokens, stack, lambda w, cur: T.broadcast_to(projected(w, ins_row), cur.shape))
 
 
 @pytest.mark.parametrize("k", [1, 8, 17], ids=["width1", "width8", "soft-sequence"])
@@ -165,7 +170,7 @@ def replicated_guide_spatial_pae(tokens, f_ins, stack):
 def test_spatial_pae_matches_replicated_guide(n_units, k):
     rng = child(n_units, k, "spa-rep")
     stack = _random_params(init_pae_stack(child(n_units, "spa-rep-params"), D, HEADS, n_units), rng)
-    tokens = Tensor(rng.normal(size=(3, D, k)), requires_grad=True)
+    tokens = Tensor(rng.normal(size=(3, k, D)), requires_grad=True)
     f_ins = Tensor(rng.normal(size=(3, D)), requires_grad=True)
     coef = rng.normal(size=(3, D))
     leaves = [tokens, f_ins, *(t for _, t in named_tensors(stack))]
@@ -184,7 +189,7 @@ def test_spatial_pae_matches_replicated_guide(n_units, k):
 
 def test_spatial_pae_guides_with_one_column(monkeypatch):
     # the belief filter hands the stack all 17 visual tokens, reweighted;
-    # the first unit pools them into one column, and every guide is one column
+    # the first unit pools them into one token, and every guide is one token
     from beliefret.config import TrainConfig
     from beliefret.model import RetrievalModel
 
@@ -198,8 +203,8 @@ def test_spatial_pae_guides_with_one_column(monkeypatch):
 
     monkeypatch.setattr(pae, "pael", recording_pael)
     model.embed_images(child(17, "spa-one").random((2, 3, 16, 16)))
-    assert [s[-1] for s, _ in shapes] == [17, 1]
-    assert [c for _, c in shapes] == [(2, 32, 1)] * 2
+    assert [s[-2] for s, _ in shapes] == [17, 1]
+    assert [c for _, c in shapes] == [(2, 1, 32)] * 2
 
 
 # -- temporal stack ----------------------------------------------------------------
@@ -208,29 +213,29 @@ def test_spatial_pae_guides_with_one_column(monkeypatch):
 def test_temporal_pae_three_units_and_cls_only():
     stack = init_pae_stack(child(12, "tmp"), D, HEADS, n_units=3)
     rng = child(12, "tmp-in")
-    out = temporal_pae(Tensor(rng.normal(size=(D, 6))), stack)
+    out = temporal_pae(Tensor(rng.normal(size=(6, D))), stack)
     assert out.shape == (D,)
     # n = 0: the sequence is just the global token
-    out_cls = temporal_pae(Tensor(rng.normal(size=(D, 1))), stack)
+    out_cls = temporal_pae(Tensor(rng.normal(size=(1, D))), stack)
     assert out_cls.shape == (D,)
 
 
 def test_temporal_pae_identical_tokens_symmetry():
-    # identical columns and identity step projections keep every column equal,
+    # identical tokens and identity step projections keep every token equal,
     # so the output is a fixed function of the one distinct token
     stack = init_pae_stack(child(13, "tmp-sym"), D, HEADS, n_units=2)
     for w in stack.guide_w:
         w.data[...] = np.eye(D)
     tok = child(13, "tmp-sym-in").normal(size=D)
-    out_wide = temporal_pae(Tensor(np.repeat(tok[:, None], 5, axis=1)), stack)
-    out_narrow = temporal_pae(Tensor(np.repeat(tok[:, None], 2, axis=1)), stack)
+    out_wide = temporal_pae(Tensor(np.repeat(tok[None, :], 5, axis=0)), stack)
+    out_narrow = temporal_pae(Tensor(np.repeat(tok[None, :], 2, axis=0)), stack)
     npt.assert_allclose(out_wide.data, out_narrow.data, atol=1e-10)
 
 
 def test_temporal_pae_batched_matches_per_sample():
     stack = init_pae_stack(child(14, "tmp-b"), D, HEADS, n_units=2)
     rng = child(14, "tmp-b-in")
-    tokens = rng.normal(size=(3, D, 5))
+    tokens = rng.normal(size=(3, 5, D))
     batched = temporal_pae(Tensor(tokens), stack)
     for i in range(3):
         single = temporal_pae(Tensor(tokens[i]), stack)
@@ -238,30 +243,30 @@ def test_temporal_pae_batched_matches_per_sample():
 
 
 def test_temporal_pae_padded_columns_change_no_output_bit():
-    # three captions of 5, 3 and 0 words padded to 6 columns: the mask keeps the
-    # padded columns out of every attention, so their values reach no output
+    # three captions of 5, 3 and 0 words padded to 6 tokens: the mask keeps the
+    # padded tokens out of every attention, so their values reach no output
     stack = _random_params(init_pae_stack(child(16, "tmp-pad"), D, HEADS, n_units=3), child(16, "tmp-pad-p"))
     rng = child(16, "tmp-pad-in")
     words = np.array([5, 3, 0])
-    mask = np.where(np.arange(6) > words[:, None], -np.inf, 0.0)[:, None, None, :]
-    tokens = rng.normal(size=(3, D, 6))
+    mask = np.where(np.arange(6) > words[:, None], -np.inf, 0.0)[:, None, :, None]
+    tokens = rng.normal(size=(3, 6, D))
     overwritten = tokens.copy()
     for row, n in enumerate(words):
-        tokens[row, :, n + 1 :] = 0.0
-        overwritten[row, :, n + 1 :] = rng.normal(scale=100.0, size=(D, 5 - n))
+        tokens[row, n + 1 :] = 0.0
+        overwritten[row, n + 1 :] = rng.normal(scale=100.0, size=(5 - n, D))
     zero_padded = temporal_pae(Tensor(tokens), stack, mask).data
     npt.assert_array_equal(temporal_pae(Tensor(overwritten), stack, mask).data, zero_padded)
     for row, n in enumerate(words):
-        unpadded = temporal_pae(Tensor(tokens[row, :, : n + 1]), stack).data
+        unpadded = temporal_pae(Tensor(tokens[row, : n + 1]), stack).data
         npt.assert_allclose(zero_padded[row], unpadded, rtol=0, atol=1e-12)
 
 
 def all_columns_temporal_pae(tokens, stack):
     """The temporal stack with every unit's guide built from all carried
-    columns. Every op on the query branch works column by column and the head
-    reads column 0, so temporal_pae, whose last guide is column 0 alone, must
-    read the same."""
-    return all_columns_stack(tokens, stack, T.matmul)
+    tokens. Every op on the query branch works token by token and the head
+    reads row 0, so temporal_pae, whose last guide is row 0 alone, must read
+    the same."""
+    return all_columns_stack(tokens, stack, projected)
 
 
 def test_stacked_qkv_draws_the_three_projections_in_order():
@@ -280,7 +285,7 @@ def test_stacked_qkv_draws_the_three_projections_in_order():
 def test_temporal_pae_matches_all_columns(n_units, lead):
     rng = child(n_units, len(lead), "tmp-all")
     stack = _random_params(init_pae_stack(child(n_units, "tmp-all-params"), D, HEADS, n_units), rng)
-    tokens = Tensor(rng.normal(size=(*lead, D, 6)), requires_grad=True)
+    tokens = Tensor(rng.normal(size=(*lead, 6, D)), requires_grad=True)
     coef = rng.normal(size=(*lead, D))
     leaves = [tokens, *(t for _, t in named_tensors(stack))]
     results = []
@@ -299,7 +304,7 @@ def test_temporal_pae_matches_all_columns(n_units, lead):
 
 def test_temporal_pae_last_unit_queries_one_column(monkeypatch):
     # the default stack has three units over captions of 5 tokens plus the
-    # global token; only the last unit's guide narrows to the head column
+    # global token; only the last unit's guide narrows to the head token
     from beliefret.config import TrainConfig
     from beliefret.model import RetrievalModel
 
@@ -313,8 +318,8 @@ def test_temporal_pae_last_unit_queries_one_column(monkeypatch):
 
     monkeypatch.setattr(pae, "pael", recording_pael)
     model.embed_texts(child(18, "tmp-one").integers(0, 30, size=(2, 5)).tolist())
-    assert [s for s, _ in shapes] == [(2, 32, 6)] * 3
-    assert [c for _, c in shapes] == [(2, 32, 6), (2, 32, 6), (2, 32, 1)]
+    assert [s for s, _ in shapes] == [(2, 6, 32)] * 3
+    assert [c for _, c in shapes] == [(2, 6, 32), (2, 6, 32), (2, 1, 32)]
 
 
 def test_temporal_pae_shares_the_stack_type():
@@ -343,8 +348,8 @@ def test_compose_embeddings():
     rng = child(16, "compose")
     pixels = rng.random((2, 3, 16, 16))
     captions = rng.integers(0, 30, size=(2, 5))
-    f_cls = encode_image_batch(pixels, model.image).data[..., 0]
-    t_cls = encode_text_batch(captions, model.text).data[..., 0]
+    f_cls = encode_image_batch(pixels, model.image).data[..., 0, :]
+    t_cls = encode_text_batch(captions, model.text).data[..., 0, :]
     for stack in (model.spatial, model.temporal):
         stack.head.w.data[...] = 0.0
         stack.head.b.data[...] = 0.0
@@ -377,9 +382,9 @@ def _fused_and_composed(kind, lead, rng, dtype=np.float64):
         params = init_attention(child(0, "eq-attn"), D, HEADS, cross=kind == "cross")
         params = _random_params(params, rng, dtype)
         blocks = (attention_block, composed_attention_block)
-    x = Tensor(rng.normal(size=(*lead, D, lq)).astype(dtype), requires_grad=True)
-    kv = Tensor(rng.normal(size=(*lead, D, lk)).astype(dtype), requires_grad=True) if kind == "cross" else x
-    coef = rng.normal(size=(*lead, D, lq)).astype(dtype)
+    x = Tensor(rng.normal(size=(*lead, lq, D)).astype(dtype), requires_grad=True)
+    kv = Tensor(rng.normal(size=(*lead, lk, D)).astype(dtype), requires_grad=True) if kind == "cross" else x
+    coef = rng.normal(size=(*lead, lq, D)).astype(dtype)
     leaves = [x, kv, *(t for _, t in named_tensors(params))]
     results = []
     for block in blocks:

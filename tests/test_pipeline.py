@@ -159,19 +159,31 @@ def test_evaluate_model_protocol():
     assert report == again
 
 
-def test_embed_records_matches_per_record_embeddings():
+def test_embed_records_matches_per_record_embeddings(monkeypatch):
     # 40 records and 200 captions: chunks of 64 cross record boundaries
     trainer = Trainer(make_config(precision="float64", **{"optim.steps": "1", "optim.batch_size": "16"}), dataset=TINY)
     model, records = trainer.model, TINY.records
     v, t = embed_records(model, records)
+    pixels = np.stack([r.pixels for r in records]).astype(model.dtype)
     with T.no_grad():
-        v_one = [model.embed_images(r.pixels[None].astype(model.dtype)).data for r in records]
+        v_reversed = model.embed_images(pixels[::-1].copy()).data[::-1]
+        v_one = np.concatenate([model.embed_images(p[None]).data for p in pixels])
         t_one = [model.embed_texts(r.captions).data for r in records]
-    npt.assert_array_equal(v, np.concatenate(v_one))
+    # an image's row does not depend on its place in the batch
+    npt.assert_array_equal(v, v_reversed)
+    # each sublayer multiplies all of a batch's token rows in one product, and
+    # BLAS picks its kernel, and with it a row's last bit, by the number of
+    # rows: an image embedded on its own moves by rounding only; a row out of
+    # order would differ by O(1)
+    npt.assert_allclose(v, v_one, rtol=0, atol=1e-12)
     # a caption's padded width in the temporal stack depends on the longest
     # caption it is embedded with, which moves its row by rounding only; a row
     # out of order would differ by O(1)
     npt.assert_allclose(t, np.concatenate(t_one), rtol=0, atol=1e-12)
+    # chunks of 16 put the 40 images in three batches
+    monkeypatch.setattr(pipeline, "_EMBED_CHUNK", 16)
+    v_chunked, _ = embed_records(model, records)
+    npt.assert_allclose(v_chunked, v_one, rtol=0, atol=1e-12)
     with pytest.raises(InputError):
         embed_records(model, [])
 
@@ -241,7 +253,7 @@ def per_length_embed_texts(model, captions):
     chunks, order = [], []
     for n in sorted(by_length):
         tokens = encode_text_batch(np.array([captions[i] for i in by_length[n]]), model.text)
-        chunks.append(tokens[..., 0] + temporal_pae(tokens, model.temporal))
+        chunks.append(tokens[..., 0, :] + temporal_pae(tokens, model.temporal))
         order += by_length[n]
     return T.concat(chunks, axis=0)[np.argsort(order)]
 

@@ -78,17 +78,6 @@ def test_matmul_batched_broadcast_gradient():
     assert err_w < 1e-6
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("shape", [(4, 6, 11), (6, 11), (4, 6, 1)], ids=["batched", "unbatched", "one-column"])
-def test_bias_add_matches_broadcast_bit_for_bit(shape, dtype):
-    rng = child(3, "bias-add", *shape)
-    out = rng.normal(size=shape).astype(dtype)
-    b = rng.normal(size=(shape[-2], 1)).astype(dtype)
-    want = out + b
-    T._add_bias(out, b)
-    assert out.dtype == dtype and out.tobytes() == want.tobytes()
-
-
 # -- softmax ------------------------------------------------------------------
 
 
@@ -120,43 +109,43 @@ def test_softmax_empty_axis_rejected():
 # -- layer norm ---------------------------------------------------------------
 #
 # The norm lives inside the pre-norm ops ffn and attention; these check its
-# private helper, which normalises the feature axis (-2), and, through ffn,
+# private helper, which normalises the feature axis (-1), and, through ffn,
 # the gamma and beta that each op folds into its first product.
 
 
 def test_layer_norm_constant_vector():
-    normed, _ = T._normalize(np.full((3, 1), 2.5))
-    npt.assert_allclose(normed, np.zeros((3, 1)), atol=1e-6)
+    normed, _ = T._normalize(np.full((1, 3), 2.5))
+    npt.assert_allclose(normed, np.zeros((1, 3)), atol=1e-6)
 
 
 def test_layer_norm_already_standard():
-    normed, _ = T._normalize(np.array([[1.0], [-1.0]]))
-    npt.assert_allclose(normed, [[1.0], [-1.0]], atol=1e-5)
+    normed, _ = T._normalize(np.array([[1.0, -1.0]]))
+    npt.assert_allclose(normed, [[1.0, -1.0]], atol=1e-5)
 
 
 def test_layer_norm_zero_gamma_gives_beta():
-    # with gamma 0 the normed input is beta: ffn(x) = x + w2 tanh(w1 beta + b1) + b2
+    # with gamma 0 the normed input is beta: ffn(x) = x + tanh(βᵀ w1ᵀ + b1ᵀ) w2ᵀ + b2ᵀ
     rng = child(3, "ln")
-    x = rng.normal(size=(6, 1))
+    x = rng.normal(size=(1, 6))
     w1, b1, w2, b2 = (rng.normal(size=shape) for shape in ((4, 6), (4, 1), (6, 4), (6, 1)))
     beta = np.full((6, 1), 4.5)
     out = T.ffn(Tensor(x), np.zeros((6, 1)), beta, w1, b1, w2, b2)
-    npt.assert_allclose(out.data, x + w2 @ np.tanh(w1 @ beta + b1) + b2, rtol=0, atol=1e-12)
+    npt.assert_allclose(out.data, x + (w2 @ np.tanh(w1 @ beta + b1) + b2).T, rtol=0, atol=1e-12)
 
 
 def test_layer_norm_standardises_along_axis():
-    x = child(4, "ln-axis").normal(size=(3, 5, 7)) * 3.0 + 1.0
+    x = child(4, "ln-axis").normal(size=(3, 7, 5)) * 3.0 + 1.0
     normed, std = T._normalize(x)
-    npt.assert_allclose(normed.mean(axis=-2), 0.0, atol=1e-6)
-    npt.assert_allclose(normed.var(axis=-2), 1.0, atol=1e-4)
-    npt.assert_allclose(std, np.sqrt(x.var(axis=-2, keepdims=True) + 1e-5), rtol=1e-12)
+    npt.assert_allclose(normed.mean(axis=-1), 0.0, atol=1e-6)
+    npt.assert_allclose(normed.var(axis=-1), 1.0, atol=1e-4)
+    npt.assert_allclose(std, np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5), rtol=1e-12)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_layer_norm_fused_forward_matches_composed_bit_for_bit(dtype):
     for seed in range(20):
         rng = child(seed, "ln-fused", np.dtype(dtype).name)
-        for shape in ((3, 6, 5), (6, 1)):
+        for shape in ((3, 5, 6), (1, 6)):
             x = Tensor(rng.normal(size=shape) * 4.0 + 2.0, dtype=dtype)
             normed, std = T._normalize(x.data)
             assert normed.dtype == std.dtype == np.dtype(dtype)
@@ -167,7 +156,7 @@ def test_layer_norm_fused_forward_matches_composed_bit_for_bit(dtype):
 
 def test_pre_norm_ops_refuse_mismatched_norms():
     rng = child(5, "ln-shapes")
-    x, kv = Tensor(rng.normal(size=(2, 4, 3))), Tensor(rng.normal(size=(2, 4, 2)))
+    x, kv = Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=(2, 2, 4)))
     ones, zeros = np.ones((4, 1)), np.zeros((4, 1))
     w = [np.zeros((12, 4)), np.zeros((12, 1)), np.eye(4), zeros]
     with pytest.raises(DimensionError, match="ffn norm"):
@@ -195,11 +184,11 @@ def _sublayer_case(kind, seed, dtype):
     def leaf(shape, scale=1.0):
         return Tensor((rng.normal(size=shape) * scale).astype(dtype), requires_grad=True)
 
-    x = leaf((2, d, 5))
+    x = leaf((2, 5, d))
     if kind == "ffn":
         args = [x, leaf((d, 1)), leaf((d, 1)), leaf((6, d), 0.5), leaf((6, 1)), leaf((d, 6), 0.5), leaf((d, 1))]
         return T.ffn, args
-    kv, norm_kv = (x, [None, None]) if kind == "self" else (leaf((2, d, 3)), [leaf((d, 1)), leaf((d, 1))])
+    kv, norm_kv = (x, [None, None]) if kind == "self" else (leaf((2, 3, d)), [leaf((d, 1)), leaf((d, 1))])
     weights = [leaf((3 * d, d), 0.5), leaf((3 * d, 1)), leaf((d, d), 0.5), leaf((d, 1))]
     args = [x, kv, leaf((d, 1)), leaf((d, 1)), *norm_kv, *weights]
     return lambda *a: T.attention(*a, heads=2), args
@@ -260,8 +249,8 @@ def test_backward_frees_what_an_op_saved(kind, saved):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("kind", ["self", "cross"])
 def test_attention_stacked_gradients_match_concatenation(kind, dtype, monkeypatch):
-    # dQ, dK and dV go straight into one buffer; each row must hold the bits
-    # of the per-head products stacked with one np.concatenate, at batch size
+    # dQ, dK and dV go straight into one buffer; each token row must hold the
+    # bits of the per-head products stacked with one np.concatenate, at batch size
     rng = child(0, "stacked", kind)
     b, d, heads, lq = 8, 48, 2, 17
     lk = lq if kind == "self" else 5
@@ -270,8 +259,8 @@ def test_attention_stacked_gradients_match_concatenation(kind, dtype, monkeypatc
     def leaf(shape, scale=1.0):
         return Tensor((rng.normal(size=shape) * scale).astype(dtype), requires_grad=True)
 
-    x = leaf((b, d, lq))
-    kv, norm_kv = (x, [None, None]) if kind == "self" else (leaf((b, d, lk)), [leaf((d, 1)), leaf((d, 1))])
+    x = leaf((b, lq, d))
+    kv, norm_kv = (x, [None, None]) if kind == "self" else (leaf((b, lk, d)), [leaf((d, 1)), leaf((d, 1))])
     weights = [leaf((3 * d, d), d**-0.5), leaf((3 * d, 1)), leaf((d, d), d**-0.5), leaf((d, 1))]
     out = T.attention(x, kv, leaf((d, 1)), leaf((d, 1)), *norm_kv, *weights, heads=heads)
     saved = _closure(out._backward_fn)
@@ -287,18 +276,23 @@ def test_attention_stacked_gradients_match_concatenation(kind, dtype, monkeypatc
     (out * coef).sum().backward()  # the op's gradient is coef itself
 
     p, lead = saved["p"], saved["lead"]  # P stored as (..., h, Lk, Lq)
-    gctx = (saved["wo"].data.T @ coef).reshape((*lead, heads, dh, lq))
-    gv = (gctx @ p.swapaxes(-1, -2)).reshape((*lead, d, lk))
-    gscore = saved["vh"].swapaxes(-1, -2) @ gctx  # dP, then dS, key by query
+
+    def token_rows(a):
+        """(..., h, L, dh) per-head slices as (N, d) token rows."""
+        return a.swapaxes(-3, -2).reshape(-1, d)
+
+    gctx = (coef.reshape(-1, d) @ saved["wo"].data).reshape((*lead, lq, heads, dh)).swapaxes(-3, -2)
+    gv = token_rows(p @ gctx)
+    gscore = saved["vh"] @ gctx.swapaxes(-1, -2)  # dP, then dS, key by query
     gscore -= np.ones((1, lk), dtype=dtype) @ (gscore * p)
     gscore *= p
     gscore *= saved["scale"]
-    gq = (saved["kh"] @ gscore).reshape((*lead, d, lq))
-    gk = (saved["qh"] @ gscore.swapaxes(-1, -2)).reshape((*lead, d, lk))
+    gq = token_rows(gscore.swapaxes(-1, -2) @ saved["kh"])
+    gk = token_rows(gscore @ saved["qh"])
     if kind == "self":
-        expected = [np.concatenate([gq, gk, gv], axis=-2)]
+        expected = [np.concatenate([gq, gk, gv], axis=-1)]
     else:
-        expected = [gq, np.concatenate([gk, gv], axis=-2)]
+        expected = [gq, np.concatenate([gk, gv], axis=-1)]
     assert len(received) == len(expected)
     for got, want in zip(received, expected):
         assert got.dtype == want.dtype == dtype and got.shape == want.shape
@@ -312,18 +306,18 @@ def test_attention_masked_key_gets_zero_dk_and_dv(kind, monkeypatch):
     rng = child(0, "masked", kind)
     b, d, heads, lq = 3, 8, 2, 5
     lk = lq if kind == "self" else 4
-    # (B, 1, 1, lk): row 0 unpadded, then rows of lk - 1 and 1 real keys; key 0 is never padded
-    mask = np.where(np.arange(lk) >= np.array([lk, lk - 1, 1])[:, None, None, None], -np.inf, 0.0)
+    # (B, 1, lk, 1): row 0 unpadded, then rows of lk - 1 and 1 real keys; key 0 is never padded
+    mask = np.where(np.arange(lk)[:, None] >= np.array([lk, lk - 1, 1])[:, None, None, None], -np.inf, 0.0)
 
     def leaf(shape, scale=1.0):
         return Tensor(rng.normal(size=shape) * scale, requires_grad=True)
 
-    x = leaf((b, d, lq))
-    kv, norm_kv = (x, [None, None]) if kind == "self" else (leaf((b, d, lk)), [leaf((d, 1)), leaf((d, 1))])
+    x = leaf((b, lq, d))
+    kv, norm_kv = (x, [None, None]) if kind == "self" else (leaf((b, lk, d)), [leaf((d, 1)), leaf((d, 1))])
     weights = [leaf((3 * d, d), d**-0.5), leaf((3 * d, 1)), leaf((d, d), d**-0.5), leaf((d, 1))]
     args = [x, kv, leaf((d, 1)), leaf((d, 1)), *norm_kv, *weights]
     with pytest.raises(DimensionError, match="key mask"):
-        T.attention(*args, heads=heads, key_mask=mask[..., 1:])
+        T.attention(*args, heads=heads, key_mask=mask[:, :, 1:])
 
     received = []  # the gradient at each stacked product's output, in product order
 
@@ -335,12 +329,12 @@ def test_attention_masked_key_gets_zero_dk_and_dv(kind, monkeypatch):
     with T.trap_nonfinite():
         out = T.attention(*args, heads=heads, key_mask=mask)
         (out * rng.normal(size=out.shape)).sum().backward()
-    gkv = received[-1][:, -2 * d :, :]  # dK and dV rows of the key/value product
-    padded = np.isinf(mask[:, 0, 0, :])
+    gkv = received[-1].reshape((b, lk, -1))[..., -2 * d :]  # dK and dV of the key/value product, per key
+    padded = np.isinf(mask[:, 0, :, 0])
     assert padded.any() and not padded[:, 0].any()
     for row in range(b):
-        assert np.all(gkv[row][:, padded[row]] == 0.0)
-        assert np.all(gkv[row][d:, ~padded[row]] != 0.0)  # a real key's dV, P > 0
+        assert np.all(gkv[row][padded[row]] == 0.0)
+        assert np.all(gkv[row][~padded[row], d:] != 0.0)  # a real key's dV, P > 0
 
 
 # -- l2 normalize -------------------------------------------------------------
